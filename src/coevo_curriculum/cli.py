@@ -25,7 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     eval_p = sub.add_parser("eval", help="greedy target evaluation of a stored snapshot")
     eval_p.add_argument("--snapshot", required=True, help="path to a snapshot .jsonl")
-    eval_p.add_argument("--episodes", type=int, default=1, help="evaluation episodes")
 
     ablate_p = sub.add_parser("ablate", help="matched-seed comparison along one axis")
     ablate_p.add_argument("--config", required=True, help="path to the experiment config JSON")
@@ -50,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
             if result.snapshot_path is not None:
                 print(f"snapshot: {result.snapshot_path}")
         elif args.command == "eval":
-            rate = evaluate_snapshot(args.snapshot, args.episodes)
+            rate = evaluate_snapshot(args.snapshot)
             print(f"target_success={rate}")
         else:
             config = apply_overrides(load_config(args.config), seed=args.seed,

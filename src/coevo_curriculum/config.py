@@ -1,12 +1,13 @@
-"""Experiment configuration: JSON schema, defaults, strict validation."""
+"""Experiment configuration: JSON schema derived from the dataclasses, strict validation."""
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,17 +27,26 @@ class ConfigError(Exception):
     """Raised when an experiment configuration or resume request is invalid."""
 
 
+# Experiment keys a resume may change: they set how long a run goes on and
+# where it writes, not the trajectory it follows.
+OPERATIONAL_KEYS = ("epochs", "snapshot_interval", "output_dir", "resume_from")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; the JSON schema is derived from these dataclasses.
+
+    Dataclass-typed fields are the JSON sections of the same name, every
+    other field is a key of the ``experiment`` section.
+    """
+
     mode: str = "ccl"
     epochs: int = 30
     episodes_per_task: int = 10
-    eval_episodes: int = 1
     master_seed: int = 0
-    target_blocks: tuple[tuple[float, ...], ...] | None = None
+    target: tuple[tuple[float, ...], ...] | None = None
     init_distance_threshold: float | None = None
     snapshot_interval: int = 10
-    workers: int = 1
     output_dir: str | None = None
     resume_from: str | None = None
     env: EnvConfig = field(default_factory=EnvConfig)
@@ -51,15 +61,13 @@ class ExperimentConfig:
             raise ConfigError("epochs cannot be negative")
         if self.episodes_per_task < 1:
             raise ConfigError("episodes_per_task must be at least 1")
-        if self.eval_episodes < 1:
-            raise ConfigError("eval_episodes must be at least 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
         if self.snapshot_interval < 1:
             raise ConfigError("snapshot_interval must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
-        if self.target_blocks is not None:
+        if self.target is not None:
+            if any(len(row) != 4 for row in self.target):
+                raise ConfigError("experiment.target rows must have exactly 4 components")
             genome = self.target_genome()
             if genome.n_agents != self.env.n_agents:
                 raise ConfigError("target task must match the environment agent count")
@@ -72,9 +80,9 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from exc
 
     def target_genome(self) -> TaskGenome:
-        if self.target_blocks is None:
+        if self.target is None:
             return opposite_corner_target(self.env.n_agents)
-        return TaskGenome(np.array(self.target_blocks, dtype=float))
+        return TaskGenome(np.array(self.target, dtype=float))
 
     def domain(self) -> TaskDomain:
         if self.init_distance_threshold is None:
@@ -88,206 +96,81 @@ class ExperimentConfig:
         return Path(os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR))
 
     def to_dict(self) -> dict[str, Any]:
-        experiment = {
-            "mode": self.mode,
-            "epochs": self.epochs,
-            "episodes_per_task": self.episodes_per_task,
-            "eval_episodes": self.eval_episodes,
-            "master_seed": self.master_seed,
-            "target": None if self.target_blocks is None else [list(row) for row in self.target_blocks],
-            "init_distance_threshold": self.init_distance_threshold,
-            "snapshot_interval": self.snapshot_interval,
-            "workers": self.workers,
-            "output_dir": self.output_dir,
-            "resume_from": self.resume_from,
-        }
-        return {
-            "experiment": experiment,
-            "env": {
-                "grid_width": self.env.grid_width,
-                "n_agents": self.env.n_agents,
-                "max_steps": self.env.max_steps,
-                "collisions_allowed": self.env.collisions_allowed,
-            },
-            "evolution": {
-                "population_size": self.evolution.population_size,
-                "batch_size": self.evolution.batch_size,
-                "new_fraction": self.evolution.new_fraction,
-                "knn_k": self.evolution.knn_k,
-                "mutation_scale": self.evolution.mutation_scale,
-                "deletion_band": list(self.evolution.deletion_band),
-                "adaptive_mutation": self.evolution.adaptive_mutation,
-            },
-            "fitness": {
-                "mode": self.fitness.mode,
-                "gain": self.fitness.gain,
-                "linear_slope": self.fitness.linear_slope,
-                "literal_sign": self.fitness.literal_sign,
-            },
-            "learner": {
-                "learning_rate": self.learner.learning_rate,
-                "discount": self.learner.discount,
-                "epsilon": self.learner.epsilon,
-                "epsilon_decay": self.learner.epsilon_decay,
-                "epsilon_floor": self.learner.epsilon_floor,
-            },
-        }
+        """JSON-ready form that ``config_from_dict`` reads back."""
+        experiment = asdict(self)
+        sections = {name: experiment.pop(name) for name in _SECTIONS}
+        return json.loads(json.dumps({"experiment": experiment, **sections}))
 
     def identity_fingerprint(self) -> dict[str, Any]:
         """The config subset that must match for a snapshot resume to be sound.
 
-        Operational knobs (epochs, snapshot cadence, workers, paths) may
-        differ; anything that shapes the trajectory may not.
+        Operational knobs (``OPERATIONAL_KEYS``) may differ; anything that
+        shapes the trajectory may not.
         """
         full = self.to_dict()
-        experiment = full["experiment"]
-        for key in ("epochs", "snapshot_interval", "workers", "output_dir", "resume_from"):
-            experiment.pop(key)
+        for key in OPERATIONAL_KEYS:
+            del full["experiment"][key]
         return full
 
 
-def _require_mapping(value: Any, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {where!r} must be a JSON object")
-    return value
+def _schema(cls: type) -> dict[str, Any]:
+    """Field name to resolved type annotation, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(data) - allowed)
+_SECTIONS = tuple(name for name, tp in _schema(ExperimentConfig).items() if is_dataclass(tp))
+
+_SCALARS = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+            float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _coerce(value: Any, tp: Any, where: str) -> Any:
+    """Check one JSON value against a field type; ints are accepted as floats."""
+    args = get_args(tp)
+    if isinstance(tp, UnionType):  # only ``X | None`` occurs
+        return None if value is None else _coerce(value, args[0], where)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ConfigError(f"{where} must have exactly {len(args)} entries")
+        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        return tuple(_coerce(item, item_tp, f"{where}[{index}]")
+                     for index, (item, item_tp) in enumerate(zip(value, types)))
+    accepted, name = _SCALARS[tp]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{where} must be {name}")
+    return float(value) if tp is float else value
+
+
+def _check_keys(data: Any, allowed: Any, where: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _coerce_bool(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be a boolean")
-    return value
-
-
-def _coerce_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer")
-    return value
-
-
-def _coerce_float(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    return float(value)
-
-
-def _coerce_str(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string")
-    return value
-
-
-_SECTION_KEYS = {
-    "experiment": {"mode", "epochs", "episodes_per_task", "eval_episodes", "master_seed",
-                   "target", "init_distance_threshold", "snapshot_interval", "workers",
-                   "output_dir", "resume_from"},
-    "env": {"grid_width", "n_agents", "max_steps", "collisions_allowed"},
-    "evolution": {"population_size", "batch_size", "new_fraction", "knn_k",
-                  "mutation_scale", "deletion_band", "adaptive_mutation"},
-    "fitness": {"mode", "gain", "linear_slope", "literal_sign"},
-    "learner": {"learning_rate", "discount", "epsilon", "epsilon_decay", "epsilon_floor"},
-}
+def _section(data: Any, where: str, schema: dict[str, Any]) -> dict[str, Any]:
+    """Coerced keyword arguments for one JSON section; unknown keys are rejected."""
+    _check_keys(data, schema, f"section {where!r}")
+    return {key: _coerce(value, schema[key], f"{where}.{key}") for key, value in data.items()}
 
 
 def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     """Build and validate a config; unknown keys anywhere are rejected."""
-    data = _require_mapping(data, "config")
-    _reject_unknown(data, set(_SECTION_KEYS), "config")
-    sections = {name: _require_mapping(data.get(name, {}), name) for name in _SECTION_KEYS}
-    for name, section in sections.items():
-        _reject_unknown(section, _SECTION_KEYS[name], f"section {name!r}")
-
-    exp = sections["experiment"]
-    target = exp.get("target")
-    target_blocks = None
-    if target is not None:
-        if not isinstance(target, list) or not all(isinstance(row, list) for row in target):
-            raise ConfigError("experiment.target must be a list of per-agent [sx, sy, gx, gy] rows")
-        try:
-            target_blocks = tuple(tuple(_coerce_float(v, "experiment.target entry") for v in row)
-                                  for row in target)
-        except ConfigError:
-            raise
-        if any(len(row) != 4 for row in target_blocks):
-            raise ConfigError("experiment.target rows must have exactly 4 components")
-
-    threshold = exp.get("init_distance_threshold")
-    if threshold is not None:
-        threshold = _coerce_float(threshold, "experiment.init_distance_threshold")
-
+    _check_keys(data, {"experiment", *_SECTIONS}, "config")
+    schema = _schema(ExperimentConfig)
+    experiment = {key: tp for key, tp in schema.items() if key not in _SECTIONS}
+    kwargs = _section(data.get("experiment", {}), "experiment", experiment)
     try:
-        env = EnvConfig(
-            grid_width=_coerce_int(sections["env"].get("grid_width", 12), "env.grid_width"),
-            n_agents=_coerce_int(sections["env"].get("n_agents", 2), "env.n_agents"),
-            max_steps=_coerce_int(sections["env"].get("max_steps", 40), "env.max_steps"),
-            collisions_allowed=_coerce_bool(sections["env"].get("collisions_allowed", True),
-                                            "env.collisions_allowed"),
-        )
-        band = sections["evolution"].get("deletion_band", [0.02, 0.98])
-        if not isinstance(band, (list, tuple)) or len(band) != 2:
-            raise ConfigError("evolution.deletion_band must be a [low, high] pair")
-        evolution = EvolutionParams(
-            population_size=_coerce_int(sections["evolution"].get("population_size", 64),
-                                        "evolution.population_size"),
-            batch_size=_coerce_int(sections["evolution"].get("batch_size", 16),
-                                   "evolution.batch_size"),
-            new_fraction=_coerce_float(sections["evolution"].get("new_fraction", 0.7),
-                                       "evolution.new_fraction"),
-            knn_k=_coerce_int(sections["evolution"].get("knn_k", 4), "evolution.knn_k"),
-            mutation_scale=_coerce_float(sections["evolution"].get("mutation_scale", 0.15),
-                                         "evolution.mutation_scale"),
-            deletion_band=(_coerce_float(band[0], "evolution.deletion_band[0]"),
-                           _coerce_float(band[1], "evolution.deletion_band[1]")),
-            adaptive_mutation=_coerce_bool(sections["evolution"].get("adaptive_mutation", True),
-                                           "evolution.adaptive_mutation"),
-        )
-        fitness = FitnessParams(
-            mode=_coerce_str(sections["fitness"].get("mode", "sigmoid"), "fitness.mode"),
-            gain=_coerce_float(sections["fitness"].get("gain", 2.0), "fitness.gain"),
-            linear_slope=_coerce_float(sections["fitness"].get("linear_slope", 1.0),
-                                       "fitness.linear_slope"),
-            literal_sign=_coerce_bool(sections["fitness"].get("literal_sign", False),
-                                      "fitness.literal_sign"),
-        )
-        learner = LearnerParams(
-            learning_rate=_coerce_float(sections["learner"].get("learning_rate", 0.1),
-                                        "learner.learning_rate"),
-            discount=_coerce_float(sections["learner"].get("discount", 0.95), "learner.discount"),
-            epsilon=_coerce_float(sections["learner"].get("epsilon", 0.2), "learner.epsilon"),
-            epsilon_decay=_coerce_float(sections["learner"].get("epsilon_decay", 0.995),
-                                        "learner.epsilon_decay"),
-            epsilon_floor=_coerce_float(sections["learner"].get("epsilon_floor", 0.02),
-                                        "learner.epsilon_floor"),
-        )
+        for name in _SECTIONS:
+            cls = schema[name]
+            kwargs[name] = cls(**_section(data.get(name, {}), name, _schema(cls)))
+        return ExperimentConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    output_dir = exp.get("output_dir")
-    resume_from = exp.get("resume_from")
-    return ExperimentConfig(
-        mode=_coerce_str(exp.get("mode", "ccl"), "experiment.mode"),
-        epochs=_coerce_int(exp.get("epochs", 30), "experiment.epochs"),
-        episodes_per_task=_coerce_int(exp.get("episodes_per_task", 10),
-                                      "experiment.episodes_per_task"),
-        eval_episodes=_coerce_int(exp.get("eval_episodes", 1), "experiment.eval_episodes"),
-        master_seed=_coerce_int(exp.get("master_seed", 0), "experiment.master_seed"),
-        target_blocks=target_blocks,
-        init_distance_threshold=threshold,
-        snapshot_interval=_coerce_int(exp.get("snapshot_interval", 10),
-                                      "experiment.snapshot_interval"),
-        workers=_coerce_int(exp.get("workers", 1), "experiment.workers"),
-        output_dir=None if output_dir is None else _coerce_str(output_dir, "experiment.output_dir"),
-        resume_from=None if resume_from is None else _coerce_str(resume_from, "experiment.resume_from"),
-        env=env,
-        evolution=evolution,
-        fitness=fitness,
-        learner=learner,
-    )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

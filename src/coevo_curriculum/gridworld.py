@@ -19,7 +19,6 @@ class EnvConfig:
     grid_width: int = 12
     n_agents: int = 2
     max_steps: int = 40
-    collisions_allowed: bool = True
 
     def __post_init__(self) -> None:
         if self.grid_width < 2:
@@ -28,8 +27,6 @@ class EnvConfig:
             raise ValueError("need at least one agent")
         if self.max_steps < 1:
             raise ValueError("episodes need at least one step")
-        if not self.collisions_allowed:
-            raise ValueError("only overlapping agents are supported; collisions_allowed must stay true")
 
     @property
     def n_states(self) -> int:

@@ -9,21 +9,22 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
-from .config import ABLATION_AXES, ConfigError, ExperimentConfig
+from .config import ABLATION_AXES, ConfigError, ExperimentConfig, config_from_dict
 from .evolution import (OP_COUNTS, Population, TaskRecord, assign_population_fitness,
                         delete_bad_tasks, evolve_generation, init_population, soft_select)
 from .fitness import PrototypeSet
-from .streams import DOMAIN_EVAL, DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, stream
+from .gridworld import N_ACTIONS
+from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, stream
 from .tasks import TaskGenome
 from .trainer import PolicyTable, evaluate_target, train_on_tasks
 
 METRICS_COLUMNS = ("epoch", "target_success", "batch_mean_r", "active_mean_f",
                    "batch_new", "batch_old", "episodes_total", "env_steps_total")
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -112,41 +113,48 @@ class Snapshot:
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
+    """Read a snapshot; a missing, malformed or other-format file raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return _read_snapshot(handle, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and shapes
+        raise ConfigError(f"snapshot {path} is malformed: {exc}") from exc
+
+
+def _read_snapshot(lines: Iterable[str], path: str | Path) -> Snapshot:
     meta = None
     active: list[TaskRecord] = []
     archive: dict[int, list[TaskRecord]] = {}
     policy_rows: dict[int, np.ndarray] = {}
     n_actions = 0
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                kind = record.get("kind")
-                if kind == "meta":
-                    meta = record
-                elif kind == "task":
-                    n_agents = len(record["genome"]) // 4
-                    rec = TaskRecord(TaskGenome.from_vector(record["genome"], n_agents),
-                                     r=record["r"], f=record["f"],
-                                     epoch_born=record["epoch_born"], origin=record["origin"])
-                    if record["where"] == "active":
-                        active.append(rec)
-                    else:
-                        archive.setdefault(int(record["epoch"]), []).append(rec)
-                elif kind == "policy":
-                    n_actions = int(record["n_actions"])
-                    policy_rows[int(record["agent"])] = np.asarray(record["q"], dtype=float)
-    except OSError as exc:
-        raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ConfigError(f"snapshot {path} is malformed: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        record = json.loads(line)
+        kind = record.get("kind")
+        if kind == "meta":
+            meta = record
+            if meta.get("format") != SNAPSHOT_FORMAT:
+                raise ConfigError(f"snapshot {path} has format {meta.get('format', 'missing')}, "
+                                  f"expected {SNAPSHOT_FORMAT}")
+        elif kind == "task":
+            n_agents = len(record["genome"]) // 4
+            rec = TaskRecord(TaskGenome.from_vector(record["genome"], n_agents),
+                             r=record["r"], f=record["f"],
+                             epoch_born=record["epoch_born"], origin=record["origin"])
+            if record["where"] == "active":
+                active.append(rec)
+            else:
+                archive.setdefault(int(record["epoch"]), []).append(rec)
+        elif kind == "policy":
+            n_actions = int(record["n_actions"])
+            policy_rows[int(record["agent"])] = np.asarray(record["q"], dtype=float)
     if meta is None or not policy_rows:
         raise ConfigError(f"snapshot {path} is missing its meta or policy lines")
-    agents = sorted(policy_rows)
-    table = np.stack([policy_rows[a].reshape(-1, n_actions) for a in agents])
+    table = np.stack([policy_rows[a].reshape(-1, n_actions) for a in sorted(policy_rows)])
     pop = None
     if active:
         pop = Population(active=active, archive=archive, epoch=int(meta["epoch"]))
@@ -172,23 +180,21 @@ class _MetricsWriter:
 
 
 def _check_resume(config: ExperimentConfig, snapshot: Snapshot) -> None:
-    resumed_fp = _fingerprint_of_dict(dict(snapshot.config_dict))
-    current_fp = _fingerprint_of_dict(config.identity_fingerprint())
-    if resumed_fp != current_fp:
+    stored = config_from_dict(snapshot.config_dict)
+    if stored.identity_fingerprint() != config.identity_fingerprint():
         raise ConfigError("resume snapshot was produced under a different configuration; "
                           "seed, environment, evolution, fitness and learner settings must match")
+    _check_policy_shape(snapshot, config)
     if config.epochs < snapshot.epoch:
         raise ConfigError(f"config asks for {config.epochs} epochs but the snapshot is already "
                           f"at epoch {snapshot.epoch}")
 
 
-def _fingerprint_of_dict(config_dict: dict[str, Any]) -> dict[str, Any]:
-    # JSON round-trip so tuple/list and int/float spellings compare equal.
-    trimmed = json.loads(json.dumps(config_dict))
-    experiment = trimmed.get("experiment", {})
-    for key in ("epochs", "snapshot_interval", "workers", "output_dir", "resume_from"):
-        experiment.pop(key, None)
-    return trimmed
+def _check_policy_shape(snapshot: Snapshot, config: ExperimentConfig) -> None:
+    expected = (config.env.n_agents, config.env.n_states, N_ACTIONS)
+    if snapshot.policy_q.shape != expected:
+        raise ConfigError(f"snapshot policy table has shape {snapshot.policy_q.shape}; "
+                          f"the configuration needs {expected}")
 
 
 def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> RunResult:
@@ -246,8 +252,7 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
             genomes = [target] * evo.batch_size
         outcomes = train_on_tasks(
             genomes, policy, config.episodes_per_task, env_cfg,
-            lambda task_idx, episode, _e=epoch: stream(seed, DOMAIN_TRAIN, _e, task_idx, episode),
-            workers=config.workers)
+            lambda task_idx, episode, _e=epoch: stream(seed, DOMAIN_TRAIN, _e, task_idx, episode))
         episodes_total += sum(out.episodes for out in outcomes)
         env_steps_total += sum(out.env_steps for out in outcomes)
         batch_mean_r = float(np.mean([out.success_rate for out in outcomes]))
@@ -274,9 +279,7 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
             active_mean_f = math.nan
             next_new, next_old = 0, 0
 
-        final_rate = evaluate_target(
-            policy, target, config.eval_episodes, env_cfg,
-            lambda episode, _e=epoch: stream(seed, DOMAIN_EVAL, _e, episode))
+        final_rate = evaluate_target(policy, target, env_cfg)
         row = EpochMetrics(epoch=epoch, target_success=final_rate, batch_mean_r=batch_mean_r,
                            active_mean_f=active_mean_f, batch_new=batch_new, batch_old=batch_old,
                            episodes_total=episodes_total, env_steps_total=env_steps_total,
@@ -304,17 +307,14 @@ def _batch_composition(batch: list[TaskRecord], pop: Population) -> tuple[int, i
     return new, len(batch) - new
 
 
-def evaluate_snapshot(snapshot_path: str | Path, episodes: int) -> float:
+def evaluate_snapshot(snapshot_path: str | Path) -> float:
     """Greedy target success of a stored policy, using the snapshot's own config."""
-    from .config import config_from_dict
-
     snap = load_snapshot(snapshot_path)
     config = config_from_dict(snap.config_dict)
+    _check_policy_shape(snap, config)
     policy = PolicyTable(q=snap.policy_q, learning_rate=config.learner.learning_rate,
                          discount=config.learner.discount, epsilon=0.0)
-    return evaluate_target(
-        policy, config.target_genome(), episodes, config.env,
-        lambda episode: stream(config.master_seed, DOMAIN_EVAL, snap.epoch, episode))
+    return evaluate_target(policy, config.target_genome(), config.env)
 
 
 @dataclass

@@ -9,7 +9,6 @@ DOMAIN_INIT = 0
 DOMAIN_EVOLVE = 1
 DOMAIN_SELECT = 2
 DOMAIN_TRAIN = 3
-DOMAIN_EVAL = 4
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,7 +59,8 @@ class PolicyTable:
         return PolicyTable(q=self.q.copy(), learning_rate=self.learning_rate,
                            discount=self.discount, epsilon=self.epsilon)
 
-    def act(self, agent: int, state: int, rng: np.random.Generator, epsilon: float | None = None) -> int:
+    def act(self, agent: int, state: int, rng: np.random.Generator | None,
+            epsilon: float | None = None) -> int:
         eps = self.epsilon if epsilon is None else epsilon
         if eps > 0.0 and rng.random() < eps:
             return int(rng.integers(N_ACTIONS))
@@ -95,8 +95,13 @@ class TaskOutcome:
 
 
 def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable, learn: bool,
-            rng: np.random.Generator, epsilon: float | None = None) -> tuple[bool, list[Transition]]:
-    """Run one episode; returns (ended on the goal configuration, trajectory)."""
+            rng: np.random.Generator | None, epsilon: float | None = None
+            ) -> tuple[bool, list[Transition]]:
+    """Run one episode; returns (ended on the goal configuration, trajectory).
+
+    ``rng`` may be None only when exploration is off (epsilon 0), since a
+    greedy episode draws no random numbers.
+    """
     state = env.reset(task)
     cfg = env.cfg
     obs = [obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, env.goals)]
@@ -121,7 +126,7 @@ def _run_task(task: TaskGenome, policy: PolicyTable, episodes: int, env_cfg: Env
               rng_for_episode: Callable[[int], np.random.Generator],
               task_index: int) -> tuple[TaskOutcome, list[Transition]]:
     # Each task explores from a private copy of the incoming policy, so
-    # results cannot depend on how tasks are interleaved across workers.
+    # tasks are independent of each other and of the order they run in.
     local = policy.clone()
     env = GridSpread(env_cfg)
     successes = 0
@@ -135,31 +140,18 @@ def _run_task(task: TaskGenome, policy: PolicyTable, episodes: int, env_cfg: Env
 
 
 def train_on_tasks(tasks: list[TaskGenome], policy: PolicyTable, episodes_per_task: int,
-                   env_cfg: EnvConfig, episode_rng: EpisodeRng,
-                   workers: int = 1) -> list[TaskOutcome]:
+                   env_cfg: EnvConfig, episode_rng: EpisodeRng) -> list[TaskOutcome]:
     """Train on a batch with a per-epoch barrier.
 
     Every task runs ``episodes_per_task`` learning episodes against a private
     copy of the incoming policy; success rates come from those same episodes.
-    All experience is then replayed into ``policy`` in task-index order, so
-    the outcome is identical for any worker count.
+    All experience is then replayed into ``policy`` in task-index order.
     """
     if episodes_per_task < 1:
         raise ValueError("episodes_per_task must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if not tasks:
-        return []
-
-    def launch(index: int) -> tuple[TaskOutcome, list[Transition]]:
-        return _run_task(tasks[index], policy, episodes_per_task, env_cfg,
-                         lambda episode: episode_rng(index, episode), index)
-
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(launch, range(len(tasks))))
-    else:
-        results = [launch(index) for index in range(len(tasks))]
+    results = [_run_task(task, policy, episodes_per_task, env_cfg,
+                         lambda episode, _i=index: episode_rng(_i, episode), index)
+               for index, task in enumerate(tasks)]
 
     for _, transitions in results:
         for tr in transitions:
@@ -168,14 +160,11 @@ def train_on_tasks(tasks: list[TaskGenome], policy: PolicyTable, episodes_per_ta
     return [outcome for outcome, _ in results]
 
 
-def evaluate_target(policy: PolicyTable, target: TaskGenome, episodes: int,
-                    env_cfg: EnvConfig, episode_rng: Callable[[int], np.random.Generator]) -> float:
-    """Greedy (epsilon = 0) success rate on ``target``; never mutates the policy."""
-    if episodes < 1:
-        raise ValueError("episodes must be at least 1")
-    env = GridSpread(env_cfg)
-    wins = 0
-    for episode in range(episodes):
-        ok, _ = rollout(env, target, policy, False, episode_rng(episode), epsilon=0.0)
-        wins += int(ok)
-    return wins / episodes
+def evaluate_target(policy: PolicyTable, target: TaskGenome, env_cfg: EnvConfig) -> float:
+    """Greedy (epsilon = 0) success on ``target``, 1.0 or 0.0; never mutates the policy.
+
+    The environment is deterministic and a greedy episode draws no random
+    numbers, so one episode gives the exact success rate.
+    """
+    ok, _ = rollout(GridSpread(env_cfg), target, policy, False, None, epsilon=0.0)
+    return float(ok)

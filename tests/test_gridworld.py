@@ -146,11 +146,6 @@ def test_transitions_are_deterministic():
     assert trails[0] == trails[1]
 
 
-def test_collisions_flag_must_stay_true():
-    with pytest.raises(ValueError):
-        EnvConfig(grid_width=5, n_agents=2, max_steps=10, collisions_allowed=False)
-
-
 def test_obs_index_examples_and_bijection():
     cfg = EnvConfig(grid_width=3, n_agents=1, max_steps=5)
     assert obs_index((0, 0), (0, 0), cfg) == 0

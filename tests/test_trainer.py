@@ -139,22 +139,6 @@ def test_train_on_tasks_is_deterministic_for_fixed_seed():
     assert np.array_equal(runs[0][1], runs[1][1])
 
 
-def test_worker_count_does_not_change_results():
-    cfg = EnvConfig(grid_width=5, n_agents=2, max_steps=10)
-    batch = [_genome_for_cells([(0, 0), (4, 4)], [(1, 1), (3, 3)], 5),
-             _genome_for_cells([(2, 2), (0, 4)], [(2, 3), (1, 4)], 5),
-             _genome_for_cells([(1, 3), (2, 0)], [(1, 4), (2, 2)], 5)]
-    results = []
-    for workers in (1, 3):
-        policy = _policy(cfg)
-        policy.epsilon = 0.4
-        outcomes = train_on_tasks(batch, policy, 6, cfg, _episode_rng(91), workers=workers)
-        results.append(([(o.task_index, o.successes, o.env_steps) for o in outcomes],
-                        policy.q.copy()))
-    assert results[0][0] == results[1][0]
-    assert np.array_equal(results[0][1], results[1][1])
-
-
 def test_shared_reward_never_fires_on_partial_success():
     # agent 0 sits on its goal; agent 1 cannot reach its goal within the cap,
     # so no reward and no positive update target can ever appear
@@ -209,7 +193,7 @@ def test_evaluate_target_is_pure_and_greedy():
     policy = _policy(cfg)
     before = policy.q.copy()
     target = opposite_corner_target(2)
-    rate = evaluate_target(policy, target, 5, cfg, lambda e: stream(3, 4, 0, e))
+    rate = evaluate_target(policy, target, cfg)
     assert rate < 0.1  # untrained policy cannot cross the grid
     assert np.array_equal(policy.q, before)
     assert policy.epsilon == PARAMS.epsilon
@@ -219,7 +203,7 @@ def test_evaluate_on_zero_distance_target_is_perfect():
     cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=5)
     policy = _policy(cfg)
     genome = _genome_for_cells([(1, 1), (2, 2)], [(1, 1), (2, 2)], 4)
-    assert evaluate_target(policy, genome, 3, cfg, lambda e: stream(4, 4, 0, e)) == 1.0
+    assert evaluate_target(policy, genome, cfg) == 1.0
 
 
 def test_policy_trained_to_convergence_beats_090():
@@ -233,7 +217,7 @@ def test_policy_trained_to_convergence_beats_090():
         policy.epsilon = max(0.05, 0.8 ** max(0, round_idx - 5))
         train_on_tasks([target], policy, 40, cfg,
                        lambda t, e, _r=round_idx: stream(123, 3, _r, t, e))
-    rate = evaluate_target(policy, target, 10, cfg, lambda e: stream(123, 4, 0, e))
+    rate = evaluate_target(policy, target, cfg)
     assert rate > 0.9
 
 
@@ -255,7 +239,3 @@ def test_train_on_tasks_argument_errors():
     policy = _policy(cfg)
     with pytest.raises(ValueError):
         train_on_tasks([], policy, 0, cfg, _episode_rng(1))
-    with pytest.raises(ValueError):
-        train_on_tasks([], policy, 1, cfg, _episode_rng(1), workers=0)
-    with pytest.raises(ValueError):
-        evaluate_target(policy, opposite_corner_target(1), 0, cfg, lambda e: stream(0, 4, 0, e))
