@@ -34,7 +34,7 @@ class EnvConfig:
         return self.grid_width ** 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridState:
     """Joint agent positions after ``t`` steps of the current episode."""
 
@@ -72,6 +72,7 @@ class GridSpread:
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
+        self._domain = TaskDomain(n_agents=cfg.n_agents, grid_width=cfg.grid_width)
         self.goals: tuple[Cell, ...] = ()
         self.state: GridState | None = None
         self._done = True
@@ -79,8 +80,7 @@ class GridSpread:
     def reset(self, task: TaskGenome) -> GridState:
         if task.n_agents != self.cfg.n_agents:
             raise ValueError(f"task has {task.n_agents} agents, environment expects {self.cfg.n_agents}")
-        domain = TaskDomain(n_agents=self.cfg.n_agents, grid_width=self.cfg.grid_width)
-        pairs = discretize(task, domain)
+        pairs = discretize(task, self._domain)
         self.goals = tuple(goal for _, goal in pairs)
         self.state = GridState(cells=tuple(start for start, _ in pairs), t=0)
         self._done = False
@@ -92,9 +92,10 @@ class GridSpread:
         if len(joint_action) != self.cfg.n_agents:
             raise ValueError("joint action length must match the agent count")
         width = self.cfg.grid_width
-        cells = tuple(move_cell(cell, action, width) for cell, action in zip(self.state.cells, joint_action))
+        cells = tuple([move_cell(cell, action, width) for cell, action in zip(self.state.cells, joint_action)])
         t = self.state.t + 1
-        success = all_on_goals(cells, self.goals)
+        # Same predicate as all_on_goals: both tuples hold one cell per agent.
+        success = cells == self.goals
         done = success or t >= self.cfg.max_steps
         self.state = GridState(cells=cells, t=t)
         self._done = done
