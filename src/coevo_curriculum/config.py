@@ -14,7 +14,7 @@ import numpy as np
 from .evolution import EvolutionParams
 from .fitness import FitnessParams
 from .gridworld import EnvConfig
-from .tasks import TaskDomain, TaskGenome, opposite_corner_target
+from .tasks import DEFAULT_DISTANCE_THRESHOLD, TaskDomain, TaskGenome, opposite_corner_target
 from .trainer import LearnerParams
 
 OUTPUT_DIR_ENV = "COEVO_CURRICULUM_OUTDIR"
@@ -45,7 +45,7 @@ class ExperimentConfig:
     episodes_per_task: int = 10
     master_seed: int = 0
     target: tuple[tuple[float, ...], ...] | None = None
-    init_distance_threshold: float | None = None
+    init_distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD
     snapshot_interval: int = 10
     output_dir: str | None = None
     resume_from: str | None = None
@@ -73,11 +73,10 @@ class ExperimentConfig:
                 raise ConfigError("target task must match the environment agent count")
             if not genome.in_domain:
                 raise ConfigError("target task components must lie in [0, 1]")
-        if self.init_distance_threshold is not None:
-            try:
-                self.domain()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        try:
+            self.domain()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def target_genome(self) -> TaskGenome:
         if self.target is None:
@@ -85,8 +84,6 @@ class ExperimentConfig:
         return TaskGenome(np.array(self.target, dtype=float))
 
     def domain(self) -> TaskDomain:
-        if self.init_distance_threshold is None:
-            return TaskDomain(n_agents=self.env.n_agents, grid_width=self.env.grid_width)
         return TaskDomain(n_agents=self.env.n_agents, grid_width=self.env.grid_width,
                           distance_threshold=self.init_distance_threshold)
 
@@ -188,17 +185,9 @@ def apply_overrides(config: ExperimentConfig, *, seed: int | None = None,
                     mode: str | None = None, output_dir: str | None = None,
                     resume_from: str | None = None, epochs: int | None = None) -> ExperimentConfig:
     """Command-line overrides win over file values."""
-    updates: dict[str, Any] = {}
-    if seed is not None:
-        updates["master_seed"] = seed
-    if mode is not None:
-        updates["mode"] = mode
-    if output_dir is not None:
-        updates["output_dir"] = output_dir
-    if resume_from is not None:
-        updates["resume_from"] = resume_from
-    if epochs is not None:
-        updates["epochs"] = epochs
+    updates = {key: value for key, value in (
+        ("master_seed", seed), ("mode", mode), ("output_dir", output_dir),
+        ("resume_from", resume_from), ("epochs", epochs)) if value is not None}
     if not updates:
         return config
     try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -47,9 +48,9 @@ class TaskRecord:
     epoch_born: int = 0
     origin: str = ORIGIN_INIT
 
-    def clone(self, clear_measurement: bool = False) -> "TaskRecord":
-        r = None if clear_measurement else self.r
-        return TaskRecord(self.genome, r, self.f, self.epoch_born, self.origin)
+    def clone(self) -> "TaskRecord":
+        """Unmeasured copy: the measurement belongs to the epoch it was taken in."""
+        return TaskRecord(self.genome, None, self.f, self.epoch_born, self.origin)
 
 
 @dataclass
@@ -252,8 +253,9 @@ def evolve_generation(pop: Population, params: EvolutionParams,
     """Produce the next generation and retire the current one to the archive.
 
     Each pair yields either a crossover child pair (coin > 0.5) or one
-    mutation child.  The next generation keeps children first, then the
-    fittest parents as fresh unmeasured copies, to exactly population_size.
+    mutation child.  The next generation keeps children first, then fills up to
+    population_size with unmeasured copies of the parents, fittest first, then
+    of the children, repeating both lists as often as needed.
     """
     OP_COUNTS["evolve_generation"] += 1
     active = pop.active
@@ -263,7 +265,7 @@ def evolve_generation(pop: Population, params: EvolutionParams,
         if not pop.archive:
             raise ValueError("cannot evolve an empty population with an empty archive")
         latest = pop.archive[max(pop.archive)]
-        active = [rec.clone(clear_measurement=True) for rec in latest]
+        active = [rec.clone() for rec in latest]
     if any(rec.f is None for rec in active):
         raise ValueError("every active record needs fitness before evolving")
 
@@ -292,18 +294,9 @@ def evolve_generation(pop: Population, params: EvolutionParams,
             children.append(TaskRecord(child, epoch_born=next_epoch, origin=ORIGIN_MUTATE))
 
     next_active = children[:params.population_size]
-    if len(next_active) < params.population_size:
-        ranked = sorted(active, key=lambda rec: -rec.f)
-        for rec in ranked:
-            if len(next_active) == params.population_size:
-                break
-            next_active.append(rec.clone(clear_measurement=True))
-        # Only reachable after extreme mid-epoch deletion: recycle candidates.
-        while len(next_active) < params.population_size:
-            for rec in children + ranked:
-                if len(next_active) == params.population_size:
-                    break
-                next_active.append(rec.clone(clear_measurement=True))
+    ranked = sorted(active, key=lambda rec: -rec.f)
+    refill = islice(cycle(ranked + children), params.population_size - len(next_active))
+    next_active.extend(rec.clone() for rec in refill)
 
     archive = dict(pop.archive)
     bucket = list(archive.get(pop.epoch, []))

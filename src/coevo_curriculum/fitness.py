@@ -15,26 +15,21 @@ class FitnessParams:
     """Shape of the difficulty-to-fitness mapping.
 
     The sigmoid form peaks at success rate 0.5 so moderately hard tasks
-    score highest.  ``literal_sign`` flips the exponent sign, which instead
-    rewards the extremes; it exists for comparison runs only.
+    score highest.
     """
 
     gain: float = 2.0
     mode: str = "sigmoid"
-    linear_slope: float = 1.0
-    literal_sign: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in FITNESS_MODES:
             raise ValueError(f"fitness mode must be one of {FITNESS_MODES}, got {self.mode!r}")
         if self.gain <= 0.0:
             raise ValueError("gain must be positive")
-        if self.linear_slope <= 0.0:
-            raise ValueError("linear slope must be positive")
 
     def evaluate(self, success_rate: float) -> float:
         if self.mode == "linear":
-            return linear_fitness(success_rate, self)
+            return linear_fitness(success_rate)
         return sigmoid_fitness(success_rate, self)
 
 
@@ -46,15 +41,17 @@ def _check_rate(success_rate: float) -> None:
 def sigmoid_fitness(success_rate: float, params: FitnessParams) -> float:
     """Fitness 1 / (1 + exp(gain * |r - 0.5|)), maximal (0.5) at r = 0.5."""
     _check_rate(success_rate)
-    gap = abs(success_rate - 0.5)
-    exponent = -params.gain * gap if params.literal_sign else params.gain * gap
-    return 1.0 / (1.0 + math.exp(exponent))
+    return 1.0 / (1.0 + math.exp(params.gain * abs(success_rate - 0.5)))
 
 
-def linear_fitness(success_rate: float, params: FitnessParams) -> float:
-    """Ablation shape -slope * |r - 0.5|: same peak location, no saturation."""
+def linear_fitness(success_rate: float) -> float:
+    """Ablation shape -|r - 0.5|: same peak location, no saturation.
+
+    No slope: fitness enters a run only through a descending sort and ratios
+    of differences, so any positive scale would cancel.
+    """
     _check_rate(success_rate)
-    return -params.linear_slope * abs(success_rate - 0.5)
+    return -abs(success_rate - 0.5)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -23,9 +24,8 @@ from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, st
 from .tasks import TaskGenome
 from .trainer import PolicyTable, evaluate_target, train_on_tasks
 
-METRICS_COLUMNS = ("epoch", "target_success", "batch_mean_r", "active_mean_f",
-                   "batch_new", "batch_old", "episodes_total", "env_steps_total")
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
+TIMINGS_COLUMNS = ("epoch", "wall_clock_seconds")
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,10 @@ class EpochMetrics:
     wall_clock_seconds: float
 
     def csv_row(self) -> list[str]:
-        return [str(self.epoch), str(self.target_success), str(self.batch_mean_r),
-                str(self.active_mean_f), str(self.batch_new), str(self.batch_old),
-                str(self.episodes_total), str(self.env_steps_total)]
+        return [str(getattr(self, name)) for name in METRICS_COLUMNS]
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(EpochMetrics) if f.name != "wall_clock_seconds")
 
 
 @dataclass
@@ -78,23 +79,32 @@ def _prepare_run_dir(config: ExperimentConfig, run_dir: Path | None) -> Path:
 
 def write_snapshot(path: Path, config: ExperimentConfig, epoch: int, episodes_total: int,
                    env_steps_total: int, pop: Population | None, policy: PolicyTable) -> None:
-    """Line-delimited JSON: one meta line, one line per task record, one per agent table."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        meta = {"kind": "meta", "format": SNAPSHOT_FORMAT, "epoch": epoch,
-                "episodes_total": episodes_total, "env_steps_total": env_steps_total,
-                "config": config.to_dict()}
-        handle.write(json.dumps(meta) + "\n")
-        if pop is not None:
-            for rec in pop.active:
-                handle.write(json.dumps(_task_line(rec, "active", pop.epoch)) + "\n")
-            for gen_epoch in sorted(pop.archive):
-                for rec in pop.archive[gen_epoch]:
-                    handle.write(json.dumps(_task_line(rec, "archive", gen_epoch)) + "\n")
-        for agent in range(policy.n_agents):
-            line = {"kind": "policy", "agent": agent,
-                    "n_states": int(policy.q.shape[1]), "n_actions": int(policy.q.shape[2]),
-                    "q": policy.q[agent].reshape(-1).tolist()}
-            handle.write(json.dumps(line) + "\n")
+    """Line-delimited JSON: one meta line, one line per task record, one per agent table.
+
+    Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            meta = {"kind": "meta", "format": SNAPSHOT_FORMAT, "epoch": epoch,
+                    "episodes_total": episodes_total, "env_steps_total": env_steps_total,
+                    "config": config.to_dict()}
+            handle.write(json.dumps(meta) + "\n")
+            if pop is not None:
+                for rec in pop.active:
+                    handle.write(json.dumps(_task_line(rec, "active", pop.epoch)) + "\n")
+                for gen_epoch in sorted(pop.archive):
+                    for rec in pop.archive[gen_epoch]:
+                        handle.write(json.dumps(_task_line(rec, "archive", gen_epoch)) + "\n")
+            for agent in range(policy.n_agents):
+                line = {"kind": "policy", "agent": agent,
+                        "n_states": int(policy.q.shape[1]), "n_actions": int(policy.q.shape[2]),
+                        "q": policy.q[agent].reshape(-1).tolist()}
+                handle.write(json.dumps(line) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _task_line(rec: TaskRecord, where: str, epoch: int) -> dict[str, Any]:
@@ -165,19 +175,34 @@ def _read_snapshot(lines: Iterable[str], path: str | Path) -> Snapshot:
 
 
 class _MetricsWriter:
-    def __init__(self, metrics_path: Path, timings_path: Path):
+    """metrics.csv and timings.csv; a resume keeps an existing file's rows up to its epoch."""
+
+    def __init__(self, metrics_path: Path, timings_path: Path, resume_epoch: int | None):
         self.metrics_path = metrics_path
         self.timings_path = timings_path
-        with open(metrics_path, "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle).writerow(METRICS_COLUMNS)
-        with open(timings_path, "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle).writerow(("epoch", "wall_clock_seconds"))
+        for path, header in ((metrics_path, METRICS_COLUMNS), (timings_path, TIMINGS_COLUMNS)):
+            if resume_epoch is not None and path.exists():
+                _cut_after_epoch(path, resume_epoch)
+            else:
+                with open(path, "w", encoding="utf-8", newline="") as handle:
+                    csv.writer(handle).writerow(header)
 
     def append(self, row: EpochMetrics) -> None:
         with open(self.metrics_path, "a", encoding="utf-8", newline="") as handle:
             csv.writer(handle).writerow(row.csv_row())
         with open(self.timings_path, "a", encoding="utf-8", newline="") as handle:
             csv.writer(handle).writerow((str(row.epoch), f"{row.wall_clock_seconds:.3f}"))
+
+
+def _cut_after_epoch(path: Path, epoch: int) -> None:
+    """Cut a CSV after its last complete row of epoch <= ``epoch``; rows run in epoch order."""
+    with open(path, "r+b") as handle:
+        end = len(handle.readline())
+        for line in handle:
+            if not line.endswith(b"\n") or int(line.split(b",", 1)[0]) > epoch:
+                break
+            end += len(line)
+        handle.truncate(end)
 
 
 def _check_resume(config: ExperimentConfig, snapshot: Snapshot) -> None:
@@ -206,10 +231,6 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
     env_cfg = config.env
     evo = config.evolution
     target = config.target_genome()
-    if target.n_agents != env_cfg.n_agents:
-        raise ConfigError("target task must match the environment agent count")
-
-    writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv")
     snapshot_path: Path | None = None
 
     if config.resume_from is not None:
@@ -223,6 +244,7 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
         start_epoch = snap.epoch
         episodes_total = snap.episodes_total
         env_steps_total = snap.env_steps_total
+        resume_epoch: int | None = snap.epoch
     else:
         policy = PolicyTable.zeros(env_cfg.n_agents, env_cfg.n_states, config.learner)
         pop = None
@@ -231,8 +253,10 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
         start_epoch = 0
         episodes_total = 0
         env_steps_total = 0
+        resume_epoch = None
         snapshot_path = out_dir / f"snapshot_epoch{0:05d}.jsonl"
         write_snapshot(snapshot_path, config, 0, 0, 0, pop, policy)
+    writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume_epoch)
 
     if config.mode == "ccl":
         assert pop is not None

@@ -165,46 +165,38 @@ def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable, learn: bool,
     return result
 
 
-def _run_task(task: TaskGenome, policy: PolicyTable, episodes: int, env_cfg: EnvConfig,
-              rng_for_episode: Callable[[int], np.random.Generator],
-              task_index: int) -> tuple[TaskOutcome, list[Transition]]:
-    # Each task explores from a private copy of the incoming policy, so
-    # tasks are independent of each other and of the order they run in.
-    local = policy.q.tolist()
-    env = GridSpread(env_cfg)
-    successes = 0
-    transitions: list[Transition] = []
-    for episode in range(episodes):
-        ok, trajectory = _episode(env, task, local, True, rng_for_episode(episode),
-                                  policy.epsilon, policy.learning_rate, policy.discount)
-        successes += int(ok)
-        transitions.extend(trajectory)
-    steps = len(transitions)
-    return TaskOutcome(task_index, episodes, successes, steps), transitions
-
-
 def train_on_tasks(tasks: list[TaskGenome], policy: PolicyTable, episodes_per_task: int,
                    env_cfg: EnvConfig, episode_rng: EpisodeRng) -> list[TaskOutcome]:
     """Train on a batch with a per-epoch barrier.
 
     Every task runs ``episodes_per_task`` learning episodes against a private
     copy of the incoming policy; success rates come from those same episodes.
-    All experience is then replayed into ``policy`` in task-index order.
+    All experience is replayed into ``policy`` in task-index order.
     """
     if episodes_per_task < 1:
         raise ValueError("episodes_per_task must be at least 1")
-    results = [_run_task(task, policy, episodes_per_task, env_cfg,
-                         lambda episode, _i=index: episode_rng(_i, episode), index)
-               for index, task in enumerate(tasks)]
-
+    env = GridSpread(env_cfg)
+    agents = range(env_cfg.n_agents)
+    lr, discount = policy.learning_rate, policy.discount
+    # Replay goes into ``rows`` as each episode ends; ``policy.q`` itself only
+    # changes at the end, so every task still starts from the incoming policy.
     rows = policy.q.tolist()
-    for _, transitions in results:
-        for tr in transitions:
-            for i in range(env_cfg.n_agents):
-                _td_update(rows[i], tr.states[i], tr.actions[i], tr.reward, tr.next_states[i],
-                           tr.terminal, policy.learning_rate, policy.discount)
+    outcomes = []
+    for index, task in enumerate(tasks):
+        local = policy.q.tolist()
+        successes = steps = 0
+        for episode in range(episodes_per_task):
+            ok, trajectory = _episode(env, task, local, True, episode_rng(index, episode),
+                                      policy.epsilon, lr, discount)
+            successes += int(ok)
+            steps += len(trajectory)
+            for tr in trajectory:
+                for i in agents:
+                    _td_update(rows[i], tr.states[i], tr.actions[i], tr.reward,
+                               tr.next_states[i], tr.terminal, lr, discount)
+        outcomes.append(TaskOutcome(index, episodes_per_task, successes, steps))
     policy.q[:] = rows
-    return [outcome for outcome, _ in results]
+    return outcomes
 
 
 def evaluate_target(policy: PolicyTable, target: TaskGenome, env_cfg: EnvConfig) -> float:

@@ -417,6 +417,59 @@ def test_evolve_handles_odd_active_after_deletion():
     assert nxt.archive_size() == 8  # 1 deleted + 7 evolved out
 
 
+def test_evolve_refills_from_ranked_parents_then_children_in_turn():
+    # 3 parents pair once, so 1 or 2 children leave 6 or 7 places: the refill
+    # must cycle through the ranked parents and the children, in that order
+    params = EvolutionParams(population_size=8, batch_size=4, knn_k=2)
+    rng = np.random.default_rng(121)
+    counts = set()
+    for seed in range(12):
+        records = [_record(rng.random((2, BLOCK_SIZE)), f=f, r=0.5) for f in (0.2, 0.4, 0.3)]
+        nxt = evolve_generation(Population(active=list(records)), params,
+                                np.random.default_rng(seed))
+        assert len(nxt.active) == 8
+        n_children = next(i for i, rec in enumerate(nxt.active) if rec.epoch_born != 1)
+        counts.add(n_children)
+        children = nxt.active[:n_children]
+        ranked = [records[1], records[2], records[0]]
+        pool = ranked + children
+        expected = [pool[i % len(pool)] for i in range(8 - n_children)]
+        for got, source in zip(nxt.active[n_children:], expected):
+            assert got is not source
+            assert got.genome.as_vector().tobytes() == source.genome.as_vector().tobytes()
+            assert (got.r, got.f, got.epoch_born, got.origin) == (
+                None, source.f, source.epoch_born, source.origin)
+    assert counts == {1, 2}
+
+
+def test_evolve_empty_generation_breeds_from_the_latest_archived_one():
+    params = EvolutionParams(population_size=8, batch_size=4, knn_k=2)
+    rng = np.random.default_rng(122)
+    older = [_record(rng.random((2, BLOCK_SIZE)), f=0.3, r=0.5) for _ in range(4)]
+    latest = [_record(rng.random((2, BLOCK_SIZE)), f=0.3, r=1.0, epoch_born=1) for _ in range(4)]
+    pop = Population(active=[], archive={0: list(older), 1: list(latest)}, epoch=1)
+    nxt = evolve_generation(pop, params, np.random.default_rng(7))
+    assert nxt.epoch == 2 and len(nxt.active) == 8
+    # flat fitness: every child copies a parent, and parents are the latest generation
+    latest_bytes = {rec.genome.as_vector().tobytes() for rec in latest}
+    for rec in nxt.active:
+        assert rec.genome.as_vector().tobytes() in latest_bytes
+        assert rec.r is None
+    n_children = next(i for i, rec in enumerate(nxt.active) if rec.epoch_born != 2)
+    for got, source in zip(nxt.active[n_children:], latest):
+        assert got is not source
+        assert got.genome.as_vector().tobytes() == source.genome.as_vector().tobytes()
+    # the archive is left as it was, measurements included
+    assert [[id(rec) for rec in nxt.archive[e]] for e in (0, 1)] == [
+        [id(rec) for rec in older], [id(rec) for rec in latest]]
+    assert all(rec.r == 1.0 for rec in latest)
+
+
+def test_evolve_empty_generation_with_empty_archive_raises():
+    with pytest.raises(ValueError, match="empty archive"):
+        evolve_generation(Population(active=[]), PARAMS, np.random.default_rng(0))
+
+
 def test_archive_accumulates_one_generation_per_epoch():
     rng = np.random.default_rng(120)
     pop = _uniform_population(8, rng, f=0.2)

@@ -28,7 +28,6 @@ def _knn_oracle(query, vectors, fitnesses, k):
 
 def test_sigmoid_peak_is_exactly_half():
     assert sigmoid_fitness(0.5, SIGMOID) == 0.5
-    assert sigmoid_fitness(0.5, FitnessParams(literal_sign=True)) == 0.5
 
 
 def test_sigmoid_extremes():
@@ -57,31 +56,21 @@ def test_sigmoid_range():
         assert 0.0 < value <= 0.5
 
 
-def test_literal_sign_rewards_the_extremes_instead():
-    literal = FitnessParams(literal_sign=True)
-    assert sigmoid_fitness(0.0, literal) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-15)
-    assert sigmoid_fitness(0.0, literal) > sigmoid_fitness(0.5, literal)
-    # corrected default does the opposite
-    assert sigmoid_fitness(0.0, SIGMOID) < sigmoid_fitness(0.5, SIGMOID)
-
-
 def test_rate_domain_errors():
     for bad in (-0.01, 1.01, 2.0, -5.0):
         with pytest.raises(ValueError):
             sigmoid_fitness(bad, SIGMOID)
         with pytest.raises(ValueError):
-            linear_fitness(bad, SIGMOID)
+            linear_fitness(bad)
 
 
 def test_linear_values_and_symmetry():
-    params = FitnessParams(mode="linear", linear_slope=1.0)
-    assert linear_fitness(0.5, params) == 0.0
-    assert linear_fitness(1.0, params) == -0.5
-    assert linear_fitness(0.0, params) == -0.5
+    assert linear_fitness(0.5) == 0.0
+    assert linear_fitness(1.0) == -0.5
+    assert linear_fitness(0.0) == -0.5
     rng = np.random.default_rng(24)
     for r in rng.random(200):
-        assert linear_fitness(float(r), params) == pytest.approx(
-            linear_fitness(1.0 - float(r), params), abs=1e-12)
+        assert linear_fitness(float(r)) == pytest.approx(linear_fitness(1.0 - float(r)), abs=1e-12)
 
 
 def test_params_validation():
@@ -89,8 +78,6 @@ def test_params_validation():
         FitnessParams(gain=0.0)
     with pytest.raises(ValueError):
         FitnessParams(mode="cubic")
-    with pytest.raises(ValueError):
-        FitnessParams(linear_slope=-1.0)
 
 
 def test_evaluate_dispatches_on_mode():

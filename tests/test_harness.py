@@ -63,12 +63,12 @@ def test_config_dict_round_trip():
         "evolution": {"population_size": 10, "batch_size": 6, "new_fraction": 0.5, "knn_k": 3,
                       "mutation_scale": 0.2, "deletion_band": [0.1, 0.9],
                       "adaptive_mutation": False},
-        "fitness": {"gain": 3.0, "mode": "linear", "linear_slope": 2.0, "literal_sign": True},
+        "fitness": {"gain": 3.0, "mode": "linear"},
         "learner": {"learning_rate": 0.3, "discount": 0.9, "epsilon": 0.4,
                     "epsilon_decay": 0.99, "epsilon_floor": 0.05},
     }
     defaults = default_config().to_dict()
-    assert sum(len(section) for section in defaults.values()) == 28
+    assert sum(len(section) for section in defaults.values()) == 26
     for section, values in defaults.items():
         assert set(data[section]) == set(values)
         for key, value in values.items():
@@ -276,6 +276,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
     lines = [json.loads(line) for line in good.read_text(encoding="utf-8").splitlines()]
     for found, edit in (("99", lambda meta: meta.update(format=99)),
+                        ("2", lambda meta: meta.update(format=2)),
                         ("1", lambda meta: meta.update(format=1)),
                         ("missing", lambda meta: meta.pop("format"))):
         meta = dict(lines[0])
@@ -283,7 +284,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
         other = tmp_path / f"format-{found}.jsonl"
         other.write_text("\n".join(json.dumps(line) for line in [meta] + lines[1:]),
                          encoding="utf-8")
-        with pytest.raises(ConfigError, match=f"format {found}, expected 2"):
+        with pytest.raises(ConfigError, match=f"format {found}, expected 3"):
             load_snapshot(other)
     ragged = [dict(line, q=[0.0] * 7) if line["kind"] == "policy" else line for line in lines]
     malformed = tmp_path / "ragged-policy.jsonl"
@@ -320,6 +321,55 @@ def test_resume_continues_byte_identically(tmp_path):
     full_lines = (tmp_path / "full" / "snapshot_epoch00006.jsonl").read_text().splitlines()
     res_lines = (tmp_path / "resumed" / "snapshot_epoch00006.jsonl").read_text().splitlines()
     assert full_lines[1:] == res_lines[1:]
+
+
+def test_resume_in_place_keeps_the_run_history(tmp_path):
+    full = run_experiment(_small_config(epochs=6), run_dir=tmp_path / "full")
+    run_dir = tmp_path / "run"
+    run_experiment(_small_config(epochs=4, snapshot_interval=2), run_dir=run_dir)
+    resumed = run_experiment(
+        _small_config(epochs=6, resume_from=str(run_dir / "snapshot_epoch00002.jsonl")),
+        run_dir=run_dir)
+    assert resumed.metrics_path.read_bytes() == full.metrics_path.read_bytes()
+    assert [row[0] for row in _read_rows(resumed.timings_path)] == [
+        "epoch", "1", "2", "3", "4", "5", "6"]
+
+
+def test_resume_in_place_drops_a_row_cut_short(tmp_path):
+    # a crash while writing epoch 11's row can leave "1", which reads as epoch 1
+    full = run_experiment(_small_config(epochs=11), run_dir=tmp_path / "full")
+    run_dir = tmp_path / "run"
+    half = run_experiment(_small_config(epochs=10, snapshot_interval=10), run_dir=run_dir)
+    for path in (half.metrics_path, half.timings_path):
+        with open(path, "ab") as handle:
+            handle.write(b"1")
+    resumed = run_experiment(_small_config(epochs=11, resume_from=str(half.snapshot_path)),
+                             run_dir=run_dir)
+    assert resumed.metrics_path.read_bytes() == full.metrics_path.read_bytes()
+    assert len(_read_rows(resumed.timings_path)) == 12
+
+
+def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    import coevo_curriculum.harness as harness
+
+    half = run_experiment(_small_config(epochs=2, snapshot_interval=2), run_dir=tmp_path)
+    before = sorted(path.name for path in tmp_path.iterdir())
+    real_task_line = harness._task_line
+    calls = []
+
+    def failing_task_line(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("disk full")
+        return real_task_line(*args)
+
+    monkeypatch.setattr(harness, "_task_line", failing_task_line)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_experiment(_small_config(epochs=4, snapshot_interval=2,
+                                     resume_from=str(half.snapshot_path)), run_dir=tmp_path)
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+    assert not (tmp_path / "snapshot_epoch00004.jsonl").exists()
+    assert load_snapshot(half.snapshot_path).epoch == 2
 
 
 def test_resume_rejects_mismatched_identity(tmp_path):
