@@ -10,7 +10,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, st
 from .tasks import TaskGenome
 from .trainer import PolicyTable, evaluate_target, train_on_tasks
 
-SNAPSHOT_FORMAT = 3
+SNAPSHOT_FORMAT = 4
 TIMINGS_COLUMNS = ("epoch", "wall_clock_seconds")
 
 
@@ -79,7 +79,8 @@ def _prepare_run_dir(config: ExperimentConfig, run_dir: Path | None) -> Path:
 
 def write_snapshot(path: Path, config: ExperimentConfig, epoch: int, episodes_total: int,
                    env_steps_total: int, pop: Population | None, policy: PolicyTable) -> None:
-    """Line-delimited JSON: one meta line, one line per task record, one per agent table.
+    """One meta line; for a ccl run, one line for the active generation and one per archived
+    generation in epoch order, records as columns; then the whole Q table flat on one line.
 
     Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
     """
@@ -91,31 +92,28 @@ def write_snapshot(path: Path, config: ExperimentConfig, epoch: int, episodes_to
                     "config": config.to_dict()}
             handle.write(json.dumps(meta) + "\n")
             if pop is not None:
-                for rec in pop.active:
-                    handle.write(json.dumps(_task_line(rec, "active", pop.epoch)) + "\n")
+                handle.write(json.dumps(_generation_line("active", pop.epoch, pop.active)) + "\n")
                 for gen_epoch in sorted(pop.archive):
-                    for rec in pop.archive[gen_epoch]:
-                        handle.write(json.dumps(_task_line(rec, "archive", gen_epoch)) + "\n")
-            for agent in range(policy.n_agents):
-                line = {"kind": "policy", "agent": agent,
-                        "n_states": int(policy.q.shape[1]), "n_actions": int(policy.q.shape[2]),
-                        "q": policy.q[agent].reshape(-1).tolist()}
-                handle.write(json.dumps(line) + "\n")
+                    line = _generation_line("archive", gen_epoch, pop.archive[gen_epoch])
+                    handle.write(json.dumps(line) + "\n")
+            handle.write(json.dumps({"kind": "policy", "q": policy.q.reshape(-1).tolist()}) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _task_line(rec: TaskRecord, where: str, epoch: int) -> dict[str, Any]:
-    return {"kind": "task", "where": where, "epoch": epoch, "epoch_born": rec.epoch_born,
-            "origin": rec.origin, "genome": rec.genome.as_vector().tolist(),
-            "r": rec.r, "f": rec.f}
+def _generation_line(kind: str, epoch: int, records: list[TaskRecord]) -> dict[str, Any]:
+    return {"kind": kind, "epoch": epoch,
+            "genome": [rec.genome.as_vector().tolist() for rec in records],
+            "r": [rec.r for rec in records], "f": [rec.f for rec in records],
+            "epoch_born": [rec.epoch_born for rec in records],
+            "origin": [rec.origin for rec in records]}
 
 
 @dataclass
 class Snapshot:
-    config_dict: dict[str, Any]
+    config: ExperimentConfig
     epoch: int
     episodes_total: int
     env_steps_total: int
@@ -124,54 +122,55 @@ class Snapshot:
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
-    """Read a snapshot; a missing, malformed or other-format file raises ConfigError."""
+    """Read a snapshot and check it against its own stored config; any fault is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return _read_snapshot(handle, path)
+            return _read_snapshot([json.loads(line) for line in handle])
     except OSError as exc:
         raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and shapes
+    except ConfigError as exc:
+        raise ConfigError(f"snapshot {path}: {exc}") from exc
+    except (ValueError, LookupError, TypeError) as exc:  # bad JSON, missing lines or keys
         raise ConfigError(f"snapshot {path} is malformed: {exc}") from exc
 
 
-def _read_snapshot(lines: Iterable[str], path: str | Path) -> Snapshot:
-    meta = None
-    active: list[TaskRecord] = []
-    archive: dict[int, list[TaskRecord]] = {}
-    policy_rows: dict[int, np.ndarray] = {}
-    n_actions = 0
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        kind = record.get("kind")
-        if kind == "meta":
-            meta = record
-            if meta.get("format") != SNAPSHOT_FORMAT:
-                raise ConfigError(f"snapshot {path} has format {meta.get('format', 'missing')}, "
-                                  f"expected {SNAPSHOT_FORMAT}")
-        elif kind == "task":
-            n_agents = len(record["genome"]) // 4
-            rec = TaskRecord(TaskGenome.from_vector(record["genome"], n_agents),
-                             r=record["r"], f=record["f"],
-                             epoch_born=record["epoch_born"], origin=record["origin"])
-            if record["where"] == "active":
-                active.append(rec)
-            else:
-                archive.setdefault(int(record["epoch"]), []).append(rec)
-        elif kind == "policy":
-            n_actions = int(record["n_actions"])
-            policy_rows[int(record["agent"])] = np.asarray(record["q"], dtype=float)
-    if meta is None or not policy_rows:
-        raise ConfigError(f"snapshot {path} is missing its meta or policy lines")
-    table = np.stack([policy_rows[a].reshape(-1, n_actions) for a in sorted(policy_rows)])
+def _read_snapshot(lines: list[Any]) -> Snapshot:
+    if not all(isinstance(line, dict) for line in lines):
+        raise ConfigError("a line is not a JSON object")
+    meta = lines[0]
+    if meta.get("format") != SNAPSHOT_FORMAT:
+        raise ConfigError(f"format {meta.get('format', 'missing')}, expected {SNAPSHOT_FORMAT}")
+    config = config_from_dict(meta["config"])
+    ccl = config.mode == "ccl"
+    generations = ["active"] + ["archive"] * (len(lines) - 3) if ccl else []
+    kinds = [line.get("kind") for line in lines]
+    if kinds != ["meta", *generations, "policy"]:
+        raise ConfigError(f"lines run {', '.join(map(str, kinds))}; a {config.mode} snapshot "
+                          f"needs meta, {'active, archive..., ' if ccl else ''}policy")
+    shape = (config.env.n_agents, config.env.n_states, N_ACTIONS)
+    q = np.asarray(lines[-1]["q"], dtype=float)
+    size = math.prod(shape)
+    if q.shape != (size,):
+        raise ConfigError(f"policy holds {q.size} values; the shape {shape} needs {size}")
+
+    def records(line: dict[str, Any]) -> list[TaskRecord]:
+        columns = zip(line["genome"], line["r"], line["f"], line["epoch_born"], line["origin"],
+                      strict=True)
+        return [TaskRecord(TaskGenome.from_vector(genome, config.env.n_agents), r, f, born, origin)
+                for genome, r, f, born, origin in columns]
+
     pop = None
-    if active:
-        pop = Population(active=active, archive=archive, epoch=int(meta["epoch"]))
-    return Snapshot(config_dict=meta["config"], epoch=int(meta["epoch"]),
+    if ccl:
+        active, *archive = lines[1:-1]
+        pop = Population(active=records(active),
+                         archive={int(line["epoch"]): records(line) for line in archive},
+                         epoch=int(active["epoch"]))
+        if len(pop.archive) != len(archive):
+            raise ConfigError("two archive lines hold the same epoch")
+    return Snapshot(config=config, epoch=int(meta["epoch"]),
                     episodes_total=int(meta["episodes_total"]),
-                    env_steps_total=int(meta["env_steps_total"]), pop=pop, policy_q=table)
+                    env_steps_total=int(meta["env_steps_total"]), pop=pop,
+                    policy_q=q.reshape(shape))
 
 
 class _MetricsWriter:
@@ -180,9 +179,13 @@ class _MetricsWriter:
     def __init__(self, metrics_path: Path, timings_path: Path, resume_epoch: int | None):
         self.metrics_path = metrics_path
         self.timings_path = timings_path
-        for path, header in ((metrics_path, METRICS_COLUMNS), (timings_path, TIMINGS_COLUMNS)):
-            if resume_epoch is not None and path.exists():
-                _cut_after_epoch(path, resume_epoch)
+        files = ((metrics_path, METRICS_COLUMNS), (timings_path, TIMINGS_COLUMNS))
+        # Both files are read before either is cut, so a rejected resume changes neither.
+        kept = {path: _end_of_epoch(path, resume_epoch) for path, _ in files
+                if resume_epoch is not None and path.exists()}
+        for path, header in files:
+            if path in kept:
+                os.truncate(path, kept[path])
             else:
                 with open(path, "w", encoding="utf-8", newline="") as handle:
                     csv.writer(handle).writerow(header)
@@ -194,33 +197,30 @@ class _MetricsWriter:
             csv.writer(handle).writerow((str(row.epoch), f"{row.wall_clock_seconds:.3f}"))
 
 
-def _cut_after_epoch(path: Path, epoch: int) -> None:
-    """Cut a CSV after its last complete row of epoch <= ``epoch``; rows run in epoch order."""
-    with open(path, "r+b") as handle:
+def _end_of_epoch(path: Path, epoch: int) -> int:
+    """Offset just past a CSV's last complete row of epoch <= ``epoch``; rows run in epoch order."""
+    with open(path, "rb") as handle:
         end = len(handle.readline())
         for line in handle:
-            if not line.endswith(b"\n") or int(line.split(b",", 1)[0]) > epoch:
+            if not line.endswith(b"\n"):
+                break
+            head = line.split(b",", 1)[0]
+            if not head.isdigit():
+                raise ConfigError(f"cannot resume into {path}: the row {line!r} has no "
+                                  "integer epoch")
+            if int(head) > epoch:
                 break
             end += len(line)
-        handle.truncate(end)
+    return end
 
 
 def _check_resume(config: ExperimentConfig, snapshot: Snapshot) -> None:
-    stored = config_from_dict(snapshot.config_dict)
-    if stored.identity_fingerprint() != config.identity_fingerprint():
+    if snapshot.config.identity_fingerprint() != config.identity_fingerprint():
         raise ConfigError("resume snapshot was produced under a different configuration; "
                           "seed, environment, evolution, fitness and learner settings must match")
-    _check_policy_shape(snapshot, config)
     if config.epochs < snapshot.epoch:
         raise ConfigError(f"config asks for {config.epochs} epochs but the snapshot is already "
                           f"at epoch {snapshot.epoch}")
-
-
-def _check_policy_shape(snapshot: Snapshot, config: ExperimentConfig) -> None:
-    expected = (config.env.n_agents, config.env.n_states, N_ACTIONS)
-    if snapshot.policy_q.shape != expected:
-        raise ConfigError(f"snapshot policy table has shape {snapshot.policy_q.shape}; "
-                          f"the configuration needs {expected}")
 
 
 def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> RunResult:
@@ -239,8 +239,6 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
         policy = PolicyTable(q=snap.policy_q.copy(), learning_rate=config.learner.learning_rate,
                              discount=config.learner.discount, epsilon=config.learner.epsilon)
         pop = snap.pop
-        if config.mode == "ccl" and pop is None:
-            raise ConfigError("snapshot holds no population; it cannot resume a ccl run")
         start_epoch = snap.epoch
         episodes_total = snap.episodes_total
         env_steps_total = snap.env_steps_total
@@ -336,8 +334,7 @@ def _batch_composition(batch: list[TaskRecord], pop: Population) -> tuple[int, i
 def evaluate_snapshot(snapshot_path: str | Path) -> float:
     """Greedy target success of a stored policy, using the snapshot's own config."""
     snap = load_snapshot(snapshot_path)
-    config = config_from_dict(snap.config_dict)
-    _check_policy_shape(snap, config)
+    config = snap.config
     policy = PolicyTable(q=snap.policy_q, learning_rate=config.learner.learning_rate,
                          discount=config.learner.discount, epsilon=0.0)
     return evaluate_target(policy, config.target_genome(), config.env)

@@ -1,5 +1,6 @@
 """Config schema, run loop artifacts, snapshot resume, ablations, CLI."""
 
+import copy
 import csv
 import json
 import math
@@ -261,6 +262,47 @@ def test_snapshot_round_trip_preserves_population(tmp_path):
     assert snap.episodes_total == 32
 
 
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.genome.blocks.tobytes() == b.genome.blocks.tobytes()
+        assert (a.r, a.f, a.epoch_born, a.origin) == (b.r, b.f, b.epoch_born, b.origin)
+
+
+def test_snapshot_round_trip_is_exact(tmp_path, monkeypatch):
+    import coevo_curriculum.harness as harness
+
+    written = []
+    real_write = harness.write_snapshot
+
+    def capturing_write(path, config, epoch, episodes, steps, pop, policy):
+        written.append((path, copy.deepcopy(pop), policy.q.copy()))
+        real_write(path, config, epoch, episodes, steps, pop, policy)
+
+    monkeypatch.setattr(harness, "write_snapshot", capturing_write)
+    run_experiment(_small_config(epochs=5), run_dir=tmp_path)
+    assert [path.name for path, _, _ in written] == [
+        f"snapshot_epoch{epoch:05d}.jsonl" for epoch in (0, 2, 4, 5)]
+    assert all(rec.f is None for rec in written[0][1].active)
+    last = written[-1][1]
+    assert {rec.origin for rec in last.active} >= {"cross", "mutate"}
+    assert any(rec.r is not None for gen in last.archive.values() for rec in gen)
+    for path, pop, q in written:
+        snap = load_snapshot(path)
+        assert snap.pop.epoch == pop.epoch
+        _assert_same_records(snap.pop.active, pop.active)
+        assert list(snap.pop.archive) == list(pop.archive)
+        for epoch, records in pop.archive.items():
+            _assert_same_records(snap.pop.archive[epoch], records)
+        assert snap.policy_q.dtype == q.dtype and snap.policy_q.shape == q.shape
+        assert snap.policy_q.tobytes() == q.tobytes()
+
+
+def _write_jsonl(path, lines):
+    path.write_text("\n".join(json.dumps(line) for line in lines), encoding="utf-8")
+    return path
+
+
 def test_load_snapshot_rejects_garbage(tmp_path):
     missing = tmp_path / "none.jsonl"
     with pytest.raises(ConfigError):
@@ -275,22 +317,38 @@ def test_load_snapshot_rejects_garbage(tmp_path):
         load_snapshot(empty)
     good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
     lines = [json.loads(line) for line in good.read_text(encoding="utf-8").splitlines()]
+    assert [line["kind"] for line in lines] == ["meta", "active", "policy"]
+    meta, active, policy = lines
     for found, edit in (("99", lambda meta: meta.update(format=99)),
+                        ("3", lambda meta: meta.update(format=3)),
                         ("2", lambda meta: meta.update(format=2)),
                         ("1", lambda meta: meta.update(format=1)),
                         ("missing", lambda meta: meta.pop("format"))):
-        meta = dict(lines[0])
-        edit(meta)
-        other = tmp_path / f"format-{found}.jsonl"
-        other.write_text("\n".join(json.dumps(line) for line in [meta] + lines[1:]),
-                         encoding="utf-8")
-        with pytest.raises(ConfigError, match=f"format {found}, expected 3"):
-            load_snapshot(other)
-    ragged = [dict(line, q=[0.0] * 7) if line["kind"] == "policy" else line for line in lines]
-    malformed = tmp_path / "ragged-policy.jsonl"
-    malformed.write_text("\n".join(json.dumps(line) for line in ragged), encoding="utf-8")
-    with pytest.raises(ConfigError, match="malformed"):
-        load_snapshot(malformed)
+        other = dict(meta)
+        edit(other)
+        with pytest.raises(ConfigError, match=f"format {found}, expected 4"):
+            load_snapshot(_write_jsonl(tmp_path / f"format-{found}.jsonl",
+                                       [other, active, policy]))
+    three_agents = dict(active, genome=[genome + genome[:4] for genome in active["genome"]])
+    vanilla_meta = dict(meta, config=dict(meta["config"],
+                                          experiment=dict(meta["config"]["experiment"],
+                                                          mode="vanilla")))
+    for name, bad, match in (
+            ("ragged-policy", [meta, active, dict(policy, q=[0.0] * 7)], "shape"),
+            ("list-line", [meta, [1, 2], policy], "not a JSON object"),
+            ("null-line", [meta, active, None], "not a JSON object"),
+            ("no-generations", [meta, policy], "ccl snapshot needs"),
+            ("vanilla-with-generations", [vanilla_meta, active, policy], "vanilla snapshot needs"),
+            ("policy-first", [meta, policy, active], "ccl snapshot needs"),
+            ("no-meta", [active, policy], "format missing"),
+            ("three-agent-genomes", [meta, three_agents, policy], "malformed"),
+            ("ragged-columns", [meta, dict(active, r=active["r"][1:]), policy], "malformed"),
+            ("repeated-epoch", [meta, active] + [dict(active, kind="archive", epoch=0)] * 2
+             + [policy], "same epoch"),
+            ("bad-config", [dict(meta, config={"env": {"width": 5}}), active, policy],
+             "unknown key")):
+        with pytest.raises(ConfigError, match=match):
+            load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
 
 
 def test_evaluate_snapshot_scores_the_stored_policy(tmp_path):
@@ -349,21 +407,35 @@ def test_resume_in_place_drops_a_row_cut_short(tmp_path):
     assert len(_read_rows(resumed.timings_path)) == 12
 
 
+def test_resume_in_place_rejects_a_row_without_an_integer_epoch(tmp_path):
+    for name in ("metrics.csv", "timings.csv"):
+        run_dir = tmp_path / name
+        run_experiment(_small_config(epochs=4, snapshot_interval=2), run_dir=run_dir)
+        corrupt = run_dir / name
+        lines = corrupt.read_bytes().splitlines(keepends=True)
+        corrupt.write_bytes(b"".join(lines[:1] + [b"x" + lines[1][1:]] + lines[2:]))
+        before = {path: path.read_bytes() for path in run_dir.glob("*.csv")}
+        resume = _small_config(epochs=6, resume_from=str(run_dir / "snapshot_epoch00002.jsonl"))
+        with pytest.raises(ConfigError, match=name):
+            run_experiment(resume, run_dir=run_dir)
+        assert {path: path.read_bytes() for path in run_dir.glob("*.csv")} == before
+
+
 def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch):
     import coevo_curriculum.harness as harness
 
     half = run_experiment(_small_config(epochs=2, snapshot_interval=2), run_dir=tmp_path)
     before = sorted(path.name for path in tmp_path.iterdir())
-    real_task_line = harness._task_line
+    real_generation_line = harness._generation_line
     calls = []
 
-    def failing_task_line(*args):
+    def failing_generation_line(*args):
         calls.append(args)
         if len(calls) == 3:
             raise RuntimeError("disk full")
-        return real_task_line(*args)
+        return real_generation_line(*args)
 
-    monkeypatch.setattr(harness, "_task_line", failing_task_line)
+    monkeypatch.setattr(harness, "_generation_line", failing_generation_line)
     with pytest.raises(RuntimeError, match="disk full"):
         run_experiment(_small_config(epochs=4, snapshot_interval=2,
                                      resume_from=str(half.snapshot_path)), run_dir=tmp_path)
@@ -383,12 +455,10 @@ def test_resume_rejects_mismatched_identity(tmp_path):
     wrong_env["env"]["max_steps"] = 13
     with pytest.raises(ConfigError, match="different configuration"):
         run_experiment(config_from_dict(wrong_env), run_dir=tmp_path / "bad-env")
-    lines = [json.loads(line) for line in half.snapshot_path.read_text().splitlines()]
-    few_states = [dict(line, q=line["q"][:10]) if line["kind"] == "policy" else line
-                  for line in lines]
-    for name, kept in (("one-agent", lines[:-1]), ("few-states", few_states)):
-        bad = tmp_path / f"{name}.jsonl"
-        bad.write_text("\n".join(json.dumps(line) for line in kept), encoding="utf-8")
+    *lines, policy = [json.loads(line) for line in half.snapshot_path.read_text().splitlines()]
+    one_agent = policy["q"][:len(policy["q"]) // 2]
+    for name, q in (("one-agent", one_agent), ("few-states", policy["q"][:10])):
+        bad = _write_jsonl(tmp_path / f"{name}.jsonl", lines + [dict(policy, q=q)])
         with pytest.raises(ConfigError, match="shape"):
             run_experiment(_small_config(epochs=4, resume_from=str(bad)),
                            run_dir=tmp_path / f"bad-{name}")
@@ -493,5 +563,10 @@ def test_cli_failures_exit_with_two(tmp_path, capsys):
     bad.write_text(json.dumps({"experiment": {"epochs": -3}}), encoding="utf-8")
     assert main(["run", "--config", str(bad)]) == 2
     assert main(["eval", "--snapshot", str(tmp_path / "none.jsonl")]) == 2
+    snapshot = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
+    lines = [json.loads(line) for line in snapshot.read_text(encoding="utf-8").splitlines()]
+    nulled = _write_jsonl(tmp_path / "nulled.jsonl", lines[:1] + [None] + lines[2:])
+    assert main(["run", "--config", str(_write_config(tmp_path)), "--resume", str(nulled),
+                 "--output-dir", str(tmp_path / "resumed")]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert err.count("error:") == 4
