@@ -15,9 +15,9 @@ from typing import Any
 import numpy as np
 
 from .config import ABLATION_AXES, ConfigError, ExperimentConfig, config_from_dict
-from .evolution import (OP_COUNTS, Population, TaskRecord, advance_toward,
-                        assign_population_fitness, delete_bad_tasks, evolve_generation,
-                        init_population, soft_select)
+from .evolution import (OP_COUNTS, ORIGIN_CROSS, ORIGIN_INIT, ORIGIN_MUTATE, Population,
+                        TaskRecord, advance_toward, assign_population_fitness, delete_bad_tasks,
+                        evolve_generation, init_population, soft_select)
 from .fitness import PrototypeSet
 from .gridworld import N_ACTIONS
 from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, stream
@@ -154,6 +154,14 @@ def _read_snapshot(lines: list[Any]) -> Snapshot:
         raise ConfigError(f"policy holds {q.size} values; the shape {shape} needs {size}")
 
     def records(line: dict[str, Any]) -> list[TaskRecord]:
+        for column in ("r", "f"):
+            if not all(value is None or type(value) in (int, float) for value in line[column]):
+                raise ConfigError(f"an {line['kind']} {column} value is neither a number nor null")
+        if not all(type(born) is int for born in line["epoch_born"]):
+            raise ConfigError(f"an {line['kind']} epoch_born value is not an integer")
+        if not set(line["origin"]) <= {ORIGIN_INIT, ORIGIN_CROSS, ORIGIN_MUTATE}:
+            raise ConfigError(f"an {line['kind']} origin is not one of "
+                              f"{ORIGIN_INIT}, {ORIGIN_CROSS}, {ORIGIN_MUTATE}")
         columns = zip(line["genome"], line["r"], line["f"], line["epoch_born"], line["origin"],
                       strict=True)
         return [TaskRecord(TaskGenome.from_vector(genome, config.env.n_agents), r, f, born, origin)
@@ -181,7 +189,7 @@ class _MetricsWriter:
         self.timings_path = timings_path
         files = ((metrics_path, METRICS_COLUMNS), (timings_path, TIMINGS_COLUMNS))
         # Both files are read before either is cut, so a rejected resume changes neither.
-        kept = {path: _end_of_epoch(path, resume_epoch) for path, _ in files
+        kept = {path: _end_of_epoch(path, header, resume_epoch) for path, header in files
                 if resume_epoch is not None and path.exists()}
         for path, header in files:
             if path in kept:
@@ -197,10 +205,13 @@ class _MetricsWriter:
             csv.writer(handle).writerow((str(row.epoch), f"{row.wall_clock_seconds:.3f}"))
 
 
-def _end_of_epoch(path: Path, epoch: int) -> int:
+def _end_of_epoch(path: Path, header: tuple[str, ...], epoch: int) -> int:
     """Offset just past a CSV's last complete row of epoch <= ``epoch``; rows run in epoch order."""
     with open(path, "rb") as handle:
-        end = len(handle.readline())
+        first = handle.readline()
+        if first.rstrip(b"\r\n") != ",".join(header).encode():
+            raise ConfigError(f"cannot resume into {path}: it does not start with its header row")
+        end = len(first)
         for line in handle:
             if not line.endswith(b"\n"):
                 break
@@ -256,23 +267,20 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
         write_snapshot(snapshot_path, config, 0, 0, 0, pop, policy)
     writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume_epoch)
 
-    if config.mode == "ccl":
-        assert pop is not None
-        batch = soft_select(pop, evo, stream(seed, DOMAIN_SELECT, start_epoch))
-        batch_new, batch_old = _batch_composition(batch, pop)
-    else:
-        batch = []
-        batch_new, batch_old = 0, 0
-
     metrics: list[EpochMetrics] = []
     final_rate = 0.0
     for epoch in range(start_epoch + 1, config.epochs + 1):
         tic = time.perf_counter()
         policy.epsilon = config.learner.epsilon_at(epoch)
-        if config.mode == "ccl":
+        genomes = [target] * evo.batch_size
+        batch_new = batch_old = 0
+        active_mean_f = math.nan
+        if pop is not None:  # ccl
+            batch = soft_select(pop, evo, stream(seed, DOMAIN_SELECT, epoch - 1))
+            active_ids = {id(rec) for rec in pop.active}
+            measured_active = [rec for rec in batch if id(rec) in active_ids]
+            batch_new, batch_old = len(measured_active), len(batch) - len(measured_active)
             genomes = [rec.genome for rec in batch]
-        else:
-            genomes = [target] * evo.batch_size
         outcomes = train_on_tasks(
             genomes, policy, config.episodes_per_task, env_cfg,
             lambda task_idx, episode, _e=epoch: stream(seed, DOMAIN_TRAIN, _e, task_idx, episode))
@@ -280,28 +288,20 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
         env_steps_total += sum(out.env_steps for out in outcomes)
         batch_mean_r = float(np.mean([out.success_rate for out in outcomes]))
 
-        if config.mode == "ccl":
-            assert pop is not None
+        if pop is not None:
             for rec, out in zip(batch, outcomes):
                 rec.r = out.success_rate
                 rec.f = config.fitness.evaluate(out.success_rate)
-            active_ids = {id(rec) for rec in pop.active}
-            measured_active = [rec for rec in batch if id(rec) in active_ids]
             _, removed = delete_bad_tasks(measured_active, evo.deletion_band)
             pop.move_to_archive(removed)
             prototypes = PrototypeSet(
                 vectors=np.stack([rec.genome.as_vector() for rec in batch]),
                 fitnesses=np.array([rec.f for rec in batch], dtype=float))
             assign_population_fitness(pop.active, prototypes, evo.knn_k)
-            active_mean_f = (float(np.mean([rec.f for rec in pop.active]))
-                             if pop.active else math.nan)
+            if pop.active:
+                active_mean_f = float(np.mean([rec.f for rec in pop.active]))
             pop = evolve_generation(pop, evo, stream(seed, DOMAIN_EVOLVE, epoch))
             pop = advance_toward(pop, target, batch_mean_r)
-            batch = soft_select(pop, evo, stream(seed, DOMAIN_SELECT, epoch))
-            next_new, next_old = _batch_composition(batch, pop)
-        else:
-            active_mean_f = math.nan
-            next_new, next_old = 0, 0
 
         final_rate = evaluate_target(policy, target, env_cfg)
         row = EpochMetrics(epoch=epoch, target_success=final_rate, batch_mean_r=batch_mean_r,
@@ -310,7 +310,6 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
                            wall_clock_seconds=time.perf_counter() - tic)
         metrics.append(row)
         writer.append(row)
-        batch_new, batch_old = next_new, next_old
 
         if epoch % config.snapshot_interval == 0 or epoch == config.epochs:
             snapshot_path = out_dir / f"snapshot_epoch{epoch:05d}.jsonl"
@@ -323,12 +322,6 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
                      run_dir=out_dir, metrics_path=writer.metrics_path,
                      timings_path=writer.timings_path, snapshot_path=snapshot_path,
                      evolution_ops=ops_delta)
-
-
-def _batch_composition(batch: list[TaskRecord], pop: Population) -> tuple[int, int]:
-    active_ids = {id(rec) for rec in pop.active}
-    new = sum(1 for rec in batch if id(rec) in active_ids)
-    return new, len(batch) - new
 
 
 def evaluate_snapshot(snapshot_path: str | Path) -> float:

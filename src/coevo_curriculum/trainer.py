@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -78,9 +78,9 @@ class PolicyTable:
 
 
 # A policy's action values as nested lists, rows[agent][state][action].
-# Rollouts and replay work on these: on a row of N_ACTIONS floats a Python
-# max and index beat numpy's per-call overhead, and Python floats do the same
-# IEEE double arithmetic, so the results are bit-identical to the array.
+# Rollouts work on these: on a row of N_ACTIONS floats a Python max and index
+# beat numpy's per-call overhead, and Python floats do the same IEEE double
+# arithmetic, so the results are bit-identical to the array.
 QRows = list[list[list[float]]]
 
 
@@ -89,14 +89,6 @@ def _td_update(table: list[list[float]], state: int, action: int, reward: int,
     future = 0.0 if terminal else max(table[next_state])
     row = table[state]
     row[action] += learning_rate * (reward + discount * future - row[action])
-
-
-class Transition(NamedTuple):
-    states: tuple[int, ...]
-    actions: tuple[int, ...]
-    reward: int
-    next_states: tuple[int, ...]
-    terminal: bool  # goal configuration reached (not a step-cap cutoff)
 
 
 @dataclass(frozen=True)
@@ -111,20 +103,20 @@ class TaskOutcome:
         return self.successes / self.episodes
 
 
-def _episode(env: GridSpread, task: TaskGenome, rows: QRows, learn: bool,
+def _episode(env: GridSpread, task: TaskGenome, rows: QRows, learners: tuple[QRows, ...],
              rng: np.random.Generator | None, epsilon: float, learning_rate: float,
-             discount: float) -> tuple[bool, list[Transition]]:
-    """One epsilon-greedy episode on ``rows``, updated in place when ``learn``.
+             discount: float) -> tuple[bool, int]:
+    """One epsilon-greedy episode acting on ``rows``; returns (success, steps).
 
     Each agent draws one uniform per step and, below epsilon, one uniform
-    action; otherwise it takes the first action of highest value.
+    action; otherwise it takes the first action of highest value.  Every step's
+    TD update goes into each table of ``learners``, in order.
     """
     state = env.reset(task)
     cfg = env.cfg
     goals = env.goals
     agents = range(cfg.n_agents)
     obs = tuple([obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, goals)])
-    trajectory: list[Transition] = []
     terminal = False
     done = False
     while not done:
@@ -135,23 +127,21 @@ def _episode(env: GridSpread, task: TaskGenome, rows: QRows, learn: bool,
             else:
                 row = rows[i][obs[i]]
                 picks.append(row.index(max(row)))
-        actions = tuple(picks)
-        state, reward, done = env.step(actions)
+        state, reward, done = env.step(tuple(picks))
         next_obs = tuple([obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, goals)])
         terminal = reward == 1
-        if learn:
+        for table in learners:
             for i in agents:
-                _td_update(rows[i], obs[i], actions[i], reward, next_obs[i], terminal,
+                _td_update(table[i], obs[i], picks[i], reward, next_obs[i], terminal,
                            learning_rate, discount)
-        trajectory.append(Transition(obs, actions, reward, next_obs, terminal))
         obs = next_obs
-    return terminal, trajectory
+    return terminal, env.state.t
 
 
 def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable, learn: bool,
             rng: np.random.Generator | None, epsilon: float | None = None
-            ) -> tuple[bool, list[Transition]]:
-    """Run one episode; returns (ended on the goal configuration, trajectory).
+            ) -> tuple[bool, int]:
+    """Run one episode; returns (ended on the goal configuration, steps taken).
 
     ``epsilon`` defaults to the policy's own.  ``rng`` may be None only when
     exploration is off (epsilon 0), since a greedy episode draws no random
@@ -159,7 +149,8 @@ def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable, learn: bool,
     """
     rows = policy.q.tolist()
     eps = policy.epsilon if epsilon is None else epsilon
-    result = _episode(env, task, rows, learn, rng, eps, policy.learning_rate, policy.discount)
+    result = _episode(env, task, rows, (rows,) if learn else (), rng, eps,
+                      policy.learning_rate, policy.discount)
     if learn:
         policy.q[:] = rows
     return result
@@ -169,33 +160,29 @@ def train_on_tasks(tasks: list[TaskGenome], policy: PolicyTable, episodes_per_ta
                    env_cfg: EnvConfig, episode_rng: EpisodeRng) -> list[TaskOutcome]:
     """Train on a batch with a per-epoch barrier.
 
-    Every task runs ``episodes_per_task`` learning episodes against a private
-    copy of the incoming policy; success rates come from those same episodes.
-    All experience is replayed into ``policy`` in task-index order.
+    Every task runs ``episodes_per_task`` learning episodes that act on a
+    private copy of the incoming policy; success rates come from those same
+    episodes.  Each step's update also goes into ``policy``, task by task in
+    index order.
     """
     if episodes_per_task < 1:
         raise ValueError("episodes_per_task must be at least 1")
     env = GridSpread(env_cfg)
-    agents = range(env_cfg.n_agents)
     lr, discount = policy.learning_rate, policy.discount
-    # Replay goes into ``rows`` as each episode ends; ``policy.q`` itself only
-    # changes at the end, so every task still starts from the incoming policy.
-    rows = policy.q.tolist()
+    # The shared rows never steer an action and ``policy.q`` itself only changes
+    # at the end, so every task still starts from the incoming policy.
+    shared = policy.q.tolist()
     outcomes = []
     for index, task in enumerate(tasks):
         local = policy.q.tolist()
         successes = steps = 0
         for episode in range(episodes_per_task):
-            ok, trajectory = _episode(env, task, local, True, episode_rng(index, episode),
-                                      policy.epsilon, lr, discount)
+            ok, taken = _episode(env, task, local, (local, shared), episode_rng(index, episode),
+                                 policy.epsilon, lr, discount)
             successes += int(ok)
-            steps += len(trajectory)
-            for tr in trajectory:
-                for i in agents:
-                    _td_update(rows[i], tr.states[i], tr.actions[i], tr.reward,
-                               tr.next_states[i], tr.terminal, lr, discount)
+            steps += taken
         outcomes.append(TaskOutcome(index, episodes_per_task, successes, steps))
-    policy.q[:] = rows
+    policy.q[:] = shared
     return outcomes
 
 

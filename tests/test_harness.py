@@ -16,6 +16,7 @@ from coevo_curriculum.config import (DEFAULT_OUTPUT_DIR, OUTPUT_DIR_ENV, ConfigE
                                      default_config, load_config)
 from coevo_curriculum.harness import (METRICS_COLUMNS, ablation_variants, evaluate_snapshot,
                                       load_snapshot, run_ablation, run_experiment)
+from coevo_curriculum.streams import DOMAIN_SELECT, stream
 
 
 def _small_dict(**experiment):
@@ -210,6 +211,26 @@ def test_ccl_run_writes_metrics_and_snapshots(tmp_path):
     assert len(timing_rows) == 5
     assert set(result.evolution_ops) >= {"init_population", "evolve_generation",
                                          "pair_generation", "advance_toward"}
+    assert result.evolution_ops["soft_select"] == 4  # one batch per epoch run
+
+
+def test_each_epoch_selects_its_batch_with_the_previous_epochs_key(tmp_path, monkeypatch):
+    import coevo_curriculum.harness as harness
+
+    keys = []
+
+    def recording_stream(master_seed, *key):
+        if key[0] == DOMAIN_SELECT:
+            keys.append(key)
+        return stream(master_seed, *key)
+
+    monkeypatch.setattr(harness, "stream", recording_stream)
+    run_experiment(_small_config(epochs=4, snapshot_interval=2), run_dir=tmp_path)
+    assert keys == [(DOMAIN_SELECT, epoch) for epoch in range(4)]
+    keys.clear()
+    run_experiment(_small_config(epochs=6, resume_from=str(tmp_path / "snapshot_epoch00002.jsonl")),
+                   run_dir=tmp_path / "resumed")
+    assert keys == [(DOMAIN_SELECT, epoch) for epoch in range(2, 6)]
 
 
 def test_vanilla_run_never_touches_evolution(tmp_path):
@@ -349,6 +370,26 @@ def test_load_snapshot_rejects_garbage(tmp_path):
              "unknown key")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
+    n = len(active["r"])
+    for name, column, values, match in (
+            ("string-r", "r", ["x"] * n, "active r value"),
+            ("bool-r", "r", [True] * n, "active r value"),
+            ("string-f", "f", ["x"] * n, "active f value"),
+            ("bool-f", "f", [False] * n, "active f value"),
+            ("float-epoch-born", "epoch_born", [0.5] * n, "epoch_born"),
+            ("string-epoch-born", "epoch_born", ["0"] * n, "epoch_born"),
+            ("bool-epoch-born", "epoch_born", [False] * n, "epoch_born"),
+            ("unknown-origin", "origin", ["bred"] * n, "origin")):
+        bad = [meta, dict(active, **{column: values}), policy]
+        with pytest.raises(ConfigError, match=match):
+            load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
+    archived_r = dict(active, kind="archive", epoch=0, r=["x"] * n)
+    with pytest.raises(ConfigError, match="archive r value"):
+        load_snapshot(_write_jsonl(tmp_path / "archive-r.jsonl",
+                                   [meta, active, archived_r, policy]))
+    measured = dict(active, r=[0.5] * n, f=[1] * n, origin=["cross"] * n)
+    loaded = load_snapshot(_write_jsonl(tmp_path / "measured.jsonl", [meta, measured, policy]))
+    assert [(rec.r, rec.f, rec.origin) for rec in loaded.pop.active] == [(0.5, 1, "cross")] * n
 
 
 def test_evaluate_snapshot_scores_the_stored_policy(tmp_path):
@@ -391,6 +432,7 @@ def test_resume_in_place_keeps_the_run_history(tmp_path):
     assert resumed.metrics_path.read_bytes() == full.metrics_path.read_bytes()
     assert [row[0] for row in _read_rows(resumed.timings_path)] == [
         "epoch", "1", "2", "3", "4", "5", "6"]
+    assert resumed.evolution_ops["soft_select"] == 4  # epochs 3 to 6
 
 
 def test_resume_in_place_drops_a_row_cut_short(tmp_path):
@@ -419,6 +461,23 @@ def test_resume_in_place_rejects_a_row_without_an_integer_epoch(tmp_path):
         with pytest.raises(ConfigError, match=name):
             run_experiment(resume, run_dir=run_dir)
         assert {path: path.read_bytes() for path in run_dir.glob("*.csv")} == before
+
+
+def test_resume_in_place_rejects_a_file_without_its_header_row(tmp_path):
+    for name in ("metrics.csv", "timings.csv"):
+        for label, keep in (("empty", lambda lines: []), ("headerless", lambda lines: lines[1:])):
+            run_dir = tmp_path / f"{label}-{name}"
+            run_experiment(_small_config(epochs=4, snapshot_interval=2), run_dir=run_dir)
+            corrupt = run_dir / name
+            corrupt.write_bytes(b"".join(keep(corrupt.read_bytes().splitlines(keepends=True))))
+            before = {path: path.read_bytes() for path in run_dir.glob("*.csv")}
+            snapshot = str(run_dir / "snapshot_epoch00002.jsonl")
+            with pytest.raises(ConfigError, match=f"{name}.*header row"):
+                run_experiment(_small_config(epochs=6, resume_from=snapshot), run_dir=run_dir)
+            config = _write_config(tmp_path, epochs=6)
+            assert main(["run", "--config", str(config), "--output-dir", str(run_dir),
+                         "--resume", snapshot]) == 2
+            assert {path: path.read_bytes() for path in run_dir.glob("*.csv")} == before
 
 
 def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch):
@@ -568,5 +627,9 @@ def test_cli_failures_exit_with_two(tmp_path, capsys):
     nulled = _write_jsonl(tmp_path / "nulled.jsonl", lines[:1] + [None] + lines[2:])
     assert main(["run", "--config", str(_write_config(tmp_path)), "--resume", str(nulled),
                  "--output-dir", str(tmp_path / "resumed")]) == 2
+    active = dict(lines[1], r=["x"] * len(lines[1]["r"]))
+    unmeasurable = _write_jsonl(tmp_path / "string-r.jsonl", lines[:1] + [active] + lines[2:])
+    assert main(["run", "--config", str(_write_config(tmp_path)), "--resume", str(unmeasurable),
+                 "--output-dir", str(tmp_path / "resumed")]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 4
+    assert err.count("error:") == 5

@@ -52,13 +52,10 @@ def test_zero_distance_task_succeeds_greedily_on_first_step():
     cfg = EnvConfig(grid_width=5, n_agents=2, max_steps=10)
     env = GridSpread(cfg)
     genome = _genome_for_cells([(2, 2), (4, 0)], [(2, 2), (4, 0)], 5)
-    ok, trajectory = rollout(env, genome, _policy(cfg), learn=False,
-                             rng=stream(0, 9), epsilon=0.0)
+    ok, steps = rollout(env, genome, _policy(cfg), learn=False, rng=stream(0, 9), epsilon=0.0)
     assert ok
-    assert len(trajectory) == 1
-    assert trajectory[0].actions == (0, 0)  # untrained argmax holds position
-    assert trajectory[0].reward == 1
-    assert trajectory[0].terminal
+    assert steps == 1
+    assert env.state.cells == ((2, 2), (4, 0))  # untrained argmax holds position
 
 
 def test_random_walk_rate_matches_enumeration_oracle():
@@ -97,12 +94,12 @@ def test_learning_rollout_updates_only_visited_entries():
     policy = _policy(cfg)
     env = GridSpread(cfg)
     genome = _genome_for_cells([(0, 0)], [(0, 1)], 4)
-    ok, trajectory = rollout(env, genome, policy, learn=True,
-                             rng=stream(8, 0), epsilon=0.0)
+    ok, steps = rollout(env, genome, policy, learn=True, rng=stream(8, 0), epsilon=0.0)
     # greedy untrained stays at (0,0), never finds the goal, reward stays 0
     assert not ok
-    assert policy.q.sum() == 0.0
-    assert all(tr.reward == 0 for tr in trajectory)
+    assert steps == cfg.max_steps
+    assert env.state.cells == ((0, 0),)
+    assert not policy.q.any()
 
 
 def _reference_train(tasks, policy, episodes, cfg, episode_rng):
