@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, get_args, get_type_hints
 
 import numpy as np
 
@@ -123,22 +124,24 @@ _SCALARS = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
 
 
 def _coerce(value: Any, tp: Any, where: str) -> Any:
-    """Check one JSON value against a field type; ints are accepted as floats."""
+    """Check one config or snapshot JSON value against a field type; ints pass as floats."""
+    if tp in _SCALARS:
+        accepted, name = _SCALARS[tp]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+            raise ConfigError(f"{where} must be {name}")
+        if tp is float and not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, inf
+            raise ConfigError(f"{where} must be finite")
+        return float(value) if tp is float else value
     args = get_args(tp)
     if isinstance(tp, UnionType):  # only ``X | None`` occurs
         return None if value is None else _coerce(value, args[0], where)
-    if get_origin(tp) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where} must be a list")
-        if args[-1] is not Ellipsis and len(value) != len(args):
-            raise ConfigError(f"{where} must have exactly {len(args)} entries")
-        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
-        return tuple(_coerce(item, item_tp, f"{where}[{index}]")
-                     for index, (item, item_tp) in enumerate(zip(value, types)))
-    accepted, name = _SCALARS[tp]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
-        raise ConfigError(f"{where} must be {name}")
-    return float(value) if tp is float else value
+    if not isinstance(value, (list, tuple)):  # the one other type is ``tuple[...]``
+        raise ConfigError(f"{where} must be a list")
+    if args[-1] is not Ellipsis and len(value) != len(args):
+        raise ConfigError(f"{where} must have exactly {len(args)} entries")
+    types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+    return tuple([_coerce(item, item_tp, f"{where}[{index}]")
+                  for index, (item, item_tp) in enumerate(zip(value, types))])
 
 
 def _check_keys(data: Any, allowed: Any, where: str) -> None:

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import ABLATION_AXES, ConfigError, ExperimentConfig, config_from_dict
+from .config import ABLATION_AXES, ConfigError, ExperimentConfig, _coerce, _schema, config_from_dict
 from .evolution import (OP_COUNTS, ORIGIN_CROSS, ORIGIN_INIT, ORIGIN_MUTATE, Population,
                         TaskRecord, advance_toward, assign_population_fitness, delete_bad_tasks,
                         evolve_generation, init_population, soft_select)
@@ -77,40 +77,6 @@ def _prepare_run_dir(config: ExperimentConfig, run_dir: Path | None) -> Path:
     return out
 
 
-def write_snapshot(path: Path, config: ExperimentConfig, epoch: int, episodes_total: int,
-                   env_steps_total: int, pop: Population | None, policy: PolicyTable) -> None:
-    """One meta line; for a ccl run, one line for the active generation and one per archived
-    generation in epoch order, records as columns; then the whole Q table flat on one line.
-
-    Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-            meta = {"kind": "meta", "format": SNAPSHOT_FORMAT, "epoch": epoch,
-                    "episodes_total": episodes_total, "env_steps_total": env_steps_total,
-                    "config": config.to_dict()}
-            handle.write(json.dumps(meta) + "\n")
-            if pop is not None:
-                handle.write(json.dumps(_generation_line("active", pop.epoch, pop.active)) + "\n")
-                for gen_epoch in sorted(pop.archive):
-                    line = _generation_line("archive", gen_epoch, pop.archive[gen_epoch])
-                    handle.write(json.dumps(line) + "\n")
-            handle.write(json.dumps({"kind": "policy", "q": policy.q.reshape(-1).tolist()}) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _generation_line(kind: str, epoch: int, records: list[TaskRecord]) -> dict[str, Any]:
-    return {"kind": kind, "epoch": epoch,
-            "genome": [rec.genome.as_vector().tolist() for rec in records],
-            "r": [rec.r for rec in records], "f": [rec.f for rec in records],
-            "epoch_born": [rec.epoch_born for rec in records],
-            "origin": [rec.origin for rec in records]}
-
-
 @dataclass
 class Snapshot:
     config: ExperimentConfig
@@ -119,6 +85,47 @@ class Snapshot:
     env_steps_total: int
     pop: Population | None
     policy_q: np.ndarray
+
+
+# Shared by writer and reader: the meta line's counters are Snapshot's int fields, and a
+# generation line's record columns are TaskRecord's fields in order, a genome as its flat vector.
+_COUNTS = tuple(name for name, tp in _schema(Snapshot).items() if tp is int)
+_VECTOR = tuple[float, ...]
+_COLUMNS = {name: _VECTOR if tp is TaskGenome else tp for name, tp in _schema(TaskRecord).items()}
+_ENCODE = json.JSONEncoder(allow_nan=False).encode  # so no run writes a file the reader rejects
+
+
+def write_snapshot(path: Path, snapshot: Snapshot) -> None:
+    """One meta line; for a ccl run, one line for the active generation and one per archived
+    generation in epoch order, records as columns; then the whole Q table flat on one line.
+
+    Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
+    ``write_snapshot(p, load_snapshot(p))`` writes the bytes of ``p`` again.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            counts = {name: getattr(snapshot, name) for name in _COUNTS}
+            handle.write(_ENCODE({"kind": "meta", "format": SNAPSHOT_FORMAT, **counts,
+                                  "config": snapshot.config.to_dict()}) + "\n")
+            pop = snapshot.pop
+            if pop is not None:
+                handle.write(_ENCODE(_generation_line("active", pop.epoch, pop.active)) + "\n")
+                for gen_epoch in sorted(pop.archive):
+                    line = _generation_line("archive", gen_epoch, pop.archive[gen_epoch])
+                    handle.write(_ENCODE(line) + "\n")
+            q = snapshot.policy_q.reshape(-1).tolist()
+            handle.write(_ENCODE({"kind": "policy", "q": q}) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _generation_line(kind: str, epoch: int, records: list[TaskRecord]) -> dict[str, Any]:
+    columns = {name: [getattr(rec, name) for rec in records] for name in _COLUMNS}
+    columns["genome"] = [genome.as_vector().tolist() for genome in columns["genome"]]
+    return {"kind": kind, "epoch": epoch, **columns}
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
@@ -135,6 +142,7 @@ def load_snapshot(path: str | Path) -> Snapshot:
 
 
 def _read_snapshot(lines: list[Any]) -> Snapshot:
+    """Every value is checked against its field's type, as a config value is."""
     if not all(isinstance(line, dict) for line in lines):
         raise ConfigError("a line is not a JSON object")
     meta = lines[0]
@@ -148,37 +156,31 @@ def _read_snapshot(lines: list[Any]) -> Snapshot:
         raise ConfigError(f"lines run {', '.join(map(str, kinds))}; a {config.mode} snapshot "
                           f"needs meta, {'active, archive..., ' if ccl else ''}policy")
     shape = (config.env.n_agents, config.env.n_states, N_ACTIONS)
-    q = np.asarray(lines[-1]["q"], dtype=float)
+    q = np.asarray(_coerce(lines[-1]["q"], _VECTOR, "policy q"), dtype=float)
     size = math.prod(shape)
     if q.shape != (size,):
         raise ConfigError(f"policy holds {q.size} values; the shape {shape} needs {size}")
 
-    def records(line: dict[str, Any]) -> list[TaskRecord]:
-        for column in ("r", "f"):
-            if not all(value is None or type(value) in (int, float) for value in line[column]):
-                raise ConfigError(f"an {line['kind']} {column} value is neither a number nor null")
-        if not all(type(born) is int for born in line["epoch_born"]):
-            raise ConfigError(f"an {line['kind']} epoch_born value is not an integer")
-        if not set(line["origin"]) <= {ORIGIN_INIT, ORIGIN_CROSS, ORIGIN_MUTATE}:
-            raise ConfigError(f"an {line['kind']} origin is not one of "
+    def generation(line: dict[str, Any]) -> tuple[int, list[TaskRecord]]:
+        kind = line["kind"]
+        columns = {name: _coerce(line[name], tuple[tp, ...], f"{kind} {name}")
+                   for name, tp in _COLUMNS.items()}
+        if not set(columns["origin"]) <= {ORIGIN_INIT, ORIGIN_CROSS, ORIGIN_MUTATE}:
+            raise ConfigError(f"an {kind} origin is not one of "
                               f"{ORIGIN_INIT}, {ORIGIN_CROSS}, {ORIGIN_MUTATE}")
-        columns = zip(line["genome"], line["r"], line["f"], line["epoch_born"], line["origin"],
-                      strict=True)
-        return [TaskRecord(TaskGenome.from_vector(genome, config.env.n_agents), r, f, born, origin)
-                for genome, r, f, born, origin in columns]
+        columns["genome"] = [TaskGenome.from_vector(genome, config.env.n_agents)
+                             for genome in columns["genome"]]
+        return (_coerce(line["epoch"], int, f"{kind} epoch"),
+                [TaskRecord(*values) for values in zip(*columns.values(), strict=True)])
 
     pop = None
     if ccl:
-        active, *archive = lines[1:-1]
-        pop = Population(active=records(active),
-                         archive={int(line["epoch"]): records(line) for line in archive},
-                         epoch=int(active["epoch"]))
+        (epoch, active), *archive = [generation(line) for line in lines[1:-1]]
+        pop = Population(active=active, archive=dict(archive), epoch=epoch)
         if len(pop.archive) != len(archive):
             raise ConfigError("two archive lines hold the same epoch")
-    return Snapshot(config=config, epoch=int(meta["epoch"]),
-                    episodes_total=int(meta["episodes_total"]),
-                    env_steps_total=int(meta["env_steps_total"]), pop=pop,
-                    policy_q=q.reshape(shape))
+    counts = {name: _coerce(meta[name], int, f"meta {name}") for name in _COUNTS}
+    return Snapshot(config=config, **counts, pop=pop, policy_q=q.reshape(shape))
 
 
 class _MetricsWriter:
@@ -249,22 +251,16 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
         _check_resume(config, snap)
         policy = PolicyTable(q=snap.policy_q.copy(), learning_rate=config.learner.learning_rate,
                              discount=config.learner.discount, epsilon=config.learner.epsilon)
-        pop = snap.pop
-        start_epoch = snap.epoch
-        episodes_total = snap.episodes_total
-        env_steps_total = snap.env_steps_total
-        resume_epoch: int | None = snap.epoch
     else:
         policy = PolicyTable.zeros(env_cfg.n_agents, env_cfg.n_states, config.learner)
-        pop = None
-        if config.mode == "ccl":
-            pop = init_population(config.domain(), evo.population_size, stream(seed, DOMAIN_INIT))
-        start_epoch = 0
-        episodes_total = 0
-        env_steps_total = 0
-        resume_epoch = None
+        pop = (init_population(config.domain(), evo.population_size, stream(seed, DOMAIN_INIT))
+               if config.mode == "ccl" else None)
+        snap = Snapshot(config, 0, 0, 0, pop, policy.q)
         snapshot_path = out_dir / f"snapshot_epoch{0:05d}.jsonl"
-        write_snapshot(snapshot_path, config, 0, 0, 0, pop, policy)
+        write_snapshot(snapshot_path, snap)
+    pop, start_epoch = snap.pop, snap.epoch
+    episodes_total, env_steps_total = snap.episodes_total, snap.env_steps_total
+    resume_epoch = start_epoch if config.resume_from is not None else None
     writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume_epoch)
 
     metrics: list[EpochMetrics] = []
@@ -313,8 +309,8 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
 
         if epoch % config.snapshot_interval == 0 or epoch == config.epochs:
             snapshot_path = out_dir / f"snapshot_epoch{epoch:05d}.jsonl"
-            write_snapshot(snapshot_path, config, epoch, episodes_total, env_steps_total,
-                           pop, policy)
+            write_snapshot(snapshot_path, Snapshot(config, epoch, episodes_total,
+                                                   env_steps_total, pop, policy.q))
 
     ops_delta = {name: count - ops_before.get(name, 0)
                  for name, count in OP_COUNTS.items() if count != ops_before.get(name, 0)}

@@ -15,7 +15,8 @@ from coevo_curriculum.config import (DEFAULT_OUTPUT_DIR, OUTPUT_DIR_ENV, ConfigE
                                      ExperimentConfig, apply_overrides, config_from_dict,
                                      default_config, load_config)
 from coevo_curriculum.harness import (METRICS_COLUMNS, ablation_variants, evaluate_snapshot,
-                                      load_snapshot, run_ablation, run_experiment)
+                                      load_snapshot, run_ablation, run_experiment,
+                                      write_snapshot)
 from coevo_curriculum.streams import DOMAIN_SELECT, stream
 
 
@@ -121,7 +122,10 @@ def test_config_rejects_type_mismatches():
                                 ("evolution", "new_fraction", "0.7"),
                                 ("evolution", "deletion_band", [0.1]),
                                 ("fitness", "mode", 3),
-                                ("learner", "learning_rate", None)):
+                                ("learner", "learning_rate", None),
+                                ("fitness", "gain", math.nan),
+                                ("evolution", "mutation_scale", math.inf),
+                                ("learner", "learning_rate", 10**400)):
         data = _small_dict()
         data.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError):
@@ -296,9 +300,9 @@ def test_snapshot_round_trip_is_exact(tmp_path, monkeypatch):
     written = []
     real_write = harness.write_snapshot
 
-    def capturing_write(path, config, epoch, episodes, steps, pop, policy):
-        written.append((path, copy.deepcopy(pop), policy.q.copy()))
-        real_write(path, config, epoch, episodes, steps, pop, policy)
+    def capturing_write(path, snapshot):
+        written.append((path, copy.deepcopy(snapshot.pop), snapshot.policy_q.copy()))
+        real_write(path, snapshot)
 
     monkeypatch.setattr(harness, "write_snapshot", capturing_write)
     run_experiment(_small_config(epochs=5), run_dir=tmp_path)
@@ -317,6 +321,24 @@ def test_snapshot_round_trip_is_exact(tmp_path, monkeypatch):
             _assert_same_records(snap.pop.archive[epoch], records)
         assert snap.policy_q.dtype == q.dtype and snap.policy_q.shape == q.shape
         assert snap.policy_q.tobytes() == q.tobytes()
+
+
+def test_write_snapshot_reproduces_every_loaded_snapshot(tmp_path):
+    for mode in ("ccl", "vanilla"):
+        run_dir = tmp_path / mode
+        run_experiment(_small_config(mode=mode, epochs=5), run_dir=run_dir)
+        paths = sorted(run_dir.glob("snapshot_epoch*.jsonl"))
+        assert [path.name for path in paths] == [
+            f"snapshot_epoch{epoch:05d}.jsonl" for epoch in (0, 2, 4, 5)]
+        for path in paths:
+            again = tmp_path / "again.jsonl"
+            write_snapshot(again, load_snapshot(path))
+            assert again.read_bytes() == path.read_bytes()
+    unreadable = load_snapshot(paths[-1])
+    unreadable.policy_q[0, 0, 0] = math.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_snapshot(tmp_path / "nan.jsonl", unreadable)
+    assert not list(tmp_path.glob("nan.jsonl*"))
 
 
 def _write_jsonl(path, lines):
@@ -372,21 +394,47 @@ def test_load_snapshot_rejects_garbage(tmp_path):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
     n = len(active["r"])
     for name, column, values, match in (
-            ("string-r", "r", ["x"] * n, "active r value"),
-            ("bool-r", "r", [True] * n, "active r value"),
-            ("string-f", "f", ["x"] * n, "active f value"),
-            ("bool-f", "f", [False] * n, "active f value"),
+            ("string-r", "r", ["x"] * n, r"active r\[0\] must be a number"),
+            ("bool-r", "r", [True] * n, r"active r\[0\] must be a number"),
+            ("string-f", "f", ["x"] * n, r"active f\[0\] must be a number"),
+            ("bool-f", "f", [False] * n, r"active f\[0\] must be a number"),
+            ("nan-f", "f", [math.nan] * n, r"active f\[0\] must be finite"),
             ("float-epoch-born", "epoch_born", [0.5] * n, "epoch_born"),
             ("string-epoch-born", "epoch_born", ["0"] * n, "epoch_born"),
             ("bool-epoch-born", "epoch_born", [False] * n, "epoch_born"),
-            ("unknown-origin", "origin", ["bred"] * n, "origin")):
+            ("unknown-origin", "origin", ["bred"] * n, "origin"),
+            ("bool-generation-epoch", "epoch", True, "active epoch must be an integer"),
+            ("string-generation-epoch", "epoch", "0", "active epoch must be an integer"),
+            ("string-genome", "genome", [[str(x) for x in genome] for genome in active["genome"]],
+             r"active genome\[0\]\[0\] must be a number"),
+            ("bool-genome", "genome", [[True] * len(genome) for genome in active["genome"]],
+             r"active genome\[0\]\[0\] must be a number"),
+            ("infinite-genome", "genome", [[math.inf] + genome[1:] for genome in active["genome"]],
+             r"active genome\[0\]\[0\] must be finite")):
         bad = [meta, dict(active, **{column: values}), policy]
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
-    archived_r = dict(active, kind="archive", epoch=0, r=["x"] * n)
-    with pytest.raises(ConfigError, match="archive r value"):
-        load_snapshot(_write_jsonl(tmp_path / "archive-r.jsonl",
-                                   [meta, active, archived_r, policy]))
+    archived = dict(active, kind="archive", epoch=0)
+    size = len(policy["q"])
+    for name, bad, match in (
+            ("archive-r", [meta, active, dict(archived, r=["x"] * n), policy],
+             r"archive r\[0\] must be a number"),
+            ("nan-archive-r", [meta, active, dict(archived, r=[math.nan] * n), policy],
+             r"archive r\[0\] must be finite"),
+            ("fractional-epoch", [dict(meta, epoch=1.9), active, policy],
+             "meta epoch must be an integer"),
+            ("string-episodes", [dict(meta, episodes_total="8"), active, policy],
+             "meta episodes_total must be an integer"),
+            ("bool-env-steps", [dict(meta, env_steps_total=True), active, policy],
+             "meta env_steps_total must be an integer"),
+            ("string-q", [meta, active, dict(policy, q=["0.0"] * size)],
+             r"policy q\[0\] must be a number"),
+            ("bool-q", [meta, active, dict(policy, q=[False] * size)],
+             r"policy q\[0\] must be a number"),
+            ("nan-q", [meta, active, dict(policy, q=[0.0] * (size - 1) + [math.nan])],
+             rf"policy q\[{size - 1}\] must be finite")):
+        with pytest.raises(ConfigError, match=match):
+            load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
     measured = dict(active, r=[0.5] * n, f=[1] * n, origin=["cross"] * n)
     loaded = load_snapshot(_write_jsonl(tmp_path / "measured.jsonl", [meta, measured, policy]))
     assert [(rec.r, rec.f, rec.origin) for rec in loaded.pop.active] == [(0.5, 1, "cross")] * n
@@ -631,5 +679,13 @@ def test_cli_failures_exit_with_two(tmp_path, capsys):
     unmeasurable = _write_jsonl(tmp_path / "string-r.jsonl", lines[:1] + [active] + lines[2:])
     assert main(["run", "--config", str(_write_config(tmp_path)), "--resume", str(unmeasurable),
                  "--output-dir", str(tmp_path / "resumed")]) == 2
+    fractional = _write_jsonl(tmp_path / "fractional-epoch.jsonl",
+                              [dict(lines[0], epoch=1.9)] + lines[1:])
+    assert main(["run", "--config", str(_write_config(tmp_path)), "--resume", str(fractional),
+                 "--output-dir", str(tmp_path / "resumed")]) == 2
+    nan_gain = _small_dict()
+    nan_gain["fitness"] = {"gain": math.nan}
+    bad.write_text(json.dumps(nan_gain), encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--output-dir", str(tmp_path / "nan")]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 5
+    assert err.count("error:") == 7
