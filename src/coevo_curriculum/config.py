@@ -179,8 +179,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
     return config_from_dict(data)
 
 

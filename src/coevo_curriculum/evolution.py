@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import cycle, islice
+from itertools import compress, cycle, islice
 
 import numpy as np
 
@@ -23,14 +23,6 @@ GROWTH = 0.25
 # Call counts per evolution operation; mode audits assert the vanilla
 # baseline never touches any of these.
 OP_COUNTS: Counter = Counter()
-
-
-def reset_op_counts() -> None:
-    OP_COUNTS.clear()
-
-
-def op_counts() -> dict[str, int]:
-    return dict(OP_COUNTS)
 
 
 @dataclass(eq=False)
@@ -70,19 +62,6 @@ class Population:
         for epoch in sorted(self.archive):
             pooled.extend(self.archive[epoch])
         return pooled
-
-    def move_to_archive(self, records: list[TaskRecord]) -> None:
-        """Retire records from the active generation into the current-epoch bucket."""
-        if not records:
-            return
-        active_ids = {id(rec) for rec in self.active}
-        for rec in records:
-            if id(rec) not in active_ids:
-                raise ValueError("can only retire records that are currently active")
-        doomed = {id(rec) for rec in records}
-        bucket = self.archive.setdefault(self.epoch, [])
-        bucket.extend(rec for rec in self.active if id(rec) in doomed)
-        self.active = [rec for rec in self.active if id(rec) not in doomed]
 
 
 @dataclass(frozen=True)
@@ -218,25 +197,18 @@ def mutate(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
     return TaskGenome(blocks)
 
 
-def delete_bad_tasks(records: list[TaskRecord],
-                     band: tuple[float, float]) -> tuple[list[TaskRecord], list[TaskRecord]]:
-    """Split measured records into (kept, removed) by the success-rate band.
-
-    Removed means retired to the archive, not discarded; callers apply the
-    move so no record is ever lost.
+def delete_bad_tasks(pop: Population, band: tuple[float, float]) -> None:
+    """Retire every active record measured this epoch whose success rate lies
+    outside the band (edges inclusive) to the current-epoch archive bucket, in
+    active order; unmeasured records stay.  Nothing is discarded.
     """
     OP_COUNTS["delete_bad_tasks"] += 1
     low, high = band
-    kept: list[TaskRecord] = []
-    removed: list[TaskRecord] = []
-    for rec in records:
-        if rec.r is None:
-            raise ValueError("deletion needs a measured success rate on every record")
-        if rec.r < low or rec.r > high:
-            removed.append(rec)
-        else:
-            kept.append(rec)
-    return kept, removed
+    keep = [rec.r is None or low <= rec.r <= high for rec in pop.active]
+    if not all(keep):
+        pop.archive.setdefault(pop.epoch, []).extend(
+            rec for rec, kept in zip(pop.active, keep) if not kept)
+        pop.active = list(compress(pop.active, keep))
 
 
 def assign_population_fitness(active: list[TaskRecord], trained: PrototypeSet, k: int) -> None:

@@ -35,6 +35,11 @@ class EnvConfig:
         """Observation indices per agent: one per goal offset, (2W - 1)^2."""
         return (2 * self.grid_width - 1) ** 2
 
+    @property
+    def q_shape(self) -> tuple[int, int, int]:
+        """Shape of a policy's action-value table: (agent, state, action)."""
+        return (self.n_agents, self.n_states, N_ACTIONS)
+
 
 class GridState(NamedTuple):
     """Joint agent positions after ``t`` steps of the current episode."""

@@ -19,7 +19,6 @@ from .evolution import (OP_COUNTS, ORIGIN_CROSS, ORIGIN_INIT, ORIGIN_MUTATE, Pop
                         TaskRecord, advance_toward, assign_population_fitness, delete_bad_tasks,
                         evolve_generation, init_population, soft_select)
 from .fitness import PrototypeSet
-from .gridworld import N_ACTIONS
 from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, stream
 from .tasks import TaskGenome
 from .trainer import PolicyTable, evaluate_target, train_on_tasks
@@ -79,6 +78,8 @@ def _prepare_run_dir(config: ExperimentConfig, run_dir: Path | None) -> Path:
 
 @dataclass
 class Snapshot:
+    """A run's whole state after ``epoch`` epochs; a run advances one in place."""
+
     config: ExperimentConfig
     epoch: int
     episodes_total: int
@@ -96,18 +97,20 @@ _ENCODE = json.JSONEncoder(allow_nan=False).encode  # so no run writes a file th
 
 
 def write_snapshot(path: Path, snapshot: Snapshot) -> None:
-    """One meta line; for a ccl run, one line for the active generation and one per archived
-    generation in epoch order, records as columns; then the whole Q table flat on one line.
+    """One meta line with the run's identity config; for a ccl run, one line for the active
+    generation and one per archived generation in epoch order, records as columns; then the
+    whole Q table flat on one line. No operational key is stored, so a resumed run writes
+    the files an uninterrupted one does.
 
     Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
-    ``write_snapshot(p, load_snapshot(p))`` writes the bytes of ``p`` again.
+    ``write_snapshot(p, load_snapshot(p))`` writes the bytes of a ``p`` it wrote again.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
             counts = {name: getattr(snapshot, name) for name in _COUNTS}
             handle.write(_ENCODE({"kind": "meta", "format": SNAPSHOT_FORMAT, **counts,
-                                  "config": snapshot.config.to_dict()}) + "\n")
+                                  "config": snapshot.config.identity_fingerprint()}) + "\n")
             pop = snapshot.pop
             if pop is not None:
                 handle.write(_ENCODE(_generation_line("active", pop.epoch, pop.active)) + "\n")
@@ -155,7 +158,7 @@ def _read_snapshot(lines: list[Any]) -> Snapshot:
     if kinds != ["meta", *generations, "policy"]:
         raise ConfigError(f"lines run {', '.join(map(str, kinds))}; a {config.mode} snapshot "
                           f"needs meta, {'active, archive..., ' if ccl else ''}policy")
-    shape = (config.env.n_agents, config.env.n_states, N_ACTIONS)
+    shape = config.env.q_shape
     q = np.asarray(_coerce(lines[-1]["q"], _VECTOR, "policy q"), dtype=float)
     size = math.prod(shape)
     if q.shape != (size,):
@@ -249,68 +252,65 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
     if config.resume_from is not None:
         snap = load_snapshot(config.resume_from)
         _check_resume(config, snap)
-        policy = PolicyTable(q=snap.policy_q.copy(), learning_rate=config.learner.learning_rate,
-                             discount=config.learner.discount, epsilon=config.learner.epsilon)
     else:
-        policy = PolicyTable.zeros(env_cfg.n_agents, env_cfg.n_states, config.learner)
         pop = (init_population(config.domain(), evo.population_size, stream(seed, DOMAIN_INIT))
                if config.mode == "ccl" else None)
-        snap = Snapshot(config, 0, 0, 0, pop, policy.q)
+        snap = Snapshot(config, 0, 0, 0, pop, np.zeros(env_cfg.q_shape))
         snapshot_path = out_dir / f"snapshot_epoch{0:05d}.jsonl"
         write_snapshot(snapshot_path, snap)
-    pop, start_epoch = snap.pop, snap.epoch
-    episodes_total, env_steps_total = snap.episodes_total, snap.env_steps_total
-    resume_epoch = start_epoch if config.resume_from is not None else None
+    policy = PolicyTable(q=snap.policy_q, learning_rate=config.learner.learning_rate,
+                         discount=config.learner.discount, epsilon=config.learner.epsilon)
+    resume_epoch = snap.epoch if config.resume_from is not None else None
     writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume_epoch)
 
     metrics: list[EpochMetrics] = []
     final_rate = 0.0
-    for epoch in range(start_epoch + 1, config.epochs + 1):
+    for epoch in range(snap.epoch + 1, config.epochs + 1):
         tic = time.perf_counter()
         policy.epsilon = config.learner.epsilon_at(epoch)
         genomes = [target] * evo.batch_size
         batch_new = batch_old = 0
         active_mean_f = math.nan
-        if pop is not None:  # ccl
-            batch = soft_select(pop, evo, stream(seed, DOMAIN_SELECT, epoch - 1))
-            active_ids = {id(rec) for rec in pop.active}
-            measured_active = [rec for rec in batch if id(rec) in active_ids]
-            batch_new, batch_old = len(measured_active), len(batch) - len(measured_active)
+        if snap.pop is not None:  # ccl
+            batch = soft_select(snap.pop, evo, stream(seed, DOMAIN_SELECT, epoch - 1))
+            active_ids = {id(rec) for rec in snap.pop.active}
+            batch_new = sum(id(rec) in active_ids for rec in batch)
+            batch_old = len(batch) - batch_new
             genomes = [rec.genome for rec in batch]
         outcomes = train_on_tasks(
             genomes, policy, config.episodes_per_task, env_cfg,
             lambda task_idx, episode, _e=epoch: stream(seed, DOMAIN_TRAIN, _e, task_idx, episode))
-        episodes_total += sum(out.episodes for out in outcomes)
-        env_steps_total += sum(out.env_steps for out in outcomes)
+        snap.episodes_total += sum(out.episodes for out in outcomes)
+        snap.env_steps_total += sum(out.env_steps for out in outcomes)
         batch_mean_r = float(np.mean([out.success_rate for out in outcomes]))
 
-        if pop is not None:
+        if snap.pop is not None:
             for rec, out in zip(batch, outcomes):
                 rec.r = out.success_rate
                 rec.f = config.fitness.evaluate(out.success_rate)
-            _, removed = delete_bad_tasks(measured_active, evo.deletion_band)
-            pop.move_to_archive(removed)
+            delete_bad_tasks(snap.pop, evo.deletion_band)
             prototypes = PrototypeSet(
                 vectors=np.stack([rec.genome.as_vector() for rec in batch]),
                 fitnesses=np.array([rec.f for rec in batch], dtype=float))
-            assign_population_fitness(pop.active, prototypes, evo.knn_k)
-            if pop.active:
-                active_mean_f = float(np.mean([rec.f for rec in pop.active]))
-            pop = evolve_generation(pop, evo, stream(seed, DOMAIN_EVOLVE, epoch))
-            pop = advance_toward(pop, target, batch_mean_r)
+            assign_population_fitness(snap.pop.active, prototypes, evo.knn_k)
+            if snap.pop.active:
+                active_mean_f = float(np.mean([rec.f for rec in snap.pop.active]))
+            snap.pop = evolve_generation(snap.pop, evo, stream(seed, DOMAIN_EVOLVE, epoch))
+            snap.pop = advance_toward(snap.pop, target, batch_mean_r)
 
         final_rate = evaluate_target(policy, target, env_cfg)
         row = EpochMetrics(epoch=epoch, target_success=final_rate, batch_mean_r=batch_mean_r,
                            active_mean_f=active_mean_f, batch_new=batch_new, batch_old=batch_old,
-                           episodes_total=episodes_total, env_steps_total=env_steps_total,
+                           episodes_total=snap.episodes_total,
+                           env_steps_total=snap.env_steps_total,
                            wall_clock_seconds=time.perf_counter() - tic)
         metrics.append(row)
         writer.append(row)
 
+        snap.epoch = epoch
         if epoch % config.snapshot_interval == 0 or epoch == config.epochs:
             snapshot_path = out_dir / f"snapshot_epoch{epoch:05d}.jsonl"
-            write_snapshot(snapshot_path, Snapshot(config, epoch, episodes_total,
-                                                   env_steps_total, pop, policy.q))
+            write_snapshot(snapshot_path, snap)
 
     ops_delta = {name: count - ops_before.get(name, 0)
                  for name, count in OP_COUNTS.items() if count != ops_before.get(name, 0)}

@@ -40,15 +40,14 @@ class LearnerParams:
 class PolicyTable:
     """Per-agent action-value tables over goal-offset observations."""
 
-    q: np.ndarray  # shape (n_agents, n_states, n_actions)
+    q: np.ndarray  # shape EnvConfig.q_shape
     learning_rate: float
     discount: float
     epsilon: float
 
     @classmethod
-    def zeros(cls, n_agents: int, n_states: int, params: LearnerParams) -> "PolicyTable":
-        table = np.zeros((n_agents, n_states, N_ACTIONS), dtype=float)
-        return cls(q=table, learning_rate=params.learning_rate,
+    def zeros(cls, env: EnvConfig, params: LearnerParams) -> "PolicyTable":
+        return cls(q=np.zeros(env.q_shape), learning_rate=params.learning_rate,
                    discount=params.discount, epsilon=params.epsilon)
 
     @property

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from coevo_curriculum.evolution import (GROWTH, EvolutionParams, Population, TaskRecord,
-                                        advance_toward, assign_population_fitness, crossover,
-                                        crossover_step, delete_bad_tasks, evolve_generation,
-                                        init_population, mutate, op_counts, pair_generation,
-                                        reset_op_counts, sample_direction, soft_select)
+from coevo_curriculum.evolution import (GROWTH, OP_COUNTS, EvolutionParams, Population,
+                                        TaskRecord, advance_toward, assign_population_fitness,
+                                        crossover, crossover_step, delete_bad_tasks,
+                                        evolve_generation, init_population, mutate,
+                                        pair_generation, sample_direction, soft_select)
 from coevo_curriculum.fitness import FitnessParams, PrototypeSet
 from coevo_curriculum.tasks import (BLOCK_SIZE, TaskDomain, TaskGenome, UNIT_DIAMETER,
                                     start_goal_distance)
@@ -292,23 +292,41 @@ def test_mutate_perturbs_only_gated_blocks():
 
 # ---------------------------------------------------------------- deletion
 
+def _measured_population(rates, epoch=3):
+    return Population(active=[_record(np.zeros((1, BLOCK_SIZE)), f=0.2, r=r) for r in rates],
+                      epoch=epoch)
+
+
 def test_delete_bad_tasks_band():
-    records = [_record(np.zeros((1, BLOCK_SIZE)), f=0.2, r=r)
-               for r in (0.0, 0.02, 0.5, 0.98, 1.0)]
-    kept, removed = delete_bad_tasks(records, (0.02, 0.98))
-    assert [rec.r for rec in kept] == [0.02, 0.5, 0.98]  # band edges survive
-    assert [rec.r for rec in removed] == [0.0, 1.0]
+    pop = _measured_population((0.0, 0.02, 0.5, 0.98, 1.0))
+    delete_bad_tasks(pop, (0.02, 0.98))
+    assert [rec.r for rec in pop.active] == [0.02, 0.5, 0.98]  # band edges survive
+    assert [rec.r for rec in pop.archive[3]] == [0.0, 1.0]
 
 
 def test_delete_bad_tasks_full_band_keeps_everything():
-    records = [_record(np.zeros((1, BLOCK_SIZE)), f=0.2, r=r) for r in (0.0, 0.5, 1.0)]
-    kept, removed = delete_bad_tasks(records, (0.0, 1.0))
-    assert len(kept) == 3 and not removed
+    pop = _measured_population((0.0, 0.5, 1.0))
+    active = list(pop.active)
+    delete_bad_tasks(pop, (0.0, 1.0))
+    assert pop.active == active and pop.archive == {}
 
 
-def test_delete_bad_tasks_requires_measurements():
-    with pytest.raises(ValueError):
-        delete_bad_tasks([_record(np.zeros((1, BLOCK_SIZE)), f=0.2, r=None)], (0.02, 0.98))
+def test_delete_bad_tasks_keeps_unmeasured_records():
+    pop = _measured_population((None, 0.0, None, 1.0))
+    unmeasured = [pop.active[0], pop.active[2]]
+    delete_bad_tasks(pop, (0.02, 0.98))
+    assert pop.active == unmeasured
+    assert [rec.r for rec in pop.archive[3]] == [0.0, 1.0]
+
+
+def test_delete_bad_tasks_fills_the_bucket_in_active_order():
+    pop = _measured_population((1.0, 0.5, 0.0, 0.99, 0.01))
+    earlier = _record(np.ones((1, BLOCK_SIZE)), f=0.2)
+    pop.archive[3] = [earlier]
+    retired = [pop.active[i] for i in (0, 2, 3, 4)]
+    delete_bad_tasks(pop, (0.02, 0.98))
+    assert pop.archive[3] == [earlier] + retired
+    assert [rec.r for rec in pop.active] == [0.5]
 
 
 # ---------------------------------------------------------------- estimation
@@ -410,7 +428,7 @@ def test_evolve_handles_odd_active_after_deletion():
     for rec in pop.active:
         rec.f = float(rng.random())
     pop.active[0].r = 1.0
-    pop.move_to_archive([pop.active[0]])
+    delete_bad_tasks(pop, params.deletion_band)
     assert len(pop.active) == 7
     nxt = evolve_generation(pop, params, np.random.default_rng(12))
     assert len(nxt.active) == 8
@@ -614,14 +632,6 @@ def test_evolution_params_validation():
         EvolutionParams(deletion_band=(-0.1, 0.9))
 
 
-def test_population_move_to_archive_guards_membership():
-    rng = np.random.default_rng(126)
-    pop = _uniform_population(4, rng, f=0.2)
-    stranger = _record(np.zeros((2, BLOCK_SIZE)), f=0.2)
-    with pytest.raises(ValueError):
-        pop.move_to_archive([stranger])
-
-
 def test_fifty_epoch_trajectory_is_deterministic():
     def run(seed):
         domain = TaskDomain(n_agents=2, grid_width=8)
@@ -644,16 +654,15 @@ def test_fifty_epoch_trajectory_is_deterministic():
 
 
 def test_op_counters_track_calls():
-    reset_op_counts()
+    OP_COUNTS.clear()
     domain = TaskDomain(n_agents=1, grid_width=5)
     pop = init_population(domain, 4, np.random.default_rng(0))
     for rec in pop.active:
         rec.f = 0.3
     evolve_generation(pop, EvolutionParams(population_size=4, batch_size=2, knn_k=1),
                       np.random.default_rng(1))
-    counts = op_counts()
-    assert counts["init_population"] == 1
-    assert counts["evolve_generation"] == 1
-    assert counts["pair_generation"] == 1
-    reset_op_counts()
-    assert op_counts() == {}
+    assert OP_COUNTS["init_population"] == 1
+    assert OP_COUNTS["evolve_generation"] == 1
+    assert OP_COUNTS["pair_generation"] == 1
+    OP_COUNTS.clear()
+    assert OP_COUNTS == {}

@@ -98,6 +98,9 @@ def test_load_config_missing_file_and_bad_json(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(bad)
+    bad.write_bytes(b'{"experiment": {"epochs": 1\xff}}')
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(bad)
 
 
 def test_config_rejects_unknown_keys():
@@ -463,11 +466,8 @@ def test_resume_continues_byte_identically(tmp_path):
     resumed_rows = resumed.metrics_path.read_text(encoding="utf-8").splitlines()
     assert resumed_rows[0] == full_rows[0]
     assert resumed_rows[1:] == full_rows[4:]  # epochs 4..6 match exactly
-
-    # snapshots agree on everything below the meta line (tasks, then tables)
-    full_lines = (tmp_path / "full" / "snapshot_epoch00006.jsonl").read_text().splitlines()
-    res_lines = (tmp_path / "resumed" / "snapshot_epoch00006.jsonl").read_text().splitlines()
-    assert full_lines[1:] == res_lines[1:]
+    assert resumed.snapshot_path.read_bytes() == (
+        tmp_path / "full" / "snapshot_epoch00006.jsonl").read_bytes()
 
 
 def test_resume_in_place_keeps_the_run_history(tmp_path):
@@ -481,6 +481,32 @@ def test_resume_in_place_keeps_the_run_history(tmp_path):
     assert [row[0] for row in _read_rows(resumed.timings_path)] == [
         "epoch", "1", "2", "3", "4", "5", "6"]
     assert resumed.evolution_ops["soft_select"] == 4  # epochs 3 to 6
+    snapshots = sorted(path.name for path in run_dir.glob("snapshot_epoch*.jsonl"))
+    assert snapshots == sorted(path.name for path in (tmp_path / "full").glob("snapshot_*"))
+    for name in snapshots:
+        assert (run_dir / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_snapshot_with_the_full_config_in_its_meta_line_still_loads(tmp_path):
+    # Earlier format-4 writers stored the whole config, operational keys included.
+    run_dir = tmp_path / "run"
+    half = run_experiment(_small_config(epochs=3, snapshot_interval=3), run_dir=run_dir)
+    meta, *rest = [json.loads(line) for line in half.snapshot_path.read_text().splitlines()]
+    assert set(meta["config"]["experiment"]).isdisjoint(
+        {"epochs", "snapshot_interval", "output_dir", "resume_from"})
+    full_config = _small_config(epochs=3, snapshot_interval=3, output_dir=str(run_dir),
+                                resume_from=str(tmp_path / "earlier.jsonl")).to_dict()
+    old = _write_jsonl(tmp_path / "old.jsonl", [dict(meta, config=full_config)] + rest)
+    assert load_snapshot(old).config.identity_fingerprint() == meta["config"]
+    assert evaluate_snapshot(old) == evaluate_snapshot(half.snapshot_path)
+    for name, source in (("old", old), ("new", half.snapshot_path)):
+        run_experiment(_small_config(epochs=6, resume_from=str(source)),
+                       run_dir=tmp_path / f"from-{name}")
+    files = {name: {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()
+                    if path.name != "timings.csv"} for name in ("from-old", "from-new")}
+    assert files["from-old"] == files["from-new"]
+    assert sorted(files["from-old"]) == [
+        "metrics.csv", "snapshot_epoch00004.jsonl", "snapshot_epoch00006.jsonl"]
 
 
 def test_resume_in_place_drops_a_row_cut_short(tmp_path):
@@ -669,6 +695,8 @@ def test_cli_failures_exit_with_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": {"epochs": -3}}), encoding="utf-8")
     assert main(["run", "--config", str(bad)]) == 2
+    bad.write_bytes(b'{"experiment": {"epochs": 1\xff}}')
+    assert main(["run", "--config", str(bad)]) == 2
     assert main(["eval", "--snapshot", str(tmp_path / "none.jsonl")]) == 2
     snapshot = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
     lines = [json.loads(line) for line in snapshot.read_text(encoding="utf-8").splitlines()]
@@ -688,4 +716,4 @@ def test_cli_failures_exit_with_two(tmp_path, capsys):
     bad.write_text(json.dumps(nan_gain), encoding="utf-8")
     assert main(["run", "--config", str(bad), "--output-dir", str(tmp_path / "nan")]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 7
+    assert err.count("error:") == 8

@@ -15,7 +15,7 @@ PARAMS = LearnerParams()
 
 
 def _policy(cfg, params=PARAMS):
-    return PolicyTable.zeros(cfg.n_agents, cfg.n_states, params)
+    return PolicyTable.zeros(cfg, params)
 
 
 def _genome_for_cells(starts, goals, width):
@@ -202,7 +202,7 @@ def test_shared_reward_never_fires_on_partial_success():
 def test_q_values_stay_bounded():
     cfg = EnvConfig(grid_width=3, n_agents=2, max_steps=10)
     params = LearnerParams(learning_rate=0.5, discount=0.95, epsilon=1.0)
-    policy = PolicyTable.zeros(cfg.n_agents, cfg.n_states, params)
+    policy = PolicyTable.zeros(cfg, params)
     rng = np.random.default_rng(52)
     batch = [_genome_for_cells([(0, 0), (2, 2)], [(2, 2), (0, 0)], 3),
              _genome_for_cells([(1, 1), (0, 2)], [(1, 1), (0, 2)], 3)]
@@ -222,7 +222,7 @@ def test_monotone_solvability_on_trivial_batch():
     sums = [0.0] * epochs
     seeds = 10
     for seed in range(seeds):
-        policy = PolicyTable.zeros(cfg.n_agents, cfg.n_states, params)
+        policy = PolicyTable.zeros(cfg, params)
         for epoch in range(1, epochs + 1):
             policy.epsilon = params.epsilon_at(epoch)
             outcomes = train_on_tasks(batch, policy, 20, cfg,
@@ -256,7 +256,7 @@ def test_policy_trained_to_convergence_beats_090():
     cfg = EnvConfig(grid_width=width, n_agents=2, max_steps=10)
     target = _genome_for_cells([(0, 0), (2, 2)], [(2, 0), (0, 2)], width)
     params = LearnerParams(learning_rate=0.2, discount=0.95, epsilon=1.0)
-    policy = PolicyTable.zeros(cfg.n_agents, cfg.n_states, params)
+    policy = PolicyTable.zeros(cfg, params)
     for round_idx in range(25):
         # explore for a while, then cool down and exploit
         policy.epsilon = max(0.05, 0.8 ** max(0, round_idx - 5))
