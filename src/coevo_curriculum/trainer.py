@@ -191,5 +191,6 @@ def evaluate_target(policy: PolicyTable, target: TaskGenome, env_cfg: EnvConfig)
     The environment is deterministic and a greedy episode draws no random
     numbers, so one episode gives the exact success rate.
     """
-    ok, _ = rollout(GridSpread(env_cfg), target, policy, False, None, epsilon=0.0)
+    ok, _ = _episode(GridSpread(env_cfg), target, policy.q.tolist(), (), None, 0.0,
+                     policy.learning_rate, policy.discount)
     return float(ok)

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -301,27 +302,35 @@ def test_snapshot_round_trip_is_exact(tmp_path, monkeypatch):
     import coevo_curriculum.harness as harness
 
     written = []
+    closed = {}  # archived generations as they stood when they closed
     real_write = harness.write_snapshot
+    real_append = harness._append_archive
 
     def capturing_write(path, snapshot):
         written.append((path, copy.deepcopy(snapshot.pop), snapshot.policy_q.copy()))
         real_write(path, snapshot)
 
+    def capturing_append(path, digest, epoch, records):
+        closed[epoch] = copy.deepcopy(records)
+        return real_append(path, digest, epoch, records)
+
     monkeypatch.setattr(harness, "write_snapshot", capturing_write)
+    monkeypatch.setattr(harness, "_append_archive", capturing_append)
     run_experiment(_small_config(epochs=5), run_dir=tmp_path)
     assert [path.name for path, _, _ in written] == [
         f"snapshot_epoch{epoch:05d}.jsonl" for epoch in (0, 2, 4, 5)]
+    assert list(closed) == [0, 1, 2, 3, 4]
     assert all(rec.f is None for rec in written[0][1].active)
     last = written[-1][1]
     assert {rec.origin for rec in last.active} >= {"cross", "mutate"}
-    assert any(rec.r is not None for gen in last.archive.values() for rec in gen)
+    assert any(rec.r is not None for gen in closed.values() for rec in gen)
     for path, pop, q in written:
         snap = load_snapshot(path)
         assert snap.pop.epoch == pop.epoch
         _assert_same_records(snap.pop.active, pop.active)
         assert list(snap.pop.archive) == list(pop.archive)
-        for epoch, records in pop.archive.items():
-            _assert_same_records(snap.pop.archive[epoch], records)
+        for epoch in pop.archive:
+            _assert_same_records(snap.pop.archive[epoch], closed[epoch])
         assert snap.policy_q.dtype == q.dtype and snap.policy_q.shape == q.shape
         assert snap.policy_q.tobytes() == q.tobytes()
 
@@ -349,6 +358,23 @@ def _write_jsonl(path, lines):
     return path
 
 
+def _archive_digest(raw_lines):
+    """The chained digest the README specifies for the first lines of archive.jsonl."""
+    digest = hashlib.sha256().hexdigest()
+    for line in raw_lines:
+        digest = hashlib.sha256(digest.encode() + line).hexdigest()
+    return digest
+
+
+def _write_archived(directory, meta, active, policy, archive):
+    """A ccl snapshot of epoch len(archive) beside an archive.jsonl holding ``archive``."""
+    directory.mkdir()
+    raw = [(json.dumps(line) + "\n").encode() for line in archive]
+    (directory / "archive.jsonl").write_bytes(b"".join(raw))
+    meta = dict(meta, epoch=len(raw), archive_digest=_archive_digest(raw))
+    return _write_jsonl(directory / "snapshot.jsonl", [meta, dict(active, epoch=len(raw)), policy])
+
+
 def test_load_snapshot_rejects_garbage(tmp_path):
     missing = tmp_path / "none.jsonl"
     with pytest.raises(ConfigError):
@@ -366,13 +392,14 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     assert [line["kind"] for line in lines] == ["meta", "active", "policy"]
     meta, active, policy = lines
     for found, edit in (("99", lambda meta: meta.update(format=99)),
+                        ("4", lambda meta: meta.update(format=4)),
                         ("3", lambda meta: meta.update(format=3)),
                         ("2", lambda meta: meta.update(format=2)),
                         ("1", lambda meta: meta.update(format=1)),
                         ("missing", lambda meta: meta.pop("format"))):
         other = dict(meta)
         edit(other)
-        with pytest.raises(ConfigError, match=f"format {found}, expected 4"):
+        with pytest.raises(ConfigError, match=f"format {found}, expected 5"):
             load_snapshot(_write_jsonl(tmp_path / f"format-{found}.jsonl",
                                        [other, active, policy]))
     three_agents = dict(active, genome=[genome + genome[:4] for genome in active["genome"]])
@@ -387,10 +414,14 @@ def test_load_snapshot_rejects_garbage(tmp_path):
             ("vanilla-with-generations", [vanilla_meta, active, policy], "vanilla snapshot needs"),
             ("policy-first", [meta, policy, active], "ccl snapshot needs"),
             ("no-meta", [active, policy], "format missing"),
+            ("archive-line", [meta, active, dict(active, kind="archive"), policy],
+             "ccl snapshot needs"),
             ("three-agent-genomes", [meta, three_agents, policy], "malformed"),
             ("ragged-columns", [meta, dict(active, r=active["r"][1:]), policy], "malformed"),
-            ("repeated-epoch", [meta, active] + [dict(active, kind="archive", epoch=0)] * 2
-             + [policy], "same epoch"),
+            ("later-active", [meta, dict(active, epoch=1), policy],
+             "active generation is of epoch 1"),
+            ("no-digest", [{k: v for k, v in meta.items() if k != "archive_digest"}, active,
+                           policy], "malformed"),
             ("bad-config", [dict(meta, config={"env": {"width": 5}}), active, policy],
              "unknown key")):
         with pytest.raises(ConfigError, match=match):
@@ -418,12 +449,19 @@ def test_load_snapshot_rejects_garbage(tmp_path):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
     archived = dict(active, kind="archive", epoch=0)
+    for name, archive, match in (
+            ("archive-r", [dict(archived, r=["x"] * n)], r"archive r\[0\] must be a number"),
+            ("nan-archive-r", [dict(archived, r=[math.nan] * n)],
+             r"archive r\[0\] must be finite"),
+            ("repeated-epoch", [archived] * 2, "line 2 holds epoch 0, expected 1"),
+            ("active-in-archive", [dict(active, epoch=0)], "line 1 is not an archive line")):
+        with pytest.raises(ConfigError, match=match):
+            load_snapshot(_write_archived(tmp_path / name, meta, active, policy, archive))
+    two = [archived, dict(archived, epoch=1)]
+    assert list(load_snapshot(_write_archived(tmp_path / "archived", meta, active, policy,
+                                              two)).pop.archive) == [0, 1]
     size = len(policy["q"])
     for name, bad, match in (
-            ("archive-r", [meta, active, dict(archived, r=["x"] * n), policy],
-             r"archive r\[0\] must be a number"),
-            ("nan-archive-r", [meta, active, dict(archived, r=[math.nan] * n), policy],
-             r"archive r\[0\] must be finite"),
             ("fractional-epoch", [dict(meta, epoch=1.9), active, policy],
              "meta epoch must be an integer"),
             ("string-episodes", [dict(meta, episodes_total="8"), active, policy],
@@ -439,7 +477,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
     measured = dict(active, r=[0.5] * n, f=[1] * n, origin=["cross"] * n)
-    loaded = load_snapshot(_write_jsonl(tmp_path / "measured.jsonl", [meta, measured, policy]))
+    loaded = load_snapshot(_write_archived(tmp_path / "measured", meta, measured, policy, []))
     assert [(rec.r, rec.f, rec.origin) for rec in loaded.pop.active] == [(0.5, 1, "cross")] * n
 
 
@@ -483,12 +521,122 @@ def test_resume_in_place_keeps_the_run_history(tmp_path):
     assert resumed.evolution_ops["soft_select"] == 4  # epochs 3 to 6
     snapshots = sorted(path.name for path in run_dir.glob("snapshot_epoch*.jsonl"))
     assert snapshots == sorted(path.name for path in (tmp_path / "full").glob("snapshot_*"))
-    for name in snapshots:
+    for name in snapshots + ["archive.jsonl"]:
         assert (run_dir / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
+def _files(run_dir):
+    return {path.name: path.read_bytes() for path in run_dir.iterdir()
+            if path.name != "timings.csv"}
+
+
+def test_resumed_runs_write_the_files_of_an_uninterrupted_run(tmp_path):
+    full = _files(run_experiment(_small_config(epochs=5, snapshot_interval=1),
+                                 run_dir=tmp_path / "full").run_dir)
+    assert len(full["archive.jsonl"].splitlines()) == 5
+    # Into another directory: the resumed run writes the archive whole, then appends.
+    run_experiment(_small_config(epochs=3, snapshot_interval=1), run_dir=tmp_path / "first")
+    moved = _files(run_experiment(
+        _small_config(epochs=5, snapshot_interval=1,
+                      resume_from=str(tmp_path / "first" / "snapshot_epoch00002.jsonl")),
+        run_dir=tmp_path / "moved").run_dir)
+    assert sorted(moved) == ["archive.jsonl", "metrics.csv", "snapshot_epoch00003.jsonl",
+                             "snapshot_epoch00004.jsonl", "snapshot_epoch00005.jsonl"]
+    assert all(moved[name] == full[name] for name in moved if name != "metrics.csv")
+    assert moved["metrics.csv"].splitlines()[1:] == full["metrics.csv"].splitlines()[3:]
+    # In place, after a crash while epoch 3 appended its generation: half a line, no row 3.
+    run_dir = tmp_path / "crashed"
+    run_experiment(_small_config(epochs=3, snapshot_interval=1), run_dir=run_dir)
+    archive = run_dir / "archive.jsonl"
+    *kept, last = archive.read_bytes().splitlines(keepends=True)
+    archive.write_bytes(b"".join(kept) + last[:len(last) // 2])
+    (run_dir / "snapshot_epoch00003.jsonl").unlink()
+    for name in ("metrics.csv", "timings.csv"):
+        rows = (run_dir / name).read_bytes().splitlines(keepends=True)
+        (run_dir / name).write_bytes(b"".join(rows[:-1]))
+    run_experiment(_small_config(epochs=5, snapshot_interval=1,
+                                 resume_from=str(run_dir / "snapshot_epoch00002.jsonl")),
+                   run_dir=run_dir)
+    assert _files(run_dir) == full
+
+
+def test_snapshots_hold_no_archive_and_each_epoch_appends_one_line(tmp_path, monkeypatch):
+    import coevo_curriculum.harness as harness
+
+    lines_at_write = []
+    real_write = harness.write_snapshot
+
+    def counting_write(path, snapshot):
+        lines_at_write.append(len((path.parent / "archive.jsonl").read_bytes().splitlines()))
+        real_write(path, snapshot)
+
+    monkeypatch.setattr(harness, "write_snapshot", counting_write)
+    run_experiment(_small_config(epochs=6, snapshot_interval=1), run_dir=tmp_path)
+    assert lines_at_write == list(range(7))
+    archive = [json.loads(line) for line in (tmp_path / "archive.jsonl").read_text().splitlines()]
+    assert [(line["kind"], line["epoch"]) for line in archive] == [
+        ("archive", epoch) for epoch in range(6)]
+    for epoch in range(7):
+        path = tmp_path / f"snapshot_epoch{epoch:05d}.jsonl"
+        kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
+        assert kinds == ["meta", "active", "policy"]
+
+
+def test_ccl_snapshot_loads_only_with_its_runs_archive(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_experiment(_small_config(epochs=4, snapshot_interval=2), run_dir=run_dir)
+    snapshot = (run_dir / "snapshot_epoch00002.jsonl").read_bytes()
+    lines = (run_dir / "archive.jsonl").read_bytes().splitlines(keepends=True)
+    expected = load_snapshot(run_dir / "snapshot_epoch00002.jsonl")
+    others = {epochs: (run_experiment(_small_config(epochs=epochs, master_seed=12),
+                                      run_dir=tmp_path / f"seed12-{epochs}").run_dir
+                       / "archive.jsonl").read_bytes() for epochs in (2, 4)}
+    meta, *rest = [json.loads(line) for line in snapshot.splitlines()]
+
+    def place(name, archive, digest=None):
+        directory = tmp_path / name
+        directory.mkdir()
+        if archive is not None:
+            (directory / "archive.jsonl").write_bytes(archive)
+        path = directory / "snapshot.jsonl"
+        if digest is None:
+            path.write_bytes(snapshot)
+        else:
+            _write_jsonl(path, [dict(meta, archive_digest=digest)] + rest)
+        return path
+
+    swapped = [lines[1], lines[0]]
+    typed = json.loads(lines[0])
+    typed["epoch_born"] = [str(value) for value in typed["epoch_born"]]
+    typed = [(json.dumps(typed) + "\n").encode(), lines[1]]
+    for name, path, match in (
+            ("missing", place("missing", None), "cannot read its archive"),
+            ("short", place("short", lines[0]), "1 complete lines; the snapshot needs 2"),
+            ("torn", place("torn", lines[0] + lines[1][:-1]), "1 complete lines"),
+            ("out-of-order", place("out-of-order", b"".join(swapped), _archive_digest(swapped)),
+             "line 1 holds epoch 1, expected 0"),
+            ("foreign-same-length", place("foreign-same-length", others[2]), "digest mismatch"),
+            ("foreign-longer", place("foreign-longer", others[4]), "digest mismatch"),
+            ("wrong-type", place("wrong-type", b"".join(typed), _archive_digest(typed)),
+             r"archive epoch_born\[0\] must be an integer")):
+        with pytest.raises(ConfigError, match=match):
+            load_snapshot(path)
+        assert main(["eval", "--snapshot", str(path)]) == 2, name
+        assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)), "--resume",
+                     str(path), "--output-dir", str(tmp_path / f"resumed-{name}")]) == 2, name
+    assert capsys.readouterr().err.count("error:") == 14
+    # Lines past the snapshot's prefix are not read: a torn trailing line still loads.
+    for name, archive in (("longer", b"".join(lines)),
+                          ("torn-tail", b"".join(lines[:3]) + lines[3][:len(lines[3]) // 2])):
+        loaded = load_snapshot(place(name, archive))
+        assert list(loaded.pop.archive) == [0, 1]
+        for epoch in (0, 1):
+            _assert_same_records(loaded.pop.archive[epoch], expected.pop.archive[epoch])
+
+
 def test_snapshot_with_the_full_config_in_its_meta_line_still_loads(tmp_path):
-    # Earlier format-4 writers stored the whole config, operational keys included.
+    # Format-4 writers stored the whole config, operational keys included; a meta line
+    # that holds them still loads (beside its run's archive) as one without them.
     run_dir = tmp_path / "run"
     half = run_experiment(_small_config(epochs=3, snapshot_interval=3), run_dir=run_dir)
     meta, *rest = [json.loads(line) for line in half.snapshot_path.read_text().splitlines()]
@@ -496,7 +644,7 @@ def test_snapshot_with_the_full_config_in_its_meta_line_still_loads(tmp_path):
         {"epochs", "snapshot_interval", "output_dir", "resume_from"})
     full_config = _small_config(epochs=3, snapshot_interval=3, output_dir=str(run_dir),
                                 resume_from=str(tmp_path / "earlier.jsonl")).to_dict()
-    old = _write_jsonl(tmp_path / "old.jsonl", [dict(meta, config=full_config)] + rest)
+    old = _write_jsonl(run_dir / "old.jsonl", [dict(meta, config=full_config)] + rest)
     assert load_snapshot(old).config.identity_fingerprint() == meta["config"]
     assert evaluate_snapshot(old) == evaluate_snapshot(half.snapshot_path)
     for name, source in (("old", old), ("new", half.snapshot_path)):
@@ -506,7 +654,7 @@ def test_snapshot_with_the_full_config_in_its_meta_line_still_loads(tmp_path):
                     if path.name != "timings.csv"} for name in ("from-old", "from-new")}
     assert files["from-old"] == files["from-new"]
     assert sorted(files["from-old"]) == [
-        "metrics.csv", "snapshot_epoch00004.jsonl", "snapshot_epoch00006.jsonl"]
+        "archive.jsonl", "metrics.csv", "snapshot_epoch00004.jsonl", "snapshot_epoch00006.jsonl"]
 
 
 def test_resume_in_place_drops_a_row_cut_short(tmp_path):
@@ -562,16 +710,17 @@ def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch):
     real_generation_line = harness._generation_line
     calls = []
 
-    def failing_generation_line(*args):
-        calls.append(args)
-        if len(calls) == 3:
+    def failing_generation_line(kind, *args):
+        calls.append(kind)
+        if kind == "active":  # the first snapshot write after the resume, at epoch 4
             raise RuntimeError("disk full")
-        return real_generation_line(*args)
+        return real_generation_line(kind, *args)
 
     monkeypatch.setattr(harness, "_generation_line", failing_generation_line)
     with pytest.raises(RuntimeError, match="disk full"):
         run_experiment(_small_config(epochs=4, snapshot_interval=2,
                                      resume_from=str(half.snapshot_path)), run_dir=tmp_path)
+    assert calls == ["archive"] * 4 + ["active"]  # rewrite 0-1, append 2 and 3, then fail
     assert sorted(path.name for path in tmp_path.iterdir()) == before
     assert not (tmp_path / "snapshot_epoch00004.jsonl").exists()
     assert load_snapshot(half.snapshot_path).epoch == 2
