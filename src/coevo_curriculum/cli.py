@@ -46,8 +46,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"mode={config.mode} seed={config.master_seed} "
                   f"epochs={config.epochs} final_target_success={result.final_target_success}")
             print(f"metrics: {result.metrics_path}")
-            if result.snapshot_path is not None:
-                print(f"snapshot: {result.snapshot_path}")
+            print(f"snapshot: {result.snapshot_path}")
         elif args.command == "eval":
             rate = evaluate_snapshot(args.snapshot)
             print(f"target_success={rate}")
@@ -58,10 +57,7 @@ def main(argv: list[str] | None = None) -> int:
             for name, rate in report.final_rates().items():
                 print(f"{args.axis}/{name}: final_target_success={rate}")
             print(f"report: {report.report_path}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -3,32 +3,24 @@
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 import math
 import os
 import time
 from collections import Counter
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import reduce
-from itertools import islice
 from pathlib import Path
-from typing import Any, TextIO
 
 import numpy as np
 
-from .config import ABLATION_AXES, ConfigError, ExperimentConfig, _coerce, _schema, config_from_dict
-from .evolution import (OP_COUNTS, ORIGIN_CROSS, ORIGIN_INIT, ORIGIN_MUTATE, Population,
-                        TaskRecord, advance_toward, assign_population_fitness, delete_bad_tasks,
+from .config import ABLATION_AXES, ConfigError, ExperimentConfig
+from .evolution import (OP_COUNTS, advance_toward, assign_population_fitness, delete_bad_tasks,
                         evolve_generation, init_population, soft_select)
 from .fitness import PrototypeSet
+from .snapshots import (ARCHIVE_NAME, Snapshot, _COUNTS, _append_archive, _start_archive,
+                        load_snapshot, write_snapshot)
 from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, stream
-from .tasks import TaskGenome
-from .trainer import PolicyTable, evaluate_target, train_on_tasks
+from .trainer import evaluate_target, train_on_tasks
 
-SNAPSHOT_FORMAT = 5
 TIMINGS_COLUMNS = ("epoch", "wall_clock_seconds")
 
 
@@ -65,7 +57,7 @@ class RunResult:
     run_dir: Path
     metrics_path: Path
     timings_path: Path
-    snapshot_path: Path | None
+    snapshot_path: Path
     evolution_ops: dict[str, int]
 
 
@@ -81,204 +73,16 @@ def _prepare_run_dir(config: ExperimentConfig, run_dir: Path | None) -> Path:
     return out
 
 
-@dataclass
-class Snapshot:
-    """A run's whole state after ``epoch`` epochs; a run advances one in place.
-
-    A ccl run's archive lives in ``archive.jsonl`` beside its snapshots, one line per
-    generation; ``archive_digest`` chains its first ``epoch`` lines (see ``_chain``).
-    """
-
-    config: ExperimentConfig
-    epoch: int
-    episodes_total: int
-    env_steps_total: int
-    pop: Population | None
-    policy_q: np.ndarray
-    archive_digest: str | None = None
-
-
-# Shared by writer and reader: the meta line's counters are Snapshot's int fields, and a
-# generation line's record columns are TaskRecord's fields in order, a genome as its flat vector.
-_COUNTS = tuple(name for name, tp in _schema(Snapshot).items() if tp is int)
-_VECTOR = tuple[float, ...]
-_COLUMNS = {name: _VECTOR if tp is TaskGenome else tp for name, tp in _schema(TaskRecord).items()}
-_ENCODE = json.JSONEncoder(allow_nan=False).encode  # so no run writes a file the reader rejects
-ARCHIVE_NAME = "archive.jsonl"
-EMPTY_ARCHIVE_DIGEST = hashlib.sha256().hexdigest()
-
-
-def _chain(digest: str, line: str) -> str:
-    """Digest of an archive prefix extended by one line: sha256(previous hex digest + line)."""
-    return hashlib.sha256((digest + line).encode("utf-8")).hexdigest()
-
-
-@contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
-    """A text file written to ``<path>.tmp`` and renamed onto ``path`` when the block ends;
-    a failed write leaves no partial file and ``path`` as it was."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def write_snapshot(path: Path, snapshot: Snapshot) -> None:
-    """One meta line with the run's identity config (and, for a ccl run, the archive digest);
-    for a ccl run, one line for the active generation, records as columns; then the whole Q
-    table flat on one line. No operational key is stored, so a resumed run writes the files
-    an uninterrupted one does.
-
-    Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
-    ``write_snapshot(p, load_snapshot(p))`` writes the bytes of a ``p`` it wrote again.
-    """
-    with _replacing(path) as handle:
-        counts = {name: getattr(snapshot, name) for name in _COUNTS}
-        pop = snapshot.pop
-        digest = {} if pop is None else {"archive_digest": snapshot.archive_digest}
-        handle.write(_ENCODE({"kind": "meta", "format": SNAPSHOT_FORMAT, **counts, **digest,
-                              "config": snapshot.config.identity_fingerprint()}) + "\n")
-        if pop is not None:
-            handle.write(_ENCODE(_generation_line("active", pop.epoch, pop.active)) + "\n")
-        q = snapshot.policy_q.reshape(-1).tolist()
-        handle.write(_ENCODE({"kind": "policy", "q": q}) + "\n")
-
-
-def _generation_line(kind: str, epoch: int, records: list[TaskRecord]) -> dict[str, Any]:
-    columns = {name: [getattr(rec, name) for rec in records] for name in _COLUMNS}
-    columns["genome"] = [genome.as_vector().tolist() for genome in columns["genome"]]
-    return {"kind": kind, "epoch": epoch, **columns}
-
-
-def _archive_line(epoch: int, records: list[TaskRecord]) -> str:
-    return _ENCODE(_generation_line("archive", epoch, records)) + "\n"
-
-
-def _start_archive(path: Path, archive: dict[int, list[TaskRecord]]) -> str:
-    """Write ``archive`` as a run's whole ``archive.jsonl``, which may be the file it was
-    read from, and return its digest."""
-    lines = [_archive_line(epoch, archive[epoch]) for epoch in sorted(archive)]
-    with _replacing(path) as handle:
-        handle.writelines(lines)
-    return reduce(_chain, lines, EMPTY_ARCHIVE_DIGEST)
-
-
-def _append_archive(path: Path, digest: str, epoch: int, records: list[TaskRecord]) -> str:
-    """Append the generation that just closed to ``archive.jsonl``; returns the new digest."""
-    line = _archive_line(epoch, records)
-    with open(path, "a", encoding="utf-8", newline="\n") as handle:
-        handle.write(line)
-    return _chain(digest, line)
-
-
-def load_snapshot(path: str | Path) -> Snapshot:
-    """Read a snapshot and check it against its own stored config; any fault is a ConfigError.
-
-    A ccl snapshot takes its archive from the first ``epoch`` lines of the ``archive.jsonl``
-    beside it, which must match its digest; later lines are ignored.
-    """
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            snap = _read_snapshot([json.loads(line) for line in handle])
-        if snap.pop is not None:
-            snap.pop.archive = _read_archive(path.with_name(ARCHIVE_NAME), snap)
-        return snap
-    except OSError as exc:
-        raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
-    except ConfigError as exc:
-        raise ConfigError(f"snapshot {path}: {exc}") from exc
-    except (ValueError, LookupError, TypeError) as exc:  # bad JSON, missing lines or keys
-        raise ConfigError(f"snapshot {path} is malformed: {exc}") from exc
-
-
-def _read_snapshot(lines: list[Any]) -> Snapshot:
-    """Every value is checked against its field's type, as a config value is."""
-    if not all(isinstance(line, dict) for line in lines):
-        raise ConfigError("a line is not a JSON object")
-    meta = lines[0]
-    if meta.get("format") != SNAPSHOT_FORMAT:
-        raise ConfigError(f"format {meta.get('format', 'missing')}, expected {SNAPSHOT_FORMAT}")
-    config = config_from_dict(meta["config"])
-    ccl = config.mode == "ccl"
-    kinds = [line.get("kind") for line in lines]
-    if kinds != ["meta", *(["active"] if ccl else []), "policy"]:
-        raise ConfigError(f"lines run {', '.join(map(str, kinds))}; a {config.mode} snapshot "
-                          f"needs meta, {'active, ' if ccl else ''}policy")
-    shape = config.env.q_shape
-    q = np.asarray(_coerce(lines[-1]["q"], _VECTOR, "policy q"), dtype=float)
-    size = math.prod(shape)
-    if q.shape != (size,):
-        raise ConfigError(f"policy holds {q.size} values; the shape {shape} needs {size}")
-    counts = {name: _coerce(meta[name], int, f"meta {name}") for name in _COUNTS}
-    pop = digest = None
-    if ccl:
-        digest = _coerce(meta["archive_digest"], str, "meta archive_digest")
-        epoch, active = _read_generation(lines[1], config)
-        if epoch != counts["epoch"]:
-            raise ConfigError(f"the active generation is of epoch {epoch}, "
-                              f"the snapshot of epoch {counts['epoch']}")
-        pop = Population(active=active, epoch=epoch)
-    return Snapshot(config=config, **counts, pop=pop, policy_q=q.reshape(shape),
-                    archive_digest=digest)
-
-
-def _read_generation(line: dict[str, Any], config: ExperimentConfig
-                     ) -> tuple[int, list[TaskRecord]]:
-    kind = line["kind"]
-    columns = {name: _coerce(line[name], tuple[tp, ...], f"{kind} {name}")
-               for name, tp in _COLUMNS.items()}
-    if not set(columns["origin"]) <= {ORIGIN_INIT, ORIGIN_CROSS, ORIGIN_MUTATE}:
-        raise ConfigError(f"an {kind} origin is not one of "
-                          f"{ORIGIN_INIT}, {ORIGIN_CROSS}, {ORIGIN_MUTATE}")
-    columns["genome"] = [TaskGenome.from_vector(genome, config.env.n_agents)
-                         for genome in columns["genome"]]
-    return (_coerce(line["epoch"], int, f"{kind} epoch"),
-            [TaskRecord(*values) for values in zip(*columns.values(), strict=True)])
-
-
-def _read_archive(path: Path, snap: Snapshot) -> dict[int, list[TaskRecord]]:
-    """Generations 0 to ``snap.epoch - 1`` from the first lines of ``path``, checked against
-    the snapshot's digest first, so another run's archive is refused whatever it holds."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="\n") as handle:
-            lines = list(islice(handle, snap.epoch))
-    except OSError as exc:
-        raise ConfigError(f"cannot read its archive: {exc}") from exc
-    if lines and not lines[-1].endswith("\n"):
-        lines.pop()  # cut short by a crash while it was appended
-    if len(lines) < snap.epoch:
-        raise ConfigError(f"{path} holds {len(lines)} complete lines; the snapshot needs "
-                          f"{snap.epoch}")
-    if reduce(_chain, lines, EMPTY_ARCHIVE_DIGEST) != snap.archive_digest:
-        raise ConfigError(f"the first {snap.epoch} lines of {path} are not the snapshot's "
-                          "archive (digest mismatch)")
-    archive = {}
-    for expected, raw in enumerate(lines):
-        line = json.loads(raw)
-        if not isinstance(line, dict) or line.get("kind") != "archive":
-            raise ConfigError(f"{path} line {expected + 1} is not an archive line")
-        epoch, archive[expected] = _read_generation(line, snap.config)
-        if epoch != expected:
-            raise ConfigError(f"{path} line {expected + 1} holds epoch {epoch}, "
-                              f"expected {expected}")
-    return archive
-
-
 class _MetricsWriter:
     """metrics.csv and timings.csv; a resume keeps an existing file's rows up to its epoch."""
 
-    def __init__(self, metrics_path: Path, timings_path: Path, resume_epoch: int | None):
+    def __init__(self, metrics_path: Path, timings_path: Path, resume: Snapshot | None):
         self.metrics_path = metrics_path
         self.timings_path = timings_path
         files = ((metrics_path, METRICS_COLUMNS), (timings_path, TIMINGS_COLUMNS))
         # Both files are read before either is cut, so a rejected resume changes neither.
-        kept = {path: _end_of_epoch(path, header, resume_epoch) for path, header in files
-                if resume_epoch is not None and path.exists()}
+        kept = {path: _end_of_epoch(path, header, resume) for path, header in files
+                if resume is not None and path.exists()}
         for path, header in files:
             if path in kept:
                 os.truncate(path, kept[path])
@@ -293,13 +97,16 @@ class _MetricsWriter:
             csv.writer(handle).writerow((str(row.epoch), f"{row.wall_clock_seconds:.3f}"))
 
 
-def _end_of_epoch(path: Path, header: tuple[str, ...], epoch: int) -> int:
-    """Offset just past a CSV's last complete row of epoch <= ``epoch``; rows run in epoch order."""
+def _end_of_epoch(path: Path, header: tuple[str, ...], snap: Snapshot) -> int:
+    """Offset just past a CSV's last complete row of epoch <= the snapshot's; rows run in epoch
+    order. Kept rows must end with the row of the snapshot's epoch, with its counts, so a
+    resume never splices rows of another run; a file with no kept row is continued."""
     with open(path, "rb") as handle:
         first = handle.readline()
         if first.rstrip(b"\r\n") != ",".join(header).encode():
             raise ConfigError(f"cannot resume into {path}: it does not start with its header row")
         end = len(first)
+        last = None
         for line in handle:
             if not line.endswith(b"\n"):
                 break
@@ -307,9 +114,17 @@ def _end_of_epoch(path: Path, header: tuple[str, ...], epoch: int) -> int:
             if not head.isdigit():
                 raise ConfigError(f"cannot resume into {path}: the row {line!r} has no "
                                   "integer epoch")
-            if int(head) > epoch:
+            if int(head) > snap.epoch:
                 break
             end += len(line)
+            last = line
+    if last is not None:
+        row = dict(zip(header, last.rstrip(b"\r\n").decode("utf-8", "replace").split(",")))
+        for name in _COUNTS:  # the snapshot's epoch and totals
+            if name in row and row[name] != str(getattr(snap, name)):
+                raise ConfigError(f"cannot resume into {path}: its last row up to epoch "
+                                  f"{snap.epoch} has {name} {row[name]}, the snapshot "
+                                  f"{getattr(snap, name)}; it holds another run's rows")
     return end
 
 
@@ -330,33 +145,29 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
     env_cfg = config.env
     evo = config.evolution
     target = config.target_genome()
-    snapshot_path: Path | None = None
 
+    resume = None
     if config.resume_from is not None:
-        snap = load_snapshot(config.resume_from)
+        snap = resume = load_snapshot(config.resume_from)
         _check_resume(config, snap)
+        snapshot_path = Path(config.resume_from)
     else:
         pop = (init_population(config.domain(), evo.population_size, stream(seed, DOMAIN_INIT))
                if config.mode == "ccl" else None)
         snap = Snapshot(config, 0, 0, 0, pop, np.zeros(env_cfg.q_shape))
-    policy = PolicyTable(q=snap.policy_q, learning_rate=config.learner.learning_rate,
-                         discount=config.learner.discount, epsilon=config.learner.epsilon)
-    resume_epoch = snap.epoch if config.resume_from is not None else None
-    writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume_epoch)
+        snapshot_path = out_dir / f"snapshot_epoch{0:05d}.jsonl"
+    writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume)
     # Written whole once (empty for a fresh run), after the metrics files are checked so a
     # rejected resume leaves it as it was; from here on the run only appends to it.
     archive_path = out_dir / ARCHIVE_NAME
     if snap.pop is not None:
         snap.archive_digest = _start_archive(archive_path, snap.pop.archive)
-    if resume_epoch is None:
-        snapshot_path = out_dir / f"snapshot_epoch{0:05d}.jsonl"
+    if resume is None:
         write_snapshot(snapshot_path, snap)
 
     metrics: list[EpochMetrics] = []
-    final_rate = 0.0
     for epoch in range(snap.epoch + 1, config.epochs + 1):
         tic = time.perf_counter()
-        policy.epsilon = config.learner.epsilon_at(epoch)
         genomes = [target] * evo.batch_size
         batch_new = batch_old = 0
         active_mean_f = math.nan
@@ -367,7 +178,8 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
             batch_old = len(batch) - batch_new
             genomes = [rec.genome for rec in batch]
         outcomes = train_on_tasks(
-            genomes, policy, config.episodes_per_task, env_cfg,
+            genomes, snap.policy_q, config.learner, config.learner.epsilon_at(epoch),
+            config.episodes_per_task, env_cfg,
             lambda task_idx, episode, _e=epoch: stream(seed, DOMAIN_TRAIN, _e, task_idx, episode))
         snap.episodes_total += sum(out.episodes for out in outcomes)
         snap.env_steps_total += sum(out.env_steps for out in outcomes)
@@ -390,8 +202,8 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
             snap.archive_digest = _append_archive(archive_path, snap.archive_digest, closed,
                                                   snap.pop.archive[closed])
 
-        final_rate = evaluate_target(policy, target, env_cfg)
-        row = EpochMetrics(epoch=epoch, target_success=final_rate, batch_mean_r=batch_mean_r,
+        target_success = evaluate_target(snap.policy_q, target, env_cfg)
+        row = EpochMetrics(epoch=epoch, target_success=target_success, batch_mean_r=batch_mean_r,
                            active_mean_f=active_mean_f, batch_new=batch_new, batch_old=batch_old,
                            episodes_total=snap.episodes_total,
                            env_steps_total=snap.env_steps_total,
@@ -406,6 +218,9 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
 
     ops_delta = {name: count - ops_before.get(name, 0)
                  for name, count in OP_COUNTS.items() if count != ops_before.get(name, 0)}
+    # A run with no epoch left to run reports the policy it loaded or started from.
+    final_rate = (metrics[-1].target_success if metrics
+                  else evaluate_target(snap.policy_q, target, env_cfg))
     return RunResult(config=config, final_target_success=final_rate, metrics=metrics,
                      run_dir=out_dir, metrics_path=writer.metrics_path,
                      timings_path=writer.timings_path, snapshot_path=snapshot_path,
@@ -415,10 +230,7 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
 def evaluate_snapshot(snapshot_path: str | Path) -> float:
     """Greedy target success of a stored policy, using the snapshot's own config."""
     snap = load_snapshot(snapshot_path)
-    config = snap.config
-    policy = PolicyTable(q=snap.policy_q, learning_rate=config.learner.learning_rate,
-                         discount=config.learner.discount, epsilon=0.0)
-    return evaluate_target(policy, config.target_genome(), config.env)
+    return evaluate_target(snap.policy_q, snap.config.target_genome(), snap.config.env)
 
 
 @dataclass

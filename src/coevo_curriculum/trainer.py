@@ -38,7 +38,8 @@ class LearnerParams:
 
 @dataclass
 class PolicyTable:
-    """Per-agent action-value tables over goal-offset observations."""
+    """Per-agent action-value tables with their learner constants; with ``rollout``, the
+    tests' numpy oracle. Training itself runs on a bare Q array (see ``train_on_tasks``)."""
 
     q: np.ndarray  # shape EnvConfig.q_shape
     learning_rate: float
@@ -49,10 +50,6 @@ class PolicyTable:
     def zeros(cls, env: EnvConfig, params: LearnerParams) -> "PolicyTable":
         return cls(q=np.zeros(env.q_shape), learning_rate=params.learning_rate,
                    discount=params.discount, epsilon=params.epsilon)
-
-    @property
-    def n_agents(self) -> int:
-        return int(self.q.shape[0])
 
     # clone, act and update are the plain per-call reference for one learner
     # step on the array; training runs the same arithmetic on list rows (see
@@ -155,42 +152,45 @@ def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable, learn: bool,
     return result
 
 
-def train_on_tasks(tasks: list[TaskGenome], policy: PolicyTable, episodes_per_task: int,
-                   env_cfg: EnvConfig, episode_rng: EpisodeRng) -> list[TaskOutcome]:
-    """Train on a batch with a per-epoch barrier.
+def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParams,
+                   epsilon: float, episodes_per_task: int, env_cfg: EnvConfig,
+                   episode_rng: EpisodeRng) -> list[TaskOutcome]:
+    """Train the action values ``q`` (shape ``env_cfg.q_shape``) on a batch with a
+    per-epoch barrier.
 
-    Every task runs ``episodes_per_task`` learning episodes that act on a
-    private copy of the incoming policy; success rates come from those same
-    episodes.  Each step's update also goes into ``policy``, task by task in
-    index order.
+    Every task runs ``episodes_per_task`` learning episodes with exploration
+    rate ``epsilon`` that act on a private copy of the incoming values; success
+    rates come from those same episodes.  Each step's update also goes into
+    ``q``, task by task in index order.
     """
     if episodes_per_task < 1:
         raise ValueError("episodes_per_task must be at least 1")
     env = GridSpread(env_cfg)
-    lr, discount = policy.learning_rate, policy.discount
-    # The shared rows never steer an action and ``policy.q`` itself only changes
-    # at the end, so every task still starts from the incoming policy.
-    shared = policy.q.tolist()
+    lr, discount = learner.learning_rate, learner.discount
+    # The shared rows never steer an action and ``q`` itself only changes at
+    # the end, so every task still starts from the incoming values.
+    shared = q.tolist()
     outcomes = []
     for index, task in enumerate(tasks):
-        local = policy.q.tolist()
+        local = q.tolist()
         successes = steps = 0
         for episode in range(episodes_per_task):
             ok, taken = _episode(env, task, local, (local, shared), episode_rng(index, episode),
-                                 policy.epsilon, lr, discount)
+                                 epsilon, lr, discount)
             successes += int(ok)
             steps += taken
         outcomes.append(TaskOutcome(index, episodes_per_task, successes, steps))
-    policy.q[:] = shared
+    q[:] = shared
     return outcomes
 
 
-def evaluate_target(policy: PolicyTable, target: TaskGenome, env_cfg: EnvConfig) -> float:
-    """Greedy (epsilon = 0) success on ``target``, 1.0 or 0.0; never mutates the policy.
+def evaluate_target(q: np.ndarray, target: TaskGenome, env_cfg: EnvConfig) -> float:
+    """Greedy (epsilon = 0) success of the action values ``q`` on ``target``, 1.0 or 0.0;
+    never mutates ``q``.
 
     The environment is deterministic and a greedy episode draws no random
     numbers, so one episode gives the exact success rate.
     """
-    ok, _ = _episode(GridSpread(env_cfg), target, policy.q.tolist(), (), None, 0.0,
-                     policy.learning_rate, policy.discount)
+    # No table learns, so the learning rate and discount are never read.
+    ok, _ = _episode(GridSpread(env_cfg), target, q.tolist(), (), None, 0.0, 0.0, 0.0)
     return float(ok)

@@ -544,6 +544,16 @@ def test_resumed_runs_write_the_files_of_an_uninterrupted_run(tmp_path):
                              "snapshot_epoch00004.jsonl", "snapshot_epoch00005.jsonl"]
     assert all(moved[name] == full[name] for name in moved if name != "metrics.csv")
     assert moved["metrics.csv"].splitlines()[1:] == full["metrics.csv"].splitlines()[3:]
+    # In place in that directory, whose rows start at epoch 3; and into one with only headers.
+    run_experiment(_small_config(epochs=5, snapshot_interval=1,
+                                 resume_from=str(tmp_path / "moved" / "snapshot_epoch00004.jsonl")),
+                   run_dir=tmp_path / "moved")
+    assert _files(tmp_path / "moved") == moved
+    run_experiment(_small_config(epochs=0), run_dir=tmp_path / "headers")
+    run_experiment(_small_config(epochs=5, snapshot_interval=1,
+                                 resume_from=str(tmp_path / "first" / "snapshot_epoch00002.jsonl")),
+                   run_dir=tmp_path / "headers")
+    assert (tmp_path / "headers" / "metrics.csv").read_bytes() == moved["metrics.csv"]
     # In place, after a crash while epoch 3 appended its generation: half a line, no row 3.
     run_dir = tmp_path / "crashed"
     run_experiment(_small_config(epochs=3, snapshot_interval=1), run_dir=run_dir)
@@ -703,11 +713,11 @@ def test_resume_in_place_rejects_a_file_without_its_header_row(tmp_path):
 
 
 def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch):
-    import coevo_curriculum.harness as harness
+    import coevo_curriculum.snapshots as snapshots
 
     half = run_experiment(_small_config(epochs=2, snapshot_interval=2), run_dir=tmp_path)
     before = sorted(path.name for path in tmp_path.iterdir())
-    real_generation_line = harness._generation_line
+    real_generation_line = snapshots._generation_line
     calls = []
 
     def failing_generation_line(kind, *args):
@@ -716,7 +726,7 @@ def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch):
             raise RuntimeError("disk full")
         return real_generation_line(kind, *args)
 
-    monkeypatch.setattr(harness, "_generation_line", failing_generation_line)
+    monkeypatch.setattr(snapshots, "_generation_line", failing_generation_line)
     with pytest.raises(RuntimeError, match="disk full"):
         run_experiment(_small_config(epochs=4, snapshot_interval=2,
                                      resume_from=str(half.snapshot_path)), run_dir=tmp_path)
@@ -737,6 +747,18 @@ def test_resume_rejects_mismatched_identity(tmp_path):
     wrong_env["env"]["max_steps"] = 13
     with pytest.raises(ConfigError, match="different configuration"):
         run_experiment(config_from_dict(wrong_env), run_dir=tmp_path / "bad-env")
+    # Rows of another run in the target directory: a resume would splice them.
+    seed7 = run_experiment(_small_config(epochs=1, master_seed=7), run_dir=tmp_path / "seed7")
+    seed12 = run_experiment(_small_config(epochs=2, master_seed=12), run_dir=tmp_path / "seed12")
+    for other, match in ((seed7, "epoch 2 has epoch 1, the snapshot 2"),
+                         (seed12, "env_steps_total")):
+        resume = _small_config(epochs=4, resume_from=str(half.snapshot_path))
+        before = {path: path.read_bytes() for path in other.run_dir.glob("*.csv")}
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(resume, run_dir=other.run_dir)
+        assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)), "--resume",
+                     str(half.snapshot_path), "--output-dir", str(other.run_dir)]) == 2
+        assert {path: path.read_bytes() for path in other.run_dir.glob("*.csv")} == before
     *lines, policy = [json.loads(line) for line in half.snapshot_path.read_text().splitlines()]
     one_agent = policy["q"][:len(policy["q"]) // 2]
     for name, q in (("one-agent", one_agent), ("few-states", policy["q"][:10])):
@@ -754,12 +776,18 @@ def test_resume_rejects_backward_epoch_target(tmp_path):
 
 
 def test_resume_at_final_epoch_is_a_no_op(tmp_path):
-    done = run_experiment(_small_config(epochs=2, snapshot_interval=2),
+    # A target every agent starts on, so the stored policy reaches it greedily.
+    reached = [[0.1, 0.1, 0.1, 0.1], [0.9, 0.9, 0.9, 0.9]]
+    done = run_experiment(_small_config(epochs=2, snapshot_interval=2, target=reached),
                           run_dir=tmp_path / "done")
-    again = run_experiment(_small_config(epochs=2, resume_from=str(done.snapshot_path)),
+    again = run_experiment(_small_config(epochs=2, target=reached,
+                                         resume_from=str(done.snapshot_path)),
                            run_dir=tmp_path / "again")
     assert again.metrics == []
     assert len(_read_rows(again.metrics_path)) == 1
+    assert again.final_target_success == done.final_target_success == 1.0
+    assert evaluate_snapshot(done.snapshot_path) == 1.0
+    assert again.snapshot_path == done.snapshot_path
 
 
 # ---------------------------------------------------------------- ablation

@@ -138,36 +138,35 @@ def test_train_on_tasks_matches_numpy_reference_bit_for_bit():
     batch = [_genome_for_cells([(0, 0), (4, 4)], [(1, 1), (3, 3)], 5),
              _genome_for_cells([(2, 2), (0, 4)], [(2, 3), (1, 4)], 5),
              _genome_for_cells([(4, 0), (1, 1)], [(3, 1), (1, 1)], 5)]
-    policy = _policy(cfg, params)
+    q = np.zeros(cfg.q_shape)
     reference = _policy(cfg, params)
     for epoch, epsilon in enumerate((0.9, 0.5, 0.2, 0.0)):
-        policy.epsilon = reference.epsilon = epsilon
+        reference.epsilon = epsilon
         rng = _episode_rng(90 + epoch)
-        outcomes = train_on_tasks(batch, policy, 6, cfg, rng)
+        outcomes = train_on_tasks(batch, q, params, epsilon, 6, cfg, rng)
         expected = _reference_train(batch, reference, 6, cfg, rng)
         assert [(o.task_index, o.episodes, o.successes, o.env_steps) for o in outcomes] == expected
-        assert policy.q.tobytes() == reference.q.tobytes()
-    assert policy.q.any()  # rewards were found, so the updates were not all zero
+        assert q.tobytes() == reference.q.tobytes()
+    assert q.any()  # rewards were found, so the updates were not all zero
 
 
 def test_trivial_batch_reaches_perfect_success_rate():
     cfg = EnvConfig(grid_width=6, n_agents=2, max_steps=15)
-    policy = _policy(cfg)
-    policy.epsilon = 0.0  # greedy: stay wins immediately on zero-distance tasks
+    q = np.zeros(cfg.q_shape)
     batch = [_genome_for_cells([(i, i), (5 - i, i)], [(i, i), (5 - i, i)], 6)
              for i in range(4)]
     for epoch in range(2):
-        outcomes = train_on_tasks(batch, policy, 10, cfg, _episode_rng(40 + epoch))
+        # greedy (epsilon 0): stay wins immediately on zero-distance tasks
+        outcomes = train_on_tasks(batch, q, PARAMS, 0.0, 10, cfg, _episode_rng(40 + epoch))
     assert all(out.success_rate == 1.0 for out in outcomes)
     assert all(out.episodes == 10 for out in outcomes)
 
 
 def test_empty_batch_is_a_no_op():
     cfg = EnvConfig(grid_width=4, n_agents=1, max_steps=5)
-    policy = _policy(cfg)
-    before = policy.q.copy()
-    assert train_on_tasks([], policy, 5, cfg, _episode_rng(1)) == []
-    assert np.array_equal(policy.q, before)
+    q = np.zeros(cfg.q_shape)
+    assert train_on_tasks([], q, PARAMS, PARAMS.epsilon, 5, cfg, _episode_rng(1)) == []
+    assert not q.any()
 
 
 def test_train_on_tasks_is_deterministic_for_fixed_seed():
@@ -176,10 +175,9 @@ def test_train_on_tasks_is_deterministic_for_fixed_seed():
              _genome_for_cells([(2, 2), (0, 4)], [(2, 3), (1, 4)], 5)]
     runs = []
     for _ in range(2):
-        policy = _policy(cfg)
-        policy.epsilon = 0.3
-        outcomes = train_on_tasks(batch, policy, 8, cfg, _episode_rng(77))
-        runs.append(([(o.task_index, o.successes, o.env_steps) for o in outcomes], policy.q.copy()))
+        q = np.zeros(cfg.q_shape)
+        outcomes = train_on_tasks(batch, q, PARAMS, 0.3, 8, cfg, _episode_rng(77))
+        runs.append(([(o.task_index, o.successes, o.env_steps) for o in outcomes], q))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -188,29 +186,27 @@ def test_shared_reward_never_fires_on_partial_success():
     # agent 0 sits on its goal; agent 1 cannot reach its goal within the cap,
     # so no reward and no positive update target can ever appear
     cfg = EnvConfig(grid_width=8, n_agents=2, max_steps=3)
-    policy = _policy(cfg)
-    policy.epsilon = 0.5
+    q = np.zeros(cfg.q_shape)
     genome = _genome_for_cells([(0, 0), (7, 7)], [(0, 0), (0, 0)], 8)
     batch = [genome]
     for epoch in range(5):
-        outcomes = train_on_tasks(batch, policy, 10, cfg, _episode_rng(50 + epoch))
+        outcomes = train_on_tasks(batch, q, PARAMS, 0.5, 10, cfg, _episode_rng(50 + epoch))
         assert outcomes[0].successes == 0
-    assert policy.q.min() == 0.0
-    assert policy.q.max() == 0.0  # zero reward everywhere keeps every target at zero
+    assert q.min() == 0.0
+    assert q.max() == 0.0  # zero reward everywhere keeps every target at zero
 
 
 def test_q_values_stay_bounded():
     cfg = EnvConfig(grid_width=3, n_agents=2, max_steps=10)
     params = LearnerParams(learning_rate=0.5, discount=0.95, epsilon=1.0)
-    policy = PolicyTable.zeros(cfg, params)
-    rng = np.random.default_rng(52)
+    q = np.zeros(cfg.q_shape)
     batch = [_genome_for_cells([(0, 0), (2, 2)], [(2, 2), (0, 0)], 3),
              _genome_for_cells([(1, 1), (0, 2)], [(1, 1), (0, 2)], 3)]
     for epoch in range(30):
-        train_on_tasks(batch, policy, 10, cfg, _episode_rng(60 + epoch))
+        train_on_tasks(batch, q, params, params.epsilon, 10, cfg, _episode_rng(60 + epoch))
     bound = 1.0 / (1.0 - params.discount)
-    assert policy.q.min() >= 0.0
-    assert policy.q.max() <= bound
+    assert q.min() >= 0.0
+    assert q.max() <= bound
 
 
 def test_monotone_solvability_on_trivial_batch():
@@ -222,10 +218,9 @@ def test_monotone_solvability_on_trivial_batch():
     sums = [0.0] * epochs
     seeds = 10
     for seed in range(seeds):
-        policy = PolicyTable.zeros(cfg, params)
+        q = np.zeros(cfg.q_shape)
         for epoch in range(1, epochs + 1):
-            policy.epsilon = params.epsilon_at(epoch)
-            outcomes = train_on_tasks(batch, policy, 20, cfg,
+            outcomes = train_on_tasks(batch, q, params, params.epsilon_at(epoch), 20, cfg,
                                       lambda t, e, _s=seed, _ep=epoch: stream(_s, 3, _ep, t, e))
             sums[epoch - 1] += sum(out.success_rate for out in outcomes) / len(outcomes)
     means = [value / seeds for value in sums]
@@ -235,20 +230,17 @@ def test_monotone_solvability_on_trivial_batch():
 
 def test_evaluate_target_is_pure_and_greedy():
     cfg = EnvConfig(grid_width=12, n_agents=2, max_steps=40)
-    policy = _policy(cfg)
-    before = policy.q.copy()
+    q = np.zeros(cfg.q_shape)
     target = opposite_corner_target(2)
-    rate = evaluate_target(policy, target, cfg)
+    rate = evaluate_target(q, target, cfg)
     assert rate < 0.1  # untrained policy cannot cross the grid
-    assert np.array_equal(policy.q, before)
-    assert policy.epsilon == PARAMS.epsilon
+    assert not q.any()
 
 
 def test_evaluate_on_zero_distance_target_is_perfect():
     cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=5)
-    policy = _policy(cfg)
     genome = _genome_for_cells([(1, 1), (2, 2)], [(1, 1), (2, 2)], 4)
-    assert evaluate_target(policy, genome, cfg) == 1.0
+    assert evaluate_target(np.zeros(cfg.q_shape), genome, cfg) == 1.0
 
 
 def test_policy_trained_to_convergence_beats_090():
@@ -256,13 +248,13 @@ def test_policy_trained_to_convergence_beats_090():
     cfg = EnvConfig(grid_width=width, n_agents=2, max_steps=10)
     target = _genome_for_cells([(0, 0), (2, 2)], [(2, 0), (0, 2)], width)
     params = LearnerParams(learning_rate=0.2, discount=0.95, epsilon=1.0)
-    policy = PolicyTable.zeros(cfg, params)
+    q = np.zeros(cfg.q_shape)
     for round_idx in range(25):
         # explore for a while, then cool down and exploit
-        policy.epsilon = max(0.05, 0.8 ** max(0, round_idx - 5))
-        train_on_tasks([target], policy, 40, cfg,
+        epsilon = max(0.05, 0.8 ** max(0, round_idx - 5))
+        train_on_tasks([target], q, params, epsilon, 40, cfg,
                        lambda t, e, _r=round_idx: stream(123, 3, _r, t, e))
-    rate = evaluate_target(policy, target, cfg)
+    rate = evaluate_target(q, target, cfg)
     assert rate > 0.9
 
 
@@ -281,6 +273,6 @@ def test_learner_params_validation_and_schedule():
 
 def test_train_on_tasks_argument_errors():
     cfg = EnvConfig(grid_width=4, n_agents=1, max_steps=5)
-    policy = _policy(cfg)
     with pytest.raises(ValueError):
-        train_on_tasks([], policy, 0, cfg, _episode_rng(1))
+        train_on_tasks([], np.zeros(cfg.q_shape), PARAMS, PARAMS.epsilon, 0, cfg,
+                       _episode_rng(1))
