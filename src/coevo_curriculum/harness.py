@@ -62,7 +62,16 @@ class RunResult:
 
 
 def _prepare_run_dir(config: ExperimentConfig, run_dir: Path | None) -> Path:
+    """The run's output directory, created if missing. A fresh run refuses a directory that
+    holds another run's files, before it touches anything; only a resume continues there."""
     out = run_dir if run_dir is not None else config.resolved_output_dir()
+    if config.resume_from is None and out.is_dir():
+        found = sorted(path.name for path in out.iterdir()
+                       if path.name in ("metrics.csv", ARCHIVE_NAME)
+                       or path.match("snapshot_epoch*.jsonl"))
+        if found:
+            raise ConfigError(f"output directory {out} already holds another run's files "
+                              f"({', '.join(found)}); choose a new directory or resume")
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
@@ -179,8 +188,7 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
             genomes = [rec.genome for rec in batch]
         outcomes = train_on_tasks(
             genomes, snap.policy_q, config.learner, config.learner.epsilon_at(epoch),
-            config.episodes_per_task, env_cfg,
-            lambda task_idx, episode, _e=epoch: stream(seed, DOMAIN_TRAIN, _e, task_idx, episode))
+            config.episodes_per_task, env_cfg, stream(seed, DOMAIN_TRAIN, epoch))
         snap.episodes_total += sum(out.episodes for out in outcomes)
         snap.env_steps_total += sum(out.env_steps for out in outcomes)
         batch_mean_r = float(np.mean([out.success_rate for out in outcomes]))

@@ -667,6 +667,35 @@ def test_snapshot_with_the_full_config_in_its_meta_line_still_loads(tmp_path):
         "archive.jsonl", "metrics.csv", "snapshot_epoch00004.jsonl", "snapshot_epoch00006.jsonl"]
 
 
+def _contents(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_a_fresh_run_refuses_a_directory_with_another_runs_files(tmp_path):
+    run_dir = tmp_path / "run"
+    first = run_experiment(_small_config(epochs=3, snapshot_interval=1), run_dir=run_dir)
+    before = _contents(run_dir)
+    with pytest.raises(ConfigError, match="already holds"):
+        run_experiment(_small_config(epochs=2, master_seed=7), run_dir=run_dir)
+    assert _contents(run_dir) == before
+    # Each of these files alone marks the directory as another run's.
+    for name in ("metrics.csv", "archive.jsonl", "snapshot_epoch00003.jsonl"):
+        other = tmp_path / f"only-{name}"
+        other.mkdir()
+        (other / name).write_bytes(before[name])
+        with pytest.raises(ConfigError, match=name):
+            run_experiment(_small_config(epochs=1), run_dir=other)
+        assert _contents(other) == {name: before[name]}
+    # A new or empty directory takes a fresh run, and the refused run left the first
+    # run's snapshot resumable in place.
+    (tmp_path / "empty").mkdir()
+    assert run_experiment(_small_config(epochs=1), run_dir=tmp_path / "empty").metrics
+    assert run_experiment(_small_config(epochs=1), run_dir=tmp_path / "new").metrics
+    resumed = run_experiment(_small_config(epochs=4, resume_from=str(first.snapshot_path)),
+                             run_dir=run_dir)
+    assert [row.epoch for row in resumed.metrics] == [4]
+
+
 def test_resume_in_place_drops_a_row_cut_short(tmp_path):
     # a crash while writing epoch 11's row can leave "1", which reads as epoch 1
     full = run_experiment(_small_config(epochs=11), run_dir=tmp_path / "full")
@@ -865,6 +894,20 @@ def test_cli_ablate_round_trip(tmp_path, capsys):
     assert code == 0
     assert "fitness-shape/sigmoid" in out and "fitness-shape/linear" in out
     assert (tmp_path / "abl" / "ablation-fitness-shape" / "report.csv").exists()
+
+
+def test_cli_fresh_run_into_a_used_directory_exits_with_two(tmp_path, capsys):
+    config = str(_write_config(tmp_path, snapshot_interval=1))
+    out = tmp_path / "rd"
+    assert main(["run", "--config", config, "--output-dir", str(out), "--seed", "1",
+                 "--epochs", "3"]) == 0
+    before = _contents(out)
+    assert main(["run", "--config", config, "--output-dir", str(out), "--seed", "7",
+                 "--epochs", "2"]) == 2
+    assert "already holds" in capsys.readouterr().err
+    assert _contents(out) == before
+    assert main(["run", "--config", config, "--output-dir", str(out), "--seed", "1",
+                 "--epochs", "4", "--resume", str(out / "snapshot_epoch00003.jsonl")]) == 0
 
 
 def test_cli_failures_exit_with_two(tmp_path, capsys):

@@ -26,8 +26,13 @@ def _genome_for_cells(starts, goals, width):
     return TaskGenome(np.array(blocks))
 
 
-def _episode_rng(seed):
-    return lambda task_idx, episode: stream(seed, 3, 0, task_idx, episode)
+def _rng(seed):
+    return stream(seed, 3, 0)
+
+
+def _draws(rng, cfg, episodes=1):
+    """An episode-major block of uniforms in ``_episode``'s (max_steps, n_agents, 2) layout."""
+    return rng.random((episodes, cfg.max_steps, cfg.n_agents, 2))
 
 
 def _random_walk_success_oracle(width, start, goal, max_steps):
@@ -52,7 +57,8 @@ def test_zero_distance_task_succeeds_greedily_on_first_step():
     cfg = EnvConfig(grid_width=5, n_agents=2, max_steps=10)
     env = GridSpread(cfg)
     genome = _genome_for_cells([(2, 2), (4, 0)], [(2, 2), (4, 0)], 5)
-    ok, steps = rollout(env, genome, _policy(cfg), learn=False, rng=stream(0, 9), epsilon=0.0)
+    ok, steps = rollout(env, genome, _policy(cfg), learn=False, draws=_draws(stream(0, 9), cfg)[0],
+                        epsilon=0.0)
     assert ok
     assert steps == 1
     assert env.state.cells == ((2, 2), (4, 0))  # untrained argmax holds position
@@ -68,9 +74,8 @@ def test_random_walk_rate_matches_enumeration_oracle():
     policy = _policy(cfg)
     episodes = 10_000
     wins = 0
-    for episode in range(episodes):
-        ok, _ = rollout(env, genome, policy, learn=False,
-                        rng=stream(5, 3, 0, 0, episode), epsilon=1.0)
+    for draws in _draws(stream(5, 3, 0), cfg, episodes):
+        ok, _ = rollout(env, genome, policy, learn=False, draws=draws, epsilon=1.0)
         wins += int(ok)
     observed = wins / episodes
     sigma = math.sqrt(exact * (1.0 - exact) / episodes)
@@ -84,8 +89,8 @@ def test_rollout_without_learning_keeps_policy_bit_identical():
     before = policy.q.copy()
     env = GridSpread(cfg)
     genome = _genome_for_cells([(0, 0), (3, 3)], [(2, 2), (1, 1)], 4)
-    for episode in range(20):
-        rollout(env, genome, policy, learn=False, rng=stream(7, 3, 0, 0, episode))
+    for draws in _draws(stream(7, 3, 0), cfg, 20):
+        rollout(env, genome, policy, learn=False, draws=draws)
     assert np.array_equal(policy.q, before)
 
 
@@ -94,7 +99,8 @@ def test_learning_rollout_updates_only_visited_entries():
     policy = _policy(cfg)
     env = GridSpread(cfg)
     genome = _genome_for_cells([(0, 0)], [(0, 1)], 4)
-    ok, steps = rollout(env, genome, policy, learn=True, rng=stream(8, 0), epsilon=0.0)
+    ok, steps = rollout(env, genome, policy, learn=True, draws=_draws(stream(8, 0), cfg)[0],
+                        epsilon=0.0)
     # greedy untrained stays at (0,0), never finds the goal, reward stays 0
     assert not ok
     assert steps == cfg.max_steps
@@ -102,20 +108,21 @@ def test_learning_rollout_updates_only_visited_entries():
     assert not policy.q.any()
 
 
-def _reference_train(tasks, policy, episodes, cfg, episode_rng):
+def _reference_train(tasks, policy, episodes, cfg, rng):
     """train_on_tasks on the array, through PolicyTable's per-call clone, act and update."""
+    draws = rng.random((len(tasks), episodes, cfg.max_steps, cfg.n_agents, 2))
     outcomes, experience = [], []
     for index, task in enumerate(tasks):
         local = policy.clone()
         env = GridSpread(cfg)
         successes = steps = 0
         for episode in range(episodes):
-            rng = episode_rng(index, episode)
             state = env.reset(task)
             obs = [obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, env.goals)]
             done = terminal = False
             while not done:
-                actions = [local.act(i, obs[i], rng) for i in range(cfg.n_agents)]
+                step = draws[index, episode, state.t]
+                actions = [local.act(i, obs[i], step[i]) for i in range(cfg.n_agents)]
                 state, reward, done = env.step(tuple(actions))
                 nxt = [obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, env.goals)]
                 terminal = reward == 1
@@ -132,6 +139,10 @@ def _reference_train(tasks, policy, episodes, cfg, episode_rng):
     return outcomes
 
 
+def _outcome_tuples(outcomes):
+    return [(o.task_index, o.episodes, o.successes, o.env_steps) for o in outcomes]
+
+
 def test_train_on_tasks_matches_numpy_reference_bit_for_bit():
     cfg = EnvConfig(grid_width=5, n_agents=2, max_steps=12)
     params = LearnerParams(learning_rate=0.3, discount=0.9)
@@ -142,12 +153,71 @@ def test_train_on_tasks_matches_numpy_reference_bit_for_bit():
     reference = _policy(cfg, params)
     for epoch, epsilon in enumerate((0.9, 0.5, 0.2, 0.0)):
         reference.epsilon = epsilon
-        rng = _episode_rng(90 + epoch)
-        outcomes = train_on_tasks(batch, q, params, epsilon, 6, cfg, rng)
-        expected = _reference_train(batch, reference, 6, cfg, rng)
-        assert [(o.task_index, o.episodes, o.successes, o.env_steps) for o in outcomes] == expected
+        outcomes = train_on_tasks(batch, q, params, epsilon, 6, cfg, _rng(90 + epoch))
+        expected = _reference_train(batch, reference, 6, cfg, _rng(90 + epoch))
+        assert _outcome_tuples(outcomes) == expected
         assert q.tobytes() == reference.q.tobytes()
     assert q.any()  # rewards were found, so the updates were not all zero
+
+
+def _random_batch(cfg, n_tasks, seed):
+    """Tasks with random cells; every other one has zero distance, so lanes end apart."""
+    rng = np.random.default_rng(seed)
+    width = cfg.grid_width
+    batch = []
+    for index in range(n_tasks):
+        starts = [tuple(rng.integers(width, size=2)) for _ in range(cfg.n_agents)]
+        goals = (starts if index % 2 else
+                 [tuple(rng.integers(width, size=2)) for _ in range(cfg.n_agents)])
+        batch.append(_genome_for_cells(starts, goals, width))
+    return batch
+
+
+@pytest.mark.parametrize("n_agents", [1, 3, 4])
+@pytest.mark.parametrize("width,max_steps", [(2, 1), (2, 12), (6, 1), (6, 12)])
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n_tasks,episodes", [(1, 1), (1, 3), (5, 1), (5, 3)])
+def test_train_on_tasks_matches_the_oracle_across_shapes(n_agents, width, max_steps, epsilon,
+                                                         n_tasks, episodes):
+    cfg = EnvConfig(grid_width=width, n_agents=n_agents, max_steps=max_steps)
+    params = LearnerParams(learning_rate=0.5, discount=0.9)
+    batch = _random_batch(cfg, n_tasks, seed=width * 100 + max_steps)
+    q = np.zeros(cfg.q_shape)
+    reference = _policy(cfg, params)
+    reference.epsilon = epsilon
+    for epoch in range(2):
+        if epoch:
+            # a non-trivial table with ties, so first-argmax and future maxima matter
+            q[:] = np.round(np.random.default_rng(n_agents).random(cfg.q_shape), 1)
+            reference.q[:] = q
+        outcomes = train_on_tasks(batch, q, params, epsilon, episodes, cfg, _rng(epoch))
+        assert _outcome_tuples(outcomes) == _reference_train(batch, reference, episodes, cfg,
+                                                             _rng(epoch))
+        assert q.tobytes() == reference.q.tobytes()
+
+
+class _FixedDraws:
+    """A stand-in generator whose one ``random`` call returns a given block."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def random(self, shape):
+        assert shape == self.block.shape
+        return self.block
+
+
+def test_each_lane_trains_as_its_task_alone():
+    cfg = EnvConfig(grid_width=4, n_agents=3, max_steps=10)
+    batch = _random_batch(cfg, 4, seed=3)
+    q = np.round(np.random.default_rng(5).random(cfg.q_shape), 1)
+    block = stream(11, 3, 1).random((len(batch), 3, cfg.max_steps, cfg.n_agents, 2))
+    together = train_on_tasks(batch, q.copy(), PARAMS, 0.4, 3, cfg, _FixedDraws(block))
+    for index, task in enumerate(batch):
+        alone = train_on_tasks([task], q.copy(), PARAMS, 0.4, 3, cfg,
+                               _FixedDraws(block[index:index + 1]))
+        assert _outcome_tuples(alone) == [(0,) + _outcome_tuples(together)[index][1:]]
+    assert len({out.env_steps for out in together}) > 1  # the lanes ended apart
 
 
 def test_trivial_batch_reaches_perfect_success_rate():
@@ -157,7 +227,7 @@ def test_trivial_batch_reaches_perfect_success_rate():
              for i in range(4)]
     for epoch in range(2):
         # greedy (epsilon 0): stay wins immediately on zero-distance tasks
-        outcomes = train_on_tasks(batch, q, PARAMS, 0.0, 10, cfg, _episode_rng(40 + epoch))
+        outcomes = train_on_tasks(batch, q, PARAMS, 0.0, 10, cfg, _rng(40 + epoch))
     assert all(out.success_rate == 1.0 for out in outcomes)
     assert all(out.episodes == 10 for out in outcomes)
 
@@ -165,7 +235,7 @@ def test_trivial_batch_reaches_perfect_success_rate():
 def test_empty_batch_is_a_no_op():
     cfg = EnvConfig(grid_width=4, n_agents=1, max_steps=5)
     q = np.zeros(cfg.q_shape)
-    assert train_on_tasks([], q, PARAMS, PARAMS.epsilon, 5, cfg, _episode_rng(1)) == []
+    assert train_on_tasks([], q, PARAMS, PARAMS.epsilon, 5, cfg, _rng(1)) == []
     assert not q.any()
 
 
@@ -176,7 +246,7 @@ def test_train_on_tasks_is_deterministic_for_fixed_seed():
     runs = []
     for _ in range(2):
         q = np.zeros(cfg.q_shape)
-        outcomes = train_on_tasks(batch, q, PARAMS, 0.3, 8, cfg, _episode_rng(77))
+        outcomes = train_on_tasks(batch, q, PARAMS, 0.3, 8, cfg, _rng(77))
         runs.append(([(o.task_index, o.successes, o.env_steps) for o in outcomes], q))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -190,7 +260,7 @@ def test_shared_reward_never_fires_on_partial_success():
     genome = _genome_for_cells([(0, 0), (7, 7)], [(0, 0), (0, 0)], 8)
     batch = [genome]
     for epoch in range(5):
-        outcomes = train_on_tasks(batch, q, PARAMS, 0.5, 10, cfg, _episode_rng(50 + epoch))
+        outcomes = train_on_tasks(batch, q, PARAMS, 0.5, 10, cfg, _rng(50 + epoch))
         assert outcomes[0].successes == 0
     assert q.min() == 0.0
     assert q.max() == 0.0  # zero reward everywhere keeps every target at zero
@@ -203,7 +273,7 @@ def test_q_values_stay_bounded():
     batch = [_genome_for_cells([(0, 0), (2, 2)], [(2, 2), (0, 0)], 3),
              _genome_for_cells([(1, 1), (0, 2)], [(1, 1), (0, 2)], 3)]
     for epoch in range(30):
-        train_on_tasks(batch, q, params, params.epsilon, 10, cfg, _episode_rng(60 + epoch))
+        train_on_tasks(batch, q, params, params.epsilon, 10, cfg, _rng(60 + epoch))
     bound = 1.0 / (1.0 - params.discount)
     assert q.min() >= 0.0
     assert q.max() <= bound
@@ -215,16 +285,16 @@ def test_monotone_solvability_on_trivial_batch():
     batch = [_genome_for_cells([(i, j), (4 - i, j)], [(i, j), (4 - i, j)], 5)
              for i, j in ((0, 0), (1, 2), (3, 3), (4, 1))]
     epochs = 5
-    sums = [0.0] * epochs
-    seeds = 10
-    for seed in range(seeds):
+    # Successes are summed as integers: every (seed, task) runs 20 episodes, so the
+    # counts order the epochs as the mean rates do, without float rounding.
+    successes = [0] * epochs
+    for seed in range(10):
         q = np.zeros(cfg.q_shape)
         for epoch in range(1, epochs + 1):
             outcomes = train_on_tasks(batch, q, params, params.epsilon_at(epoch), 20, cfg,
-                                      lambda t, e, _s=seed, _ep=epoch: stream(_s, 3, _ep, t, e))
-            sums[epoch - 1] += sum(out.success_rate for out in outcomes) / len(outcomes)
-    means = [value / seeds for value in sums]
-    for later, earlier in zip(means[1:], means[:-1]):
+                                      stream(seed, 3, epoch))
+            successes[epoch - 1] += sum(out.successes for out in outcomes)
+    for later, earlier in zip(successes[1:], successes[:-1]):
         assert later >= earlier
 
 
@@ -252,8 +322,7 @@ def test_policy_trained_to_convergence_beats_090():
     for round_idx in range(25):
         # explore for a while, then cool down and exploit
         epsilon = max(0.05, 0.8 ** max(0, round_idx - 5))
-        train_on_tasks([target], q, params, epsilon, 40, cfg,
-                       lambda t, e, _r=round_idx: stream(123, 3, _r, t, e))
+        train_on_tasks([target], q, params, epsilon, 40, cfg, stream(123, 3, round_idx))
     rate = evaluate_target(q, target, cfg)
     assert rate > 0.9
 
@@ -275,4 +344,4 @@ def test_train_on_tasks_argument_errors():
     cfg = EnvConfig(grid_width=4, n_agents=1, max_steps=5)
     with pytest.raises(ValueError):
         train_on_tasks([], np.zeros(cfg.q_shape), PARAMS, PARAMS.epsilon, 0, cfg,
-                       _episode_rng(1))
+                       _rng(1))

@@ -37,16 +37,16 @@ EXPECTED = {
             "3a9d9eb029f2150a11779e1a33bf8be5d88d232aad58df34e02a7bf09cf17102",
     },
     "ccl-default": {
-        "metrics.csv": "74b5d5bfd373e2ff411d390368d686ed717a9c0c9b745acd2e34cf5c8b397e61",
+        "metrics.csv": "fe571f1259158d378eef21592669b5bad635fcd2c8eec56115243432835dbd38",
         "snapshot_epoch00012.jsonl":
-            "ac2d6e793d9236b79fa0dffa9c9aad07e65948a8da0ec17dee87eb001a7cf172",
-        "archive.jsonl": "03a95149eb02b17cbe06f342946b5659b444414ae3968654f08ae24d59f13b19",
+            "a03479a15d6fe986d8cd6345779cf67d15525f347232eeb2e57e37da7e025b0c",
+        "archive.jsonl": "621b8840d754f6a959271f7386ed6d2b7df2c911c7c25b6d569106403139474c",
     },
     "ccl-checkpoint-resume": {
-        "metrics.csv": "7c8c82b1f63a445f2dd218df694577f4815b129212df78935f2225a7a11b1735",
+        "metrics.csv": "84bd2b47be5a700798e9a703d12a8dda73a9fd3ae72804c1d1da9016b0f40421",
         "snapshot_epoch00010.jsonl":
-            "423db21298f03bcea4bd9c9eb0432ad034c4af631a6f237ac00251a9ebb3d192",
-        "archive.jsonl": "68582eb237268ddef85326002f947e21736d9f75c0c82bfc0aaeac546363b060",
+            "4159ca2db73e6af08d289d1ee3dd61f040a57978f6c9bea8d5e2ae51d08b41cf",
+        "archive.jsonl": "d9b2874e46197719556688171f830692ff2e0e0bc50adf4f013bbd4a8eb7d867",
     },
 }
 
