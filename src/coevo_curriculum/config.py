@@ -140,8 +140,12 @@ def _coerce(value: Any, tp: Any, where: str) -> Any:
     if args[-1] is not Ellipsis and len(value) != len(args):
         raise ConfigError(f"{where} must have exactly {len(args)} entries")
     types = [args[0]] * len(value) if args[-1] is Ellipsis else args
-    return tuple([_coerce(item, item_tp, f"{where}[{index}]")
-                  for index, (item, item_tp) in enumerate(zip(value, types))])
+    try:
+        return tuple([_coerce(item, item_tp, where) for item, item_tp in zip(value, types)])
+    except ConfigError:  # checked again to name the first bad element's place
+        for index, (item, item_tp) in enumerate(zip(value, types)):
+            _coerce(item, item_tp, f"{where}[{index}]")
+        raise
 
 
 def _check_keys(data: Any, allowed: Any, where: str) -> None:

@@ -16,8 +16,8 @@ from .config import ABLATION_AXES, ConfigError, ExperimentConfig
 from .evolution import (OP_COUNTS, advance_toward, assign_population_fitness, delete_bad_tasks,
                         evolve_generation, init_population, soft_select)
 from .fitness import PrototypeSet
-from .snapshots import (ARCHIVE_NAME, Snapshot, _COUNTS, _append_archive, _start_archive,
-                        load_snapshot, write_snapshot)
+from .snapshots import (ARCHIVE_NAME, EMPTY_ARCHIVE_DIGEST, Snapshot, _COUNTS, _append_archive,
+                        _load_snapshot, _start_archive, load_snapshot, write_snapshot)
 from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, stream
 from .trainer import evaluate_target, train_on_tasks
 
@@ -156,21 +156,25 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
     target = config.target_genome()
 
     resume = None
+    archive_lines: list[str] = []  # a ccl run's archive.jsonl so far
     if config.resume_from is not None:
-        snap = resume = load_snapshot(config.resume_from)
+        snap, archive_lines = _load_snapshot(config.resume_from)
+        resume = snap
         _check_resume(config, snap)
         snapshot_path = Path(config.resume_from)
     else:
         pop = (init_population(config.domain(), evo.population_size, stream(seed, DOMAIN_INIT))
                if config.mode == "ccl" else None)
-        snap = Snapshot(config, 0, 0, 0, pop, np.zeros(env_cfg.q_shape))
+        snap = Snapshot(config, 0, 0, 0, pop, np.zeros(env_cfg.q_shape),
+                        None if pop is None else EMPTY_ARCHIVE_DIGEST)
         snapshot_path = out_dir / f"snapshot_epoch{0:05d}.jsonl"
     writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume)
-    # Written whole once (empty for a fresh run), after the metrics files are checked so a
-    # rejected resume leaves it as it was; from here on the run only appends to it.
+    # Written whole once (empty for a fresh run, a resume's checked lines as read), after the
+    # metrics files are checked so a rejected resume leaves it as it was; then only appended.
     archive_path = out_dir / ARCHIVE_NAME
     if snap.pop is not None:
-        snap.archive_digest = _start_archive(archive_path, snap.pop.archive)
+        _start_archive(archive_path, archive_lines)
+    del archive_lines
     if resume is None:
         write_snapshot(snapshot_path, snap)
 

@@ -100,13 +100,11 @@ def _archive_line(epoch: int, records: list[TaskRecord]) -> str:
     return _ENCODE(_generation_line("archive", epoch, records)) + "\n"
 
 
-def _start_archive(path: Path, archive: dict[int, list[TaskRecord]]) -> str:
-    """Write ``archive`` as a run's whole ``archive.jsonl``, which may be the file it was
-    read from, and return its digest."""
-    lines = [_archive_line(epoch, archive[epoch]) for epoch in sorted(archive)]
+def _start_archive(path: Path, lines: list[str]) -> None:
+    """Write ``lines`` as a run's whole ``archive.jsonl``, which may be the file they were
+    read from."""
     with _replacing(path) as handle:
         handle.writelines(lines)
-    return reduce(_chain, lines, EMPTY_ARCHIVE_DIGEST)
 
 
 def _append_archive(path: Path, digest: str, epoch: int, records: list[TaskRecord]) -> str:
@@ -123,13 +121,20 @@ def load_snapshot(path: str | Path) -> Snapshot:
     A ccl snapshot takes its archive from the first ``epoch`` lines of the ``archive.jsonl``
     beside it, which must match its digest; later lines are ignored.
     """
+    return _load_snapshot(path)[0]
+
+
+def _load_snapshot(path: str | Path) -> tuple[Snapshot, list[str]]:
+    """``load_snapshot``, and the archive lines it checked against the digest (none for a
+    vanilla snapshot), so that a resume writes them back without encoding them again."""
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             snap = _read_snapshot([json.loads(line) for line in handle])
+        lines = []
         if snap.pop is not None:
-            snap.pop.archive = _read_archive(path.with_name(ARCHIVE_NAME), snap)
-        return snap
+            snap.pop.archive, lines = _read_archive(path.with_name(ARCHIVE_NAME), snap)
+        return snap, lines
     except OSError as exc:
         raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
     except ConfigError as exc:
@@ -183,9 +188,11 @@ def _read_generation(line: dict[str, Any], config: ExperimentConfig
             [TaskRecord(*values) for values in zip(*columns.values(), strict=True)])
 
 
-def _read_archive(path: Path, snap: Snapshot) -> dict[int, list[TaskRecord]]:
-    """Generations 0 to ``snap.epoch - 1`` from the first lines of ``path``, checked against
-    the snapshot's digest first, so another run's archive is refused whatever it holds."""
+def _read_archive(path: Path, snap: Snapshot
+                  ) -> tuple[dict[int, list[TaskRecord]], list[str]]:
+    """Generations 0 to ``snap.epoch - 1`` from the first lines of ``path``, and those lines,
+    checked against the snapshot's digest first, so another run's archive is refused
+    whatever it holds."""
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as handle:
             lines = list(islice(handle, snap.epoch))
@@ -208,4 +215,4 @@ def _read_archive(path: Path, snap: Snapshot) -> dict[int, list[TaskRecord]]:
         if epoch != expected:
             raise ConfigError(f"{path} line {expected + 1} holds epoch {epoch}, "
                               f"expected {expected}")
-    return archive
+    return archive, lines

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -98,6 +100,17 @@ def _td_updates(tables: Iterable[list[list[float]]], states: Iterable[int],
         row[action] += learning_rate * (reward + discount * future - row[action])
 
 
+def _replay(rows: Iterable[list[float]], actions: Iterable[int],
+            next_rows: Iterable[list[float]], wins: Iterable[bool], learning_rate: float,
+            discount: float) -> None:
+    """``_td_updates`` on the rows themselves, update k into ``rows[k]``: the target is 1.0
+    on the team reward and ``discount * max(next row)`` otherwise, which equal
+    ``1 + discount * 0.0`` and ``0 + discount * max(next row)`` for finite values."""
+    for row, action, next_row, won in zip(rows, actions, next_rows, wins):
+        old = row[action]
+        row[action] = old + learning_rate * ((1.0 if won else discount * max(next_row)) - old)
+
+
 @dataclass(frozen=True)
 class TaskOutcome:
     task_index: int
@@ -172,6 +185,12 @@ def _successor_table(width: int) -> np.ndarray:
     return table
 
 
+# _PICK[code + g] is the action of an agent with the step's code (see train_on_tasks) and
+# the greedy first-argmax g: code 0 acts greedily, code 5 * (a + 1) explores with action a.
+_PICK = np.concatenate([np.arange(N_ACTIONS), np.repeat(np.arange(N_ACTIONS), N_ACTIONS)])
+_PICK.setflags(write=False)
+
+
 def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParams,
                    epsilon: float, episodes_per_task: int, env_cfg: EnvConfig,
                    rng: np.random.Generator) -> list[TaskOutcome]:
@@ -200,10 +219,11 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     n_cells, max_steps = width * width, env_cfg.max_steps
     lr, discount = learner.learning_rate, learner.discount
     draws = rng.random((n_tasks, episodes_per_task, max_steps, n_agents, 2))
-    # An agent's exploratory action at each (task, episode, step), or -1 to act greedily.
-    explore = np.where(draws[..., 0] < epsilon, (draws[..., 1] * N_ACTIONS).astype(np.int8),
-                       np.int8(-1)).reshape(-1, n_agents)
-    del draws
+    # Each agent's code at each (task, episode, step) for _PICK: 0 to act greedily,
+    # 5 * (a + 1) to explore with action a.
+    explore = (draws[..., 1] * N_ACTIONS).astype(np.int8)
+    code = np.where(draws[..., 0] < epsilon, (explore + 1) * N_ACTIONS, 0).reshape(-1, n_agents)
+    del draws, explore
 
     env = GridSpread(env_cfg)
     ends = []  # (start cells, goal cells) of each task, as flat cells
@@ -215,61 +235,86 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     cell_x, cell_y = np.divmod(np.arange(n_cells, dtype=np.int32), width)
     goal_x, goal_y = np.divmod(goals[..., None], width)
     offsets = obs_index((cell_x, cell_y), (goal_x, goal_y), env_cfg)
-    # Private tables: row (task * n_agents + agent) * n_cells + cell.
-    private = q[np.arange(n_agents)[:, None], offsets].reshape(-1, N_ACTIONS)
-    values_flat = private.reshape(-1)
-    offsets = offsets.reshape(-1)
-    successor = _successor_table(width)
+    agents = np.arange(n_agents, dtype=np.int32)[:, None]
+    # Private tables: row (task * n_agents + agent) * n_cells + cell. Over those rows, per
+    # call: whether a row is its agent's goal cell, and its successor under each action,
+    # flat over update indices row * N_ACTIONS + action (int32 keeps it small).
+    private = q[agents, offsets].reshape(-1, N_ACTIONS)
+    values = private.reshape(-1)
+    on_goal = (np.arange(n_cells) == goals[..., None]).reshape(-1)
+    first = np.arange(0, n_tasks * n_agents * n_cells, n_cells, dtype=np.int32)
+    successor = (first[:, None, None] + _successor_table(width)).reshape(-1)
 
-    # The state of the live lanes, one entry (or row of agents) each. ``draw`` is a lane's
-    # position in the draw block's rows and ``end`` the end of its last episode there.
-    lane = np.arange(n_tasks)
-    base = (lane[:, None] * n_agents + np.arange(n_agents, dtype=np.int32)) * n_cells
-    cell, goal, start = starts, goals, starts
-    draw = lane * (episodes_per_task * max_steps)
-    end = draw + episodes_per_task * max_steps
-    records = []  # per iteration: update indices (row * N_ACTIONS + action), next rows, rewards
-    while draw.size:
-        row = base + cell
-        drawn = explore[draw]
-        pick = np.where(drawn < 0, private.take(row, axis=0).argmax(axis=2), drawn)
-        cell = successor[cell, pick]
-        next_row = base + cell
-        won = (cell == goal).all(axis=1)
-        # _td_updates' target; on the team reward it is 1 + discount * 0.0, exactly 1.0.
-        target = np.where(won[:, None], 1.0, discount * private.take(next_row, axis=0).max(axis=2))
+    # The state of the live lanes, one entry (or row of agents) each: the private rows of
+    # the agents' cells, a lane's position in ``code``, where its episode meets the step
+    # cap there and the end of its last episode. ``left`` counts down to the first
+    # iteration at which a lane may meet its cap. ``draw`` and ``stop`` are changed in
+    # place; the arrays in ``records`` never are.
+    row = start = first.reshape(n_tasks, n_agents) + starts
+    draw = np.arange(0, n_tasks * episodes_per_task * max_steps, max_steps * episodes_per_task)
+    stop, end = draw + max_steps, draw + episodes_per_task * max_steps
+    left = max_steps
+    records = []  # per iteration: update indices, next rows, rewards
+    while True:
+        pick = _PICK.take(code.take(draw, axis=0) + private.take(row, axis=0).argmax(axis=2))
         index = row * N_ACTIONS + pick
-        old = values_flat.take(index)
-        values_flat[index] = old + lr * (target - old)
+        next_row = successor.take(index).astype(np.intp)
+        won = np.logical_and.reduce(on_goal.take(next_row), axis=1)
+        # _td_updates' target: discount * max(next row), or 1 + discount * 0.0 = 1.0 on the
+        # team reward.
+        target = np.maximum.reduce(private.take(next_row, axis=0), axis=2) * discount
+        draw = draw + 1
+        left -= 1
+        ends_episode = left == 0 or np.count_nonzero(won)
+        if ends_episode:
+            np.copyto(target, 1.0, where=won[:, None])
+        old = values.take(index)
+        target -= old
+        target *= lr
+        target += old
+        values.put(index, target)
         records.append((index, next_row, won))
-        draw += 1
-        done = won | (draw % max_steps == 0)
-        if np.count_nonzero(done):  # the next episode starts at the next block, from the start
-            draw[done] = -(-draw[done] // max_steps) * max_steps
-            cell = np.where(done[:, None], start, cell)
+        row = next_row
+        if ends_episode:  # the next episode starts at the next block, from the start cells
+            done = won | (draw == stop) if left == 0 else won
+            np.putmask(draw, done, stop)
+            np.putmask(stop, done, draw + max_steps)
+            row = np.where(done[:, None], start, next_row)
             live = draw < end
-            if not live.all():
-                base, cell, goal, start, draw, end = (
-                    array[live] for array in (base, cell, goal, start, draw, end))
+            if not np.logical_and.reduce(live):
+                if not np.count_nonzero(live):
+                    break
+                row, start, draw, stop, end = (array[live]
+                                               for array in (row, start, draw, stop, end))
+            if left == 0:
+                left = int(np.minimum.reduce(stop - draw))
 
-    del private, values_flat
+    # Task 0's shared updates are lane 0's private ones, made from the same values.
+    q[agents, offsets[0]] = private[:n_agents * n_cells].reshape(n_agents, n_cells, N_ACTIONS)
+    del private, values, successor
     indices, next_rows, wins = (np.concatenate(column) for column in zip(*records))
     del records
-    rows, picks = np.divmod(indices, N_ACTIONS)
-    lanes = rows[:, 0] // (n_agents * n_cells)
+    lanes = indices[:, 0] // (n_agents * n_cells * N_ACTIONS)
     steps = np.bincount(lanes, minlength=n_tasks)
     successes = np.bincount(lanes[wins], minlength=n_tasks)
-    # Replayed task by task, each task's steps in order and each step's agents in order;
-    # one task's updates at a time keep the Python lists small.
-    order = np.argsort(lanes, kind="stable")
-    shared = q.tolist()
-    for lo, hi in zip(np.cumsum(steps) - steps, np.cumsum(steps)):
-        span = order[lo:hi]
-        _td_updates(shared * len(span), offsets[rows[span]].ravel().tolist(),
-                    picks[span].ravel().tolist(),
-                    np.repeat(wins[span].view(np.uint8), n_agents).tolist(),
-                    offsets[next_rows[span]].ravel().tolist(), lr, discount)
-    q[:] = shared
+    # Tasks 1 to B - 1 are replayed in order, each task's steps in order and each step's
+    # agents in order; one task's updates at a time keep the Python lists small.
+    order = np.argsort(lanes, kind="stable")[steps[0]:]
+    private_rows, picks = np.divmod(indices[order], N_ACTIONS)
+    # Each private row's row in q.reshape(-1, N_ACTIONS).
+    shared_row = (offsets + agents * env_cfg.n_states).reshape(-1)
+    rows = shared_row.take(private_rows).ravel()
+    next_rows = shared_row.take(next_rows[order]).ravel()
+    picks = picks.ravel()
+    wins = np.repeat(wins[order], n_agents)
+    shared = q.reshape(-1, N_ACTIONS).tolist()
+    bounds = np.cumsum(steps[1:]) * n_agents
+    for lo, hi in zip((bounds - steps[1:] * n_agents).tolist(), bounds.tolist()):
+        # One lookup for both: itemgetter returns a bare item for a single key.
+        found = itemgetter(*rows[lo:hi].tolist(), *next_rows[lo:hi].tolist())(shared)
+        _replay(found[:hi - lo], picks[lo:hi].tolist(), found[hi - lo:], wins[lo:hi].tolist(),
+                lr, discount)
+    q[:] = np.fromiter(chain.from_iterable(shared), float, q.size).reshape(q.shape)
     return [TaskOutcome(b, episodes_per_task, int(successes[b]), int(steps[b]))
             for b in range(n_tasks)]
 

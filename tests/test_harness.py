@@ -136,6 +136,22 @@ def test_config_rejects_type_mismatches():
             config_from_dict(data)
 
 
+def test_config_errors_name_the_first_bad_element():
+    for key, value, message in (
+            ("target", [[0.0, 0.0, 1.0, 1.0], [0.5, 0.5, True, 0.5]],
+             r"experiment.target\[1\]\[2\] must be a number"),
+            ("target", [[0.0, 0.0, 1.0, 1.0], [0.5, math.nan, "x", 0.5]],
+             r"experiment.target\[1\]\[1\] must be finite"),
+            ("target", [[0.0, 0.0, 1.0, 1.0], 0.5], r"experiment.target\[1\] must be a list")):
+        data = _small_dict(**{key: value})
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(data)
+    data = _small_dict()
+    data["evolution"]["deletion_band"] = [0.1, "0.9"]
+    with pytest.raises(ConfigError, match=r"evolution.deletion_band\[1\] must be a number"):
+        config_from_dict(data)
+
+
 def test_config_validates_experiment_fields():
     with pytest.raises(ConfigError):
         _small_config(mode="offline")
@@ -570,6 +586,25 @@ def test_resumed_runs_write_the_files_of_an_uninterrupted_run(tmp_path):
     assert _files(run_dir) == full
 
 
+def test_a_resume_writes_the_archive_lines_it_read_without_encoding_them(tmp_path,
+                                                                         monkeypatch):
+    import coevo_curriculum.snapshots as snapshots
+
+    source = run_experiment(_small_config(epochs=4, snapshot_interval=1),
+                            run_dir=tmp_path / "source").run_dir
+    lines = (source / "archive.jsonl").read_bytes().splitlines(keepends=True)
+
+    def encode(*args):
+        raise AssertionError("a resume encodes no generation")
+
+    monkeypatch.setattr(snapshots, "_archive_line", encode)
+    for epoch in (0, 2, 4):  # a resume at its snapshot's epoch runs no epoch of its own
+        resume_from = str(source / f"snapshot_epoch{epoch:05d}.jsonl")
+        run_dir = run_experiment(_small_config(epochs=epoch, resume_from=resume_from),
+                                 run_dir=tmp_path / f"from-{epoch}").run_dir
+        assert (run_dir / "archive.jsonl").read_bytes() == b"".join(lines[:epoch])
+
+
 def test_snapshots_hold_no_archive_and_each_epoch_appends_one_line(tmp_path, monkeypatch):
     import coevo_curriculum.harness as harness
 
@@ -759,7 +794,8 @@ def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="disk full"):
         run_experiment(_small_config(epochs=4, snapshot_interval=2,
                                      resume_from=str(half.snapshot_path)), run_dir=tmp_path)
-    assert calls == ["archive"] * 4 + ["active"]  # rewrite 0-1, append 2 and 3, then fail
+    # Generations 0-1 are written back as read; append 2 and 3, then fail.
+    assert calls == ["archive"] * 2 + ["active"]
     assert sorted(path.name for path in tmp_path.iterdir()) == before
     assert not (tmp_path / "snapshot_epoch00004.jsonl").exists()
     assert load_snapshot(half.snapshot_path).epoch == 2

@@ -196,6 +196,43 @@ def test_train_on_tasks_matches_the_oracle_across_shapes(n_agents, width, max_st
         assert q.tobytes() == reference.q.tobytes()
 
 
+def _near_and_far_batch(cfg, n_tasks, far_first, seed):
+    """Zero-distance tasks alternate with far ones (start cells near one corner, goal cells
+    near the opposite one); task 0 is far iff ``far_first``."""
+    rng = np.random.default_rng(seed)
+    width = cfg.grid_width
+    batch = []
+    for index in range(n_tasks):
+        if (index % 2 == 0) == far_first:
+            starts = [tuple(rng.integers(3, size=2)) for _ in range(cfg.n_agents)]
+            goals = [tuple(width - 1 - rng.integers(3, size=2)) for _ in range(cfg.n_agents)]
+        else:
+            starts = goals = [tuple(rng.integers(width, size=2)) for _ in range(cfg.n_agents)]
+        batch.append(_genome_for_cells(starts, goals, width))
+    return batch
+
+
+@pytest.mark.parametrize("n_tasks,episodes", [(16, 10), (64, 2)])
+@pytest.mark.parametrize("far_first", [False, True])
+def test_train_on_tasks_matches_the_oracle_at_the_benchmark_shapes(n_tasks, episodes,
+                                                                    far_first):
+    cfg = EnvConfig(grid_width=12, n_agents=2, max_steps=40)
+    batch = _near_and_far_batch(cfg, n_tasks, far_first, seed=1)
+    q = np.round(np.random.default_rng(1).random(cfg.q_shape), 1)  # ties for the argmax
+    reference = _policy(cfg)
+    reference.q[:] = q
+    reference.epsilon = 0.2
+    outcomes = train_on_tasks(batch, q, PARAMS, 0.2, episodes, cfg, _rng(1))
+    assert _outcome_tuples(outcomes) == _reference_train(batch, reference, episodes, cfg, _rng(1))
+    assert q.tobytes() == reference.q.tobytes()
+    # A lane's steps are the iteration it ended at: task 0 ended last, or alone first.
+    steps = [out.env_steps for out in outcomes]
+    if far_first:
+        assert steps[0] == max(steps) > min(steps)
+    else:
+        assert steps[0] < min(steps[1:])
+
+
 class _FixedDraws:
     """A stand-in generator whose one ``random`` call returns a given block."""
 
