@@ -17,7 +17,7 @@ from .evolution import (OP_COUNTS, advance_toward, assign_population_fitness, de
                         evolve_generation, init_population, soft_select)
 from .fitness import PrototypeSet
 from .snapshots import (ARCHIVE_NAME, EMPTY_ARCHIVE_DIGEST, Snapshot, _COUNTS, _append_archive,
-                        _load_snapshot, _start_archive, load_snapshot, write_snapshot)
+                        _start_archive, load_snapshot, write_snapshot)
 from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, stream
 from .trainer import evaluate_target, train_on_tasks
 
@@ -156,10 +156,8 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
     target = config.target_genome()
 
     resume = None
-    archive_lines: list[str] = []  # a ccl run's archive.jsonl so far
     if config.resume_from is not None:
-        snap, archive_lines = _load_snapshot(config.resume_from)
-        resume = snap
+        snap = resume = load_snapshot(config.resume_from)
         _check_resume(config, snap)
         snapshot_path = Path(config.resume_from)
     else:
@@ -173,8 +171,8 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
     # metrics files are checked so a rejected resume leaves it as it was; then only appended.
     archive_path = out_dir / ARCHIVE_NAME
     if snap.pop is not None:
-        _start_archive(archive_path, archive_lines)
-    del archive_lines
+        _start_archive(archive_path, snap.archive_lines or [])
+    snap.archive_lines = None
     if resume is None:
         write_snapshot(snapshot_path, snap)
 

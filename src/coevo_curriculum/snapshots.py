@@ -8,7 +8,7 @@ import math
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice
 from pathlib import Path
@@ -29,6 +29,8 @@ class Snapshot:
 
     A ccl run's archive lives in ``archive.jsonl`` beside its snapshots, one line per
     generation; ``archive_digest`` chains its first ``epoch`` lines (see ``_chain``).
+    ``archive_lines`` holds those lines as ``load_snapshot`` read and checked them, so that a
+    resume writes them back without encoding them again; it is never written.
     """
 
     config: ExperimentConfig
@@ -38,6 +40,7 @@ class Snapshot:
     pop: Population | None
     policy_q: np.ndarray
     archive_digest: str | None = None
+    archive_lines: list[str] | None = field(default=None, repr=False, compare=False)
 
 
 # Shared by writer and reader: the meta line's counters are Snapshot's int fields, and a
@@ -119,22 +122,17 @@ def load_snapshot(path: str | Path) -> Snapshot:
     """Read a snapshot and check it against its own stored config; any fault is a ConfigError.
 
     A ccl snapshot takes its archive from the first ``epoch`` lines of the ``archive.jsonl``
-    beside it, which must match its digest; later lines are ignored.
+    beside it, which must match its digest; later lines are ignored. Those lines are kept,
+    as read, in ``archive_lines``.
     """
-    return _load_snapshot(path)[0]
-
-
-def _load_snapshot(path: str | Path) -> tuple[Snapshot, list[str]]:
-    """``load_snapshot``, and the archive lines it checked against the digest (none for a
-    vanilla snapshot), so that a resume writes them back without encoding them again."""
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             snap = _read_snapshot([json.loads(line) for line in handle])
-        lines = []
         if snap.pop is not None:
-            snap.pop.archive, lines = _read_archive(path.with_name(ARCHIVE_NAME), snap)
-        return snap, lines
+            snap.pop.archive, snap.archive_lines = _read_archive(path.with_name(ARCHIVE_NAME),
+                                                                 snap)
+        return snap
     except OSError as exc:
         raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
     except ConfigError as exc:

@@ -85,27 +85,16 @@ class PolicyTable:
 QRows = list[list[list[float]]]
 
 
-def _td_updates(tables: Iterable[list[list[float]]], states: Iterable[int],
-                actions: Iterable[int], rewards: Iterable[int], next_states: Iterable[int],
-                learning_rate: float, discount: float) -> None:
-    """TD updates in order, update k into the agent table ``tables[k]``.
+def _td_updates(rows: Iterable[list[float]], actions: Iterable[int],
+                next_rows: Iterable[list[float]], wins: Iterable[bool], learning_rate: float,
+                discount: float) -> None:
+    """TD updates in order, update k into the agent's row ``rows[k]``.
 
     The team reward is 1 exactly on an episode's terminal transition, so it
-    also marks the updates that do not bootstrap.
+    also marks the updates that do not bootstrap: the target is 1.0 on a win
+    and ``discount * max(next row)`` otherwise, which equal ``1 + discount * 0.0``
+    and ``0 + discount * max(next row)`` for finite values.
     """
-    for table, state, action, reward, next_state in zip(tables, states, actions, rewards,
-                                                        next_states):
-        future = 0.0 if reward else max(table[next_state])
-        row = table[state]
-        row[action] += learning_rate * (reward + discount * future - row[action])
-
-
-def _replay(rows: Iterable[list[float]], actions: Iterable[int],
-            next_rows: Iterable[list[float]], wins: Iterable[bool], learning_rate: float,
-            discount: float) -> None:
-    """``_td_updates`` on the rows themselves, update k into ``rows[k]``: the target is 1.0
-    on the team reward and ``discount * max(next row)`` otherwise, which equal
-    ``1 + discount * 0.0`` and ``0 + discount * max(next row)`` for finite values."""
     for row, action, next_row, won in zip(rows, actions, next_rows, wins):
         old = row[action]
         row[action] = old + learning_rate * ((1.0 if won else discount * max(next_row)) - old)
@@ -153,8 +142,9 @@ def _episode(env: GridSpread, task: TaskGenome, rows: QRows, learn: bool,
         state, reward, done = env.step(tuple(picks))
         next_obs = tuple([obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, goals)])
         if learn:
-            _td_updates(rows, obs, picks, (reward,) * cfg.n_agents, next_obs, learning_rate,
-                        discount)
+            _td_updates([rows[i][obs[i]] for i in agents], picks,
+                        [rows[i][next_obs[i]] for i in agents], (reward == 1,) * cfg.n_agents,
+                        learning_rate, discount)
         obs = next_obs
     return reward == 1, state.t
 
@@ -260,8 +250,7 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
         index = row * N_ACTIONS + pick
         next_row = successor.take(index).astype(np.intp)
         won = np.logical_and.reduce(on_goal.take(next_row), axis=1)
-        # _td_updates' target: discount * max(next row), or 1 + discount * 0.0 = 1.0 on the
-        # team reward.
+        # _td_updates' target: discount * max(next row), or 1.0 on the team reward.
         target = np.maximum.reduce(private.take(next_row, axis=0), axis=2) * discount
         draw = draw + 1
         left -= 1
@@ -312,8 +301,8 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     for lo, hi in zip((bounds - steps[1:] * n_agents).tolist(), bounds.tolist()):
         # One lookup for both: itemgetter returns a bare item for a single key.
         found = itemgetter(*rows[lo:hi].tolist(), *next_rows[lo:hi].tolist())(shared)
-        _replay(found[:hi - lo], picks[lo:hi].tolist(), found[hi - lo:], wins[lo:hi].tolist(),
-                lr, discount)
+        _td_updates(found[:hi - lo], picks[lo:hi].tolist(), found[hi - lo:],
+                    wins[lo:hi].tolist(), lr, discount)
     q[:] = np.fromiter(chain.from_iterable(shared), float, q.size).reshape(q.shape)
     return [TaskOutcome(b, episodes_per_task, int(successes[b]), int(steps[b]))
             for b in range(n_tasks)]

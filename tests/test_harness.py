@@ -588,6 +588,7 @@ def test_resumed_runs_write_the_files_of_an_uninterrupted_run(tmp_path):
 
 def test_a_resume_writes_the_archive_lines_it_read_without_encoding_them(tmp_path,
                                                                          monkeypatch):
+    import coevo_curriculum.harness as harness
     import coevo_curriculum.snapshots as snapshots
 
     source = run_experiment(_small_config(epochs=4, snapshot_interval=1),
@@ -597,12 +598,21 @@ def test_a_resume_writes_the_archive_lines_it_read_without_encoding_them(tmp_pat
     def encode(*args):
         raise AssertionError("a resume encodes no generation")
 
+    loaded = []
+
+    def load(path):  # a resume reads its snapshot through the name the harness imports
+        loaded.append(load_snapshot(path))
+        return loaded[-1]
+
     monkeypatch.setattr(snapshots, "_archive_line", encode)
+    monkeypatch.setattr(harness, "load_snapshot", load)
     for epoch in (0, 2, 4):  # a resume at its snapshot's epoch runs no epoch of its own
         resume_from = str(source / f"snapshot_epoch{epoch:05d}.jsonl")
         run_dir = run_experiment(_small_config(epochs=epoch, resume_from=resume_from),
                                  run_dir=tmp_path / f"from-{epoch}").run_dir
         assert (run_dir / "archive.jsonl").read_bytes() == b"".join(lines[:epoch])
+    assert len(loaded) == 3
+    assert all(snap.archive_lines is None for snap in loaded)  # dropped once written
 
 
 def test_snapshots_hold_no_archive_and_each_epoch_appends_one_line(tmp_path, monkeypatch):
