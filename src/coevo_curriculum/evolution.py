@@ -215,9 +215,11 @@ def assign_population_fitness(active: list[TaskRecord], trained: PrototypeSet, k
     """Give every unmeasured active record the mean fitness of its k nearest
     trained prototypes; records measured this epoch keep their own fitness."""
     OP_COUNTS["assign_population_fitness"] += 1
-    for rec in active:
-        if rec.r is None:
-            rec.f = knn_estimate(rec.genome.as_vector(), trained, k)
+    unmeasured = [rec for rec in active if rec.r is None]
+    if unmeasured:
+        queries = np.stack([rec.genome.blocks for rec in unmeasured]).reshape(len(unmeasured), -1)
+        for rec, estimate in zip(unmeasured, knn_estimate(queries, trained, k).tolist()):
+            rec.f = estimate
 
 
 def evolve_generation(pop: Population, params: EvolutionParams,
@@ -291,16 +293,17 @@ def advance_toward(pop: Population, target: TaskGenome, success: float) -> Popul
     OP_COUNTS["advance_toward"] += 1
     if not 0.0 <= success <= 1.0:
         raise ValueError("success must lie in [0, 1]")
-    if any(rec.genome.n_agents != target.n_agents for rec in pop.active):
+    if not pop.active:
+        return pop
+    blocks = np.stack([rec.genome.blocks for rec in pop.active])  # (m, n_agents, 4)
+    if blocks.shape[1] != target.n_agents:
         raise ValueError("target must have the population's agent count")
     step = GROWTH * success
     if step == 0.0:
         return pop
-    active = []
-    for rec in pop.active:
-        blocks = rec.genome.blocks
-        moved = TaskGenome(blocks + step * (target.blocks - blocks))
-        active.append(TaskRecord(moved, rec.r, rec.f, rec.epoch_born, rec.origin))
+    moved = TaskGenome.batch(blocks + step * (target.blocks - blocks))
+    active = [TaskRecord(genome, rec.r, rec.f, rec.epoch_born, rec.origin)
+              for genome, rec in zip(moved, pop.active)]
     return Population(active=active, archive=pop.archive, epoch=pop.epoch)
 
 

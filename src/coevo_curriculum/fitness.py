@@ -79,23 +79,33 @@ class PrototypeSet:
         return int(self.vectors.shape[0])
 
 
-def knn_estimate(query, prototypes: PrototypeSet, k: int) -> float:
+def knn_estimate(query, prototypes: PrototypeSet, k: int) -> float | np.ndarray:
     """Mean fitness of the k prototypes closest to ``query`` in Euclidean distance.
 
-    Distance ties resolve toward the lowest prototype index.
+    ``query`` is one vector, which gives a float, or an ``(A, D)`` stack of them, which
+    gives their A estimates as an array, each the float the single query gives. Distance
+    ties resolve toward the lowest prototype index. The k fitnesses are summed left to
+    right from 0.0, nearest first; ``np.sum`` would sum them pairwise once k >= 8.
     """
     count = len(prototypes)
     if count == 0:
         raise ValueError("prototype set is empty")
     if not 1 <= k <= count:
         raise ValueError(f"k must lie in [1, {count}], got {k}")
-    vector = np.asarray(query, dtype=float).reshape(-1)
-    if vector.shape[0] != prototypes.vectors.shape[1]:
+    queries = np.asarray(query, dtype=float)
+    single = queries.ndim < 2
+    if single:
+        queries = queries.reshape(1, -1)
+    if queries.ndim != 2 or queries.shape[1] != prototypes.vectors.shape[1]:
         raise ValueError("query dimension does not match prototypes")
-    diffs = prototypes.vectors - vector
-    squared = (diffs * diffs).sum(axis=1)
-    order = np.argsort(squared, kind="stable")
-    total = 0.0
-    for idx in order[:k]:
-        total += float(prototypes.fitnesses[idx])
-    return total / k
+    # (A, B, D), C-contiguous: the same last-axis reduction for every query as for one.
+    # Squared in place: a second array this size costs more in fresh pages than the product.
+    diffs = prototypes.vectors - queries[:, None, :]
+    diffs *= diffs
+    squared = diffs.sum(axis=-1)
+    nearest = prototypes.fitnesses[np.argsort(squared, axis=-1, kind="stable")[:, :k]]
+    total = np.zeros(queries.shape[0])
+    for column in nearest.T:
+        total += column
+    estimates = total / k
+    return float(estimates[0]) if single else estimates

@@ -201,7 +201,7 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
                 rec.f = config.fitness.evaluate(out.success_rate)
             delete_bad_tasks(snap.pop, evo.deletion_band)
             prototypes = PrototypeSet(
-                vectors=np.stack([rec.genome.as_vector() for rec in batch]),
+                vectors=np.stack([rec.genome.blocks for rec in batch]).reshape(len(batch), -1),
                 fitnesses=np.array([rec.f for rec in batch], dtype=float))
             assign_population_fitness(snap.pop.active, prototypes, evo.knn_k)
             if snap.pop.active:

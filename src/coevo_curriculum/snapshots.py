@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _coerce, _schema, config_from_dict
 from .evolution import ORIGIN_CROSS, ORIGIN_INIT, ORIGIN_MUTATE, Population, TaskRecord
-from .tasks import TaskGenome
+from .tasks import BLOCK_SIZE, TaskGenome
 
 SNAPSHOT_FORMAT = 5
 
@@ -95,7 +95,8 @@ def write_snapshot(path: Path, snapshot: Snapshot) -> None:
 
 def _generation_line(kind: str, epoch: int, records: list[TaskRecord]) -> dict[str, Any]:
     columns = {name: [getattr(rec, name) for rec in records] for name in _COLUMNS}
-    columns["genome"] = [genome.as_vector().tolist() for genome in columns["genome"]]
+    columns["genome"] = (np.stack([genome.blocks for genome in columns["genome"]])
+                         .reshape(len(records), -1).tolist() if records else [])
     return {"kind": kind, "epoch": epoch, **columns}
 
 
@@ -180,8 +181,9 @@ def _read_generation(line: dict[str, Any], config: ExperimentConfig
     if not set(columns["origin"]) <= {ORIGIN_INIT, ORIGIN_CROSS, ORIGIN_MUTATE}:
         raise ConfigError(f"an {kind} origin is not one of "
                           f"{ORIGIN_INIT}, {ORIGIN_CROSS}, {ORIGIN_MUTATE}")
-    columns["genome"] = [TaskGenome.from_vector(genome, config.env.n_agents)
-                         for genome in columns["genome"]]
+    genomes = columns["genome"]
+    columns["genome"] = TaskGenome.batch(np.array(genomes, dtype=float).reshape(
+        len(genomes), config.env.n_agents, BLOCK_SIZE))
     return (_coerce(line["epoch"], int, f"{kind} epoch"),
             [TaskRecord(*values) for values in zip(*columns.values(), strict=True)])
 

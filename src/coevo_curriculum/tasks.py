@@ -12,10 +12,18 @@ UNIT_DIAMETER = math.sqrt(2.0)  # diagonal of the unit square each agent lives i
 DEFAULT_DISTANCE_THRESHOLD = 0.01 * UNIT_DIAMETER
 
 
-def _as_blocks(array) -> np.ndarray:
-    out = np.ascontiguousarray(array, dtype=float)
-    out.setflags(write=False)
-    return out
+def _checked_blocks(blocks, ndim: int) -> np.ndarray:
+    """``blocks`` as a read-only C-contiguous float array of ``ndim`` dimensions, the last
+    two (n_agents >= 1, BLOCK_SIZE), every component finite; the one genome check."""
+    arr = np.ascontiguousarray(blocks, dtype=float)
+    if arr.ndim != ndim or arr.shape[-1] != BLOCK_SIZE:
+        raise ValueError(f"genome blocks must have shape (n, {BLOCK_SIZE}), got {arr.shape}")
+    if arr.shape[-2] < 1:
+        raise ValueError("genome needs at least one agent block")
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        raise ValueError("genome components must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,14 +39,18 @@ class TaskGenome:
     blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_blocks(np.atleast_2d(self.blocks))
-        if arr.ndim != 2 or arr.shape[1] != BLOCK_SIZE:
-            raise ValueError(f"genome blocks must have shape (n, {BLOCK_SIZE}), got {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("genome needs at least one agent block")
-        if not np.isfinite(arr).all():
-            raise ValueError("genome components must be finite")
-        object.__setattr__(self, "blocks", arr)
+        object.__setattr__(self, "blocks", _checked_blocks(self.blocks, 2))
+
+    @classmethod
+    def batch(cls, blocks) -> list["TaskGenome"]:
+        """One genome per row of an ``(m, n_agents, 4)`` array, checked once as a whole with
+        the constructor's checks; each genome's blocks are a read-only view of that array."""
+        genomes = []
+        for rows in _checked_blocks(blocks, 3):
+            genome = object.__new__(cls)
+            object.__setattr__(genome, "blocks", rows)
+            genomes.append(genome)
+        return genomes
 
     @property
     def n_agents(self) -> int:
@@ -55,13 +67,8 @@ class TaskGenome:
         return self.blocks[:, 2:]
 
     def as_vector(self) -> np.ndarray:
-        """Flat 4n copy used for prototype distances and snapshots."""
+        """Flat 4n copy, agent by agent: a genome's form in prototype sets and snapshots."""
         return self.blocks.reshape(-1).copy()
-
-    @classmethod
-    def from_vector(cls, vector, n_agents: int) -> "TaskGenome":
-        arr = np.asarray(vector, dtype=float).reshape(n_agents, BLOCK_SIZE)
-        return cls(arr)
 
 
 @dataclass(frozen=True)
@@ -104,11 +111,17 @@ def discretize(genome: TaskGenome, domain: TaskDomain) -> list[tuple[tuple[int, 
 
     Returns one ((start_x, start_y), (goal_x, goal_y)) cell pair per agent.
     """
-    width = domain.grid_width
-    # Plain ufuncs rather than np.clip: this runs once per episode reset and
-    # np.clip's per-call dtype-limit checks cost more than the arithmetic.
-    cells = np.minimum(np.maximum(np.floor(genome.blocks * width), 0), width - 1).astype(int).tolist()
+    cells = grid_cells(genome.blocks, domain.grid_width).tolist()
     return [((sx, sy), (gx, gy)) for sx, sy, gx, gy in cells]
+
+
+def grid_cells(blocks: np.ndarray, width: int) -> np.ndarray:
+    """``discretize``'s arithmetic on any array of genome blocks: every coordinate as its
+    cell index floor(c * width), clamped to [0, width - 1], as int32."""
+    # Plain ufuncs rather than np.clip: this runs on every reset and on every
+    # training batch, and np.clip's per-call dtype-limit checks cost more than
+    # the arithmetic.
+    return np.minimum(np.maximum(np.floor(blocks * width), 0), width - 1).astype(np.int32)
 
 
 def opposite_corner_target(n_agents: int) -> TaskGenome:

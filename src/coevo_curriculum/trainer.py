@@ -11,7 +11,7 @@ from typing import Iterable
 import numpy as np
 
 from .gridworld import EnvConfig, GridSpread, N_ACTIONS, _successors, obs_index
-from .tasks import TaskGenome
+from .tasks import TaskGenome, grid_cells
 
 
 @dataclass(frozen=True)
@@ -215,12 +215,12 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     code = np.where(draws[..., 0] < epsilon, (explore + 1) * N_ACTIONS, 0).reshape(-1, n_agents)
     del draws, explore
 
-    env = GridSpread(env_cfg)
-    ends = []  # (start cells, goal cells) of each task, as flat cells
     for task in tasks:
-        env.reset(task)
-        ends.append([[x * width + y for x, y in cells] for cells in (env.state.cells, env.goals)])
-    starts, goals = np.array(ends, dtype=np.int32).transpose(1, 0, 2)  # (tasks, agents) each
+        if task.n_agents != n_agents:
+            raise ValueError(f"task has {task.n_agents} agents, environment expects {n_agents}")
+    # Each agent's start and goal as flat cells x * width + y, (tasks, agents) each.
+    cells = grid_cells(np.stack([task.blocks for task in tasks]), width)
+    starts, goals = (cells[..., 0::2] * width + cells[..., 1::2]).transpose(2, 0, 1)
     # obs_index of every (task, agent, cell); it broadcasts over coordinate arrays.
     cell_x, cell_y = np.divmod(np.arange(n_cells, dtype=np.int32), width)
     goal_x, goal_y = np.divmod(goals[..., None], width)

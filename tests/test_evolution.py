@@ -8,7 +8,8 @@ from coevo_curriculum.evolution import (GROWTH, OP_COUNTS, EvolutionParams, Popu
                                         crossover, crossover_step, delete_bad_tasks,
                                         evolve_generation, init_population, mutate,
                                         pair_generation, sample_direction, soft_select)
-from coevo_curriculum.fitness import FitnessParams, PrototypeSet
+from coevo_curriculum import evolution
+from coevo_curriculum.fitness import FitnessParams, PrototypeSet, knn_estimate
 from coevo_curriculum.tasks import (BLOCK_SIZE, TaskDomain, TaskGenome, UNIT_DIAMETER,
                                     start_goal_distance)
 
@@ -344,6 +345,25 @@ def test_assign_population_fitness_mixes_measured_and_estimated():
     assert clone.r is None
 
 
+def test_assign_population_fitness_estimates_the_unmeasured_in_one_call(monkeypatch):
+    rng = np.random.default_rng(126)
+    protos = PrototypeSet(vectors=rng.random((6, 8)), fitnesses=rng.random(6))
+    active = [_record(rng.random((2, BLOCK_SIZE)), f=0.9, r=0.5 if index % 3 == 0 else None)
+              for index in range(10)]
+    calls = []
+
+    def counted(query, prototypes, k):
+        calls.append(np.shape(query))
+        return knn_estimate(query, prototypes, k)
+
+    monkeypatch.setattr(evolution, "knn_estimate", counted)
+    assign_population_fitness(active, protos, 3)
+    assert calls == [(6, 8)]
+    for rec in active:
+        expected = 0.9 if rec.r is not None else knn_estimate(rec.genome.as_vector(), protos, 3)
+        assert rec.f == expected
+
+
 def test_assign_population_fitness_propagates_k_errors():
     rec = _record([[0.1, 0.1, 0.1, 0.1]])
     protos = PrototypeSet(vectors=np.array([[0.0, 0.0, 0.0, 0.0]]), fitnesses=np.array([0.3]))
@@ -535,6 +555,22 @@ def test_advance_toward_closes_growth_times_success_of_each_gap():
                 (before.r, before.f, before.epoch_born, before.origin)
         # the caller's generation is not touched
         assert pop.active[0].genome.blocks[0, 0] == 1.0
+
+
+def test_advance_toward_equals_the_per_record_formula_bit_for_bit():
+    rng = np.random.default_rng(123)
+    for n_agents in range(1, 5):
+        target = TaskGenome(rng.random((n_agents, BLOCK_SIZE)))
+        pop = Population(active=[_record(rng.random((n_agents, BLOCK_SIZE)), f=0.2)
+                                 for _ in range(9)])
+        pop.active[0] = _record(target.blocks, f=0.3)
+        for success in (1.0, 0.75, 0.3, 1e-3, 0.123456789):
+            moved = advance_toward(pop, target, success)
+            for before, after in zip(pop.active, moved.active, strict=True):
+                blocks = before.genome.blocks
+                expected = blocks + GROWTH * success * (target.blocks - blocks)
+                assert after.genome.blocks.tobytes() == expected.tobytes()
+                assert not after.genome.blocks.flags.writeable
 
 
 def test_advance_toward_without_success_is_the_identity():

@@ -133,6 +133,38 @@ def test_knn_matches_bruteforce_oracle():
         assert knn_estimate(query, protos, k) == _knn_oracle(query, vectors, fitnesses, k)
 
 
+def test_stacked_knn_matches_bruteforce_oracle_row_by_row():
+    # every k from 1 to the prototype count (k >= 8 sums past numpy's pairwise threshold),
+    # genome widths of 1 to 4 agents, duplicated prototypes with unequal fitness so that
+    # distance ties decide, and queries placed exactly on a prototype
+    rng = np.random.default_rng(28)
+    for n_agents in range(1, 5):
+        dim = 4 * n_agents
+        for m in (1, 2, 9, 16, 23):
+            vectors = rng.random((m, dim))
+            if m > 2:
+                vectors[m - 1] = vectors[m // 2] = vectors[0]
+            fitnesses = rng.random(m)
+            queries = rng.random((7, dim))
+            queries[0] = vectors[0]
+            queries[1] = vectors[m - 1]
+            queries[2] = queries[3]
+            protos = PrototypeSet(vectors=vectors, fitnesses=fitnesses)
+            for k in range(1, m + 1):
+                got = knn_estimate(queries, protos, k)
+                assert got.shape == (len(queries),)
+                assert got.tolist() == [_knn_oracle(query, vectors, fitnesses, k)
+                                        for query in queries]
+                assert got.tolist() == [knn_estimate(query, protos, k) for query in queries]
+
+
+def test_stacked_knn_accepts_an_empty_stack_and_checks_its_width():
+    protos = PrototypeSet(vectors=np.zeros((3, 4)), fitnesses=np.zeros(3))
+    assert knn_estimate(np.zeros((0, 4)), protos, 2).shape == (0,)
+    with pytest.raises(ValueError):
+        knn_estimate(np.zeros((2, 8)), protos, 2)
+
+
 def test_knn_result_lies_within_prototype_fitness_range():
     rng = np.random.default_rng(27)
     for _ in range(100):

@@ -136,7 +136,7 @@ def test_config_rejects_type_mismatches():
             config_from_dict(data)
 
 
-def test_config_errors_name_the_first_bad_element():
+def test_config_errors_name_the_first_bad_element(tmp_path):
     for key, value, message in (
             ("target", [[0.0, 0.0, 1.0, 1.0], [0.5, 0.5, True, 0.5]],
              r"experiment.target\[1\]\[2\] must be a number"),
@@ -150,6 +150,36 @@ def test_config_errors_name_the_first_bad_element():
     data["evolution"]["deletion_band"] = [0.1, "0.9"]
     with pytest.raises(ConfigError, match=r"evolution.deletion_band\[1\] must be a number"):
         config_from_dict(data)
+    # The snapshot's long columns: the policy's q line and the genome columns.
+    good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
+    meta, active, policy = [json.loads(line) for line in good.read_text().splitlines()]
+    for case, (bad, message) in enumerate((
+            (True, "must be a number"), ("0.5", "must be a number"), (math.nan, "must be finite"),
+            (math.inf, "must be finite"), (-math.inf, "must be finite"),
+            (10**400, "must be finite"))):
+        q = list(policy["q"])
+        q[3] = bad
+        with pytest.raises(ConfigError, match=rf"policy q\[3\] {message}$"):
+            load_snapshot(_write_jsonl(tmp_path / "q.jsonl", [meta, active, dict(policy, q=q)]))
+        genomes = copy.deepcopy(active["genome"])
+        genomes[1][2] = bad
+        with pytest.raises(ConfigError, match=rf"active genome\[1\]\[2\] {message}$"):
+            load_snapshot(_write_jsonl(tmp_path / "genome.jsonl",
+                                       [meta, dict(active, genome=genomes), policy]))
+        archived = dict(active, kind="archive", epoch=0, genome=genomes)
+        with pytest.raises(ConfigError, match=rf"archive genome\[1\]\[2\] {message}$"):
+            load_snapshot(_write_archived(tmp_path / f"archived-{case}", meta, active, policy,
+                                          [archived]))
+    # A plain int passes as a float, in the fast path's columns as everywhere.
+    q = list(policy["q"])
+    q[3] = 1
+    genomes = copy.deepcopy(active["genome"])
+    genomes[1][2] = 0
+    loaded = load_snapshot(_write_archived(tmp_path / "ints", meta, dict(active, genome=genomes),
+                                           dict(policy, q=q), []))
+    assert loaded.policy_q.reshape(-1)[3] == 1.0
+    assert loaded.pop.active[1].genome.as_vector().tolist() == \
+        [float(value) for value in genomes[1]]
 
 
 def test_config_validates_experiment_fields():

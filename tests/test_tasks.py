@@ -61,6 +61,39 @@ def test_genome_shape_and_finiteness_checks():
         TaskGenome(np.array([[0.1, 0.2, np.nan, 0.4]]))
 
 
+def test_genome_batch_checks_as_the_constructor_does():
+    nan = np.full((3, 2, BLOCK_SIZE), 0.5)
+    nan[2, 1, 3] = np.nan
+    inf = np.full((3, 2, BLOCK_SIZE), 0.5)
+    inf[1, 0, 0] = -np.inf
+    for single, batch, message in (
+            (np.zeros((2, 3)), np.zeros((3, 2, 3)),
+             r"genome blocks must have shape \(n, 4\), got \((3, )?2, 3\)"),
+            (np.zeros(BLOCK_SIZE), np.zeros((2, BLOCK_SIZE)),
+             r"genome blocks must have shape \(n, 4\), got \((2, )?4,?\)"),
+            (np.zeros((0, BLOCK_SIZE)), np.zeros((3, 0, BLOCK_SIZE)),
+             "genome needs at least one agent block"),
+            (nan[2], nan, "genome components must be finite"),
+            (inf[1], inf, "genome components must be finite")):
+        with pytest.raises(ValueError, match=message):
+            TaskGenome(single)
+        with pytest.raises(ValueError, match=message):
+            TaskGenome.batch(batch)
+
+
+def test_genome_batch_gives_the_genomes_of_its_rows():
+    rng = np.random.default_rng(16)
+    blocks = rng.random((5, 3, BLOCK_SIZE))
+    genomes = TaskGenome.batch(blocks)
+    assert [genome.blocks.tobytes() for genome in genomes] == \
+        [TaskGenome(rows).blocks.tobytes() for rows in blocks]
+    for genome in genomes:
+        assert genome.n_agents == 3 and genome.blocks.flags.c_contiguous
+        with pytest.raises(ValueError):
+            genome.blocks[0, 0] = 0.5
+    assert TaskGenome.batch(np.zeros((0, 3, BLOCK_SIZE))) == []
+
+
 def test_genome_blocks_are_read_only():
     genome = TaskGenome(np.zeros((1, BLOCK_SIZE)))
     with pytest.raises(ValueError):
@@ -71,7 +104,7 @@ def test_vector_round_trip():
     rng = np.random.default_rng(13)
     blocks = rng.random((3, BLOCK_SIZE))
     genome = TaskGenome(blocks)
-    back = TaskGenome.from_vector(genome.as_vector(), 3)
+    back, = TaskGenome.batch(genome.as_vector().reshape(1, 3, BLOCK_SIZE))
     assert np.array_equal(back.blocks, genome.blocks)
 
 
