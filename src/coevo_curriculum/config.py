@@ -158,12 +158,8 @@ def _coerce(value: Any, tp: Any, where: str) -> Any:
     if args[-1] is Ellipsis and _plain(value, args[0]):
         return tuple(value)
     types = [args[0]] * len(value) if args[-1] is Ellipsis else args
-    try:
-        return tuple([_coerce(item, item_tp, where) for item, item_tp in zip(value, types)])
-    except ConfigError:  # checked again to name the first bad element's place
-        for index, (item, item_tp) in enumerate(zip(value, types)):
-            _coerce(item, item_tp, f"{where}[{index}]")
-        raise
+    return tuple([_coerce(item, item_tp, f"{where}[{index}]")
+                  for index, (item, item_tp) in enumerate(zip(value, types))])
 
 
 def _check_keys(data: Any, allowed: Any, where: str) -> None:

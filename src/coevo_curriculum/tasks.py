@@ -13,9 +13,10 @@ DEFAULT_DISTANCE_THRESHOLD = 0.01 * UNIT_DIAMETER
 
 
 def _checked_blocks(blocks, ndim: int) -> np.ndarray:
-    """``blocks`` as a read-only C-contiguous float array of ``ndim`` dimensions, the last
-    two (n_agents >= 1, BLOCK_SIZE), every component finite; the one genome check."""
-    arr = np.ascontiguousarray(blocks, dtype=float)
+    """A read-only C-ordered float copy of ``blocks`` with ``ndim`` dimensions, the last
+    two (n_agents >= 1, BLOCK_SIZE), every component finite; the one genome check. The
+    copy leaves the caller's array writable."""
+    arr = np.array(blocks, dtype=float, order="C")
     if arr.ndim != ndim or arr.shape[-1] != BLOCK_SIZE:
         raise ValueError(f"genome blocks must have shape (n, {BLOCK_SIZE}), got {arr.shape}")
     if arr.shape[-2] < 1:
@@ -44,7 +45,8 @@ class TaskGenome:
     @classmethod
     def batch(cls, blocks) -> list["TaskGenome"]:
         """One genome per row of an ``(m, n_agents, 4)`` array, checked once as a whole with
-        the constructor's checks; each genome's blocks are a read-only view of that array."""
+        the constructor's checks; the genomes' blocks are read-only views of one checked
+        copy."""
         genomes = []
         for rows in _checked_blocks(blocks, 3):
             genome = object.__new__(cls)

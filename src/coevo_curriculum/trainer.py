@@ -40,7 +40,8 @@ class LearnerParams:
 @dataclass
 class PolicyTable:
     """Per-agent action-value tables with their learner constants; with ``rollout``, the
-    tests' numpy oracle. Training itself runs on a bare Q array (see ``train_on_tasks``)."""
+    greedy target evaluator and the tests' oracle. Training itself runs on a bare Q array
+    (see ``train_on_tasks``)."""
 
     q: np.ndarray  # shape EnvConfig.q_shape
     learning_rate: float
@@ -64,7 +65,8 @@ class PolicyTable:
     def act(self, agent: int, state: int, draw: np.ndarray | None,
             epsilon: float | None = None) -> int:
         """Action of ``agent`` in ``state`` from its step's pair of uniforms ``draw``
-        (None acts greedily): explore iff ``draw[0] < epsilon``, as in ``_episode``."""
+        (None acts greedily): explore iff ``draw[0] < epsilon``, taking action
+        ``int(draw[1] * N_ACTIONS)``; otherwise the first action of highest value."""
         eps = self.epsilon if epsilon is None else epsilon
         if draw is not None and draw[0] < eps:
             return int(draw[1] * N_ACTIONS)
@@ -77,18 +79,12 @@ class PolicyTable:
         self.q[agent, state, action] += self.learning_rate * (target - self.q[agent, state, action])
 
 
-# A policy's action values as nested lists, rows[agent][state][action]. The
-# scalar episode and the shared-table replay work on these: on a row of
-# N_ACTIONS floats a Python max and index beat numpy's per-call overhead, and
-# Python floats do the same IEEE double arithmetic, so the results are
-# bit-identical to the array.
-QRows = list[list[list[float]]]
-
-
 def _td_updates(rows: Iterable[list[float]], actions: Iterable[int],
                 next_rows: Iterable[list[float]], wins: Iterable[bool], learning_rate: float,
                 discount: float) -> None:
-    """TD updates in order, update k into the agent's row ``rows[k]``.
+    """TD updates in order, update k into the agent's row ``rows[k]``, a list of
+    N_ACTIONS Python floats: on rows that short a Python max beats numpy's per-call
+    overhead, and the IEEE double arithmetic is the array's, bit for bit.
 
     The team reward is 1 exactly on an episode's terminal transition, so it
     also marks the updates that do not bootstrap: the target is 1.0 on a win
@@ -112,57 +108,30 @@ class TaskOutcome:
         return self.successes / self.episodes
 
 
-def _episode(env: GridSpread, task: TaskGenome, rows: QRows, learn: bool,
-             draws: np.ndarray | None, epsilon: float, learning_rate: float,
-             discount: float) -> tuple[bool, int]:
-    """One epsilon-greedy episode acting on ``rows``; returns (success, steps).
-
-    ``draws`` is the episode's ``(max_steps, n_agents, 2)`` block of uniforms,
-    or None for a greedy episode. At step t agent i explores iff
-    ``draws[t, i, 0] < epsilon``, taking action ``int(draws[t, i, 1] * N_ACTIONS)``;
-    otherwise it takes the first action of highest value. With ``learn`` each
-    step's TD update goes into ``rows``. This is the scalar oracle of
-    ``train_on_tasks`` and the greedy path of ``evaluate_target``.
-    """
-    state = env.reset(task)
-    cfg = env.cfg
-    goals = env.goals
-    agents = range(cfg.n_agents)
-    block = draws.tolist() if draws is not None else None
-    obs = tuple([obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, goals)])
-    done = False
-    while not done:
-        picks = []
-        for i in agents:
-            if block is not None and block[state.t][i][0] < epsilon:
-                picks.append(int(block[state.t][i][1] * N_ACTIONS))
-            else:
-                row = rows[i][obs[i]]
-                picks.append(row.index(max(row)))
-        state, reward, done = env.step(tuple(picks))
-        next_obs = tuple([obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, goals)])
-        if learn:
-            _td_updates([rows[i][obs[i]] for i in agents], picks,
-                        [rows[i][next_obs[i]] for i in agents], (reward == 1,) * cfg.n_agents,
-                        learning_rate, discount)
-        obs = next_obs
-    return reward == 1, state.t
-
-
 def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable, learn: bool,
             draws: np.ndarray | None, epsilon: float | None = None) -> tuple[bool, int]:
-    """Run one episode on its ``(max_steps, n_agents, 2)`` block of uniforms ``draws``;
+    """Run one episode on its ``(max_steps, n_agents, 2)`` block of uniforms ``draws``,
+    acting through ``policy.act`` and, with ``learn``, updating through ``policy.update``;
     returns (ended on the goal configuration, steps taken).
 
     ``epsilon`` defaults to the policy's own. ``draws`` may be None only when
     exploration is off, since a greedy episode reads no random numbers.
     """
-    rows = policy.q.tolist()
-    eps = policy.epsilon if epsilon is None else epsilon
-    result = _episode(env, task, rows, learn, draws, eps, policy.learning_rate, policy.discount)
-    if learn:
-        policy.q[:] = rows
-    return result
+    state = env.reset(task)
+    cfg, goals = env.cfg, env.goals
+    agents = range(cfg.n_agents)
+    obs = [obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, goals)]
+    done = False
+    while not done:
+        step = draws[state.t] if draws is not None else [None] * cfg.n_agents
+        actions = tuple([policy.act(i, obs[i], step[i], epsilon) for i in agents])
+        state, reward, done = env.step(actions)
+        next_obs = [obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, goals)]
+        if learn:
+            for i in agents:
+                policy.update(i, obs[i], actions[i], reward, next_obs[i], reward == 1)
+        obs = next_obs
+    return reward == 1, state.t
 
 
 @cache
@@ -193,7 +162,7 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     also goes into ``q``, task by task in index order.
 
     The draws are one block ``rng.random((tasks, episodes, max_steps, n_agents,
-    2))``; episode e of task b reads its slice ``[b, e]`` as ``_episode`` does.
+    2))``; episode e of task b reads its slice ``[b, e]`` as ``rollout`` does.
     The tasks are lanes that run their episodes back to back and step in
     lockstep on numpy arrays, with the arithmetic and order of ``_td_updates``.
     A lane's goals are fixed, so its private table is indexed by cell rather
@@ -315,6 +284,7 @@ def evaluate_target(q: np.ndarray, target: TaskGenome, env_cfg: EnvConfig) -> fl
     The environment is deterministic and a greedy episode draws no random
     numbers, so one episode gives the exact success rate.
     """
-    # No table learns, so the learning rate and discount are never read.
-    ok, _ = _episode(GridSpread(env_cfg), target, q.tolist(), False, None, 0.0, 0.0, 0.0)
+    # The table wraps q without a copy and, with learn=False, never writes to it; a
+    # greedy episode never reads the learning rate or the discount, so they are 0.0.
+    ok, _ = rollout(GridSpread(env_cfg), target, PolicyTable(q, 0.0, 0.0, 0.0), False, None)
     return float(ok)

@@ -100,6 +100,15 @@ def test_genome_blocks_are_read_only():
         genome.blocks[0, 0] = 0.5
 
 
+def test_genomes_leave_the_callers_array_writable():
+    blocks = np.zeros((2, BLOCK_SIZE))
+    stack = np.zeros((3, 2, BLOCK_SIZE))
+    genome, (first, *_) = TaskGenome(blocks), TaskGenome.batch(stack)
+    blocks[0, 0] = 1.0
+    stack[0, 0, 0] = 1.0
+    assert genome.blocks[0, 0] == 0.0 and first.blocks[0, 0] == 0.0
+
+
 def test_vector_round_trip():
     rng = np.random.default_rng(13)
     blocks = rng.random((3, BLOCK_SIZE))

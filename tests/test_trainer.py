@@ -31,7 +31,7 @@ def _rng(seed):
 
 
 def _draws(rng, cfg, episodes=1):
-    """An episode-major block of uniforms in ``_episode``'s (max_steps, n_agents, 2) layout."""
+    """An episode-major block of uniforms in ``rollout``'s (max_steps, n_agents, 2) layout."""
     return rng.random((episodes, cfg.max_steps, cfg.n_agents, 2))
 
 
@@ -109,33 +109,24 @@ def test_learning_rollout_updates_only_visited_entries():
 
 
 def _reference_train(tasks, policy, episodes, cfg, rng):
-    """train_on_tasks on the array, through PolicyTable's per-call clone, act and update."""
+    """train_on_tasks through ``rollout``: each task's episodes learn on a clone of the
+    incoming policy, and every clone's updates are then replayed into ``policy`` in order."""
     draws = rng.random((len(tasks), episodes, cfg.max_steps, cfg.n_agents, 2))
-    outcomes, experience = [], []
+    env = GridSpread(cfg)
+    outcomes, updates = [], []
     for index, task in enumerate(tasks):
         local = policy.clone()
-        env = GridSpread(cfg)
-        successes = steps = 0
-        for episode in range(episodes):
-            state = env.reset(task)
-            obs = [obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, env.goals)]
-            done = terminal = False
-            while not done:
-                step = draws[index, episode, state.t]
-                actions = [local.act(i, obs[i], step[i]) for i in range(cfg.n_agents)]
-                state, reward, done = env.step(tuple(actions))
-                nxt = [obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, env.goals)]
-                terminal = reward == 1
-                for i in range(cfg.n_agents):
-                    local.update(i, obs[i], actions[i], reward, nxt[i], terminal)
-                experience.append((obs, actions, reward, nxt, terminal))
-                obs = nxt
-                steps += 1
-            successes += int(terminal)
-        outcomes.append((index, episodes, successes, steps))
-    for obs, actions, reward, nxt, terminal in experience:
-        for i in range(cfg.n_agents):
-            policy.update(i, obs[i], actions[i], reward, nxt[i], terminal)
+
+        def update(*args, own_update=local.update):
+            updates.append(args)
+            own_update(*args)
+
+        local.update = update
+        results = [rollout(env, task, local, True, block) for block in draws[index]]
+        outcomes.append((index, episodes, sum(ok for ok, _ in results),
+                         sum(steps for _, steps in results)))
+    for args in updates:
+        policy.update(*args)
     return outcomes
 
 
@@ -338,10 +329,25 @@ def test_monotone_solvability_on_trivial_batch():
 def test_evaluate_target_is_pure_and_greedy():
     cfg = EnvConfig(grid_width=12, n_agents=2, max_steps=40)
     q = np.zeros(cfg.q_shape)
+    q.setflags(write=False)  # any write raises
     target = opposite_corner_target(2)
     rate = evaluate_target(q, target, cfg)
     assert rate < 0.1  # untrained policy cannot cross the grid
     assert not q.any()
+
+
+def test_evaluate_target_follows_the_greedy_actions():
+    # Only "right" has value on the walk from (0, 2) to (3, 2), three cells away.
+    cfg = EnvConfig(grid_width=5, n_agents=1, max_steps=3)
+    start, goal = (0, 2), (3, 2)
+    q = np.zeros(cfg.q_shape)
+    for x in range(start[0], goal[0]):
+        q[0, obs_index((x, 2), goal, cfg), MOVES.index((1, 0))] = 1.0
+    q.setflags(write=False)
+    genome = _genome_for_cells([start], [goal], cfg.grid_width)
+    assert evaluate_target(q, genome, cfg) == 1.0
+    short = EnvConfig(grid_width=5, n_agents=1, max_steps=2)
+    assert evaluate_target(q, genome, short) == 0.0
 
 
 def test_evaluate_on_zero_distance_target_is_perfect():
