@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ from .config import ConfigError, ExperimentConfig, _coerce, _schema, config_from
 from .evolution import ORIGIN_CROSS, ORIGIN_INIT, ORIGIN_MUTATE, Population, TaskRecord
 from .tasks import BLOCK_SIZE, TaskGenome
 
-SNAPSHOT_FORMAT = 5
+SNAPSHOT_FORMAT = 6
 
 
 @dataclass
@@ -44,10 +45,11 @@ class Snapshot:
 
 
 # Shared by writer and reader: the meta line's counters are Snapshot's int fields, and a
-# generation line's record columns are TaskRecord's fields in order, a genome as its flat vector.
+# generation line's JSON columns are TaskRecord's scalar fields in order. Its genomes, and the
+# policy's entries, are binary columns instead: exact little-endian bytes (see _binary).
 _COUNTS = tuple(name for name, tp in _schema(Snapshot).items() if tp is int)
-_VECTOR = tuple[float, ...]
-_COLUMNS = {name: _VECTOR if tp is TaskGenome else tp for name, tp in _schema(TaskRecord).items()}
+_COLUMNS = {name: tp for name, tp in _schema(TaskRecord).items() if tp is not TaskGenome}
+_FLOAT, _INDEX = np.dtype("<f8"), np.dtype("<u4")
 _ENCODE = json.JSONEncoder(allow_nan=False).encode  # so no run writes a file the reader rejects
 ARCHIVE_NAME = "archive.jsonl"
 EMPTY_ARCHIVE_DIGEST = hashlib.sha256().hexdigest()
@@ -74,9 +76,9 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 
 def write_snapshot(path: Path, snapshot: Snapshot) -> None:
     """One meta line with the run's identity config (and, for a ccl run, the archive digest);
-    for a ccl run, one line for the active generation, records as columns; then the whole Q
-    table flat on one line. No operational key is stored, so a resumed run writes the files
-    an uninterrupted one does.
+    for a ccl run, one line for the active generation, records as columns; then one line with
+    the Q table's non-zero entries, their flat positions and values as binary columns. No
+    operational key is stored, so a resumed run writes the files an uninterrupted one does.
 
     Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
     ``write_snapshot(p, load_snapshot(p))`` writes the bytes of a ``p`` it wrote again.
@@ -89,15 +91,31 @@ def write_snapshot(path: Path, snapshot: Snapshot) -> None:
                               "config": snapshot.config.identity_fingerprint()}) + "\n")
         if pop is not None:
             handle.write(_ENCODE(_generation_line("active", pop.epoch, pop.active)) + "\n")
-        q = snapshot.policy_q.reshape(-1).tolist()
-        handle.write(_ENCODE({"kind": "policy", "q": q}) + "\n")
+        handle.write(_ENCODE(_policy_line(snapshot.policy_q)) + "\n")
+
+
+def _binary(values: np.ndarray, dtype: np.dtype, where: str) -> str:
+    """``values`` as one column: their exact bytes as ``dtype``, base64. A non-finite float is
+    refused, so no run writes a file the reader rejects."""
+    if dtype.kind == "f" and not np.isfinite(values).all():
+        raise ValueError(f"{where} holds a non-finite value; a snapshot stores finite numbers")
+    return base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _policy_line(q: np.ndarray) -> dict[str, Any]:
+    """The flat positions of the non-zero entries, tested on the bit pattern so that a -0.0 is
+    kept, and their values; each table has this one encoding."""
+    flat = np.ascontiguousarray(q, dtype=_FLOAT).reshape(-1)
+    index = np.flatnonzero(flat.view("<u8"))
+    return {"kind": "policy", "index": _binary(index, _INDEX, "policy index"),
+            "q": _binary(flat[index], _FLOAT, "policy q")}
 
 
 def _generation_line(kind: str, epoch: int, records: list[TaskRecord]) -> dict[str, Any]:
+    genomes = np.stack([rec.genome.blocks for rec in records]) if records else np.empty(0)
     columns = {name: [getattr(rec, name) for rec in records] for name in _COLUMNS}
-    columns["genome"] = (np.stack([genome.blocks for genome in columns["genome"]])
-                         .reshape(len(records), -1).tolist() if records else [])
-    return {"kind": kind, "epoch": epoch, **columns}
+    return {"kind": kind, "epoch": epoch,
+            "genome": _binary(genomes, _FLOAT, f"{kind} genome"), **columns}
 
 
 def _archive_line(epoch: int, records: list[TaskRecord]) -> str:
@@ -155,11 +173,7 @@ def _read_snapshot(lines: list[Any]) -> Snapshot:
     if kinds != ["meta", *(["active"] if ccl else []), "policy"]:
         raise ConfigError(f"lines run {', '.join(map(str, kinds))}; a {config.mode} snapshot "
                           f"needs meta, {'active, ' if ccl else ''}policy")
-    shape = config.env.q_shape
-    q = np.asarray(_coerce(lines[-1]["q"], _VECTOR, "policy q"), dtype=float)
-    size = math.prod(shape)
-    if q.shape != (size,):
-        raise ConfigError(f"policy holds {q.size} values; the shape {shape} needs {size}")
+    q = _read_policy(lines[-1], config.env.q_shape)
     counts = {name: _coerce(meta[name], int, f"meta {name}") for name in _COUNTS}
     pop = digest = None
     if ccl:
@@ -169,8 +183,51 @@ def _read_snapshot(lines: list[Any]) -> Snapshot:
             raise ConfigError(f"the active generation is of epoch {epoch}, "
                               f"the snapshot of epoch {counts['epoch']}")
         pop = Population(active=active, epoch=epoch)
-    return Snapshot(config=config, **counts, pop=pop, policy_q=q.reshape(shape),
-                    archive_digest=digest)
+    return Snapshot(config=config, **counts, pop=pop, policy_q=q, archive_digest=digest)
+
+
+def _read_column(value: Any, dtype: np.dtype, where: str) -> np.ndarray:
+    """The values of one binary column: a string of strict base64 holding whole values."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a base64 string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ConfigError(f"{where} is not base64: {exc}") from exc
+    if len(raw) % dtype.itemsize:
+        raise ConfigError(f"{where} holds {len(raw)} bytes, not whole {dtype.itemsize}-byte "
+                          "values")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _check_finite(values: np.ndarray, where: str) -> None:
+    """One pass over a float array; a fault names the first non-finite element."""
+    if not np.isfinite(values).all():
+        first = np.argwhere(~np.isfinite(values))[0]
+        raise ConfigError(where + "".join(f"[{i}]" for i in first) + " must be finite")
+
+
+def _read_policy(line: dict[str, Any], shape: tuple[int, ...]) -> np.ndarray:
+    """The Q table from its listed entries: positions rising strictly within the table, each
+    with a finite non-zero value, so that every table has one encoding."""
+    index = _read_column(line["index"], _INDEX, "policy index")
+    q = _read_column(line["q"], _FLOAT, "policy q")
+    if index.size != q.size:
+        raise ConfigError(f"policy index holds {index.size} positions, policy q {q.size} values")
+    _check_finite(q, "policy q")
+    zeros = np.flatnonzero(q.view("<u8") == 0)
+    if zeros.size:
+        raise ConfigError(f"policy q[{zeros[0]}] is a listed zero; only non-zero entries are "
+                          "listed")
+    if (index[1:] <= index[:-1]).any():
+        raise ConfigError("policy index does not rise strictly")
+    size = math.prod(shape)
+    if index.size and index[-1] >= size:
+        raise ConfigError(f"policy index {index[-1]} is out of range: the shape {shape} holds "
+                          f"{size} values")
+    table = np.zeros(size)
+    table[index] = q
+    return table.reshape(shape)
 
 
 def _read_generation(line: dict[str, Any], config: ExperimentConfig
@@ -181,11 +238,15 @@ def _read_generation(line: dict[str, Any], config: ExperimentConfig
     if not set(columns["origin"]) <= {ORIGIN_INIT, ORIGIN_CROSS, ORIGIN_MUTATE}:
         raise ConfigError(f"an {kind} origin is not one of "
                           f"{ORIGIN_INIT}, {ORIGIN_CROSS}, {ORIGIN_MUTATE}")
-    genomes = columns["genome"]
-    columns["genome"] = TaskGenome.batch(np.array(genomes, dtype=float).reshape(
-        len(genomes), config.env.n_agents, BLOCK_SIZE))
+    genomes = _read_column(line["genome"], _FLOAT, f"{kind} genome")
+    count, n_agents = len(columns["r"]), config.env.n_agents
+    if genomes.size != count * n_agents * BLOCK_SIZE:
+        raise ConfigError(f"{kind} genome holds {genomes.size} values; {count} records of "
+                          f"{n_agents} agents need {count * n_agents * BLOCK_SIZE}")
+    _check_finite(genomes.reshape(count, n_agents * BLOCK_SIZE), f"{kind} genome")
+    batch = TaskGenome.batch(genomes.reshape(count, n_agents, BLOCK_SIZE))
     return (_coerce(line["epoch"], int, f"{kind} epoch"),
-            [TaskRecord(*values) for values in zip(*columns.values(), strict=True)])
+            [TaskRecord(*values) for values in zip(batch, *columns.values(), strict=True)])
 
 
 def _read_archive(path: Path, snap: Snapshot

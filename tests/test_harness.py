@@ -1,5 +1,6 @@
 """Config schema, run loop artifacts, snapshot resume, ablations, CLI."""
 
+import base64
 import copy
 import csv
 import hashlib
@@ -150,36 +151,39 @@ def test_config_errors_name_the_first_bad_element(tmp_path):
     data["evolution"]["deletion_band"] = [0.1, "0.9"]
     with pytest.raises(ConfigError, match=r"evolution.deletion_band\[1\] must be a number"):
         config_from_dict(data)
-    # The snapshot's long columns: the policy's q line and the genome columns.
+    # The snapshot's binary columns name the first bad element as a config check does.
     good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
     meta, active, policy = [json.loads(line) for line in good.read_text().splitlines()]
-    for case, (bad, message) in enumerate((
-            (True, "must be a number"), ("0.5", "must be a number"), (math.nan, "must be finite"),
-            (math.inf, "must be finite"), (-math.inf, "must be finite"),
-            (10**400, "must be finite"))):
-        q = list(policy["q"])
+    genomes = _floats(active["genome"]).reshape(len(active["r"]), -1)
+    for case, bad in enumerate((math.nan, math.inf, -math.inf)):
+        q = np.ones(5)
         q[3] = bad
-        with pytest.raises(ConfigError, match=rf"policy q\[3\] {message}$"):
-            load_snapshot(_write_jsonl(tmp_path / "q.jsonl", [meta, active, dict(policy, q=q)]))
-        genomes = copy.deepcopy(active["genome"])
-        genomes[1][2] = bad
-        with pytest.raises(ConfigError, match=rf"active genome\[1\]\[2\] {message}$"):
+        listed = dict(policy, index=_b64(range(5), "<u4"), q=_b64(q))
+        with pytest.raises(ConfigError, match=r"policy q\[3\] must be finite$"):
+            load_snapshot(_write_jsonl(tmp_path / "q.jsonl", [meta, active, listed]))
+        edited = genomes.copy()
+        edited[1, 2] = bad
+        with pytest.raises(ConfigError, match=r"active genome\[1\]\[2\] must be finite$"):
             load_snapshot(_write_jsonl(tmp_path / "genome.jsonl",
-                                       [meta, dict(active, genome=genomes), policy]))
-        archived = dict(active, kind="archive", epoch=0, genome=genomes)
-        with pytest.raises(ConfigError, match=rf"archive genome\[1\]\[2\] {message}$"):
+                                       [meta, dict(active, genome=_b64(edited)), policy]))
+        archived = dict(active, kind="archive", epoch=0, genome=_b64(edited))
+        with pytest.raises(ConfigError, match=r"archive genome\[1\]\[2\] must be finite$"):
             load_snapshot(_write_archived(tmp_path / f"archived-{case}", meta, active, policy,
                                           [archived]))
-    # A plain int passes as a float, in the fast path's columns as everywhere.
-    q = list(policy["q"])
-    q[3] = 1
-    genomes = copy.deepcopy(active["genome"])
-    genomes[1][2] = 0
-    loaded = load_snapshot(_write_archived(tmp_path / "ints", meta, dict(active, genome=genomes),
-                                           dict(policy, q=q), []))
-    assert loaded.policy_q.reshape(-1)[3] == 1.0
-    assert loaded.pop.active[1].genome.as_vector().tolist() == \
-        [float(value) for value in genomes[1]]
+    # A value that is no column at all: a number, a boolean, a list of numbers, or a string
+    # outside base64.
+    for case, (bad, message) in enumerate((
+            (True, "must be a base64 string"), (10**400, "must be a base64 string"),
+            ([0.5] * 4, "must be a base64 string"), ("0.5", "is not base64"))):
+        with pytest.raises(ConfigError, match=rf"policy q {message}"):
+            load_snapshot(_write_jsonl(tmp_path / "q.jsonl", [meta, active, dict(policy, q=bad)]))
+        with pytest.raises(ConfigError, match=rf"active genome {message}"):
+            load_snapshot(_write_jsonl(tmp_path / "genome.jsonl",
+                                       [meta, dict(active, genome=bad), policy]))
+        archived = dict(active, kind="archive", epoch=0, genome=bad)
+        with pytest.raises(ConfigError, match=rf"archive genome {message}"):
+            load_snapshot(_write_archived(tmp_path / f"archived-type-{case}", meta, active, policy,
+                                          [archived]))
 
 
 def test_config_validates_experiment_fields():
@@ -393,10 +397,20 @@ def test_write_snapshot_reproduces_every_loaded_snapshot(tmp_path):
             write_snapshot(again, load_snapshot(path))
             assert again.read_bytes() == path.read_bytes()
     unreadable = load_snapshot(paths[-1])
-    unreadable.policy_q[0, 0, 0] = math.nan
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        write_snapshot(tmp_path / "nan.jsonl", unreadable)
-    assert not list(tmp_path.glob("nan.jsonl*"))
+    for bad in (math.nan, math.inf):
+        unreadable.policy_q[0, 0, 0] = bad
+        with pytest.raises(ValueError, match="policy q holds a non-finite value"):
+            write_snapshot(tmp_path / "nan.jsonl", unreadable)
+        assert not list(tmp_path.glob("nan.jsonl*"))
+
+
+def _b64(values, dtype="<f8"):
+    """A binary snapshot column, encoded as the README specifies."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _floats(column):
+    return np.frombuffer(base64.b64decode(column, validate=True), dtype="<f8")
 
 
 def _write_jsonl(path, lines):
@@ -438,6 +452,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     assert [line["kind"] for line in lines] == ["meta", "active", "policy"]
     meta, active, policy = lines
     for found, edit in (("99", lambda meta: meta.update(format=99)),
+                        ("5", lambda meta: meta.update(format=5)),
                         ("4", lambda meta: meta.update(format=4)),
                         ("3", lambda meta: meta.update(format=3)),
                         ("2", lambda meta: meta.update(format=2)),
@@ -445,15 +460,19 @@ def test_load_snapshot_rejects_garbage(tmp_path):
                         ("missing", lambda meta: meta.pop("format"))):
         other = dict(meta)
         edit(other)
-        with pytest.raises(ConfigError, match=f"format {found}, expected 5"):
+        with pytest.raises(ConfigError, match=f"format {found}, expected 6"):
             load_snapshot(_write_jsonl(tmp_path / f"format-{found}.jsonl",
                                        [other, active, policy]))
-    three_agents = dict(active, genome=[genome + genome[:4] for genome in active["genome"]])
+    n = len(active["r"])
+    genomes = _floats(active["genome"]).reshape(n, -1)
+    three_agents = dict(active, genome=_b64(np.hstack([genomes, genomes[:, :4]])))
+    size = math.prod(_small_config().env.q_shape)
     vanilla_meta = dict(meta, config=dict(meta["config"],
                                           experiment=dict(meta["config"]["experiment"],
                                                           mode="vanilla")))
     for name, bad, match in (
-            ("ragged-policy", [meta, active, dict(policy, q=[0.0] * 7)], "shape"),
+            ("ragged-policy", [meta, active, dict(policy, index=_b64([size], "<u4"),
+                                                  q=_b64([1.0]))], "shape"),
             ("list-line", [meta, [1, 2], policy], "not a JSON object"),
             ("null-line", [meta, active, None], "not a JSON object"),
             ("no-generations", [meta, policy], "ccl snapshot needs"),
@@ -462,8 +481,11 @@ def test_load_snapshot_rejects_garbage(tmp_path):
             ("no-meta", [active, policy], "format missing"),
             ("archive-line", [meta, active, dict(active, kind="archive"), policy],
              "ccl snapshot needs"),
-            ("three-agent-genomes", [meta, three_agents, policy], "malformed"),
-            ("ragged-columns", [meta, dict(active, r=active["r"][1:]), policy], "malformed"),
+            ("three-agent-genomes", [meta, three_agents, policy],
+             rf"active genome holds {n * 12} values; {n} records of 2 agents need {n * 8}"),
+            ("ragged-columns", [meta, dict(active, f=active["f"][1:]), policy], "malformed"),
+            ("ragged-genomes", [meta, dict(active, r=active["r"][1:]), policy],
+             rf"active genome holds {n * 8} values; {n - 1} records"),
             ("later-active", [meta, dict(active, epoch=1), policy],
              "active generation is of epoch 1"),
             ("no-digest", [{k: v for k, v in meta.items() if k != "archive_digest"}, active,
@@ -472,7 +494,6 @@ def test_load_snapshot_rejects_garbage(tmp_path):
              "unknown key")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
-    n = len(active["r"])
     for name, column, values, match in (
             ("string-r", "r", ["x"] * n, r"active r\[0\] must be a number"),
             ("bool-r", "r", [True] * n, r"active r\[0\] must be a number"),
@@ -485,11 +506,11 @@ def test_load_snapshot_rejects_garbage(tmp_path):
             ("unknown-origin", "origin", ["bred"] * n, "origin"),
             ("bool-generation-epoch", "epoch", True, "active epoch must be an integer"),
             ("string-generation-epoch", "epoch", "0", "active epoch must be an integer"),
-            ("string-genome", "genome", [[str(x) for x in genome] for genome in active["genome"]],
-             r"active genome\[0\]\[0\] must be a number"),
-            ("bool-genome", "genome", [[True] * len(genome) for genome in active["genome"]],
-             r"active genome\[0\]\[0\] must be a number"),
-            ("infinite-genome", "genome", [[math.inf] + genome[1:] for genome in active["genome"]],
+            ("string-genome", "genome", [[str(x) for x in genome] for genome in genomes],
+             "active genome must be a base64 string"),
+            ("bool-genome", "genome", True, "active genome must be a base64 string"),
+            ("infinite-genome", "genome", _b64(np.where(np.arange(genomes.size) == 0, math.inf,
+                                                        genomes.reshape(-1))),
              r"active genome\[0\]\[0\] must be finite")):
         bad = [meta, dict(active, **{column: values}), policy]
         with pytest.raises(ConfigError, match=match):
@@ -506,7 +527,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     two = [archived, dict(archived, epoch=1)]
     assert list(load_snapshot(_write_archived(tmp_path / "archived", meta, active, policy,
                                               two)).pop.archive) == [0, 1]
-    size = len(policy["q"])
+    everywhere = _b64(range(size), "<u4")
     for name, bad, match in (
             ("fractional-epoch", [dict(meta, epoch=1.9), active, policy],
              "meta epoch must be an integer"),
@@ -515,16 +536,128 @@ def test_load_snapshot_rejects_garbage(tmp_path):
             ("bool-env-steps", [dict(meta, env_steps_total=True), active, policy],
              "meta env_steps_total must be an integer"),
             ("string-q", [meta, active, dict(policy, q=["0.0"] * size)],
-             r"policy q\[0\] must be a number"),
-            ("bool-q", [meta, active, dict(policy, q=[False] * size)],
-             r"policy q\[0\] must be a number"),
-            ("nan-q", [meta, active, dict(policy, q=[0.0] * (size - 1) + [math.nan])],
+             "policy q must be a base64 string"),
+            ("bool-q", [meta, active, dict(policy, q=False)], "policy q must be a base64 string"),
+            ("nan-q", [meta, active, dict(policy, index=everywhere,
+                                          q=_b64([1.0] * (size - 1) + [math.nan]))],
              rf"policy q\[{size - 1}\] must be finite")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
     measured = dict(active, r=[0.5] * n, f=[1] * n, origin=["cross"] * n)
     loaded = load_snapshot(_write_archived(tmp_path / "measured", meta, measured, policy, []))
     assert [(rec.r, rec.f, rec.origin) for rec in loaded.pop.active] == [(0.5, 1, "cross")] * n
+
+
+def test_binary_columns_round_trip_bit_for_bit(tmp_path):
+    vanilla = run_experiment(_small_config(mode="vanilla", epochs=0), run_dir=tmp_path / "v")
+    snap = load_snapshot(vanilla.snapshot_path)
+    shape = snap.policy_q.shape
+    tiny = np.nextafter(0.0, 1.0)
+    rng = np.random.default_rng(0)
+    sparse = np.zeros(math.prod(shape))
+    sparse[[0, 7, 8, 300, sparse.size - 1]] = [tiny, -tiny, 1.7e308, -1.7e308, -0.0]
+    tables = {"sparse": sparse.reshape(shape), "zero": np.zeros(shape),
+              "dense": rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape),
+              "negative-zero": np.full(shape, -0.0)}
+    for name, q in tables.items():
+        path = tmp_path / f"{name}.jsonl"
+        write_snapshot(path, replace(snap, policy_q=q))
+        loaded = load_snapshot(path).policy_q
+        assert loaded.shape == shape and loaded.dtype == np.float64
+        assert np.array_equal(loaded.view("<u8"), q.view("<u8")), name
+        policy = json.loads(path.read_text().splitlines()[-1])
+        listed = np.frombuffer(base64.b64decode(policy["index"]), dtype="<u4")
+        assert listed.tolist() == np.flatnonzero(q.view("<u8")).tolist(), name
+        again = tmp_path / "again.jsonl"
+        write_snapshot(again, load_snapshot(path))
+        assert again.read_bytes() == path.read_bytes(), name
+    assert json.loads((tmp_path / "zero.jsonl").read_text().splitlines()[-1]) == {
+        "kind": "policy", "index": "", "q": ""}
+    # A generation with no record, active or archived.
+    ccl = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "c").snapshot_path
+    meta, active, policy = [json.loads(line) for line in ccl.read_text().splitlines()]
+    empty = dict(active, genome="", r=[], f=[], epoch_born=[], origin=[])
+    path = _write_archived(tmp_path / "empty", meta, empty, policy,
+                           [dict(empty, kind="archive", epoch=0)])
+    loaded = load_snapshot(path)
+    assert loaded.pop.active == [] and loaded.pop.archive == {0: []}
+    write_snapshot(tmp_path / "empty" / "again.jsonl", loaded)
+    assert (tmp_path / "empty" / "again.jsonl").read_text().splitlines() == \
+        path.read_text().splitlines()
+
+
+def test_binary_columns_refuse_every_malformed_value(tmp_path):
+    good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
+    meta, active, policy = [json.loads(line) for line in good.read_text().splitlines()]
+    n = len(active["r"])
+    genomes = _floats(active["genome"])
+
+    def listed(index, q):
+        return dict(policy, index=_b64(index, "<u4"), q=_b64(q))
+
+    size = math.prod(_small_config().env.q_shape)
+    for name, active_line, policy_line, match in (
+            ("list-index", active, dict(policy, index=[0]), "policy index must be a base64 string"),
+            ("null-q", active, dict(policy, q=None), "policy q must be a base64 string"),
+            ("number-genome", dict(active, genome=1.5), policy,
+             "active genome must be a base64 string"),
+            ("bad-alphabet", active, dict(policy, q="AAAA*AAA"), "policy q is not base64"),
+            ("bad-padding", active, dict(policy, index="AAA"), "policy index is not base64"),
+            ("non-ascii", dict(active, genome="AAAA\u00e9AAA"), policy,
+             "active genome is not base64"),
+            ("newline", dict(active, genome=active["genome"][:4] + "\n" + active["genome"][4:]),
+             policy, "active genome is not base64"),
+            ("partial-q", active, dict(policy, index=_b64([1], "<u4"), q=_b64([1.0])[:-4] + "AA=="),
+             "policy q holds 7 bytes, not whole 8-byte values"),
+            ("partial-index", active, dict(policy, index=_b64([1], "<u2"), q=_b64([1.0])),
+             "policy index holds 2 bytes, not whole 4-byte values"),
+            ("partial-genome", dict(active, genome=_b64(genomes[:-1], "<f4")), policy,
+             rf"active genome holds {(n * 8 - 1) * 4} bytes, not whole 8-byte values"),
+            ("out-of-range", active, listed([3, size], [1.0, 2.0]),
+             rf"policy index {size} is out of range: the shape \(2, 81, 5\) holds {size}"),
+            ("falling-index", active, listed([5, 3], [1.0, 2.0]),
+             "policy index does not rise strictly"),
+            ("repeated-index", active, listed([3, 3], [1.0, 2.0]),
+             "policy index does not rise strictly"),
+            ("more-positions", active, listed([1, 2], [1.0]),
+             "policy index holds 2 positions, policy q 1 values"),
+            ("more-values", active, listed([1], [1.0, 2.0]),
+             "policy index holds 1 positions, policy q 2 values"),
+            ("listed-zero", active, listed([1, 2], [1.0, 0.0]),
+             r"policy q\[1\] is a listed zero"),
+            ("nan-q", active, listed([1], [math.nan]), r"policy q\[0\] must be finite"),
+            ("inf-q", active, listed([1, 4], [1.0, -math.inf]), r"policy q\[1\] must be finite"),
+            ("nan-genome", dict(active, genome=_b64(np.where(np.arange(genomes.size) == 13,
+                                                             math.nan, genomes))), policy,
+             r"active genome\[1\]\[5\] must be finite"),
+            ("short-genome", dict(active, genome=_b64(genomes[:-1])), policy,
+             rf"active genome holds {n * 8 - 1} values; {n} records of 2 agents need {n * 8}"),
+            ("long-genome", dict(active, genome=_b64(np.append(genomes, genomes[:8]))), policy,
+             rf"active genome holds {n * 8 + 8} values; {n} records of 2 agents need {n * 8}")):
+        with pytest.raises(ConfigError, match=match):
+            load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl",
+                                       [meta, active_line, policy_line]))
+    # -0.0 is not a zero on the bit pattern, so it is listed and loads as itself.
+    loaded = load_snapshot(_write_archived(tmp_path / "negative-zero", meta, active,
+                                           listed([2], [-0.0]), []))
+    assert loaded.policy_q.reshape(-1).view("<u8")[2] == np.array(-0.0).view("<u8")
+    # An archived generation's genome column is checked the same way.
+    archived = dict(active, kind="archive", epoch=0, genome=_b64(genomes[:-8]))
+    with pytest.raises(ConfigError, match=rf"archive genome holds {n * 8 - 8} values"):
+        load_snapshot(_write_archived(tmp_path / "short-archive", meta, active, policy,
+                                      [archived]))
+
+
+def test_eval_refuses_a_format_5_snapshot(tmp_path, capsys):
+    # Format 5 wrote the Q table as one dense JSON list of floats.
+    path = run_experiment(_small_config(mode="vanilla", epochs=0),
+                          run_dir=tmp_path / "run").snapshot_path
+    meta = json.loads(path.read_text().splitlines()[0])
+    size = math.prod(_small_config().env.q_shape)
+    old = _write_jsonl(tmp_path / "format-5.jsonl",
+                       [dict(meta, format=5), {"kind": "policy", "q": [0.0] * size}])
+    assert main(["eval", "--snapshot", str(old)]) == 2
+    assert "format 5, expected 6" in capsys.readouterr().err
 
 
 def test_evaluate_snapshot_scores_the_stored_policy(tmp_path):
@@ -720,8 +853,8 @@ def test_ccl_snapshot_loads_only_with_its_runs_archive(tmp_path, capsys):
 
 
 def test_snapshot_with_the_full_config_in_its_meta_line_still_loads(tmp_path):
-    # Format-4 writers stored the whole config, operational keys included; a meta line
-    # that holds them still loads (beside its run's archive) as one without them.
+    # A meta line whose config holds the operational keys too still loads (beside its
+    # run's archive) as one without them.
     run_dir = tmp_path / "run"
     half = run_experiment(_small_config(epochs=3, snapshot_interval=3), run_dir=run_dir)
     meta, *rest = [json.loads(line) for line in half.snapshot_path.read_text().splitlines()]
@@ -864,10 +997,12 @@ def test_resume_rejects_mismatched_identity(tmp_path):
         assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)), "--resume",
                      str(half.snapshot_path), "--output-dir", str(other.run_dir)]) == 2
         assert {path: path.read_bytes() for path in other.run_dir.glob("*.csv")} == before
+    # A policy of a larger table: entries past the end of this one.
     *lines, policy = [json.loads(line) for line in half.snapshot_path.read_text().splitlines()]
-    one_agent = policy["q"][:len(policy["q"]) // 2]
-    for name, q in (("one-agent", one_agent), ("few-states", policy["q"][:10])):
-        bad = _write_jsonl(tmp_path / f"{name}.jsonl", lines + [dict(policy, q=q)])
+    size = math.prod(half.config.env.q_shape)
+    for name, index in (("one-past-the-end", [0, size]), ("far", [2**32 - 1])):
+        listed = dict(policy, index=_b64(index, "<u4"), q=_b64([1.0] * len(index)))
+        bad = _write_jsonl(tmp_path / f"{name}.jsonl", lines + [listed])
         with pytest.raises(ConfigError, match="shape"):
             run_experiment(_small_config(epochs=4, resume_from=str(bad)),
                            run_dir=tmp_path / f"bad-{name}")

@@ -34,19 +34,19 @@ EXPECTED = {
     "vanilla-target": {
         "metrics.csv": "7fbdb08c15cbd82f21cc03ef3a866738a41f3714148e39e8b54fc67fd27dca2b",
         "snapshot_epoch00002.jsonl":
-            "3a9d9eb029f2150a11779e1a33bf8be5d88d232aad58df34e02a7bf09cf17102",
+            "e4689c1d7fe59627229ecf05ca438090e9de7cc7435e3bfad55b312d598e5e30",
     },
     "ccl-default": {
         "metrics.csv": "fe571f1259158d378eef21592669b5bad635fcd2c8eec56115243432835dbd38",
         "snapshot_epoch00012.jsonl":
-            "a03479a15d6fe986d8cd6345779cf67d15525f347232eeb2e57e37da7e025b0c",
-        "archive.jsonl": "621b8840d754f6a959271f7386ed6d2b7df2c911c7c25b6d569106403139474c",
+            "25dba9f788a3c304bbae43b8faf76d9254291dfda7b7476366b293edaae6b8aa",
+        "archive.jsonl": "9dc7a4e198d767635b73e262091034a944b519b0e6d35a5e924b9b4f8427838b",
     },
     "ccl-checkpoint-resume": {
         "metrics.csv": "84bd2b47be5a700798e9a703d12a8dda73a9fd3ae72804c1d1da9016b0f40421",
         "snapshot_epoch00010.jsonl":
-            "4159ca2db73e6af08d289d1ee3dd61f040a57978f6c9bea8d5e2ae51d08b41cf",
-        "archive.jsonl": "d9b2874e46197719556688171f830692ff2e0e0bc50adf4f013bbd4a8eb7d867",
+            "1cebb846d7dfcca8d5bc3d400be41da863bc33188845af8adb7d21a1d80c592b",
+        "archive.jsonl": "d597c72da79a587ca5e19b7f36f480ee72dc6a41a278c9fc193d57194397c3e2",
     },
 }
 
