@@ -77,8 +77,9 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 def write_snapshot(path: Path, snapshot: Snapshot) -> None:
     """One meta line with the run's identity config (and, for a ccl run, the archive digest);
     for a ccl run, one line for the active generation, records as columns; then one line with
-    the Q table's non-zero entries, their flat positions and values as binary columns. No
-    operational key is stored, so a resumed run writes the files an uninterrupted one does.
+    the Q table's size and its non-zero entries, their flat positions and values as binary
+    columns. No operational key is stored, so a resumed run writes the files an uninterrupted
+    one does.
 
     Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
     ``write_snapshot(p, load_snapshot(p))`` writes the bytes of a ``p`` it wrote again.
@@ -103,11 +104,11 @@ def _binary(values: np.ndarray, dtype: np.dtype, where: str) -> str:
 
 
 def _policy_line(q: np.ndarray) -> dict[str, Any]:
-    """The flat positions of the non-zero entries, tested on the bit pattern so that a -0.0 is
-    kept, and their values; each table has this one encoding."""
+    """The table's size, the flat positions of its non-zero entries, tested on the bit pattern
+    so that a -0.0 is kept, and their values; each table has this one encoding."""
     flat = np.ascontiguousarray(q, dtype=_FLOAT).reshape(-1)
     index = np.flatnonzero(flat.view("<u8"))
-    return {"kind": "policy", "index": _binary(index, _INDEX, "policy index"),
+    return {"kind": "policy", "size": flat.size, "index": _binary(index, _INDEX, "policy index"),
             "q": _binary(flat[index], _FLOAT, "policy q")}
 
 
@@ -208,8 +209,13 @@ def _check_finite(values: np.ndarray, where: str) -> None:
 
 
 def _read_policy(line: dict[str, Any], shape: tuple[int, ...]) -> np.ndarray:
-    """The Q table from its listed entries: positions rising strictly within the table, each
-    with a finite non-zero value, so that every table has one encoding."""
+    """The Q table from its listed entries: a table of the config's size, positions rising
+    strictly within it, each with a finite non-zero value, so that every table has one
+    encoding."""
+    size = math.prod(shape)
+    if _coerce(line["size"], int, "policy size") != size:
+        raise ConfigError(f"policy holds a table of {line['size']} values; the shape {shape} "
+                          f"needs {size}")
     index = _read_column(line["index"], _INDEX, "policy index")
     q = _read_column(line["q"], _FLOAT, "policy q")
     if index.size != q.size:
@@ -221,7 +227,6 @@ def _read_policy(line: dict[str, Any], shape: tuple[int, ...]) -> np.ndarray:
                           "listed")
     if (index[1:] <= index[:-1]).any():
         raise ConfigError("policy index does not rise strictly")
-    size = math.prod(shape)
     if index.size and index[-1] >= size:
         raise ConfigError(f"policy index {index[-1]} is out of range: the shape {shape} holds "
                           f"{size} values")

@@ -34,18 +34,18 @@ EXPECTED = {
     "vanilla-target": {
         "metrics.csv": "7fbdb08c15cbd82f21cc03ef3a866738a41f3714148e39e8b54fc67fd27dca2b",
         "snapshot_epoch00002.jsonl":
-            "e4689c1d7fe59627229ecf05ca438090e9de7cc7435e3bfad55b312d598e5e30",
+            "ec681f8cf97e137e26f695f4d8fedd1befd06485d405bb7fa54c2247adf905bb",
     },
     "ccl-default": {
         "metrics.csv": "fe571f1259158d378eef21592669b5bad635fcd2c8eec56115243432835dbd38",
         "snapshot_epoch00012.jsonl":
-            "25dba9f788a3c304bbae43b8faf76d9254291dfda7b7476366b293edaae6b8aa",
+            "dd7685a2f3000cb706fabd191392e6777a9a08e01198b5c9afa56aa49d862695",
         "archive.jsonl": "9dc7a4e198d767635b73e262091034a944b519b0e6d35a5e924b9b4f8427838b",
     },
     "ccl-checkpoint-resume": {
         "metrics.csv": "84bd2b47be5a700798e9a703d12a8dda73a9fd3ae72804c1d1da9016b0f40421",
         "snapshot_epoch00010.jsonl":
-            "1cebb846d7dfcca8d5bc3d400be41da863bc33188845af8adb7d21a1d80c592b",
+            "d31bfe55cf6a56cb0bec242daefd556c60b7f204dd2aadf6d040b8f0922317e6",
         "archive.jsonl": "d597c72da79a587ca5e19b7f36f480ee72dc6a41a278c9fc193d57194397c3e2",
     },
 }
