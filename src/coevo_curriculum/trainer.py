@@ -169,6 +169,14 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     than by goal offset. The shared ``q`` never steers an action, so its
     updates are replayed after the loop in the order the scalar episodes make
     them: task, then step, then agent.
+
+    While every bit of the values is zero and no lane has won, an update
+    writes ``+0.0 + lr * (discount * +0.0 - +0.0) = +0.0`` over +0.0, so the
+    loop skips its arithmetic; the iteration of the first win runs it for
+    every lane, on values that are still all +0.0. The test reads bits, since
+    an update turns ``-0.0`` into +0.0. If no lane ever wins, ``q`` keeps its
+    bits and the replay is skipped too. A vanilla run whose target is out of
+    reach idles through every epoch; a ccl run stops idling at its first reward.
     """
     if episodes_per_task < 1:
         raise ValueError("episodes_per_task must be at least 1")
@@ -213,24 +221,29 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     draw = np.arange(0, n_tasks * episodes_per_task * max_steps, max_steps * episodes_per_task)
     stop, end = draw + max_steps, draw + episodes_per_task * max_steps
     left = max_steps
+    # Idle (see above): every bit of the values is zero and no lane has won yet.
+    idle = not np.count_nonzero(q.view(np.uint64))
     records = []  # per iteration: update indices, next rows, rewards
     while True:
         pick = _PICK.take(code.take(draw, axis=0) + private.take(row, axis=0).argmax(axis=2))
         index = row * N_ACTIONS + pick
         next_row = successor.take(index).astype(np.intp)
         won = np.logical_and.reduce(on_goal.take(next_row), axis=1)
-        # _td_updates' target: discount * max(next row), or 1.0 on the team reward.
-        target = np.maximum.reduce(private.take(next_row, axis=0), axis=2) * discount
         draw = draw + 1
         left -= 1
-        ends_episode = left == 0 or np.count_nonzero(won)
-        if ends_episode:
-            np.copyto(target, 1.0, where=won[:, None])
-        old = values.take(index)
-        target -= old
-        target *= lr
-        target += old
-        values.put(index, target)
+        any_won = np.count_nonzero(won)
+        ends_episode = left == 0 or any_won
+        idle = idle and not any_won
+        if not idle:
+            # _td_updates' target: discount * max(next row), or 1.0 on the team reward.
+            target = np.maximum.reduce(private.take(next_row, axis=0), axis=2) * discount
+            if any_won:
+                np.copyto(target, 1.0, where=won[:, None])
+            old = values.take(index)
+            target -= old
+            target *= lr
+            target += old
+            values.put(index, target)
         records.append((index, next_row, won))
         row = next_row
         if ends_episode:  # the next episode starts at the next block, from the start cells
@@ -247,6 +260,9 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
             if left == 0:
                 left = int(np.minimum.reduce(stop - draw))
 
+    if idle:  # no lane ever won, so every episode met the step cap and q keeps its bits
+        return [TaskOutcome(b, episodes_per_task, 0, episodes_per_task * max_steps)
+                for b in range(n_tasks)]
     # Task 0's shared updates are lane 0's private ones, made from the same values.
     q[agents, offsets[0]] = private[:n_agents * n_cells].reshape(n_agents, n_cells, N_ACTIONS)
     del private, values, successor

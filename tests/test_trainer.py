@@ -224,6 +224,65 @@ def test_train_on_tasks_matches_the_oracle_at_the_benchmark_shapes(n_tasks, epis
         assert steps[0] < min(steps[1:])
 
 
+def _first_team_reward(batch, episodes, cfg, epsilon, rng):
+    """(iteration, lane) of the batch's first team reward when training starts from an
+    all-zero table, or None if no lane wins. Until a lane wins, every update it makes writes
+    zero over zero, so its episodes are those of ``rollout`` without learning."""
+    draws = rng.random((len(batch), episodes, cfg.max_steps, cfg.n_agents, 2))
+    env, table = GridSpread(cfg), PolicyTable(np.zeros(cfg.q_shape), 0.0, 0.0, epsilon)
+    first = None
+    for lane, task in enumerate(batch):
+        iteration = 0
+        for block in draws[lane]:
+            ok, steps = rollout(env, task, table, False, block)
+            iteration += steps
+            if ok:
+                if first is None or iteration < first[0]:
+                    first = (iteration, lane)
+                break
+    return first
+
+
+# Batches around the idle rule of train_on_tasks (skip the updates while every bit of q is
+# zero and no lane has won). No lane of _FAR can finish within a step cap of 4. In _LATE_WIN,
+# lane 0 cannot, lanes 1 and 2 are one move from their goals, and at seed 4 the first team
+# reward falls in lane 2 at iteration 9, within its third episode.
+_FAR = [_genome_for_cells([(0, 0), (5, 5)], [(5, 5), (0, 0)], 6),
+        _genome_for_cells([(0, 5), (5, 0)], [(5, 0), (0, 5)], 6),
+        _genome_for_cells([(1, 1), (4, 4)], [(5, 4), (0, 1)], 6)]
+_LATE_WIN = [_genome_for_cells([(0, 0)], [(3, 3)], 4), _genome_for_cells([(1, 1)], [(1, 2)], 4),
+             _genome_for_cells([(2, 0)], [(3, 0)], 4)]
+
+
+@pytest.mark.parametrize("case", ["zero table, no win", "zero table, late win",
+                                  "-0.0 entries, no win", "non-zero table, no win"])
+def test_train_on_tasks_matches_the_oracle_around_the_idle_rule(case):
+    far = case.endswith("no win")
+    cfg = EnvConfig(grid_width=6 if far else 4, n_agents=2 if far else 1, max_steps=4)
+    batch, episodes = (_FAR, 3) if far else (_LATE_WIN, 4)
+    epsilon, seed = 0.5, 4
+    q = np.zeros(cfg.q_shape)
+    if case.startswith("-0.0"):
+        q[:, ::2] = -0.0  # equal to zero by value, not by bits
+    elif case.startswith("non-zero"):
+        q[:] = np.round(np.random.default_rng(2).random(cfg.q_shape), 1)
+    before = q.copy()
+    reference = PolicyTable(q.copy(), PARAMS.learning_rate, PARAMS.discount, epsilon)
+    outcomes = train_on_tasks(batch, q, PARAMS, epsilon, episodes, cfg, _rng(seed))
+    assert _outcome_tuples(outcomes) == _reference_train(batch, reference, episodes, cfg,
+                                                         _rng(seed))
+    assert np.array_equal(q.view("<u8"), reference.q.view("<u8"))
+    # Each case's premise, so that it keeps testing what it names.
+    if far:
+        assert not any(out.successes for out in outcomes)
+        unchanged = np.array_equal(q.view("<u8"), before.view("<u8"))
+        assert unchanged == case.startswith("zero")  # -0.0 turns to +0.0; values decay
+    else:
+        # not lane 0, not the first iteration, not a step cap (iterations 4 and 8)
+        assert _first_team_reward(batch, episodes, cfg, epsilon, _rng(seed)) == (9, 2)
+        assert q.any()
+
+
 class _FixedDraws:
     """A stand-in generator whose one ``random`` call returns a given block."""
 
