@@ -170,13 +170,17 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     updates are replayed after the loop in the order the scalar episodes make
     them: task, then step, then agent.
 
-    While every bit of the values is zero and no lane has won, an update
-    writes ``+0.0 + lr * (discount * +0.0 - +0.0) = +0.0`` over +0.0, so the
-    loop skips its arithmetic; the iteration of the first win runs it for
-    every lane, on values that are still all +0.0. The test reads bits, since
-    an update turns ``-0.0`` into +0.0. If no lane ever wins, ``q`` keeps its
-    bits and the replay is skipped too. A vanilla run whose target is out of
-    reach idles through every epoch; a ccl run stops idling at its first reward.
+    While every bit of ``q`` is zero, the greedy first-argmax of every row is
+    action 0, so each action is its draw's ``_PICK[code]`` alone, and until some
+    lane wins, each update writes ``+0.0 + lr * (discount * +0.0 - +0.0) = +0.0``
+    over +0.0. No episode then depends on another: each walks from its task's
+    start cells. A pre-pass steps every episode of the batch at once to the
+    step cap; if none reaches its goals, every episode of the loop would be
+    that walk and leave every bit of ``q`` as it was, so the call returns
+    without the loop. Otherwise the loop runs as it would have. The test reads
+    bits, since an update turns ``-0.0`` into +0.0. A vanilla run whose target
+    is out of reach is decided by the pre-pass in every epoch; a ccl run passes
+    through it only in its first epoch, where a lane wins on the first step.
     """
     if episodes_per_task < 1:
         raise ValueError("episodes_per_task must be at least 1")
@@ -198,6 +202,19 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     # Each agent's start and goal as flat cells x * width + y, (tasks, agents) each.
     cells = grid_cells(np.stack([task.blocks for task in tasks]), width)
     starts, goals = (cells[..., 0::2] * width + cells[..., 1::2]).transpose(2, 0, 1)
+    if not np.count_nonzero(q.view(np.uint64)):  # the pre-pass (see above)
+        # Every episode's actions, step by step: (max_steps, tasks * episodes, agents).
+        moves = _PICK.take(code.reshape(-1, max_steps, n_agents).transpose(1, 0, 2))
+        cell_successor = _successor_table(width).reshape(-1)
+        walk = np.repeat(starts, episodes_per_task, axis=0)
+        goal = np.repeat(goals, episodes_per_task, axis=0)
+        for actions in moves:
+            walk = cell_successor.take(walk * N_ACTIONS + actions)
+            if np.count_nonzero(np.logical_and.reduce(walk == goal, axis=1)):
+                break
+        else:  # every episode met the step cap, so q keeps its bits
+            return [TaskOutcome(b, episodes_per_task, 0, episodes_per_task * max_steps)
+                    for b in range(n_tasks)]
     # obs_index of every (task, agent, cell); it broadcasts over coordinate arrays.
     cell_x, cell_y = np.divmod(np.arange(n_cells, dtype=np.int32), width)
     goal_x, goal_y = np.divmod(goals[..., None], width)
@@ -221,8 +238,6 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     draw = np.arange(0, n_tasks * episodes_per_task * max_steps, max_steps * episodes_per_task)
     stop, end = draw + max_steps, draw + episodes_per_task * max_steps
     left = max_steps
-    # Idle (see above): every bit of the values is zero and no lane has won yet.
-    idle = not np.count_nonzero(q.view(np.uint64))
     records = []  # per iteration: update indices, next rows, rewards
     while True:
         pick = _PICK.take(code.take(draw, axis=0) + private.take(row, axis=0).argmax(axis=2))
@@ -233,17 +248,15 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
         left -= 1
         any_won = np.count_nonzero(won)
         ends_episode = left == 0 or any_won
-        idle = idle and not any_won
-        if not idle:
-            # _td_updates' target: discount * max(next row), or 1.0 on the team reward.
-            target = np.maximum.reduce(private.take(next_row, axis=0), axis=2) * discount
-            if any_won:
-                np.copyto(target, 1.0, where=won[:, None])
-            old = values.take(index)
-            target -= old
-            target *= lr
-            target += old
-            values.put(index, target)
+        # _td_updates' target: discount * max(next row), or 1.0 on the team reward.
+        target = np.maximum.reduce(private.take(next_row, axis=0), axis=2) * discount
+        if any_won:
+            np.copyto(target, 1.0, where=won[:, None])
+        old = values.take(index)
+        target -= old
+        target *= lr
+        target += old
+        values.put(index, target)
         records.append((index, next_row, won))
         row = next_row
         if ends_episode:  # the next episode starts at the next block, from the start cells
@@ -260,9 +273,6 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
             if left == 0:
                 left = int(np.minimum.reduce(stop - draw))
 
-    if idle:  # no lane ever won, so every episode met the step cap and q keeps its bits
-        return [TaskOutcome(b, episodes_per_task, 0, episodes_per_task * max_steps)
-                for b in range(n_tasks)]
     # Task 0's shared updates are lane 0's private ones, made from the same values.
     q[agents, offsets[0]] = private[:n_agents * n_cells].reshape(n_agents, n_cells, N_ACTIONS)
     del private, values, successor

@@ -243,46 +243,6 @@ def _first_team_reward(batch, episodes, cfg, epsilon, rng):
     return first
 
 
-# Batches around the idle rule of train_on_tasks (skip the updates while every bit of q is
-# zero and no lane has won). No lane of _FAR can finish within a step cap of 4. In _LATE_WIN,
-# lane 0 cannot, lanes 1 and 2 are one move from their goals, and at seed 4 the first team
-# reward falls in lane 2 at iteration 9, within its third episode.
-_FAR = [_genome_for_cells([(0, 0), (5, 5)], [(5, 5), (0, 0)], 6),
-        _genome_for_cells([(0, 5), (5, 0)], [(5, 0), (0, 5)], 6),
-        _genome_for_cells([(1, 1), (4, 4)], [(5, 4), (0, 1)], 6)]
-_LATE_WIN = [_genome_for_cells([(0, 0)], [(3, 3)], 4), _genome_for_cells([(1, 1)], [(1, 2)], 4),
-             _genome_for_cells([(2, 0)], [(3, 0)], 4)]
-
-
-@pytest.mark.parametrize("case", ["zero table, no win", "zero table, late win",
-                                  "-0.0 entries, no win", "non-zero table, no win"])
-def test_train_on_tasks_matches_the_oracle_around_the_idle_rule(case):
-    far = case.endswith("no win")
-    cfg = EnvConfig(grid_width=6 if far else 4, n_agents=2 if far else 1, max_steps=4)
-    batch, episodes = (_FAR, 3) if far else (_LATE_WIN, 4)
-    epsilon, seed = 0.5, 4
-    q = np.zeros(cfg.q_shape)
-    if case.startswith("-0.0"):
-        q[:, ::2] = -0.0  # equal to zero by value, not by bits
-    elif case.startswith("non-zero"):
-        q[:] = np.round(np.random.default_rng(2).random(cfg.q_shape), 1)
-    before = q.copy()
-    reference = PolicyTable(q.copy(), PARAMS.learning_rate, PARAMS.discount, epsilon)
-    outcomes = train_on_tasks(batch, q, PARAMS, epsilon, episodes, cfg, _rng(seed))
-    assert _outcome_tuples(outcomes) == _reference_train(batch, reference, episodes, cfg,
-                                                         _rng(seed))
-    assert np.array_equal(q.view("<u8"), reference.q.view("<u8"))
-    # Each case's premise, so that it keeps testing what it names.
-    if far:
-        assert not any(out.successes for out in outcomes)
-        unchanged = np.array_equal(q.view("<u8"), before.view("<u8"))
-        assert unchanged == case.startswith("zero")  # -0.0 turns to +0.0; values decay
-    else:
-        # not lane 0, not the first iteration, not a step cap (iterations 4 and 8)
-        assert _first_team_reward(batch, episodes, cfg, epsilon, _rng(seed)) == (9, 2)
-        assert q.any()
-
-
 class _FixedDraws:
     """A stand-in generator whose one ``random`` call returns a given block."""
 
@@ -292,6 +252,76 @@ class _FixedDraws:
     def random(self, shape):
         assert shape == self.block.shape
         return self.block
+
+
+# Batches around the pre-pass of train_on_tasks (walk every episode at once while every bit of
+# q is zero). No lane of _FAR can finish within a step cap of 4. In _LATE_WIN, lane 0 cannot,
+# lanes 1 and 2 are one move from their goals, and at seed 4 the first team reward falls in
+# lane 2 at iteration 9, within its third episode.
+_FAR = [_genome_for_cells([(0, 0), (5, 5)], [(5, 5), (0, 0)], 6),
+        _genome_for_cells([(0, 5), (5, 0)], [(5, 0), (0, 5)], 6),
+        _genome_for_cells([(1, 1), (4, 4)], [(5, 4), (0, 1)], 6)]
+_LATE_WIN = [_genome_for_cells([(0, 0)], [(3, 3)], 4), _genome_for_cells([(1, 1)], [(1, 2)], 4),
+             _genome_for_cells([(2, 0)], [(3, 0)], 4)]
+
+
+def _script_a_win(block, lane, episode, first, moves):
+    """_FAR with lane ``lane`` replaced by a task whose first agent starts at (0, 0) and whose
+    second sits on its goal. In place, the draws ``block`` of that lane act greedily (so stay,
+    on an all-zero table), except that in episode ``episode`` its first agent explores with
+    ``moves`` from step ``first`` on; the task's goal is where they lead."""
+    goal = tuple(np.sum([MOVES[action] for action in moves], axis=0).tolist())
+    batch = list(_FAR)
+    batch[lane] = _genome_for_cells([(0, 0), (5, 5)], [goal, (5, 5)], 6)
+    block[lane, ..., 0] = 0.99
+    for step, action in enumerate(moves, first):
+        block[lane, episode, step, 0] = (0.0, (action + 0.5) / N_ACTIONS)
+    return batch
+
+
+@pytest.mark.parametrize("case", ["zero table, no win", "zero table, late win",
+                                  "zero table, win at the last step cap",
+                                  "zero table, win in a second episode",
+                                  "-0.0 entries, no win", "non-zero table, no win"])
+def test_train_on_tasks_matches_the_oracle_around_the_pre_pass(case):
+    late = case.endswith("late win")
+    cfg = EnvConfig(grid_width=4 if late else 6, n_agents=1 if late else 2, max_steps=4)
+    epsilon, episodes = 0.5, 4 if late else 3
+    batch = _LATE_WIN if late else _FAR
+    block = _rng(4).random((len(batch), episodes, cfg.max_steps, cfg.n_agents, 2))
+    if case.endswith("last step cap"):
+        # right, right, up, up: lane 2 wins on the cap step of its last episode
+        batch = _script_a_win(block, 2, 2, 0, (4, 4, 1, 1))
+    elif case.endswith("second episode"):
+        # lane 1 stays through episode 0, then wins on step 2 of episode 1
+        batch = _script_a_win(block, 1, 1, 1, (4, 1))
+    q = np.zeros(cfg.q_shape)
+    if case.startswith("-0.0"):
+        q[:, ::2] = -0.0  # equal to zero by value, not by bits
+    elif case.startswith("non-zero"):
+        q[:] = np.round(np.random.default_rng(2).random(cfg.q_shape), 1)
+    before = q.copy()
+    reference = PolicyTable(q.copy(), PARAMS.learning_rate, PARAMS.discount, epsilon)
+    outcomes = train_on_tasks(batch, q, PARAMS, epsilon, episodes, cfg, _FixedDraws(block))
+    assert _outcome_tuples(outcomes) == _reference_train(batch, reference, episodes, cfg,
+                                                         _FixedDraws(block))
+    assert np.array_equal(q.view("<u8"), reference.q.view("<u8"))
+    # Each case's premise, so that it keeps testing what it names.
+    first = _first_team_reward(batch, episodes, cfg, epsilon, _FixedDraws(block))
+    successes = [out.successes for out in outcomes]
+    if case.endswith("no win"):
+        assert first is None and not any(successes)
+        unchanged = np.array_equal(q.view("<u8"), before.view("<u8"))
+        assert unchanged == case.startswith("zero")  # -0.0 turns to +0.0; values decay
+    elif late:
+        # not lane 0, not the first iteration, not a step cap (iterations 4 and 8)
+        assert first == (9, 2)
+        assert q.any()
+    elif case.endswith("last step cap"):
+        # the last step of the last episode of the last lane: the batch's last walker
+        assert first == (3 * cfg.max_steps, 2) and successes == [0, 0, 1]
+    else:
+        assert first == (cfg.max_steps + 3, 1) and successes == [0, 1, 0]
 
 
 def test_each_lane_trains_as_its_task_alone():
