@@ -8,9 +8,8 @@ from .evolution import (EvolutionParams, Population, TaskRecord, advance_toward,
 from .fitness import FitnessParams, PrototypeSet, knn_estimate, linear_fitness, sigmoid_fitness
 from .gridworld import EnvConfig, GridSpread, GridState, obs_index
 from .harness import EpochMetrics, RunResult, run_ablation, run_experiment
-from .tasks import (TaskDomain, TaskGenome, clip_to_domain, discretize,
-                    opposite_corner_target, start_goal_distance)
-from .trainer import (LearnerParams, PolicyTable, TaskOutcome, evaluate_target, rollout,
-                      train_on_tasks)
+from .tasks import (TaskDomain, TaskGenome, discretize, opposite_corner_target,
+                    start_goal_distance)
+from .trainer import LearnerParams, PolicyTable, evaluate_target, rollout, train_on_tasks
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from itertools import compress, cycle, islice
 import numpy as np
 
 from .fitness import PrototypeSet, knn_estimate
-from .tasks import BLOCK_SIZE, TaskDomain, TaskGenome, clip_to_domain
+from .tasks import BLOCK_SIZE, TaskDomain, TaskGenome
 
 ORIGIN_INIT = "init"
 ORIGIN_CROSS = "cross"
@@ -52,9 +52,6 @@ class Population:
     active: list[TaskRecord]
     archive: dict[int, list[TaskRecord]] = field(default_factory=dict)
     epoch: int = 0
-
-    def archive_size(self) -> int:
-        return sum(len(bucket) for bucket in self.archive.values())
 
     def archived_records(self) -> list[TaskRecord]:
         """Archive pooled across generations, in stable (generation, insertion) order."""
@@ -102,19 +99,17 @@ def init_population(domain: TaskDomain, population_size: int,
     OP_COUNTS["init_population"] += 1
     if population_size < 2 or population_size % 2:
         raise ValueError("population size must be even and at least 2")
-    records = []
-    for _ in range(population_size):
-        blocks = np.empty((domain.n_agents, BLOCK_SIZE), dtype=float)
-        for j in range(domain.n_agents):
-            start = rng.random(2)
-            radius = domain.distance_threshold * math.sqrt(rng.random())
-            angle = 2.0 * math.pi * rng.random()
-            goal = start + radius * np.array([math.cos(angle), math.sin(angle)])
-            blocks[j, :2] = start
-            blocks[j, 2:] = goal
-        genome = clip_to_domain(TaskGenome(blocks))
-        records.append(TaskRecord(genome, epoch_born=0, origin=ORIGIN_INIT))
-    return Population(active=records)
+    # Per agent, genome by genome: start x, start y, then the uniforms of radius and angle.
+    uniforms = rng.random((population_size, domain.n_agents, BLOCK_SIZE))
+    starts = uniforms[..., :2]
+    radius = domain.distance_threshold * np.sqrt(uniforms[..., 2:3])
+    # math's cos and sin, angle by angle: numpy's may differ in the last bit between CPUs.
+    angles = (2.0 * math.pi * uniforms[..., 3]).ravel().tolist()
+    unit = np.array([(math.cos(angle), math.sin(angle)) for angle in angles])
+    goals = starts + radius * unit.reshape(starts.shape)
+    blocks = np.clip(np.concatenate([starts, goals], axis=-1), 0.0, 1.0)
+    return Population(active=[TaskRecord(genome, epoch_born=0, origin=ORIGIN_INIT)
+                              for genome in TaskGenome.batch(blocks)])
 
 
 def pair_generation(records: list[TaskRecord],

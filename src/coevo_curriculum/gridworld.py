@@ -66,10 +66,6 @@ def _successors(width: int) -> dict[Cell, tuple[Cell, ...]]:
             for x in range(width) for y in range(width)}
 
 
-def all_on_goals(cells: tuple[Cell, ...], goals: tuple[Cell, ...]) -> bool:
-    return all(cell == goal for cell, goal in zip(cells, goals))
-
-
 def obs_index(cell: Cell, goal: Cell, cfg: EnvConfig) -> int:
     """Bijective index of the goal offset (gx - x, gy - y) into [0, (2W - 1)^2).
 
@@ -114,7 +110,7 @@ class GridSpread:
         successors = self._successors
         cells = tuple([successors[cell][action] for cell, action in zip(self.state.cells, joint_action)])
         t = self.state.t + 1
-        # Same predicate as all_on_goals: both tuples hold one cell per agent.
+        # Both tuples hold one cell per agent: every agent on its own goal.
         success = cells == self.goals
         done = success or t >= self.cfg.max_steps
         self.state = GridState(cells=cells, t=t)

@@ -179,7 +179,8 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
     metrics: list[EpochMetrics] = []
     for epoch in range(snap.epoch + 1, config.epochs + 1):
         tic = time.perf_counter()
-        genomes = [target] * evo.batch_size
+        # The batch's (B, n_agents, 4) genome blocks, for training and as KNN prototypes.
+        blocks = np.broadcast_to(target.blocks, (evo.batch_size,) + target.blocks.shape)
         batch_new = batch_old = 0
         active_mean_f = math.nan
         if snap.pop is not None:  # ccl
@@ -187,22 +188,22 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
             active_ids = {id(rec) for rec in snap.pop.active}
             batch_new = sum(id(rec) in active_ids for rec in batch)
             batch_old = len(batch) - batch_new
-            genomes = [rec.genome for rec in batch]
-        outcomes = train_on_tasks(
-            genomes, snap.policy_q, config.learner, config.learner.epsilon_at(epoch),
+            blocks = np.stack([rec.genome.blocks for rec in batch])
+        successes, env_steps = train_on_tasks(
+            blocks, snap.policy_q, config.learner, config.learner.epsilon_at(epoch),
             config.episodes_per_task, env_cfg, stream(seed, DOMAIN_TRAIN, epoch))
-        snap.episodes_total += sum(out.episodes for out in outcomes)
-        snap.env_steps_total += sum(out.env_steps for out in outcomes)
-        batch_mean_r = float(np.mean([out.success_rate for out in outcomes]))
+        snap.episodes_total += len(blocks) * config.episodes_per_task
+        snap.env_steps_total += int(env_steps.sum())
+        rates = (successes / config.episodes_per_task).tolist()
+        batch_mean_r = float(np.mean(rates))
 
         if snap.pop is not None:
-            for rec, out in zip(batch, outcomes):
-                rec.r = out.success_rate
-                rec.f = config.fitness.evaluate(out.success_rate)
+            for rec, rate in zip(batch, rates):
+                rec.r = rate
+                rec.f = config.fitness.evaluate(rate)
             delete_bad_tasks(snap.pop, evo.deletion_band)
-            prototypes = PrototypeSet(
-                vectors=np.stack([rec.genome.blocks for rec in batch]).reshape(len(batch), -1),
-                fitnesses=np.array([rec.f for rec in batch], dtype=float))
+            prototypes = PrototypeSet(vectors=blocks.reshape(len(batch), -1),
+                                      fitnesses=np.array([rec.f for rec in batch], dtype=float))
             assign_population_fitness(snap.pop.active, prototypes, evo.knn_k)
             if snap.pop.active:
                 active_mean_f = float(np.mean([rec.f for rec in snap.pop.active]))

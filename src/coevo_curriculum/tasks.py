@@ -32,9 +32,9 @@ class TaskGenome:
     """Per-agent [start, goal] coordinate blocks in normalized [0, 1] units.
 
     ``blocks`` has shape (n_agents, 4) with rows [sx, sy, gx, gy].
-    Construction checks shape and finiteness only; out-of-range components
-    are representable so that evolved children exist before repair, and
-    ``clip_to_domain`` restores validity.
+    Construction checks shape and finiteness only: out-of-range components
+    are representable, and the operators that make genomes keep them in the
+    box.
     """
 
     blocks: np.ndarray
@@ -68,10 +68,6 @@ class TaskGenome:
     def goals(self) -> np.ndarray:
         return self.blocks[:, 2:]
 
-    def as_vector(self) -> np.ndarray:
-        """Flat 4n copy, agent by agent: a genome's form in prototype sets and snapshots."""
-        return self.blocks.reshape(-1).copy()
-
 
 @dataclass(frozen=True)
 class TaskDomain:
@@ -99,13 +95,6 @@ def start_goal_distance(genome: TaskGenome) -> float:
     """Mean Euclidean start-goal distance across agent blocks."""
     deltas = genome.goals() - genome.starts()
     return float(np.sqrt((deltas * deltas).sum(axis=1)).mean())
-
-
-def clip_to_domain(genome: TaskGenome) -> TaskGenome:
-    """Clamp every component into [0, 1]; in-domain genomes pass through unchanged."""
-    if genome.in_domain:
-        return genome
-    return TaskGenome(np.clip(genome.blocks, 0.0, 1.0))
 
 
 def discretize(genome: TaskGenome, domain: TaskDomain) -> list[tuple[tuple[int, int], tuple[int, int]]]:

@@ -11,7 +11,7 @@ from typing import Iterable
 import numpy as np
 
 from .gridworld import EnvConfig, GridSpread, N_ACTIONS, _successors, obs_index
-from .tasks import TaskGenome, grid_cells
+from .tasks import TaskGenome, _checked_blocks, grid_cells
 
 
 @dataclass(frozen=True)
@@ -96,18 +96,6 @@ def _td_updates(rows: Iterable[list[float]], actions: Iterable[int],
         row[action] = old + learning_rate * ((1.0 if won else discount * max(next_row)) - old)
 
 
-@dataclass(frozen=True)
-class TaskOutcome:
-    task_index: int
-    episodes: int
-    successes: int
-    env_steps: int
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.episodes
-
-
 def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable, learn: bool,
             draws: np.ndarray | None, epsilon: float | None = None) -> tuple[bool, int]:
     """Run one episode on its ``(max_steps, n_agents, 2)`` block of uniforms ``draws``,
@@ -150,16 +138,19 @@ _PICK = np.concatenate([np.arange(N_ACTIONS), np.repeat(np.arange(N_ACTIONS), N_
 _PICK.setflags(write=False)
 
 
-def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParams,
-                   epsilon: float, episodes_per_task: int, env_cfg: EnvConfig,
-                   rng: np.random.Generator) -> list[TaskOutcome]:
+def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float,
+                   episodes_per_task: int, env_cfg: EnvConfig,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Train the action values ``q`` (shape ``env_cfg.q_shape``) on a batch with a
-    per-epoch barrier.
+    per-epoch barrier; returns two int arrays of length B, each task's successes and
+    env steps.
 
-    Every task runs ``episodes_per_task`` learning episodes with exploration
-    rate ``epsilon`` that act on, and update, a private copy of the incoming
-    values; success rates come from those same episodes. Each step's update
-    also goes into ``q``, task by task in index order.
+    The batch is the ``(B, n_agents, 4)`` stack of its tasks' genome blocks, held to
+    ``TaskGenome``'s checks and to the environment's agent count. Every task runs
+    ``episodes_per_task`` learning episodes with exploration rate ``epsilon`` that
+    act on, and update, a private copy of the incoming values; its successes come
+    from those same episodes. Each step's update also goes into ``q``, task by task
+    in index order. An empty batch draws nothing and leaves ``q`` alone.
 
     The draws are one block ``rng.random((tasks, episodes, max_steps, n_agents,
     2))``; episode e of task b reads its slice ``[b, e]`` as ``rollout`` does.
@@ -184,9 +175,12 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     """
     if episodes_per_task < 1:
         raise ValueError("episodes_per_task must be at least 1")
-    if not tasks:
-        return []
-    n_tasks, n_agents, width = len(tasks), env_cfg.n_agents, env_cfg.grid_width
+    blocks = _checked_blocks(blocks, 3)
+    n_tasks, n_agents, width = blocks.shape[0], env_cfg.n_agents, env_cfg.grid_width
+    if blocks.shape[1] != n_agents:
+        raise ValueError(f"tasks have {blocks.shape[1]} agents, environment expects {n_agents}")
+    if not n_tasks:
+        return np.zeros(0, int), np.zeros(0, int)
     n_cells, max_steps = width * width, env_cfg.max_steps
     lr, discount = learner.learning_rate, learner.discount
     draws = rng.random((n_tasks, episodes_per_task, max_steps, n_agents, 2))
@@ -196,11 +190,8 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
     code = np.where(draws[..., 0] < epsilon, (explore + 1) * N_ACTIONS, 0).reshape(-1, n_agents)
     del draws, explore
 
-    for task in tasks:
-        if task.n_agents != n_agents:
-            raise ValueError(f"task has {task.n_agents} agents, environment expects {n_agents}")
     # Each agent's start and goal as flat cells x * width + y, (tasks, agents) each.
-    cells = grid_cells(np.stack([task.blocks for task in tasks]), width)
+    cells = grid_cells(blocks, width)
     starts, goals = (cells[..., 0::2] * width + cells[..., 1::2]).transpose(2, 0, 1)
     if not np.count_nonzero(q.view(np.uint64)):  # the pre-pass (see above)
         # Every episode's actions, step by step: (max_steps, tasks * episodes, agents).
@@ -213,8 +204,7 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
             if np.count_nonzero(np.logical_and.reduce(walk == goal, axis=1)):
                 break
         else:  # every episode met the step cap, so q keeps its bits
-            return [TaskOutcome(b, episodes_per_task, 0, episodes_per_task * max_steps)
-                    for b in range(n_tasks)]
+            return np.zeros(n_tasks, int), np.full(n_tasks, episodes_per_task * max_steps)
     # obs_index of every (task, agent, cell); it broadcasts over coordinate arrays.
     cell_x, cell_y = np.divmod(np.arange(n_cells, dtype=np.int32), width)
     goal_x, goal_y = np.divmod(goals[..., None], width)
@@ -299,8 +289,7 @@ def train_on_tasks(tasks: list[TaskGenome], q: np.ndarray, learner: LearnerParam
         _td_updates(found[:hi - lo], picks[lo:hi].tolist(), found[hi - lo:],
                     wins[lo:hi].tolist(), lr, discount)
     q[:] = np.fromiter(chain.from_iterable(shared), float, q.size).reshape(q.shape)
-    return [TaskOutcome(b, episodes_per_task, int(successes[b]), int(steps[b]))
-            for b in range(n_tasks)]
+    return successes, steps
 
 
 def evaluate_target(q: np.ndarray, target: TaskGenome, env_cfg: EnvConfig) -> float:

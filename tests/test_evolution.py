@@ -1,5 +1,7 @@
 """Population lifecycle: init constraint, crossover algebra, selection, archives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from coevo_curriculum.evolution import (GROWTH, OP_COUNTS, EvolutionParams, Popu
                                         pair_generation, sample_direction, soft_select)
 from coevo_curriculum import evolution
 from coevo_curriculum.fitness import FitnessParams, PrototypeSet, knn_estimate
-from coevo_curriculum.tasks import (BLOCK_SIZE, TaskDomain, TaskGenome, UNIT_DIAMETER,
-                                    start_goal_distance)
+from coevo_curriculum.tasks import (BLOCK_SIZE, DEFAULT_DISTANCE_THRESHOLD, TaskDomain,
+                                    TaskGenome, UNIT_DIAMETER, start_goal_distance)
 
 PARAMS = EvolutionParams(population_size=8, batch_size=4, knn_k=2)
 
@@ -79,6 +81,43 @@ def test_init_population_limit_threshold_spans_the_box():
     distances = [start_goal_distance(rec.genome) for rec in pop.active]
     assert max(distances) > 0.5 * UNIT_DIAMETER
     assert all(rec.genome.in_domain for rec in pop.active)
+
+
+def _reference_init_blocks(domain, population_size, rng):
+    """init_population's generation drawn agent by agent, each genome clamped into the box
+    only if it left it; returns the (population_size, n_agents, 4) blocks and the number of
+    genomes clamped."""
+    population = np.empty((population_size, domain.n_agents, BLOCK_SIZE))
+    clamped = 0
+    for blocks in population:
+        for j in range(domain.n_agents):
+            start = rng.random(2)
+            radius = domain.distance_threshold * math.sqrt(rng.random())
+            angle = 2.0 * math.pi * rng.random()
+            goal = start + radius * np.array([math.cos(angle), math.sin(angle)])
+            blocks[j, :2] = start
+            blocks[j, 2:] = goal
+        if not ((blocks >= 0.0) & (blocks <= 1.0)).all():
+            blocks[:] = np.clip(blocks, 0.0, 1.0)
+            clamped += 1
+    return population, clamped
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 3, 4])
+@pytest.mark.parametrize("threshold", [DEFAULT_DISTANCE_THRESHOLD, 0.3, 0.5, 1.2])
+def test_init_population_matches_the_per_agent_loop_bit_for_bit(n_agents, threshold):
+    domain = TaskDomain(n_agents=n_agents, grid_width=12, distance_threshold=threshold)
+    clamped = 0
+    for seed in range(20):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pop = init_population(domain, 6, rng)
+        expected, count = _reference_init_blocks(domain, 6, reference_rng)
+        assert [rec.genome.blocks.tobytes() for rec in pop.active] == [
+            blocks.tobytes() for blocks in expected]
+        # Exactly population_size * n_agents * 4 uniforms were consumed.
+        assert rng.random() == reference_rng.random()
+        clamped += count
+    assert clamped > 0  # every case exercises the clamp
 
 
 def test_init_population_size_validation():
@@ -360,7 +399,8 @@ def test_assign_population_fitness_estimates_the_unmeasured_in_one_call(monkeypa
     assign_population_fitness(active, protos, 3)
     assert calls == [(6, 8)]
     for rec in active:
-        expected = 0.9 if rec.r is not None else knn_estimate(rec.genome.as_vector(), protos, 3)
+        expected = (0.9 if rec.r is not None
+                    else knn_estimate(rec.genome.blocks.reshape(-1), protos, 3))
         assert rec.f == expected
 
 
@@ -381,21 +421,21 @@ def test_evolve_two_task_population_with_flat_fitness_reuses_parent_genomes():
     params = EvolutionParams(population_size=2, batch_size=1, knn_k=1)
     for seed in range(20):
         records = [_record(rng.random((2, BLOCK_SIZE)), f=0.3) for _ in range(2)]
-        before = {rec.genome.as_vector().tobytes() for rec in records}
+        before = {rec.genome.blocks.tobytes() for rec in records}
         pop = Population(active=list(records))
         nxt = evolve_generation(pop, params, np.random.default_rng(seed))
         assert len(nxt.active) == 2
         for rec in nxt.active:
-            assert rec.genome.as_vector().tobytes() in before
+            assert rec.genome.blocks.tobytes() in before
 
 
 def test_evolve_flat_fitness_children_copy_a_parent():
     rng = np.random.default_rng(115)
     pop = _uniform_population(8, rng, f=0.25)
-    parent_bytes = {rec.genome.as_vector().tobytes() for rec in pop.active}
+    parent_bytes = {rec.genome.blocks.tobytes() for rec in pop.active}
     nxt = evolve_generation(pop, PARAMS, np.random.default_rng(9))
     for rec in nxt.active:
-        assert rec.genome.as_vector().tobytes() in parent_bytes
+        assert rec.genome.blocks.tobytes() in parent_bytes
 
 
 def test_evolve_generation_bookkeeping():
@@ -407,7 +447,7 @@ def test_evolve_generation_bookkeeping():
     nxt = evolve_generation(pop, PARAMS, np.random.default_rng(10))
     assert nxt.epoch == 1
     assert len(nxt.active) == 8
-    assert nxt.archive_size() == 8
+    assert sum(map(len, nxt.archive.values())) == 8
     assert [id(rec) for rec in nxt.archive[0]] == [id(rec) for rec in old_active]
     children = [rec for rec in nxt.active if rec.epoch_born == 1]
     carried = [rec for rec in nxt.active if rec.epoch_born == 0]
@@ -452,7 +492,7 @@ def test_evolve_handles_odd_active_after_deletion():
     assert len(pop.active) == 7
     nxt = evolve_generation(pop, params, np.random.default_rng(12))
     assert len(nxt.active) == 8
-    assert nxt.archive_size() == 8  # 1 deleted + 7 evolved out
+    assert sum(map(len, nxt.archive.values())) == 8  # 1 deleted + 7 evolved out
 
 
 def test_evolve_refills_from_ranked_parents_then_children_in_turn():
@@ -474,7 +514,7 @@ def test_evolve_refills_from_ranked_parents_then_children_in_turn():
         expected = [pool[i % len(pool)] for i in range(8 - n_children)]
         for got, source in zip(nxt.active[n_children:], expected):
             assert got is not source
-            assert got.genome.as_vector().tobytes() == source.genome.as_vector().tobytes()
+            assert got.genome.blocks.tobytes() == source.genome.blocks.tobytes()
             assert (got.r, got.f, got.epoch_born, got.origin) == (
                 None, source.f, source.epoch_born, source.origin)
     assert counts == {1, 2}
@@ -489,14 +529,14 @@ def test_evolve_empty_generation_breeds_from_the_latest_archived_one():
     nxt = evolve_generation(pop, params, np.random.default_rng(7))
     assert nxt.epoch == 2 and len(nxt.active) == 8
     # flat fitness: every child copies a parent, and parents are the latest generation
-    latest_bytes = {rec.genome.as_vector().tobytes() for rec in latest}
+    latest_bytes = {rec.genome.blocks.tobytes() for rec in latest}
     for rec in nxt.active:
-        assert rec.genome.as_vector().tobytes() in latest_bytes
+        assert rec.genome.blocks.tobytes() in latest_bytes
         assert rec.r is None
     n_children = next(i for i, rec in enumerate(nxt.active) if rec.epoch_born != 2)
     for got, source in zip(nxt.active[n_children:], latest):
         assert got is not source
-        assert got.genome.as_vector().tobytes() == source.genome.as_vector().tobytes()
+        assert got.genome.blocks.tobytes() == source.genome.blocks.tobytes()
     # the archive is left as it was, measurements included
     assert [[id(rec) for rec in nxt.archive[e]] for e in (0, 1)] == [
         [id(rec) for rec in older], [id(rec) for rec in latest]]
@@ -516,7 +556,7 @@ def test_archive_accumulates_one_generation_per_epoch():
             rec.f = float(rng.random())
         pop = evolve_generation(pop, PARAMS, np.random.default_rng(epoch))
         assert pop.epoch == epoch
-        assert pop.archive_size() == epoch * 8
+        assert sum(map(len, pop.archive.values())) == epoch * 8
         assert sorted(pop.archive) == list(range(epoch))
 
 
@@ -536,14 +576,14 @@ def test_advance_toward_closes_growth_times_success_of_each_gap():
     archived = _record(rng.random((2, BLOCK_SIZE)), f=0.4, r=0.9)
     pop.archive = {0: [archived]}
     pop.epoch = 1
-    archived_before = archived.genome.as_vector().tobytes()
+    archived_before = archived.genome.blocks.tobytes()
 
     for success in (1.0, 0.75, 0.3, 1e-3):
         moved = advance_toward(pop, target, success)
         assert moved.epoch == 1
         assert moved.archive == {0: [archived]}
         assert moved.archive[0][0] is archived
-        assert archived.genome.as_vector().tobytes() == archived_before
+        assert archived.genome.blocks.tobytes() == archived_before
         assert len(moved.active) == len(pop.active)
         for before, after in zip(pop.active, moved.active):
             gap = target.blocks - before.genome.blocks
@@ -577,9 +617,9 @@ def test_advance_toward_without_success_is_the_identity():
     rng = np.random.default_rng(122)
     target = TaskGenome(np.array([[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]]))
     pop = _uniform_population(6, rng)
-    before = [rec.genome.as_vector().tobytes() for rec in pop.active]
+    before = [rec.genome.blocks.tobytes() for rec in pop.active]
     still = advance_toward(pop, target, 0.0)
-    assert [rec.genome.as_vector().tobytes() for rec in still.active] == before
+    assert [rec.genome.blocks.tobytes() for rec in still.active] == before
     assert still.archive == pop.archive and still.epoch == pop.epoch
 
 
@@ -681,8 +721,8 @@ def test_fifty_epoch_trajectory_is_deterministic():
                 rec.f = fitness.evaluate(min(start_goal_distance(rec.genome), 1.0))
             pop = evolve_generation(pop, params, np.random.default_rng((seed, epoch)))
             batch = soft_select(pop, params, np.random.default_rng((seed, epoch, 7)))
-            trail.append((tuple(rec.genome.as_vector().tobytes() for rec in pop.active),
-                          tuple(rec.genome.as_vector().tobytes() for rec in batch)))
+            trail.append((tuple(rec.genome.blocks.tobytes() for rec in pop.active),
+                          tuple(rec.genome.blocks.tobytes() for rec in batch)))
         return trail
 
     assert run(31) == run(31)

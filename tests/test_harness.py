@@ -316,7 +316,7 @@ def test_snapshot_round_trip_preserves_population(tmp_path):
     snap = load_snapshot(tmp_path / "snapshot_epoch00004.jsonl")
     assert snap.epoch == 4
     assert len(snap.pop.active) == 8
-    assert snap.pop.archive_size() == 4 * 8
+    assert sum(map(len, snap.pop.archive.values())) == 4 * 8
     assert sorted(snap.pop.archive) == [0, 1, 2, 3]
     for rec in snap.pop.active:
         assert rec.genome.in_domain

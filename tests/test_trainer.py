@@ -30,6 +30,18 @@ def _rng(seed):
     return stream(seed, 3, 0)
 
 
+def _blocks(tasks):
+    """The (B, n_agents, 4) block stack that ``train_on_tasks`` takes."""
+    return np.stack([task.blocks for task in tasks])
+
+
+def _train(tasks, q, *args):
+    """``train_on_tasks`` on the stack of ``tasks``, its two count arrays as lists."""
+    successes, steps = train_on_tasks(_blocks(tasks), q, *args)
+    assert successes.dtype.kind == steps.dtype.kind == "i"
+    return successes.tolist(), steps.tolist()
+
+
 def _draws(rng, cfg, episodes=1):
     """An episode-major block of uniforms in ``rollout``'s (max_steps, n_agents, 2) layout."""
     return rng.random((episodes, cfg.max_steps, cfg.n_agents, 2))
@@ -110,10 +122,11 @@ def test_learning_rollout_updates_only_visited_entries():
 
 def _reference_train(tasks, policy, episodes, cfg, rng):
     """train_on_tasks through ``rollout``: each task's episodes learn on a clone of the
-    incoming policy, and every clone's updates are then replayed into ``policy`` in order."""
+    incoming policy, and every clone's updates are then replayed into ``policy`` in order.
+    Returns each task's successes and env steps, as lists."""
     draws = rng.random((len(tasks), episodes, cfg.max_steps, cfg.n_agents, 2))
     env = GridSpread(cfg)
-    outcomes, updates = [], []
+    successes, steps, updates = [], [], []
     for index, task in enumerate(tasks):
         local = policy.clone()
 
@@ -123,15 +136,11 @@ def _reference_train(tasks, policy, episodes, cfg, rng):
 
         local.update = update
         results = [rollout(env, task, local, True, block) for block in draws[index]]
-        outcomes.append((index, episodes, sum(ok for ok, _ in results),
-                         sum(steps for _, steps in results)))
+        successes.append(sum(ok for ok, _ in results))
+        steps.append(sum(taken for _, taken in results))
     for args in updates:
         policy.update(*args)
-    return outcomes
-
-
-def _outcome_tuples(outcomes):
-    return [(o.task_index, o.episodes, o.successes, o.env_steps) for o in outcomes]
+    return successes, steps
 
 
 def test_train_on_tasks_matches_numpy_reference_bit_for_bit():
@@ -144,9 +153,8 @@ def test_train_on_tasks_matches_numpy_reference_bit_for_bit():
     reference = _policy(cfg, params)
     for epoch, epsilon in enumerate((0.9, 0.5, 0.2, 0.0)):
         reference.epsilon = epsilon
-        outcomes = train_on_tasks(batch, q, params, epsilon, 6, cfg, _rng(90 + epoch))
-        expected = _reference_train(batch, reference, 6, cfg, _rng(90 + epoch))
-        assert _outcome_tuples(outcomes) == expected
+        counts = _train(batch, q, params, epsilon, 6, cfg, _rng(90 + epoch))
+        assert counts == _reference_train(batch, reference, 6, cfg, _rng(90 + epoch))
         assert q.tobytes() == reference.q.tobytes()
     assert q.any()  # rewards were found, so the updates were not all zero
 
@@ -181,9 +189,8 @@ def test_train_on_tasks_matches_the_oracle_across_shapes(n_agents, width, max_st
             # a non-trivial table with ties, so first-argmax and future maxima matter
             q[:] = np.round(np.random.default_rng(n_agents).random(cfg.q_shape), 1)
             reference.q[:] = q
-        outcomes = train_on_tasks(batch, q, params, epsilon, episodes, cfg, _rng(epoch))
-        assert _outcome_tuples(outcomes) == _reference_train(batch, reference, episodes, cfg,
-                                                             _rng(epoch))
+        counts = _train(batch, q, params, epsilon, episodes, cfg, _rng(epoch))
+        assert counts == _reference_train(batch, reference, episodes, cfg, _rng(epoch))
         assert q.tobytes() == reference.q.tobytes()
 
 
@@ -213,11 +220,11 @@ def test_train_on_tasks_matches_the_oracle_at_the_benchmark_shapes(n_tasks, epis
     reference = _policy(cfg)
     reference.q[:] = q
     reference.epsilon = 0.2
-    outcomes = train_on_tasks(batch, q, PARAMS, 0.2, episodes, cfg, _rng(1))
-    assert _outcome_tuples(outcomes) == _reference_train(batch, reference, episodes, cfg, _rng(1))
+    counts = _train(batch, q, PARAMS, 0.2, episodes, cfg, _rng(1))
+    assert counts == _reference_train(batch, reference, episodes, cfg, _rng(1))
     assert q.tobytes() == reference.q.tobytes()
     # A lane's steps are the iteration it ended at: task 0 ended last, or alone first.
-    steps = [out.env_steps for out in outcomes]
+    _, steps = counts
     if far_first:
         assert steps[0] == max(steps) > min(steps)
     else:
@@ -302,13 +309,12 @@ def test_train_on_tasks_matches_the_oracle_around_the_pre_pass(case):
         q[:] = np.round(np.random.default_rng(2).random(cfg.q_shape), 1)
     before = q.copy()
     reference = PolicyTable(q.copy(), PARAMS.learning_rate, PARAMS.discount, epsilon)
-    outcomes = train_on_tasks(batch, q, PARAMS, epsilon, episodes, cfg, _FixedDraws(block))
-    assert _outcome_tuples(outcomes) == _reference_train(batch, reference, episodes, cfg,
-                                                         _FixedDraws(block))
+    counts = _train(batch, q, PARAMS, epsilon, episodes, cfg, _FixedDraws(block))
+    assert counts == _reference_train(batch, reference, episodes, cfg, _FixedDraws(block))
     assert np.array_equal(q.view("<u8"), reference.q.view("<u8"))
     # Each case's premise, so that it keeps testing what it names.
     first = _first_team_reward(batch, episodes, cfg, epsilon, _FixedDraws(block))
-    successes = [out.successes for out in outcomes]
+    successes, _ = counts
     if case.endswith("no win"):
         assert first is None and not any(successes)
         unchanged = np.array_equal(q.view("<u8"), before.view("<u8"))
@@ -329,12 +335,11 @@ def test_each_lane_trains_as_its_task_alone():
     batch = _random_batch(cfg, 4, seed=3)
     q = np.round(np.random.default_rng(5).random(cfg.q_shape), 1)
     block = stream(11, 3, 1).random((len(batch), 3, cfg.max_steps, cfg.n_agents, 2))
-    together = train_on_tasks(batch, q.copy(), PARAMS, 0.4, 3, cfg, _FixedDraws(block))
+    successes, steps = _train(batch, q.copy(), PARAMS, 0.4, 3, cfg, _FixedDraws(block))
     for index, task in enumerate(batch):
-        alone = train_on_tasks([task], q.copy(), PARAMS, 0.4, 3, cfg,
-                               _FixedDraws(block[index:index + 1]))
-        assert _outcome_tuples(alone) == [(0,) + _outcome_tuples(together)[index][1:]]
-    assert len({out.env_steps for out in together}) > 1  # the lanes ended apart
+        alone = _train([task], q.copy(), PARAMS, 0.4, 3, cfg, _FixedDraws(block[index:index + 1]))
+        assert alone == ([successes[index]], [steps[index]])
+    assert len(set(steps)) > 1  # the lanes ended apart
 
 
 def test_trivial_batch_reaches_perfect_success_rate():
@@ -344,16 +349,23 @@ def test_trivial_batch_reaches_perfect_success_rate():
              for i in range(4)]
     for epoch in range(2):
         # greedy (epsilon 0): stay wins immediately on zero-distance tasks
-        outcomes = train_on_tasks(batch, q, PARAMS, 0.0, 10, cfg, _rng(40 + epoch))
-    assert all(out.success_rate == 1.0 for out in outcomes)
-    assert all(out.episodes == 10 for out in outcomes)
+        successes, steps = _train(batch, q, PARAMS, 0.0, 10, cfg, _rng(40 + epoch))
+    assert successes == [10] * len(batch)
+    assert steps == [10] * len(batch)  # every episode won on its first step
 
 
 def test_empty_batch_is_a_no_op():
-    cfg = EnvConfig(grid_width=4, n_agents=1, max_steps=5)
-    q = np.zeros(cfg.q_shape)
-    assert train_on_tasks([], q, PARAMS, PARAMS.epsilon, 5, cfg, _rng(1)) == []
-    assert not q.any()
+    cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=5)
+    q = np.round(np.random.default_rng(3).random(cfg.q_shape), 1)
+    q[0, 0] = -0.0
+    before = q.copy()
+    rng = _rng(1)
+    successes, steps = train_on_tasks(np.zeros((0, 2, 4)), q, PARAMS, PARAMS.epsilon, 5, cfg,
+                                      rng)
+    for counts in (successes, steps):
+        assert counts.shape == (0,) and counts.dtype.kind == "i"
+    assert np.array_equal(q.view("<u8"), before.view("<u8"))
+    assert rng.random() == _rng(1).random()  # nothing was drawn
 
 
 def test_train_on_tasks_is_deterministic_for_fixed_seed():
@@ -363,8 +375,7 @@ def test_train_on_tasks_is_deterministic_for_fixed_seed():
     runs = []
     for _ in range(2):
         q = np.zeros(cfg.q_shape)
-        outcomes = train_on_tasks(batch, q, PARAMS, 0.3, 8, cfg, _rng(77))
-        runs.append(([(o.task_index, o.successes, o.env_steps) for o in outcomes], q))
+        runs.append((_train(batch, q, PARAMS, 0.3, 8, cfg, _rng(77)), q))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -377,8 +388,8 @@ def test_shared_reward_never_fires_on_partial_success():
     genome = _genome_for_cells([(0, 0), (7, 7)], [(0, 0), (0, 0)], 8)
     batch = [genome]
     for epoch in range(5):
-        outcomes = train_on_tasks(batch, q, PARAMS, 0.5, 10, cfg, _rng(50 + epoch))
-        assert outcomes[0].successes == 0
+        successes, _ = _train(batch, q, PARAMS, 0.5, 10, cfg, _rng(50 + epoch))
+        assert successes == [0]
     assert q.min() == 0.0
     assert q.max() == 0.0  # zero reward everywhere keeps every target at zero
 
@@ -390,7 +401,7 @@ def test_q_values_stay_bounded():
     batch = [_genome_for_cells([(0, 0), (2, 2)], [(2, 2), (0, 0)], 3),
              _genome_for_cells([(1, 1), (0, 2)], [(1, 1), (0, 2)], 3)]
     for epoch in range(30):
-        train_on_tasks(batch, q, params, params.epsilon, 10, cfg, _rng(60 + epoch))
+        _train(batch, q, params, params.epsilon, 10, cfg, _rng(60 + epoch))
     bound = 1.0 / (1.0 - params.discount)
     assert q.min() >= 0.0
     assert q.max() <= bound
@@ -408,9 +419,9 @@ def test_monotone_solvability_on_trivial_batch():
     for seed in range(10):
         q = np.zeros(cfg.q_shape)
         for epoch in range(1, epochs + 1):
-            outcomes = train_on_tasks(batch, q, params, params.epsilon_at(epoch), 20, cfg,
-                                      stream(seed, 3, epoch))
-            successes[epoch - 1] += sum(out.successes for out in outcomes)
+            counts, _ = _train(batch, q, params, params.epsilon_at(epoch), 20, cfg,
+                               stream(seed, 3, epoch))
+            successes[epoch - 1] += sum(counts)
     for later, earlier in zip(successes[1:], successes[:-1]):
         assert later >= earlier
 
@@ -454,7 +465,7 @@ def test_policy_trained_to_convergence_beats_090():
     for round_idx in range(25):
         # explore for a while, then cool down and exploit
         epsilon = max(0.05, 0.8 ** max(0, round_idx - 5))
-        train_on_tasks([target], q, params, epsilon, 40, cfg, stream(123, 3, round_idx))
+        _train([target], q, params, epsilon, 40, cfg, stream(123, 3, round_idx))
     rate = evaluate_target(q, target, cfg)
     assert rate > 0.9
 
@@ -475,5 +486,43 @@ def test_learner_params_validation_and_schedule():
 def test_train_on_tasks_argument_errors():
     cfg = EnvConfig(grid_width=4, n_agents=1, max_steps=5)
     with pytest.raises(ValueError):
-        train_on_tasks([], np.zeros(cfg.q_shape), PARAMS, PARAMS.epsilon, 0, cfg,
-                       _rng(1))
+        train_on_tasks(np.zeros((0, 1, 4)), np.zeros(cfg.q_shape), PARAMS, PARAMS.epsilon, 0,
+                       cfg, _rng(1))
+
+
+def _poisoned(value):
+    blocks = np.full((3, 2, 4), 0.5)
+    blocks[1, 1, 2] = value
+    return blocks
+
+
+@pytest.mark.parametrize("blocks", [np.full((3, 1, 4), 0.5), np.full((3, 3, 4), 0.5),
+                                    np.full((3, 2, 3), 0.5), np.full((2, 4), 0.5),
+                                    np.full((1, 3, 2, 4), 0.5), _poisoned(np.nan),
+                                    _poisoned(np.inf), _poisoned(-np.inf)],
+                         ids=["one agent", "three agents", "last axis 3", "2-d", "4-d", "nan",
+                              "inf", "-inf"])
+def test_train_on_tasks_refuses_a_malformed_block_stack(blocks):
+    cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=5)
+    q = np.zeros(cfg.q_shape)
+    with pytest.raises(ValueError):
+        train_on_tasks(blocks, q, PARAMS, PARAMS.epsilon, 2, cfg, _rng(1))
+    assert not q.any()
+
+
+@pytest.mark.parametrize("goals,reachable", [([(1, 1), (3, 3)], True),
+                                              ([(4, 4), (0, 0)], False)],
+                         ids=["reachable", "out of reach"])
+def test_a_broadcast_block_stack_trains_as_its_stacked_copy(goals, reachable):
+    # The vanilla baseline's batch: one target repeated as a read-only broadcast view.
+    cfg = EnvConfig(grid_width=5, n_agents=2, max_steps=6)
+    view = np.broadcast_to(_genome_for_cells([(0, 0), (4, 4)], goals, 5).blocks, (4, 2, 4))
+    assert not view.flags.writeable
+    q_view, q_copy = np.zeros(cfg.q_shape), np.zeros(cfg.q_shape)
+    for epoch, epsilon in enumerate((0.9, 0.3)):
+        got = train_on_tasks(view, q_view, PARAMS, epsilon, 5, cfg, _rng(30 + epoch))
+        expected = train_on_tasks(view.copy(), q_copy, PARAMS, epsilon, 5, cfg, _rng(30 + epoch))
+        for counts, oracle in zip(got, expected):
+            assert counts.dtype == oracle.dtype and np.array_equal(counts, oracle)
+        assert q_view.tobytes() == q_copy.tobytes()
+    assert q_view.any() == reachable  # a team reward was found, or the pre-pass decided both
