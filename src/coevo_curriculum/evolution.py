@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, cycle, islice
 
@@ -19,10 +18,6 @@ ORIGIN_MUTATE = "mutate"
 # Share of each active genome's remaining gap to the target that one epoch
 # closes at full batch success (see advance_toward).
 GROWTH = 0.25
-
-# Call counts per evolution operation; mode audits assert the vanilla
-# baseline never touches any of these.
-OP_COUNTS: Counter = Counter()
 
 
 @dataclass(eq=False)
@@ -96,7 +91,6 @@ def init_population(domain: TaskDomain, population_size: int,
     the box.  Clamping projects onto a convex set containing the start, so
     the mean start-goal distance stays strictly below the threshold.
     """
-    OP_COUNTS["init_population"] += 1
     if population_size < 2 or population_size % 2:
         raise ValueError("population size must be even and at least 2")
     # Per agent, genome by genome: start x, start y, then the uniforms of radius and angle.
@@ -115,7 +109,6 @@ def init_population(domain: TaskDomain, population_size: int,
 def pair_generation(records: list[TaskRecord],
                     rng: np.random.Generator) -> list[tuple[TaskRecord, TaskRecord]]:
     """Shuffle and split into halves; pair i-th of each half."""
-    OP_COUNTS["pair_generation"] += 1
     if len(records) % 2:
         raise ValueError("cannot pair an odd number of records")
     order = rng.permutation(len(records))
@@ -126,7 +119,6 @@ def pair_generation(records: list[TaskRecord],
 
 def crossover_step(fitness_a: float, fitness_b: float, f_min: float, f_max: float) -> float:
     """|fa - fb| / (f_max - f_min); zero when the generation's fitness range collapses."""
-    OP_COUNTS["crossover_step"] += 1
     if f_max == f_min:
         return 0.0
     return abs(fitness_a - fitness_b) / (f_max - f_min)
@@ -135,7 +127,6 @@ def crossover_step(fitness_a: float, fitness_b: float, f_min: float, f_max: floa
 def sample_direction(task_a: TaskGenome, task_b: TaskGenome,
                      rng: np.random.Generator) -> np.ndarray:
     """Per-agent direction blocks: a fair coin per agent picks zero or (a - b)."""
-    OP_COUNTS["sample_direction"] += 1
     if task_a.n_agents != task_b.n_agents:
         raise ValueError("parents must have the same number of agents")
     direction = np.zeros((task_a.n_agents, BLOCK_SIZE), dtype=float)
@@ -159,7 +150,6 @@ def _shift(genome: TaskGenome, step: float, direction: np.ndarray) -> TaskGenome
 def crossover(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
               rng: np.random.Generator) -> tuple[TaskGenome, TaskGenome]:
     """Two children shifted by the same step * direction, clamped into the box."""
-    OP_COUNTS["crossover"] += 1
     rec_a, rec_b = pair
     if rec_a.f is None or rec_b.f is None:
         raise ValueError("crossover requires assigned fitness on both parents")
@@ -176,7 +166,6 @@ def mutate(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
     With adaptive mutation the scale follows the pair's crossover step, so a
     collapsed fitness range freezes mutation too.
     """
-    OP_COUNTS["mutate"] += 1
     rec_a, rec_b = pair
     if rec_a.f is None or rec_b.f is None:
         raise ValueError("mutation requires assigned fitness on both parents")
@@ -197,7 +186,6 @@ def delete_bad_tasks(pop: Population, band: tuple[float, float]) -> None:
     outside the band (edges inclusive) to the current-epoch archive bucket, in
     active order; unmeasured records stay.  Nothing is discarded.
     """
-    OP_COUNTS["delete_bad_tasks"] += 1
     low, high = band
     keep = [rec.r is None or low <= rec.r <= high for rec in pop.active]
     if not all(keep):
@@ -209,7 +197,6 @@ def delete_bad_tasks(pop: Population, band: tuple[float, float]) -> None:
 def assign_population_fitness(active: list[TaskRecord], trained: PrototypeSet, k: int) -> None:
     """Give every unmeasured active record the mean fitness of its k nearest
     trained prototypes; records measured this epoch keep their own fitness."""
-    OP_COUNTS["assign_population_fitness"] += 1
     unmeasured = [rec for rec in active if rec.r is None]
     if unmeasured:
         queries = np.stack([rec.genome.blocks for rec in unmeasured]).reshape(len(unmeasured), -1)
@@ -226,7 +213,6 @@ def evolve_generation(pop: Population, params: EvolutionParams,
     population_size with unmeasured copies of the parents, fittest first, then
     of the children, repeating both lists as often as needed.
     """
-    OP_COUNTS["evolve_generation"] += 1
     active = pop.active
     if not active:
         # Every task left the difficulty band at once.  Rather than dying out,
@@ -285,7 +271,6 @@ def advance_toward(pop: Population, target: TaskGenome, success: float) -> Popul
     in the domain.  Records keep their measurement, origin and birth epoch;
     the archive is shared as it is.
     """
-    OP_COUNTS["advance_toward"] += 1
     if not 0.0 <= success <= 1.0:
         raise ValueError("success must lie in [0, 1]")
     if not pop.active:
@@ -310,7 +295,6 @@ def soft_select(pop: Population, params: EvolutionParams,
     Archive shortfall (including the first epoch's empty archive) is covered
     from the active generation.
     """
-    OP_COUNTS["soft_select"] += 1
     if not pop.active:
         raise ValueError("cannot select from an empty population")
     if params.batch_size > len(pop.active):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ABLATION_AXES, ConfigError, ExperimentConfig
-from .evolution import (OP_COUNTS, advance_toward, assign_population_fitness, delete_bad_tasks,
+from .evolution import (advance_toward, assign_population_fitness, delete_bad_tasks,
                         evolve_generation, init_population, soft_select)
 from .fitness import PrototypeSet
 from .snapshots import (ARCHIVE_NAME, EMPTY_ARCHIVE_DIGEST, Snapshot, _COUNTS, _append_archive,
@@ -22,6 +22,9 @@ from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, st
 from .trainer import evaluate_target, train_on_tasks
 
 TIMINGS_COLUMNS = ("epoch", "wall_clock_seconds")
+# The evolution operators a ccl epoch applies, once each, as RunResult.evolution_ops counts them.
+EPOCH_OPERATORS = ("soft_select", "delete_bad_tasks", "assign_population_fitness",
+                   "evolve_generation", "advance_toward")
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class RunResult:
     metrics_path: Path
     timings_path: Path
     snapshot_path: Path
-    evolution_ops: dict[str, int]
+    evolution_ops: dict[str, int]  # the evolution operators this run applied, by name
 
 
 def _prepare_run_dir(config: ExperimentConfig, run_dir: Path | None) -> Path:
@@ -149,7 +152,7 @@ def _check_resume(config: ExperimentConfig, snapshot: Snapshot) -> None:
 def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> RunResult:
     """Run one experiment to completion and leave metrics, timings and snapshots on disk."""
     out_dir = _prepare_run_dir(config, run_dir)
-    ops_before = Counter(OP_COUNTS)
+    ops: Counter[str] = Counter()
     seed = config.master_seed
     env_cfg = config.env
     evo = config.evolution
@@ -163,6 +166,8 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
     else:
         pop = (init_population(config.domain(), evo.population_size, stream(seed, DOMAIN_INIT))
                if config.mode == "ccl" else None)
+        if pop is not None:
+            ops["init_population"] += 1
         snap = Snapshot(config, 0, 0, 0, pop, np.zeros(env_cfg.q_shape),
                         None if pop is None else EMPTY_ARCHIVE_DIGEST)
         snapshot_path = out_dir / f"snapshot_epoch{0:05d}.jsonl"
@@ -209,6 +214,7 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
                 active_mean_f = float(np.mean([rec.f for rec in snap.pop.active]))
             snap.pop = evolve_generation(snap.pop, evo, stream(seed, DOMAIN_EVOLVE, epoch))
             snap.pop = advance_toward(snap.pop, target, batch_mean_r)
+            ops.update(EPOCH_OPERATORS)
             closed = snap.pop.epoch - 1
             snap.archive_digest = _append_archive(archive_path, snap.archive_digest, closed,
                                                   snap.pop.archive[closed])
@@ -227,15 +233,13 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
             snapshot_path = out_dir / f"snapshot_epoch{epoch:05d}.jsonl"
             write_snapshot(snapshot_path, snap)
 
-    ops_delta = {name: count - ops_before.get(name, 0)
-                 for name, count in OP_COUNTS.items() if count != ops_before.get(name, 0)}
     # A run with no epoch left to run reports the policy it loaded or started from.
     final_rate = (metrics[-1].target_success if metrics
                   else evaluate_target(snap.policy_q, target, env_cfg))
     return RunResult(config=config, final_target_success=final_rate, metrics=metrics,
                      run_dir=out_dir, metrics_path=writer.metrics_path,
                      timings_path=writer.timings_path, snapshot_path=snapshot_path,
-                     evolution_ops=ops_delta)
+                     evolution_ops=ops)
 
 
 def evaluate_snapshot(snapshot_path: str | Path) -> float:

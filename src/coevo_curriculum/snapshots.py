@@ -17,7 +17,7 @@ from typing import Any, TextIO
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, _coerce, _schema, config_from_dict
+from .config import ConfigError, ExperimentConfig, _check_keys, _coerce, _schema, config_from_dict
 from .evolution import ORIGIN_CROSS, ORIGIN_INIT, ORIGIN_MUTATE, Population, TaskRecord
 from .tasks import BLOCK_SIZE, TaskGenome
 
@@ -174,6 +174,8 @@ def _read_snapshot(lines: list[Any]) -> Snapshot:
     if kinds != ["meta", *(["active"] if ccl else []), "policy"]:
         raise ConfigError(f"lines run {', '.join(map(str, kinds))}; a {config.mode} snapshot "
                           f"needs meta, {'active, ' if ccl else ''}policy")
+    _check_keys(meta, {"kind", "format", "config", *_COUNTS, *(["archive_digest"] if ccl else [])},
+                "meta line")
     q = _read_policy(lines[-1], config.env.q_shape)
     counts = {name: _coerce(meta[name], int, f"meta {name}") for name in _COUNTS}
     pop = digest = None
@@ -212,6 +214,7 @@ def _read_policy(line: dict[str, Any], shape: tuple[int, ...]) -> np.ndarray:
     """The Q table from its listed entries: a table of the config's size, positions rising
     strictly within it, each with a finite non-zero value, so that every table has one
     encoding."""
+    _check_keys(line, {"kind", "size", "index", "q"}, "policy line")
     size = math.prod(shape)
     if _coerce(line["size"], int, "policy size") != size:
         raise ConfigError(f"policy holds a table of {line['size']} values; the shape {shape} "
@@ -238,6 +241,7 @@ def _read_policy(line: dict[str, Any], shape: tuple[int, ...]) -> np.ndarray:
 def _read_generation(line: dict[str, Any], config: ExperimentConfig
                      ) -> tuple[int, list[TaskRecord]]:
     kind = line["kind"]
+    _check_keys(line, {"kind", "epoch", "genome", *_COLUMNS}, f"{kind} line")
     columns = {name: _coerce(line[name], tuple[tp, ...], f"{kind} {name}")
                for name, tp in _COLUMNS.items()}
     if not set(columns["origin"]) <= {ORIGIN_INIT, ORIGIN_CROSS, ORIGIN_MUTATE}:

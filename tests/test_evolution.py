@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from coevo_curriculum.evolution import (GROWTH, OP_COUNTS, EvolutionParams, Population,
-                                        TaskRecord, advance_toward, assign_population_fitness,
-                                        crossover, crossover_step, delete_bad_tasks,
-                                        evolve_generation, init_population, mutate,
-                                        pair_generation, sample_direction, soft_select)
+from coevo_curriculum.evolution import (GROWTH, EvolutionParams, Population, TaskRecord,
+                                        advance_toward, assign_population_fitness, crossover,
+                                        crossover_step, delete_bad_tasks, evolve_generation,
+                                        init_population, mutate, pair_generation,
+                                        sample_direction, soft_select)
 from coevo_curriculum import evolution
 from coevo_curriculum.fitness import FitnessParams, PrototypeSet, knn_estimate
 from coevo_curriculum.tasks import (BLOCK_SIZE, DEFAULT_DISTANCE_THRESHOLD, TaskDomain,
@@ -728,17 +728,3 @@ def test_fifty_epoch_trajectory_is_deterministic():
     assert run(31) == run(31)
     assert run(31) != run(32)
 
-
-def test_op_counters_track_calls():
-    OP_COUNTS.clear()
-    domain = TaskDomain(n_agents=1, grid_width=5)
-    pop = init_population(domain, 4, np.random.default_rng(0))
-    for rec in pop.active:
-        rec.f = 0.3
-    evolve_generation(pop, EvolutionParams(population_size=4, batch_size=2, knn_k=1),
-                      np.random.default_rng(1))
-    assert OP_COUNTS["init_population"] == 1
-    assert OP_COUNTS["evolve_generation"] == 1
-    assert OP_COUNTS["pair_generation"] == 1
-    OP_COUNTS.clear()
-    assert OP_COUNTS == {}

@@ -253,9 +253,9 @@ def test_ccl_run_writes_metrics_and_snapshots(tmp_path):
     timing_rows = _read_rows(result.timings_path)
     assert timing_rows[0] == ["epoch", "wall_clock_seconds"]
     assert len(timing_rows) == 5
-    assert set(result.evolution_ops) >= {"init_population", "evolve_generation",
-                                         "pair_generation", "advance_toward"}
-    assert result.evolution_ops["soft_select"] == 4  # one batch per epoch run
+    assert result.evolution_ops == {"init_population": 1, "soft_select": 4,
+                                    "delete_bad_tasks": 4, "assign_population_fitness": 4,
+                                    "evolve_generation": 4, "advance_toward": 4}
 
 
 def test_each_epoch_selects_its_batch_with_the_previous_epochs_key(tmp_path, monkeypatch):
@@ -277,7 +277,38 @@ def test_each_epoch_selects_its_batch_with_the_previous_epochs_key(tmp_path, mon
     assert keys == [(DOMAIN_SELECT, epoch) for epoch in range(2, 6)]
 
 
-def test_vanilla_run_never_touches_evolution(tmp_path):
+def test_each_run_counts_only_its_own_evolution_operators(tmp_path, monkeypatch):
+    import coevo_curriculum.harness as harness
+
+    alone = run_experiment(_small_config(), run_dir=tmp_path / "alone")
+    evaluate = harness.evaluate_target
+    inner = []
+
+    def evaluate_with_a_run_inside(*args):
+        if not inner:  # once, inside the outer run's epoch 1
+            inner.append(None)
+            inner[0] = run_experiment(_small_config(), run_dir=tmp_path / "inner")
+        return evaluate(*args)
+
+    monkeypatch.setattr(harness, "evaluate_target", evaluate_with_a_run_inside)
+    outer = run_experiment(_small_config(), run_dir=tmp_path / "outer")
+    assert inner[0].evolution_ops == alone.evolution_ops
+    assert outer.evolution_ops == alone.evolution_ops
+    assert _files(outer.run_dir) == _files(inner[0].run_dir) == _files(alone.run_dir)
+
+
+def test_vanilla_run_never_touches_evolution(tmp_path, monkeypatch):
+    import coevo_curriculum.harness as harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vanilla run applied an evolution operator")
+
+    operators = [name for name, value in vars(harness).items()
+                 if getattr(value, "__module__", None) == "coevo_curriculum.evolution"
+                 and callable(value)]
+    assert "soft_select" in operators and "init_population" in operators
+    for name in operators:
+        monkeypatch.setattr(harness, name, refuse)
     cfg = _small_config(mode="vanilla")
     result = run_experiment(cfg, run_dir=tmp_path)
     assert result.evolution_ops == {}
@@ -515,6 +546,32 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     measured = dict(active, r=[0.5] * n, f=[1] * n, origin=["cross"] * n)
     loaded = load_snapshot(_write_archived(tmp_path / "measured", meta, measured, policy, []))
     assert [(rec.r, rec.f, rec.origin) for rec in loaded.pop.active] == [(0.5, 1, "cross")] * n
+
+
+def test_snapshot_lines_refuse_keys_their_kind_does_not_define(tmp_path, capsys):
+    good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
+    meta, active, policy = [json.loads(line)
+                            for line in good.read_text(encoding="utf-8").splitlines()]
+    vanilla_meta = dict(meta, config=dict(meta["config"],
+                                          experiment=dict(meta["config"]["experiment"],
+                                                          mode="vanilla")))
+    archived = dict(active, kind="archive", epoch=0)
+    for name, lines, archive, message in (
+            ("meta", [dict(meta, extra=1), active, policy], [], "meta line: extra"),
+            ("active", [meta, dict(active, extra=1), policy], [], "active line: extra"),
+            ("policy", [meta, active, dict(policy, extra=1)], [], "policy line: extra"),
+            ("archive", [meta, active, policy], [dict(archived, extra=1)],
+             "archive line: extra"),
+            ("vanilla-digest", [vanilla_meta, policy], None, "meta line: archive_digest")):
+        if archive is None:
+            path = _write_jsonl(tmp_path / f"{name}.jsonl", lines)
+        else:
+            path = _write_archived(tmp_path / name, *lines, archive)
+        assert main(["eval", "--snapshot", str(path)]) == 2, name
+        assert f"unknown key(s) in {message}" in capsys.readouterr().err, name
+    vanilla_meta.pop("archive_digest")
+    loaded = load_snapshot(_write_jsonl(tmp_path / "vanilla.jsonl", [vanilla_meta, policy]))
+    assert loaded.pop is None and loaded.archive_digest is None
 
 
 def test_binary_columns_round_trip_bit_for_bit(tmp_path):
@@ -1015,6 +1072,7 @@ def test_resume_at_final_epoch_is_a_no_op(tmp_path):
     assert again.final_target_success == done.final_target_success == 1.0
     assert evaluate_snapshot(done.snapshot_path) == 1.0
     assert again.snapshot_path == done.snapshot_path
+    assert again.evolution_ops == {}  # the loaded run's operators are not this run's
 
 
 # ---------------------------------------------------------------- ablation
