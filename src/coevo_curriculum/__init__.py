@@ -10,6 +10,6 @@ from .gridworld import EnvConfig, GridSpread, GridState, obs_index
 from .harness import EpochMetrics, RunResult, run_ablation, run_experiment
 from .tasks import (TaskDomain, TaskGenome, discretize, opposite_corner_target,
                     start_goal_distance)
-from .trainer import LearnerParams, PolicyTable, evaluate_target, rollout, train_on_tasks
+from .trainer import LearnerParams, evaluate_target, train_on_tasks
 
 __version__ = "0.1.0"

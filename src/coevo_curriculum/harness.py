@@ -203,12 +203,13 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
         batch_mean_r = float(np.mean(rates))
 
         if snap.pop is not None:
-            for rec, rate in zip(batch, rates):
-                rec.r = rate
-                rec.f = config.fitness.evaluate(rate)
+            fitnesses = [config.fitness.evaluate(rate) for rate in rates]
+            for rec, rate, fitness in zip(batch, rates, fitnesses):
+                if id(rec) in active_ids:  # an archived record keeps its archive.jsonl values
+                    rec.r, rec.f = rate, fitness
             delete_bad_tasks(snap.pop, evo.deletion_band)
             prototypes = PrototypeSet(vectors=blocks.reshape(len(batch), -1),
-                                      fitnesses=np.array([rec.f for rec in batch], dtype=float))
+                                      fitnesses=np.array(fitnesses, dtype=float))
             assign_population_fitness(snap.pop.active, prototypes, evo.knn_k)
             if snap.pop.active:
                 active_mean_f = float(np.mean([rec.f for rec in snap.pop.active]))

@@ -148,44 +148,57 @@ def load_snapshot(path: str | Path) -> Snapshot:
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            snap = _read_snapshot([json.loads(line) for line in handle])
-        if snap.pop is not None:
-            snap.pop.archive, snap.archive_lines = _read_archive(path.with_name(ARCHIVE_NAME),
-                                                                 snap)
-        return snap
-    except OSError as exc:
+            raw = handle.readlines()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
+    snap = _read_snapshot(f"snapshot {path}", raw)
+    if snap.pop is not None:
+        snap.pop.archive, snap.archive_lines = _read_archive(path.with_name(ARCHIVE_NAME), snap)
+    return snap
+
+
+@contextmanager
+def _at_line(where: str, number: int) -> Iterator[None]:
+    """Any fault in the block (bad JSON, a missing key, a failed check) names the line."""
+    try:
+        yield
     except ConfigError as exc:
-        raise ConfigError(f"snapshot {path}: {exc}") from exc
-    except (ValueError, LookupError, TypeError) as exc:  # bad JSON, missing lines or keys
-        raise ConfigError(f"snapshot {path} is malformed: {exc}") from exc
+        raise ConfigError(f"{where} line {number}: {exc}") from exc
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ConfigError(f"{where} line {number} is malformed: {exc}") from exc
 
 
-def _read_snapshot(lines: list[Any]) -> Snapshot:
+def _read_snapshot(where: str, raw: list[str]) -> Snapshot:
     """Every value is checked against its field's type, as a config value is."""
-    if not all(isinstance(line, dict) for line in lines):
-        raise ConfigError("a line is not a JSON object")
+    lines = []
+    for number, text in enumerate(raw, 1):
+        with _at_line(where, number):
+            lines.append(json.loads(text))
+            if not isinstance(lines[-1], dict):
+                raise ConfigError("not a JSON object")
+    if not lines:
+        raise ConfigError(f"{where} holds no lines")
     meta = lines[0]
-    if meta.get("format") != SNAPSHOT_FORMAT:
-        raise ConfigError(f"format {meta.get('format', 'missing')}, expected {SNAPSHOT_FORMAT}")
-    config = config_from_dict(meta["config"])
-    ccl = config.mode == "ccl"
+    with _at_line(where, 1):
+        if (found := meta.get("format", "missing")) != SNAPSHOT_FORMAT:
+            raise ConfigError(f"format {found}, expected {SNAPSHOT_FORMAT}")
+        config = config_from_dict(meta["config"])
+        ccl = config.mode == "ccl"
+        _check_keys(meta, {"kind", "format", "config", *_COUNTS,
+                           *(["archive_digest"] if ccl else [])}, "meta line")
+        counts = {name: _coerce(meta[name], int, f"meta {name}") for name in _COUNTS}
+        digest = _coerce(meta["archive_digest"], str, "meta archive_digest") if ccl else None
     kinds = [line.get("kind") for line in lines]
     if kinds != ["meta", *(["active"] if ccl else []), "policy"]:
-        raise ConfigError(f"lines run {', '.join(map(str, kinds))}; a {config.mode} snapshot "
-                          f"needs meta, {'active, ' if ccl else ''}policy")
-    _check_keys(meta, {"kind", "format", "config", *_COUNTS, *(["archive_digest"] if ccl else [])},
-                "meta line")
-    q = _read_policy(lines[-1], config.env.q_shape)
-    counts = {name: _coerce(meta[name], int, f"meta {name}") for name in _COUNTS}
-    pop = digest = None
+        raise ConfigError(f"{where}: lines run {', '.join(map(str, kinds))}; a {config.mode} "
+                          f"snapshot needs meta, {'active, ' if ccl else ''}policy")
+    with _at_line(where, len(lines)):
+        q = _read_policy(lines[-1], config.env.q_shape)
+    pop = None
     if ccl:
-        digest = _coerce(meta["archive_digest"], str, "meta archive_digest")
-        epoch, active = _read_generation(lines[1], config)
-        if epoch != counts["epoch"]:
-            raise ConfigError(f"the active generation is of epoch {epoch}, "
-                              f"the snapshot of epoch {counts['epoch']}")
-        pop = Population(active=active, epoch=epoch)
+        with _at_line(where, 2):
+            pop = Population(_read_generation(lines[1], config, counts["epoch"]),
+                             epoch=counts["epoch"])
     return Snapshot(config=config, **counts, pop=pop, policy_q=q, archive_digest=digest)
 
 
@@ -238,8 +251,8 @@ def _read_policy(line: dict[str, Any], shape: tuple[int, ...]) -> np.ndarray:
     return table.reshape(shape)
 
 
-def _read_generation(line: dict[str, Any], config: ExperimentConfig
-                     ) -> tuple[int, list[TaskRecord]]:
+def _read_generation(line: dict[str, Any], config: ExperimentConfig, expected_epoch: int
+                     ) -> list[TaskRecord]:
     kind = line["kind"]
     _check_keys(line, {"kind", "epoch", "genome", *_COLUMNS}, f"{kind} line")
     columns = {name: _coerce(line[name], tuple[tp, ...], f"{kind} {name}")
@@ -253,9 +266,10 @@ def _read_generation(line: dict[str, Any], config: ExperimentConfig
         raise ConfigError(f"{kind} genome holds {genomes.size} values; {count} records of "
                           f"{n_agents} agents need {count * n_agents * BLOCK_SIZE}")
     _check_finite(genomes.reshape(count, n_agents * BLOCK_SIZE), f"{kind} genome")
+    if _coerce(line["epoch"], int, f"{kind} epoch") != expected_epoch:
+        raise ConfigError(f"{kind} epoch {line['epoch']}, expected {expected_epoch}")
     batch = TaskGenome.batch(genomes.reshape(count, n_agents, BLOCK_SIZE))
-    return (_coerce(line["epoch"], int, f"{kind} epoch"),
-            [TaskRecord(*values) for values in zip(batch, *columns.values(), strict=True)])
+    return [TaskRecord(*values) for values in zip(batch, *columns.values(), strict=True)]
 
 
 def _read_archive(path: Path, snap: Snapshot
@@ -266,8 +280,8 @@ def _read_archive(path: Path, snap: Snapshot
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as handle:
             lines = list(islice(handle, snap.epoch))
-    except OSError as exc:
-        raise ConfigError(f"cannot read its archive: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise ConfigError(f"cannot read archive {path}: {exc}") from exc
     if lines and not lines[-1].endswith("\n"):
         lines.pop()  # cut short by a crash while it was appended
     if len(lines) < snap.epoch:
@@ -278,11 +292,9 @@ def _read_archive(path: Path, snap: Snapshot
                           "archive (digest mismatch)")
     archive = {}
     for expected, raw in enumerate(lines):
-        line = json.loads(raw)
-        if not isinstance(line, dict) or line.get("kind") != "archive":
-            raise ConfigError(f"{path} line {expected + 1} is not an archive line")
-        epoch, archive[expected] = _read_generation(line, snap.config)
-        if epoch != expected:
-            raise ConfigError(f"{path} line {expected + 1} holds epoch {epoch}, "
-                              f"expected {expected}")
+        with _at_line(str(path), expected + 1):
+            line = json.loads(raw)
+            if not isinstance(line, dict) or line.get("kind") != "archive":
+                raise ConfigError("not an archive line")
+            archive[expected] = _read_generation(line, snap.config, expected)
     return archive, lines

@@ -39,44 +39,30 @@ class LearnerParams:
 
 @dataclass
 class PolicyTable:
-    """Per-agent action-value tables with their learner constants; with ``rollout``, the
-    greedy target evaluator and the tests' oracle. Training itself runs on a bare Q array
-    (see ``train_on_tasks``)."""
+    """Per-agent action-value tables. With ``rollout`` they are the greedy target evaluator
+    and the tests' oracle: ``act`` and ``update`` are the plain per-call reference for one
+    learner step, which ``train_on_tasks`` runs in lockstep on a bare Q array, and the tests
+    hold the two to bit-identical results."""
 
     q: np.ndarray  # shape EnvConfig.q_shape
-    learning_rate: float
-    discount: float
-    epsilon: float
-
-    @classmethod
-    def zeros(cls, env: EnvConfig, params: LearnerParams) -> "PolicyTable":
-        return cls(q=np.zeros(env.q_shape), learning_rate=params.learning_rate,
-                   discount=params.discount, epsilon=params.epsilon)
-
-    # clone, act and update are the plain per-call reference for one learner
-    # step on the array; training runs the same arithmetic in lockstep on numpy
-    # arrays (see train_on_tasks), and the tests hold the two to bit-identical
-    # results.
 
     def clone(self) -> "PolicyTable":
-        return PolicyTable(q=self.q.copy(), learning_rate=self.learning_rate,
-                           discount=self.discount, epsilon=self.epsilon)
+        return PolicyTable(self.q.copy())
 
-    def act(self, agent: int, state: int, draw: np.ndarray | None,
-            epsilon: float | None = None) -> int:
+    def act(self, agent: int, state: int, draw: np.ndarray | None, epsilon: float) -> int:
         """Action of ``agent`` in ``state`` from its step's pair of uniforms ``draw``
         (None acts greedily): explore iff ``draw[0] < epsilon``, taking action
         ``int(draw[1] * N_ACTIONS)``; otherwise the first action of highest value."""
-        eps = self.epsilon if epsilon is None else epsilon
-        if draw is not None and draw[0] < eps:
+        if draw is not None and draw[0] < epsilon:
             return int(draw[1] * N_ACTIONS)
         return int(np.argmax(self.q[agent, state]))
 
-    def update(self, agent: int, state: int, action: int, reward: float,
-               next_state: int, terminal: bool) -> None:
+    def update(self, agent: int, state: int, action: int, reward: float, next_state: int,
+               terminal: bool, learner: LearnerParams) -> None:
         future = 0.0 if terminal else float(self.q[agent, next_state].max())
-        target = reward + self.discount * future
-        self.q[agent, state, action] += self.learning_rate * (target - self.q[agent, state, action])
+        target = reward + learner.discount * future
+        self.q[agent, state, action] += (learner.learning_rate
+                                         * (target - self.q[agent, state, action]))
 
 
 def _td_updates(rows: Iterable[list[float]], actions: Iterable[int],
@@ -96,14 +82,16 @@ def _td_updates(rows: Iterable[list[float]], actions: Iterable[int],
         row[action] = old + learning_rate * ((1.0 if won else discount * max(next_row)) - old)
 
 
-def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable, learn: bool,
-            draws: np.ndarray | None, epsilon: float | None = None) -> tuple[bool, int]:
+def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable,
+            draws: np.ndarray | None = None, epsilon: float = 0.0,
+            learner: LearnerParams | None = None) -> tuple[bool, int]:
     """Run one episode on its ``(max_steps, n_agents, 2)`` block of uniforms ``draws``,
-    acting through ``policy.act`` and, with ``learn``, updating through ``policy.update``;
-    returns (ended on the goal configuration, steps taken).
+    acting through ``policy.act`` with exploration rate ``epsilon`` and, given a
+    ``learner``, updating through ``policy.update`` with its constants; returns (ended on
+    the goal configuration, steps taken).
 
-    ``epsilon`` defaults to the policy's own. ``draws`` may be None only when
-    exploration is off, since a greedy episode reads no random numbers.
+    ``draws`` may be None only when exploration is off, since a greedy episode reads no
+    random numbers.
     """
     state = env.reset(task)
     cfg, goals = env.cfg, env.goals
@@ -115,9 +103,9 @@ def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable, learn: bool,
         actions = tuple([policy.act(i, obs[i], step[i], epsilon) for i in agents])
         state, reward, done = env.step(actions)
         next_obs = [obs_index(cell, goal, cfg) for cell, goal in zip(state.cells, goals)]
-        if learn:
+        if learner is not None:
             for i in agents:
-                policy.update(i, obs[i], actions[i], reward, next_obs[i], reward == 1)
+                policy.update(i, obs[i], actions[i], reward, next_obs[i], reward == 1, learner)
         obs = next_obs
     return reward == 1, state.t
 
@@ -299,7 +287,5 @@ def evaluate_target(q: np.ndarray, target: TaskGenome, env_cfg: EnvConfig) -> fl
     The environment is deterministic and a greedy episode draws no random
     numbers, so one episode gives the exact success rate.
     """
-    # The table wraps q without a copy and, with learn=False, never writes to it; a
-    # greedy episode never reads the learning rate or the discount, so they are 0.0.
-    ok, _ = rollout(GridSpread(env_cfg), target, PolicyTable(q, 0.0, 0.0, 0.0), False, None)
+    ok, _ = rollout(GridSpread(env_cfg), target, PolicyTable(q))
     return float(ok)

@@ -398,6 +398,9 @@ def test_snapshot_round_trip_is_exact(tmp_path, monkeypatch):
         assert list(snap.pop.archive) == list(pop.archive)
         for epoch in pop.archive:
             _assert_same_records(snap.pop.archive[epoch], closed[epoch])
+            # Later epochs measure archived records again; the archive in memory still holds
+            # what its line in archive.jsonl holds.
+            _assert_same_records(pop.archive[epoch], snap.pop.archive[epoch])
         assert snap.policy_q.dtype == q.dtype and snap.policy_q.shape == q.shape
         assert snap.policy_q.tobytes() == q.tobytes()
 
@@ -444,9 +447,11 @@ def _archive_digest(raw_lines):
 
 
 def _write_archived(directory, meta, active, policy, archive):
-    """A ccl snapshot of epoch len(archive) beside an archive.jsonl holding ``archive``."""
+    """A ccl snapshot of epoch len(archive) beside an archive.jsonl holding ``archive``, whose
+    lines are JSON values or, as given, strings."""
     directory.mkdir()
-    raw = [(json.dumps(line) + "\n").encode() for line in archive]
+    raw = [((line if isinstance(line, str) else json.dumps(line)) + "\n").encode()
+           for line in archive]
     (directory / "archive.jsonl").write_bytes(b"".join(raw))
     meta = dict(meta, epoch=len(raw), archive_digest=_archive_digest(raw))
     return _write_jsonl(directory / "snapshot.jsonl", [meta, dict(active, epoch=len(raw)), policy])
@@ -484,6 +489,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     vanilla_meta = dict(meta, config=dict(meta["config"],
                                           experiment=dict(meta["config"]["experiment"],
                                                           mode="vanilla")))
+    vanilla_meta.pop("archive_digest")  # a vanilla meta line holds none
     for name, bad, match in (
             ("ragged-policy", [meta, active, dict(policy, size=7)], "shape"),
             ("list-line", [meta, [1, 2], policy], "not a JSON object"),
@@ -496,7 +502,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
              "ccl snapshot needs"),
             ("ragged-columns", [meta, dict(active, f=active["f"][1:]), policy], "malformed"),
             ("later-active", [meta, dict(active, epoch=1), policy],
-             "active generation is of epoch 1"),
+             "line 2: active epoch 1, expected 0"),
             ("no-digest", [{k: v for k, v in meta.items() if k != "archive_digest"}, active,
                            policy], "malformed"),
             ("bad-config", [dict(meta, config={"env": {"width": 5}}), active, policy],
@@ -523,8 +529,10 @@ def test_load_snapshot_rejects_garbage(tmp_path):
             ("archive-r", [dict(archived, r=["x"] * n)], r"archive r\[0\] must be a number"),
             ("nan-archive-r", [dict(archived, r=[math.nan] * n)],
              r"archive r\[0\] must be finite"),
-            ("repeated-epoch", [archived] * 2, "line 2 holds epoch 0, expected 1"),
-            ("active-in-archive", [dict(active, epoch=0)], "line 1 is not an archive line")):
+            ("repeated-epoch", [archived] * 2,
+             "archive.jsonl line 2: archive epoch 0, expected 1"),
+            ("active-in-archive", [dict(active, epoch=0)],
+             "archive.jsonl line 1: not an archive line")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_archived(tmp_path / name, meta, active, policy, archive))
     two = [archived, dict(archived, epoch=1)]
@@ -572,6 +580,39 @@ def test_snapshot_lines_refuse_keys_their_kind_does_not_define(tmp_path, capsys)
     vanilla_meta.pop("archive_digest")
     loaded = load_snapshot(_write_jsonl(tmp_path / "vanilla.jsonl", [vanilla_meta, policy]))
     assert loaded.pop is None and loaded.archive_digest is None
+
+
+def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_path, capsys):
+    good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
+    meta, active, policy = [json.loads(line) for line in good.read_text().splitlines()]
+    archived = dict(active, kind="archive", epoch=0)
+    n = len(archived["r"])
+    short = _b64(_floats(archived["genome"])[:-1])
+    # Each fault sits in the second line of a two-line archive whose digest is the snapshot's,
+    # so the content checks run.
+    for name, second, message in (
+            ("wrong-type", dict(archived, epoch=1, epoch_born=["1"] * n),
+             "archive epoch_born[0] must be an integer"),
+            ("unknown-key", dict(archived, epoch=1, extra=1),
+             "unknown key(s) in archive line: extra"),
+            ("short-genome", dict(archived, epoch=1, genome=short),
+             f"archive genome holds {n * 8 - 1} values"),
+            ("not-json", '{"kind": "archive",', "is malformed: Expecting")):
+        path = _write_archived(tmp_path / name, meta, active, policy, [archived, second])
+        assert main(["eval", "--snapshot", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        where = f"error: {path.with_name('archive.jsonl')} line 2"
+        assert err.startswith(where) and message in err, (name, err)
+    meta, active, policy = [json.dumps(line) for line in (meta, active, policy)]
+    for name, lines, message in (
+            ("not-json", [meta, '{"kind": "active",', policy], "line 2 is malformed: Expecting"),
+            ("not-an-object", [meta, active, "[1, 2]"], "line 3: not a JSON object"),
+            ("null", [meta, "null", policy], "line 2: not a JSON object"),
+            ("empty", [], "holds no lines")):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert main(["eval", "--snapshot", str(path)]) == 2, name
+        assert capsys.readouterr().err.startswith(f"error: snapshot {path} {message}"), name
 
 
 def test_binary_columns_round_trip_bit_for_bit(tmp_path):
@@ -865,15 +906,15 @@ def test_ccl_snapshot_loads_only_with_its_runs_archive(tmp_path, capsys):
     typed["epoch_born"] = [str(value) for value in typed["epoch_born"]]
     typed = [(json.dumps(typed) + "\n").encode(), lines[1]]
     for name, path, match in (
-            ("missing", place("missing", None), "cannot read its archive"),
+            ("missing", place("missing", None), "cannot read archive"),
             ("short", place("short", lines[0]), "1 complete lines; the snapshot needs 2"),
             ("torn", place("torn", lines[0] + lines[1][:-1]), "1 complete lines"),
             ("out-of-order", place("out-of-order", b"".join(swapped), _archive_digest(swapped)),
-             "line 1 holds epoch 1, expected 0"),
+             "archive.jsonl line 1: archive epoch 1, expected 0"),
             ("foreign-same-length", place("foreign-same-length", others[2]), "digest mismatch"),
             ("foreign-longer", place("foreign-longer", others[4]), "digest mismatch"),
             ("wrong-type", place("wrong-type", b"".join(typed), _archive_digest(typed)),
-             r"archive epoch_born\[0\] must be an integer")):
+             r"archive.jsonl line 1: archive epoch_born\[0\] must be an integer")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(path)
         assert main(["eval", "--snapshot", str(path)]) == 2, name
@@ -1135,11 +1176,20 @@ def test_cli_overrides_reach_the_run(tmp_path, capsys):
 
 
 def test_cli_eval_reports_snapshot_rate(tmp_path, capsys):
-    result = run_experiment(_small_config(epochs=2), run_dir=tmp_path / "run")
-    code = main(["eval", "--snapshot", str(result.snapshot_path)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.startswith("target_success=")
+    # A vanilla run on a 3-wide grid whose last epoch reaches the target, so the rates differ.
+    reaching = _small_dict(mode="vanilla", epochs=6, master_seed=1)
+    reaching.update(env={"grid_width": 3, "n_agents": 1, "max_steps": 8},
+                    learner={"epsilon": 0.5})
+    finals = []
+    for name, config in (("ccl", _small_config(epochs=2)),
+                         ("vanilla", config_from_dict(reaching))):
+        result = run_experiment(config, run_dir=tmp_path / name)
+        code = main(["eval", "--snapshot", str(result.snapshot_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == f"target_success={result.final_target_success}\n"
+        finals.append(result.final_target_success)
+    assert finals == [0.0, 1.0]
 
 
 def test_cli_ablate_round_trip(tmp_path, capsys):

@@ -14,8 +14,8 @@ from coevo_curriculum.trainer import (LearnerParams, PolicyTable, evaluate_targe
 PARAMS = LearnerParams()
 
 
-def _policy(cfg, params=PARAMS):
-    return PolicyTable.zeros(cfg, params)
+def _policy(cfg):
+    return PolicyTable(np.zeros(cfg.q_shape))
 
 
 def _genome_for_cells(starts, goals, width):
@@ -69,8 +69,7 @@ def test_zero_distance_task_succeeds_greedily_on_first_step():
     cfg = EnvConfig(grid_width=5, n_agents=2, max_steps=10)
     env = GridSpread(cfg)
     genome = _genome_for_cells([(2, 2), (4, 0)], [(2, 2), (4, 0)], 5)
-    ok, steps = rollout(env, genome, _policy(cfg), learn=False, draws=_draws(stream(0, 9), cfg)[0],
-                        epsilon=0.0)
+    ok, steps = rollout(env, genome, _policy(cfg), _draws(stream(0, 9), cfg)[0], epsilon=0.0)
     assert ok
     assert steps == 1
     assert env.state.cells == ((2, 2), (4, 0))  # untrained argmax holds position
@@ -87,7 +86,7 @@ def test_random_walk_rate_matches_enumeration_oracle():
     episodes = 10_000
     wins = 0
     for draws in _draws(stream(5, 3, 0), cfg, episodes):
-        ok, _ = rollout(env, genome, policy, learn=False, draws=draws, epsilon=1.0)
+        ok, _ = rollout(env, genome, policy, draws, epsilon=1.0)
         wins += int(ok)
     observed = wins / episodes
     sigma = math.sqrt(exact * (1.0 - exact) / episodes)
@@ -98,12 +97,14 @@ def test_rollout_without_learning_keeps_policy_bit_identical():
     cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=8)
     policy = _policy(cfg)
     policy.q += 0.123  # non-trivial table
+    policy.q[0, 0] = -0.0  # a learning update would write +0.0 over it
     before = policy.q.copy()
     env = GridSpread(cfg)
     genome = _genome_for_cells([(0, 0), (3, 3)], [(2, 2), (1, 1)], 4)
-    for draws in _draws(stream(7, 3, 0), cfg, 20):
-        rollout(env, genome, policy, learn=False, draws=draws)
-    assert np.array_equal(policy.q, before)
+    for epsilon in (PARAMS.epsilon, 1.0):  # 1.0 explores on every step
+        for draws in _draws(stream(7, 3, 0), cfg, 20):
+            rollout(env, genome, policy, draws, epsilon)
+    assert np.array_equal(policy.q.view("<u8"), before.view("<u8"))
 
 
 def test_learning_rollout_updates_only_visited_entries():
@@ -111,8 +112,8 @@ def test_learning_rollout_updates_only_visited_entries():
     policy = _policy(cfg)
     env = GridSpread(cfg)
     genome = _genome_for_cells([(0, 0)], [(0, 1)], 4)
-    ok, steps = rollout(env, genome, policy, learn=True, draws=_draws(stream(8, 0), cfg)[0],
-                        epsilon=0.0)
+    ok, steps = rollout(env, genome, policy, _draws(stream(8, 0), cfg)[0], epsilon=0.0,
+                        learner=PARAMS)
     # greedy untrained stays at (0,0), never finds the goal, reward stays 0
     assert not ok
     assert steps == cfg.max_steps
@@ -120,10 +121,11 @@ def test_learning_rollout_updates_only_visited_entries():
     assert not policy.q.any()
 
 
-def _reference_train(tasks, policy, episodes, cfg, rng):
-    """train_on_tasks through ``rollout``: each task's episodes learn on a clone of the
-    incoming policy, and every clone's updates are then replayed into ``policy`` in order.
-    Returns each task's successes and env steps, as lists."""
+def _reference_train(tasks, policy, learner, epsilon, episodes, cfg, rng):
+    """train_on_tasks through ``rollout``, with its arguments in its order: each task's
+    episodes learn on a clone of the incoming policy, and every clone's updates are then
+    replayed into ``policy`` in order. Returns each task's successes and env steps, as
+    lists."""
     draws = rng.random((len(tasks), episodes, cfg.max_steps, cfg.n_agents, 2))
     env = GridSpread(cfg)
     successes, steps, updates = [], [], []
@@ -135,7 +137,7 @@ def _reference_train(tasks, policy, episodes, cfg, rng):
             own_update(*args)
 
         local.update = update
-        results = [rollout(env, task, local, True, block) for block in draws[index]]
+        results = [rollout(env, task, local, block, epsilon, learner) for block in draws[index]]
         successes.append(sum(ok for ok, _ in results))
         steps.append(sum(taken for _, taken in results))
     for args in updates:
@@ -150,11 +152,11 @@ def test_train_on_tasks_matches_numpy_reference_bit_for_bit():
              _genome_for_cells([(2, 2), (0, 4)], [(2, 3), (1, 4)], 5),
              _genome_for_cells([(4, 0), (1, 1)], [(3, 1), (1, 1)], 5)]
     q = np.zeros(cfg.q_shape)
-    reference = _policy(cfg, params)
+    reference = _policy(cfg)
     for epoch, epsilon in enumerate((0.9, 0.5, 0.2, 0.0)):
-        reference.epsilon = epsilon
         counts = _train(batch, q, params, epsilon, 6, cfg, _rng(90 + epoch))
-        assert counts == _reference_train(batch, reference, 6, cfg, _rng(90 + epoch))
+        assert counts == _reference_train(batch, reference, params, epsilon, 6, cfg,
+                                          _rng(90 + epoch))
         assert q.tobytes() == reference.q.tobytes()
     assert q.any()  # rewards were found, so the updates were not all zero
 
@@ -182,15 +184,15 @@ def test_train_on_tasks_matches_the_oracle_across_shapes(n_agents, width, max_st
     params = LearnerParams(learning_rate=0.5, discount=0.9)
     batch = _random_batch(cfg, n_tasks, seed=width * 100 + max_steps)
     q = np.zeros(cfg.q_shape)
-    reference = _policy(cfg, params)
-    reference.epsilon = epsilon
+    reference = _policy(cfg)
     for epoch in range(2):
         if epoch:
             # a non-trivial table with ties, so first-argmax and future maxima matter
             q[:] = np.round(np.random.default_rng(n_agents).random(cfg.q_shape), 1)
             reference.q[:] = q
         counts = _train(batch, q, params, epsilon, episodes, cfg, _rng(epoch))
-        assert counts == _reference_train(batch, reference, episodes, cfg, _rng(epoch))
+        assert counts == _reference_train(batch, reference, params, epsilon, episodes, cfg,
+                                          _rng(epoch))
         assert q.tobytes() == reference.q.tobytes()
 
 
@@ -217,11 +219,9 @@ def test_train_on_tasks_matches_the_oracle_at_the_benchmark_shapes(n_tasks, epis
     cfg = EnvConfig(grid_width=12, n_agents=2, max_steps=40)
     batch = _near_and_far_batch(cfg, n_tasks, far_first, seed=1)
     q = np.round(np.random.default_rng(1).random(cfg.q_shape), 1)  # ties for the argmax
-    reference = _policy(cfg)
-    reference.q[:] = q
-    reference.epsilon = 0.2
+    reference = PolicyTable(q.copy())
     counts = _train(batch, q, PARAMS, 0.2, episodes, cfg, _rng(1))
-    assert counts == _reference_train(batch, reference, episodes, cfg, _rng(1))
+    assert counts == _reference_train(batch, reference, PARAMS, 0.2, episodes, cfg, _rng(1))
     assert q.tobytes() == reference.q.tobytes()
     # A lane's steps are the iteration it ended at: task 0 ended last, or alone first.
     _, steps = counts
@@ -236,12 +236,12 @@ def _first_team_reward(batch, episodes, cfg, epsilon, rng):
     all-zero table, or None if no lane wins. Until a lane wins, every update it makes writes
     zero over zero, so its episodes are those of ``rollout`` without learning."""
     draws = rng.random((len(batch), episodes, cfg.max_steps, cfg.n_agents, 2))
-    env, table = GridSpread(cfg), PolicyTable(np.zeros(cfg.q_shape), 0.0, 0.0, epsilon)
+    env, table = GridSpread(cfg), _policy(cfg)
     first = None
     for lane, task in enumerate(batch):
         iteration = 0
         for block in draws[lane]:
-            ok, steps = rollout(env, task, table, False, block)
+            ok, steps = rollout(env, task, table, block, epsilon)
             iteration += steps
             if ok:
                 if first is None or iteration < first[0]:
@@ -308,9 +308,10 @@ def test_train_on_tasks_matches_the_oracle_around_the_pre_pass(case):
     elif case.startswith("non-zero"):
         q[:] = np.round(np.random.default_rng(2).random(cfg.q_shape), 1)
     before = q.copy()
-    reference = PolicyTable(q.copy(), PARAMS.learning_rate, PARAMS.discount, epsilon)
+    reference = PolicyTable(q.copy())
     counts = _train(batch, q, PARAMS, epsilon, episodes, cfg, _FixedDraws(block))
-    assert counts == _reference_train(batch, reference, episodes, cfg, _FixedDraws(block))
+    assert counts == _reference_train(batch, reference, PARAMS, epsilon, episodes, cfg,
+                                      _FixedDraws(block))
     assert np.array_equal(q.view("<u8"), reference.q.view("<u8"))
     # Each case's premise, so that it keeps testing what it names.
     first = _first_team_reward(batch, episodes, cfg, epsilon, _FixedDraws(block))
