@@ -14,6 +14,8 @@ from .tasks import BLOCK_SIZE, TaskDomain, TaskGenome
 ORIGIN_INIT = "init"
 ORIGIN_CROSS = "cross"
 ORIGIN_MUTATE = "mutate"
+# Every origin a record can have; a snapshot stores each record's as its index here.
+ORIGINS = (ORIGIN_INIT, ORIGIN_CROSS, ORIGIN_MUTATE)
 
 # Share of each active genome's remaining gap to the target that one epoch
 # closes at full batch success (see advance_toward).
@@ -103,7 +105,7 @@ def init_population(domain: TaskDomain, population_size: int,
     goals = starts + radius * unit.reshape(starts.shape)
     blocks = np.clip(np.concatenate([starts, goals], axis=-1), 0.0, 1.0)
     return Population(active=[TaskRecord(genome, epoch_born=0, origin=ORIGIN_INIT)
-                              for genome in TaskGenome.batch(blocks)])
+                              for genome in TaskGenome.batch(blocks, owned=True)])
 
 
 def pair_generation(records: list[TaskRecord],
@@ -144,7 +146,7 @@ def _shift(genome: TaskGenome, step: float, direction: np.ndarray) -> TaskGenome
         moved = np.any(direction != 0.0, axis=1)
         if moved.any():
             blocks[moved] = np.clip(blocks[moved] + step * direction[moved], 0.0, 1.0)
-    return TaskGenome(blocks)
+    return TaskGenome.adopt(blocks)
 
 
 def crossover(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
@@ -178,7 +180,7 @@ def mutate(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
         if rng.random() >= 0.5:
             delta = rng.uniform(-scale, scale, BLOCK_SIZE)
             blocks[j] = np.clip(blocks[j] + delta, 0.0, 1.0)
-    return TaskGenome(blocks)
+    return TaskGenome.adopt(blocks)
 
 
 def delete_bad_tasks(pop: Population, band: tuple[float, float]) -> None:
@@ -281,7 +283,7 @@ def advance_toward(pop: Population, target: TaskGenome, success: float) -> Popul
     step = GROWTH * success
     if step == 0.0:
         return pop
-    moved = TaskGenome.batch(blocks + step * (target.blocks - blocks))
+    moved = TaskGenome.batch(blocks + step * (target.blocks - blocks), owned=True)
     active = [TaskRecord(genome, rec.r, rec.f, rec.epoch_born, rec.origin)
               for genome, rec in zip(moved, pop.active)]
     return Population(active=active, archive=pop.archive, epoch=pop.epoch)

@@ -18,10 +18,10 @@ from typing import Any, TextIO
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _check_keys, _coerce, _schema, config_from_dict
-from .evolution import ORIGIN_CROSS, ORIGIN_INIT, ORIGIN_MUTATE, Population, TaskRecord
+from .evolution import ORIGINS, Population, TaskRecord
 from .tasks import BLOCK_SIZE, TaskGenome
 
-SNAPSHOT_FORMAT = 6
+SNAPSHOT_FORMAT = 7
 
 
 @dataclass
@@ -44,12 +44,14 @@ class Snapshot:
     archive_lines: list[str] | None = field(default=None, repr=False, compare=False)
 
 
-# Shared by writer and reader: the meta line's counters are Snapshot's int fields, and a
-# generation line's JSON columns are TaskRecord's scalar fields in order. Its genomes, and the
-# policy's entries, are binary columns instead: exact little-endian bytes (see _binary).
+# Shared by writer and reader: the meta line's counters are Snapshot's int fields. The keys of
+# a generation line are the ones _generation_line writes; every column but epoch_born is
+# binary: exact little-endian bytes (see _binary).
 _COUNTS = tuple(name for name, tp in _schema(Snapshot).items() if tp is int)
-_COLUMNS = {name: tp for name, tp in _schema(TaskRecord).items() if tp is not TaskGenome}
-_FLOAT, _INDEX = np.dtype("<f8"), np.dtype("<u4")
+_GENERATION_KEYS = ("kind", "epoch", "genome", "genome_row", "r_index", "r", "f_index", "f",
+                    "epoch_born", "origin")
+_FLOAT, _INDEX, _CODE = np.dtype("<f8"), np.dtype("<u4"), np.dtype("<u1")
+_ORIGIN_CODES = {origin: code for code, origin in enumerate(ORIGINS)}
 _ENCODE = json.JSONEncoder(allow_nan=False).encode  # so no run writes a file the reader rejects
 ARCHIVE_NAME = "archive.jsonl"
 EMPTY_ARCHIVE_DIGEST = hashlib.sha256().hexdigest()
@@ -103,20 +105,42 @@ def _binary(values: np.ndarray, dtype: np.dtype, where: str) -> str:
     return base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
+def _sparse(where: str, keys: tuple[str, str], index, values) -> dict[str, str]:
+    """A sparse column as the two binary columns ``keys``: the positions of its listed entries
+    and their values. The policy's non-zero entries and a generation's non-null ``r`` and ``f``
+    share this one codec; ``_read_sparse`` reads it back."""
+    index_key, value_key = keys
+    return {index_key: _binary(index, _INDEX, f"{where} {index_key}"),
+            value_key: _binary(values, _FLOAT, f"{where} {value_key}")}
+
+
 def _policy_line(q: np.ndarray) -> dict[str, Any]:
     """The table's size, the flat positions of its non-zero entries, tested on the bit pattern
     so that a -0.0 is kept, and their values; each table has this one encoding."""
     flat = np.ascontiguousarray(q, dtype=_FLOAT).reshape(-1)
     index = np.flatnonzero(flat.view("<u8"))
-    return {"kind": "policy", "size": flat.size, "index": _binary(index, _INDEX, "policy index"),
-            "q": _binary(flat[index], _FLOAT, "policy q")}
+    return {"kind": "policy", "size": flat.size, **_sparse("policy", ("index", "q"), index,
+                                                           flat[index])}
 
 
 def _generation_line(kind: str, epoch: int, records: list[TaskRecord]) -> dict[str, Any]:
-    genomes = np.stack([rec.genome.blocks for rec in records]) if records else np.empty(0)
-    columns = {name: [getattr(rec, name) for rec in records] for name in _COLUMNS}
-    return {"kind": kind, "epoch": epoch,
-            "genome": _binary(genomes, _FLOAT, f"{kind} genome"), **columns}
+    """The records as columns: ``genome`` holds each distinct genome once, compared on its bits,
+    in order of first use, and ``genome_row`` each record's row in it, since refill clones and
+    zero-step children repeat a parent's; ``r`` and ``f`` list their non-null values; ``origin``
+    holds each record's index in ``ORIGINS``. Each generation has this one encoding."""
+    rows: dict[bytes, int] = {}
+    genome_row = [rows.setdefault(rec.genome.blocks.tobytes(), len(rows)) for rec in records]
+    line = {"kind": kind, "epoch": epoch,
+            "genome": _binary(np.frombuffer(b"".join(rows), dtype=float), _FLOAT,
+                              f"{kind} genome"),
+            "genome_row": _binary(genome_row, _INDEX, f"{kind} genome_row")}
+    for name in ("r", "f"):
+        values = [getattr(rec, name) for rec in records]
+        index = [i for i, value in enumerate(values) if value is not None]
+        line |= _sparse(kind, (f"{name}_index", name), index, [values[i] for i in index])
+    origin = [_ORIGIN_CODES[rec.origin] for rec in records]
+    return line | {"epoch_born": [rec.epoch_born for rec in records],
+                   "origin": _binary(origin, _CODE, f"{kind} origin")}
 
 
 def _archive_line(epoch: int, records: list[TaskRecord]) -> str:
@@ -223,53 +247,113 @@ def _check_finite(values: np.ndarray, where: str) -> None:
         raise ConfigError(where + "".join(f"[{i}]" for i in first) + " must be finite")
 
 
+def _read_sparse(line: dict[str, Any], where: str, keys: tuple[str, str], size: int,
+                 extent: str) -> tuple[np.ndarray, np.ndarray]:
+    """The listed entries of a sparse column of ``size`` positions (see ``_sparse``): as many
+    positions as values, the positions rising strictly below ``size``, every value finite.
+    ``extent`` says what holds the ``size`` positions."""
+    index_key, value_key = keys
+    index = _read_column(line[index_key], _INDEX, f"{where} {index_key}")
+    values = _read_column(line[value_key], _FLOAT, f"{where} {value_key}")
+    if index.size != values.size:
+        raise ConfigError(f"{where} {index_key} holds {index.size} positions, {where} "
+                          f"{value_key} {values.size} values")
+    _check_finite(values, f"{where} {value_key}")
+    if (index[1:] <= index[:-1]).any():
+        raise ConfigError(f"{where} {index_key} does not rise strictly")
+    if index.size and index[-1] >= size:
+        raise ConfigError(f"{where} {index_key} {index[-1]} is out of range: {extent}")
+    return index, values
+
+
 def _read_policy(line: dict[str, Any], shape: tuple[int, ...]) -> np.ndarray:
-    """The Q table from its listed entries: a table of the config's size, positions rising
-    strictly within it, each with a finite non-zero value, so that every table has one
-    encoding."""
+    """The Q table from its listed entries: a table of the config's size, each listed value
+    non-zero, so that every table has one encoding."""
     _check_keys(line, {"kind", "size", "index", "q"}, "policy line")
     size = math.prod(shape)
     if _coerce(line["size"], int, "policy size") != size:
         raise ConfigError(f"policy holds a table of {line['size']} values; the shape {shape} "
                           f"needs {size}")
-    index = _read_column(line["index"], _INDEX, "policy index")
-    q = _read_column(line["q"], _FLOAT, "policy q")
-    if index.size != q.size:
-        raise ConfigError(f"policy index holds {index.size} positions, policy q {q.size} values")
-    _check_finite(q, "policy q")
+    index, q = _read_sparse(line, "policy", ("index", "q"), size,
+                            f"the shape {shape} holds {size} values")
     zeros = np.flatnonzero(q.view("<u8") == 0)
     if zeros.size:
         raise ConfigError(f"policy q[{zeros[0]}] is a listed zero; only non-zero entries are "
                           "listed")
-    if (index[1:] <= index[:-1]).any():
-        raise ConfigError("policy index does not rise strictly")
-    if index.size and index[-1] >= size:
-        raise ConfigError(f"policy index {index[-1]} is out of range: the shape {shape} holds "
-                          f"{size} values")
     table = np.zeros(size)
     table[index] = q
     return table.reshape(shape)
 
 
+def _read_genomes(line: dict[str, Any], kind: str, genome_row: np.ndarray, n_agents: int
+                  ) -> list[TaskGenome]:
+    """The genome column's rows, refused unless in the writer's form: whole finite genomes of
+    the config's agent count, numbered in order of first use by ``genome_row``, each used and
+    none with the bits of another. Records that share a row share its genome, as clones do."""
+    width = n_agents * BLOCK_SIZE
+    genome = _read_column(line["genome"], _FLOAT, f"{kind} genome")
+    if genome.size % width:
+        raise ConfigError(f"{kind} genome holds {genome.size} values, not whole genomes of "
+                          f"{n_agents} agents ({width} values each)")
+    rows = genome.reshape(-1, width)
+    _check_finite(rows, f"{kind} genome")
+    used = genome_row.astype(np.int64)
+    if (outside := np.flatnonzero(used >= len(rows))).size:
+        raise ConfigError(f"{kind} genome_row[{outside[0]}] is row {used[outside[0]]}; the "
+                          f"genome column holds {len(rows)} rows")
+    # In order of first use, each record uses a row already used or the next one.
+    highest = np.maximum.accumulate(np.concatenate(([-1], used)))
+    if (early := np.flatnonzero(used > highest[:-1] + 1)).size:
+        i = early[0]
+        raise ConfigError(f"{kind} genome_row[{i}] uses row {used[i]} before row "
+                          f"{highest[i] + 1}; rows are numbered in order of first use")
+    if highest[-1] + 1 != len(rows):
+        raise ConfigError(f"{kind} genome holds {len(rows)} rows; genome_row uses "
+                          f"{highest[-1] + 1}")
+    raw, stride = genome.tobytes(), width * _FLOAT.itemsize
+    first: dict[bytes, int] = {}
+    for row, start in enumerate(range(0, len(raw), stride)):
+        if (earlier := first.setdefault(raw[start:start + stride], row)) != row:
+            raise ConfigError(f"{kind} genome row {row} repeats row {earlier}; each distinct "
+                              "genome is stored once")
+    return TaskGenome.batch(genome.reshape(-1, n_agents, BLOCK_SIZE), owned=True)
+
+
+def _read_optional(line: dict[str, Any], kind: str, name: str, count: int
+                   ) -> list[float | None]:
+    """A column of ``count`` floats or nulls from its non-null values (see ``_read_sparse``)."""
+    index, values = _read_sparse(line, kind, (f"{name}_index", name), count,
+                                 f"the generation holds {count} records")
+    column: list[float | None] = [None] * count
+    for i, value in zip(index.tolist(), values.tolist()):
+        column[i] = value
+    return column
+
+
 def _read_generation(line: dict[str, Any], config: ExperimentConfig, expected_epoch: int
                      ) -> list[TaskRecord]:
+    """A generation's records, checked as the README lists; only the writer's one encoding of
+    them loads, so that writing them back gives the line's bytes again."""
     kind = line["kind"]
-    _check_keys(line, {"kind", "epoch", "genome", *_COLUMNS}, f"{kind} line")
-    columns = {name: _coerce(line[name], tuple[tp, ...], f"{kind} {name}")
-               for name, tp in _COLUMNS.items()}
-    if not set(columns["origin"]) <= {ORIGIN_INIT, ORIGIN_CROSS, ORIGIN_MUTATE}:
-        raise ConfigError(f"an {kind} origin is not one of "
-                          f"{ORIGIN_INIT}, {ORIGIN_CROSS}, {ORIGIN_MUTATE}")
-    genomes = _read_column(line["genome"], _FLOAT, f"{kind} genome")
-    count, n_agents = len(columns["r"]), config.env.n_agents
-    if genomes.size != count * n_agents * BLOCK_SIZE:
-        raise ConfigError(f"{kind} genome holds {genomes.size} values; {count} records of "
-                          f"{n_agents} agents need {count * n_agents * BLOCK_SIZE}")
-    _check_finite(genomes.reshape(count, n_agents * BLOCK_SIZE), f"{kind} genome")
+    _check_keys(line, _GENERATION_KEYS, f"{kind} line")
     if _coerce(line["epoch"], int, f"{kind} epoch") != expected_epoch:
         raise ConfigError(f"{kind} epoch {line['epoch']}, expected {expected_epoch}")
-    batch = TaskGenome.batch(genomes.reshape(count, n_agents, BLOCK_SIZE))
-    return [TaskRecord(*values) for values in zip(batch, *columns.values(), strict=True)]
+    genome_row = _read_column(line["genome_row"], _INDEX, f"{kind} genome_row")
+    count = genome_row.size
+    epoch_born = _coerce(line["epoch_born"], tuple[int, ...], f"{kind} epoch_born")
+    origin = _read_column(line["origin"], _CODE, f"{kind} origin")
+    for name, size in (("epoch_born", len(epoch_born)), ("origin", origin.size)):
+        if size != count:
+            raise ConfigError(f"{kind} {name} holds {size} values; genome_row lists {count} "
+                              "records")
+    if (unknown := np.flatnonzero(origin >= len(ORIGINS))).size:
+        raise ConfigError(f"{kind} origin[{unknown[0]}] is code {origin[unknown[0]]}, not one "
+                          f"of 0 to {len(ORIGINS) - 1} ({', '.join(ORIGINS)})")
+    r, f = (_read_optional(line, kind, name, count) for name in ("r", "f"))
+    genomes = _read_genomes(line, kind, genome_row, config.env.n_agents)
+    return [TaskRecord(genomes[row], r_value, f_value, born, ORIGINS[code])
+            for row, r_value, f_value, born, code
+            in zip(genome_row.tolist(), r, f, epoch_born, origin.tolist())]
 
 
 def _read_archive(path: Path, snap: Snapshot

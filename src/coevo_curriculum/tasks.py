@@ -12,11 +12,13 @@ UNIT_DIAMETER = math.sqrt(2.0)  # diagonal of the unit square each agent lives i
 DEFAULT_DISTANCE_THRESHOLD = 0.01 * UNIT_DIAMETER
 
 
-def _checked_blocks(blocks, ndim: int) -> np.ndarray:
-    """A read-only C-ordered float copy of ``blocks`` with ``ndim`` dimensions, the last
-    two (n_agents >= 1, BLOCK_SIZE), every component finite; the one genome check. The
-    copy leaves the caller's array writable."""
-    arr = np.array(blocks, dtype=float, order="C")
+def _checked_blocks(blocks, ndim: int, owned: bool = False) -> np.ndarray:
+    """``blocks`` as a read-only C-ordered float array with ``ndim`` dimensions, the last two
+    (n_agents >= 1, BLOCK_SIZE), every component finite; the one genome check. It is a copy,
+    which leaves the caller's array writable, unless ``owned``: then the caller hands over an
+    array it has just built and no longer writes, and it is frozen in place when it already
+    has the right layout."""
+    arr = (np.asarray if owned else np.array)(blocks, dtype=float, order="C")
     if arr.ndim != ndim or arr.shape[-1] != BLOCK_SIZE:
         raise ValueError(f"genome blocks must have shape (n, {BLOCK_SIZE}), got {arr.shape}")
     if arr.shape[-2] < 1:
@@ -43,12 +45,20 @@ class TaskGenome:
         object.__setattr__(self, "blocks", _checked_blocks(self.blocks, 2))
 
     @classmethod
-    def batch(cls, blocks) -> list["TaskGenome"]:
+    def adopt(cls, blocks: np.ndarray) -> "TaskGenome":
+        """A genome over ``blocks`` itself: the constructor's checks without its copy, for a
+        caller that has just built the array and no longer writes it. It becomes read-only."""
+        genome = object.__new__(cls)
+        object.__setattr__(genome, "blocks", _checked_blocks(blocks, 2, owned=True))
+        return genome
+
+    @classmethod
+    def batch(cls, blocks, owned: bool = False) -> list["TaskGenome"]:
         """One genome per row of an ``(m, n_agents, 4)`` array, checked once as a whole with
         the constructor's checks; the genomes' blocks are read-only views of one checked
-        copy."""
+        array, a copy unless the caller hands ``blocks`` over as ``owned`` (see ``adopt``)."""
         genomes = []
-        for rows in _checked_blocks(blocks, 3):
+        for rows in _checked_blocks(blocks, 3, owned):
             genome = object.__new__(cls)
             object.__setattr__(genome, "blocks", rows)
             genomes.append(genome)

@@ -6,6 +6,8 @@ import csv
 import hashlib
 import json
 import math
+import re
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,10 +18,13 @@ from coevo_curriculum.cli import main
 from coevo_curriculum.config import (DEFAULT_OUTPUT_DIR, OUTPUT_DIR_ENV, ConfigError,
                                      ExperimentConfig, apply_overrides, config_from_dict,
                                      default_config, load_config)
+from coevo_curriculum.evolution import Population, TaskRecord
 from coevo_curriculum.harness import (METRICS_COLUMNS, ablation_variants, evaluate_snapshot,
                                       load_snapshot, run_ablation, run_experiment,
                                       write_snapshot)
+from coevo_curriculum.snapshots import EMPTY_ARCHIVE_DIGEST, Snapshot, _archive_line, _chain
 from coevo_curriculum.streams import DOMAIN_SELECT, stream
+from coevo_curriculum.tasks import TaskGenome
 
 
 def _small_dict(**experiment):
@@ -154,7 +159,7 @@ def test_config_errors_name_the_first_bad_element(tmp_path):
     # The snapshot's binary columns name the first bad element as a config check does.
     good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
     meta, active, policy = [json.loads(line) for line in good.read_text().splitlines()]
-    genomes = _floats(active["genome"]).reshape(len(active["r"]), -1)
+    genomes = _floats(active["genome"]).reshape(-1, 8)  # one row per distinct genome of 2 agents
     for case, bad in enumerate((math.nan, math.inf, -math.inf)):
         q = np.ones(5)
         q[3] = bad
@@ -433,6 +438,13 @@ def _floats(column):
     return np.frombuffer(base64.b64decode(column, validate=True), dtype="<f8")
 
 
+def _optional(name, values):
+    """A generation's ``r`` or ``f`` column as the README specifies: the positions of its
+    non-null values and those values."""
+    index = [i for i, value in enumerate(values) if value is not None]
+    return {f"{name}_index": _b64(index, "<u4"), name: _b64([values[i] for i in index])}
+
+
 def _write_jsonl(path, lines):
     path.write_text("\n".join(json.dumps(line) for line in lines), encoding="utf-8")
     return path
@@ -474,6 +486,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     assert [line["kind"] for line in lines] == ["meta", "active", "policy"]
     meta, active, policy = lines
     for found, edit in (("99", lambda meta: meta.update(format=99)),
+                        ("6", lambda meta: meta.update(format=6)),
                         ("5", lambda meta: meta.update(format=5)),
                         ("4", lambda meta: meta.update(format=4)),
                         ("3", lambda meta: meta.update(format=3)),
@@ -482,10 +495,10 @@ def test_load_snapshot_rejects_garbage(tmp_path):
                         ("missing", lambda meta: meta.pop("format"))):
         other = dict(meta)
         edit(other)
-        with pytest.raises(ConfigError, match=f"format {found}, expected 6"):
+        with pytest.raises(ConfigError, match=f"format {found}, expected 7"):
             load_snapshot(_write_jsonl(tmp_path / f"format-{found}.jsonl",
                                        [other, active, policy]))
-    n = len(active["r"])
+    n = len(active["epoch_born"])
     vanilla_meta = dict(meta, config=dict(meta["config"],
                                           experiment=dict(meta["config"]["experiment"],
                                                           mode="vanilla")))
@@ -500,7 +513,10 @@ def test_load_snapshot_rejects_garbage(tmp_path):
             ("no-meta", [active, policy], "format missing"),
             ("archive-line", [meta, active, dict(active, kind="archive"), policy],
              "ccl snapshot needs"),
-            ("ragged-columns", [meta, dict(active, f=active["f"][1:]), policy], "malformed"),
+            ("ragged-columns", [meta, dict(active, epoch_born=active["epoch_born"][1:]), policy],
+             f"active epoch_born holds {n - 1} values; genome_row lists {n} records"),
+            ("ragged-origin", [meta, dict(active, origin=_b64([0] * (n + 1), "<u1")), policy],
+             f"active origin holds {n + 1} values; genome_row lists {n} records"),
             ("later-active", [meta, dict(active, epoch=1), policy],
              "line 2: active epoch 1, expected 0"),
             ("no-digest", [{k: v for k, v in meta.items() if k != "archive_digest"}, active,
@@ -509,25 +525,25 @@ def test_load_snapshot_rejects_garbage(tmp_path):
              "unknown key")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
-    for name, column, values, match in (
-            ("string-r", "r", ["x"] * n, r"active r\[0\] must be a number"),
-            ("bool-r", "r", [True] * n, r"active r\[0\] must be a number"),
-            ("string-f", "f", ["x"] * n, r"active f\[0\] must be a number"),
-            ("bool-f", "f", [False] * n, r"active f\[0\] must be a number"),
-            ("nan-f", "f", [math.nan] * n, r"active f\[0\] must be finite"),
-            ("float-epoch-born", "epoch_born", [0.5] * n, "epoch_born"),
-            ("string-epoch-born", "epoch_born", ["0"] * n, "epoch_born"),
-            ("bool-epoch-born", "epoch_born", [False] * n, "epoch_born"),
-            ("unknown-origin", "origin", ["bred"] * n, "origin"),
-            ("bool-generation-epoch", "epoch", True, "active epoch must be an integer"),
-            ("string-generation-epoch", "epoch", "0", "active epoch must be an integer")):
-        bad = [meta, dict(active, **{column: values}), policy]
+    for name, columns, match in (
+            ("json-r", {"r": [0.5] * n}, "active r must be a base64 string"),
+            ("json-f", {"f": [None] * n}, "active f must be a base64 string"),
+            ("nan-f", _optional("f", [math.nan] * n), r"active f\[0\] must be finite"),
+            ("float-epoch-born", {"epoch_born": [0.5] * n}, "epoch_born"),
+            ("string-epoch-born", {"epoch_born": ["0"] * n}, "epoch_born"),
+            ("bool-epoch-born", {"epoch_born": [False] * n}, "epoch_born"),
+            ("named-origin", {"origin": ["init"] * n}, "active origin must be a base64 string"),
+            ("unknown-origin", {"origin": _b64([0] * (n - 1) + [3], "<u1")},
+             rf"active origin\[{n - 1}\] is code 3, not one of 0 to 2 \(init, cross, mutate\)"),
+            ("bool-generation-epoch", {"epoch": True}, "active epoch must be an integer"),
+            ("string-generation-epoch", {"epoch": "0"}, "active epoch must be an integer")):
+        bad = [meta, dict(active, **columns), policy]
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
     archived = dict(active, kind="archive", epoch=0)
     for name, archive, match in (
-            ("archive-r", [dict(archived, r=["x"] * n)], r"archive r\[0\] must be a number"),
-            ("nan-archive-r", [dict(archived, r=[math.nan] * n)],
+            ("archive-r", [dict(archived, r=["x"] * n)], "archive r must be a base64 string"),
+            ("nan-archive-r", [dict(archived, **_optional("r", [math.nan] * n))],
              r"archive r\[0\] must be finite"),
             ("repeated-epoch", [archived] * 2,
              "archive.jsonl line 2: archive epoch 0, expected 1"),
@@ -551,7 +567,8 @@ def test_load_snapshot_rejects_garbage(tmp_path):
              "malformed")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
-    measured = dict(active, r=[0.5] * n, f=[1] * n, origin=["cross"] * n)
+    measured = dict(active, **_optional("r", [0.5] * n), **_optional("f", [1] * n),
+                    origin=_b64([1] * n, "<u1"))
     loaded = load_snapshot(_write_archived(tmp_path / "measured", meta, measured, policy, []))
     assert [(rec.r, rec.f, rec.origin) for rec in loaded.pop.active] == [(0.5, 1, "cross")] * n
 
@@ -586,23 +603,64 @@ def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_p
     good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
     meta, active, policy = [json.loads(line) for line in good.read_text().splitlines()]
     archived = dict(active, kind="archive", epoch=0)
-    n = len(archived["r"])
-    short = _b64(_floats(archived["genome"])[:-1])
+    n = len(archived["epoch_born"])
+    genomes = _floats(archived["genome"]).reshape(n, 8)  # epoch 0: n distinct genomes
+    rows = list(range(n))
+
+    def second(**columns):
+        return dict(archived, epoch=1, **columns)
+
+    # A line in any form but the writer's one: each distinct genome once, rows in order of
+    # first use, sparse positions rising strictly within the generation, known codes only.
+    noncanonical = (
+        ("repeated-row", second(genome=_b64(np.vstack([genomes[:1], genomes[:1], genomes[2:]]))),
+         "archive genome row 1 repeats row 0; each distinct genome is stored once"),
+        ("unused-row", second(genome=_b64(np.vstack([genomes, genomes[:1] / 2]))),
+         f"archive genome holds {n + 1} rows; genome_row uses {n}"),
+        ("unused-last-row", second(genome_row=_b64([0] + rows[:-1], "<u4")),
+         f"archive genome holds {n} rows; genome_row uses {n - 1}"),
+        ("rows-out-of-order", second(genome_row=_b64([1, 0] + rows[2:], "<u4")),
+         "archive genome_row[0] uses row 1 before row 0; rows are numbered in order of first use"),
+        ("row-out-of-range", second(genome_row=_b64(rows[:-1] + [n], "<u4")),
+         f"archive genome_row[{n - 1}] is row {n}; the genome column holds {n} rows"),
+        ("r-index-out-of-range", second(**_optional("r", [None] * n + [0.5])),
+         f"archive r_index {n} is out of range: the generation holds {n} records"),
+        ("f-index-falling", second(f_index=_b64([3, 1], "<u4"), f=_b64([0.5, 0.25])),
+         "archive f_index does not rise strictly"),
+        ("f-index-repeated", second(f_index=_b64([2, 2], "<u4"), f=_b64([0.5, 0.25])),
+         "archive f_index does not rise strictly"),
+        ("r-index-longer", second(r_index=_b64([0, 1], "<u4"), r=_b64([0.5])),
+         "archive r_index holds 2 positions, archive r 1 values"),
+        ("unknown-origin", second(origin=_b64([3] * n, "<u1")),
+         "archive origin[0] is code 3, not one of 0 to 2 (init, cross, mutate)"),
+        ("nan-r", second(**_optional("r", [0.5, math.nan] + [None] * (n - 2))),
+         "archive r[1] must be finite"),
+        ("inf-f", second(**_optional("f", [-math.inf] * n)), "archive f[0] must be finite"),
+        ("inf-genome", second(genome=_b64(np.where(np.arange(n * 8).reshape(n, 8) == 11,
+                                                   math.inf, genomes))),
+         "archive genome[1][3] must be finite"))
     # Each fault sits in the second line of a two-line archive whose digest is the snapshot's,
     # so the content checks run.
-    for name, second, message in (
-            ("wrong-type", dict(archived, epoch=1, epoch_born=["1"] * n),
+    for name, line, message in noncanonical + (
+            ("wrong-type", second(epoch_born=["1"] * n),
              "archive epoch_born[0] must be an integer"),
-            ("unknown-key", dict(archived, epoch=1, extra=1),
-             "unknown key(s) in archive line: extra"),
-            ("short-genome", dict(archived, epoch=1, genome=short),
-             f"archive genome holds {n * 8 - 1} values"),
+            ("unknown-key", second(extra=1), "unknown key(s) in archive line: extra"),
+            ("short-genome", second(genome=_b64(genomes.reshape(-1)[:-1])),
+             f"archive genome holds {n * 8 - 1} values, not whole genomes of 2 agents"),
             ("not-json", '{"kind": "archive",', "is malformed: Expecting")):
-        path = _write_archived(tmp_path / name, meta, active, policy, [archived, second])
+        path = _write_archived(tmp_path / name, meta, active, policy, [archived, line])
         assert main(["eval", "--snapshot", str(path)]) == 2, name
         err = capsys.readouterr().err
         where = f"error: {path.with_name('archive.jsonl')} line 2"
         assert err.startswith(where) and message in err, (name, err)
+    # The same faults in a snapshot's active line name the snapshot and its line 2.
+    for name, line, message in noncanonical:
+        path = _write_jsonl(tmp_path / f"active-{name}.jsonl",
+                            [meta, dict(line, kind="active", epoch=0), policy])
+        assert main(["eval", "--snapshot", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        where = f"error: snapshot {path} line 2: "
+        assert err.startswith(where) and message.replace("archive", "active") in err, (name, err)
     meta, active, policy = [json.dumps(line) for line in (meta, active, policy)]
     for name, lines, message in (
             ("not-json", [meta, '{"kind": "active",', policy], "line 2 is malformed: Expecting"),
@@ -643,7 +701,8 @@ def test_binary_columns_round_trip_bit_for_bit(tmp_path):
     # A generation with no record, active or archived.
     ccl = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "c").snapshot_path
     meta, active, policy = [json.loads(line) for line in ccl.read_text().splitlines()]
-    empty = dict(active, genome="", r=[], f=[], epoch_born=[], origin=[])
+    empty = dict(active, genome="", genome_row="", r_index="", r="", f_index="", f="",
+                 epoch_born=[], origin="")
     path = _write_archived(tmp_path / "empty", meta, empty, policy,
                            [dict(empty, kind="archive", epoch=0)])
     loaded = load_snapshot(path)
@@ -653,11 +712,99 @@ def test_binary_columns_round_trip_bit_for_bit(tmp_path):
         path.read_text().splitlines()
 
 
+@pytest.mark.parametrize("n_agents", [1, 4])
+def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
+    data = _small_dict()
+    data["env"]["n_agents"] = n_agents
+    config = config_from_dict(data)
+    rng = np.random.default_rng(n_agents)
+    parent = TaskGenome(rng.random((n_agents, 4)))
+    twin = TaskGenome(parent.blocks)  # another object with the parent's bits
+    positive = TaskGenome(np.zeros((n_agents, 4)))
+    negative = TaskGenome(np.where(np.arange(n_agents * 4).reshape(n_agents, 4) == 2, -0.0, 0.0))
+    other = TaskGenome(rng.random((n_agents, 4)))
+    generations = {
+        # Clones and a zero-step child repeat the parent's row; -0.0 and +0.0 are two rows.
+        0: [TaskRecord(parent, 0.5, 0.25, 0, "init"), TaskRecord(positive, None, -0.0, 0, "cross"),
+            TaskRecord(negative, None, 1.0, 0, "mutate"), TaskRecord(parent, None, 0.25, 0, "init"),
+            TaskRecord(twin, -0.0, 0.5, 1, "cross")],
+        # r all null, f all set.
+        1: [TaskRecord(other, None, 0.75, 1, "mutate"), TaskRecord(parent, None, 0.0, 1, "init"),
+            TaskRecord(other, None, 1e-300, 2, "cross")],
+        2: [],
+    }
+    lines = [_archive_line(epoch, records) for epoch, records in generations.items()]
+    rows = [np.frombuffer(base64.b64decode(json.loads(line)["genome_row"]), "<u4").tolist()
+            for line in lines]
+    assert rows == [[0, 1, 2, 0, 0], [0, 1, 0], []]
+    r_index, f_index = ([json.loads(line)[key] for line in lines] for key in ("r_index", "f_index"))
+    assert r_index == [_b64([0, 4], "<u4"), "", ""]
+    assert f_index == [_b64(range(5), "<u4"), _b64(range(3), "<u4"), ""]
+    (tmp_path / "archive.jsonl").write_text("".join(lines), encoding="utf-8")
+    digest = EMPTY_ARCHIVE_DIGEST
+    for line in lines:
+        digest = _chain(digest, line)
+    path = tmp_path / "snapshot.jsonl"
+    write_snapshot(path, Snapshot(config, 3, 0, 0, Population([], epoch=3),
+                                  np.zeros(config.env.q_shape), archive_digest=digest))
+    # An empty active generation.
+    assert json.loads(path.read_text().splitlines()[1]) == {
+        "kind": "active", "epoch": 3, "genome": "", "genome_row": "", "r_index": "", "r": "",
+        "f_index": "", "f": "", "epoch_born": [], "origin": ""}
+    loaded = load_snapshot(path)
+    assert loaded.pop.active == [] and list(loaded.pop.archive) == [0, 1, 2]
+    for epoch, records in generations.items():
+        got = loaded.pop.archive[epoch]
+        _assert_same_records(got, records)
+        for a, b in zip(got, records):  # -0.0 stays itself, in r and f too
+            assert [math.copysign(1.0, x) for x in (a.r or 1.0, a.f)] == \
+                [math.copysign(1.0, x) for x in (b.r or 1.0, b.f)]
+        assert _archive_line(epoch, got) == lines[epoch]
+    # Records that share a row load sharing one genome, as clones share one in memory.
+    first = loaded.pop.archive[0]
+    assert first[0].genome is first[3].genome is first[4].genome
+    assert first[1].genome is not first[2].genome
+    again = tmp_path / "again.jsonl"
+    write_snapshot(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _readme_decoder():
+    """``read_generation`` from the README's Python that decodes a generation line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code, = [textwrap.dedent(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)
+             if "def read_generation" in block]
+    namespace = {}
+    exec(code, namespace)
+    return namespace["read_generation"]
+
+
+def test_the_readme_decoder_reads_what_load_snapshot_reads(tmp_path):
+    read_generation = _readme_decoder()
+    path = run_experiment(_small_config(epochs=4), run_dir=tmp_path).snapshot_path
+    snap = load_snapshot(path)
+    lines = [json.loads(line) for line in (tmp_path / "archive.jsonl").read_text().splitlines()]
+    lines.append(json.loads(path.read_text().splitlines()[1]))
+    generations = [snap.pop.archive[epoch] for epoch in range(4)] + [snap.pop.active]
+    shared = 0
+    for line, records in zip(lines, generations, strict=True):
+        got = read_generation(line, 2)
+        shared += len(records) - len(_floats(line["genome"])) // 8
+        assert got["genome"].tobytes() == b"".join(rec.genome.blocks.tobytes() for rec in records)
+        for name in ("r", "f"):
+            assert [None if math.isnan(value) else value for value in got[name].tolist()] == \
+                [getattr(rec, name) for rec in records]
+        assert got["epoch_born"].tolist() == [rec.epoch_born for rec in records]
+        assert got["origin"].tolist() == [rec.origin for rec in records]
+    assert shared > 0  # some records share a genome row
+    assert any(rec.r is not None for gen in generations for rec in gen)
+
+
 def test_binary_columns_refuse_every_malformed_value(tmp_path):
     good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
     meta, active, policy = [json.loads(line) for line in good.read_text().splitlines()]
-    n = len(active["r"])
-    genomes = _floats(active["genome"])
+    n = len(active["epoch_born"])
+    genomes = _floats(active["genome"])  # epoch 0: n distinct genomes of 2 agents
 
     def listed(index, q):
         return dict(policy, index=_b64(index, "<u4"), q=_b64(q))
@@ -672,8 +819,10 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
             ("0.5", "is not base64"), ("AAAA*AAA", "is not base64"),
             ("AAA", "is not base64"), ("AAAA\u00e9AAA", "is not base64"))):
         cases += [(f"index-{case}", active, dict(policy, index=bad), f"policy index {message}"),
-                  (f"q-{case}", active, dict(policy, q=bad), f"policy q {message}"),
-                  (f"genome-{case}", dict(active, genome=bad), policy, f"active genome {message}")]
+                  (f"q-{case}", active, dict(policy, q=bad), f"policy q {message}")]
+        cases += [(f"{column}-{case}", dict(active, **{column: bad}), policy,
+                   f"active {column} {message}")
+                  for column in ("genome", "genome_row", "r_index", "r", "f_index", "f", "origin")]
     for name, active_line, policy_line, match in cases + [
             ("newline", dict(active, genome=active["genome"][:4] + "\n" + active["genome"][4:]),
              policy, "active genome is not base64"),
@@ -683,6 +832,10 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
              "policy index holds 2 bytes, not whole 4-byte values"),
             ("partial-genome", dict(active, genome=_b64(genomes[:-1], "<f4")), policy,
              rf"active genome holds {(n * 8 - 1) * 4} bytes, not whole 8-byte values"),
+            ("partial-genome-row", dict(active, genome_row=_b64(range(n - 1), "<u2")), policy,
+             rf"active genome_row holds {n * 2 - 2} bytes, not whole 4-byte values"),
+            ("partial-r", dict(active, r_index=_b64([1], "<u4"), r=_b64([0.5], "<f4")), policy,
+             "active r holds 4 bytes, not whole 8-byte values"),
             ("out-of-range", active, listed([3, size], [1.0, 2.0]),
              rf"policy index {size} is out of range: the shape \(2, 81, 5\) holds {size}"),
             ("falling-index", active, listed([5, 3], [1.0, 2.0]),
@@ -706,12 +859,17 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
                                                              math.nan, genomes))), policy,
              r"active genome\[1\]\[5\] must be finite"),
             ("short-genome", dict(active, genome=_b64(genomes[:-1])), policy,
-             rf"active genome holds {n * 8 - 1} values; {n} records of 2 agents need {n * 8}"),
+             rf"active genome holds {n * 8 - 1} values, not whole genomes of 2 agents \(8 values "
+             r"each\)"),
             ("three-agent-genomes", dict(active, genome=_b64(np.hstack(
                 [genomes.reshape(n, 8), genomes.reshape(n, 8)[:, :4]]))), policy,
-             rf"active genome holds {n * 12} values; {n} records of 2 agents need {n * 8}"),
-            ("ragged-genomes", dict(active, r=active["r"][1:]), policy,
-             rf"active genome holds {n * 8} values; {n - 1} records of 2 agents need")]:
+             rf"active genome holds {n * 12 // 8} rows; genome_row uses {n}"),
+            ("one-agent-genomes", dict(active, genome=_b64(genomes.reshape(n, 8)[:, :4])), policy,
+             rf"active genome_row\[{n // 2}\] is row {n // 2}; the genome column holds {n // 2}"),
+            ("ragged-genomes", dict(active, genome_row=_b64(range(n - 1), "<u4"),
+                                    epoch_born=active["epoch_born"][1:],
+                                    origin=_b64([0] * (n - 1), "<u1")), policy,
+             rf"active genome holds {n} rows; genome_row uses {n - 1}")]:
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl",
                                        [meta, active_line, policy_line]))
@@ -726,16 +884,23 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
     assert loaded.policy_q.reshape(-1).view("<u8")[2] == np.array(-0.0).view("<u8")
 
 
-def test_eval_refuses_a_format_5_snapshot(tmp_path, capsys):
-    # Format 5 wrote the Q table as one dense JSON list of floats.
-    path = run_experiment(_small_config(mode="vanilla", epochs=0),
-                          run_dir=tmp_path / "run").snapshot_path
-    meta = json.loads(path.read_text().splitlines()[0])
-    size = math.prod(_small_config().env.q_shape)
-    old = _write_jsonl(tmp_path / "format-5.jsonl",
-                       [dict(meta, format=5), {"kind": "policy", "q": [0.0] * size}])
+def test_eval_refuses_a_format_6_snapshot(tmp_path, capsys):
+    # Format 6 stored every record's genome, in record order, and r, f and origin as JSON
+    # lists; its policy line is format 7's.
+    path = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
+    meta, active, policy = [json.loads(line) for line in path.read_text().splitlines()]
+    records = load_snapshot(path).pop.active
+    old_active = {"kind": "active", "epoch": 0,
+                  "genome": _b64(np.stack([rec.genome.blocks for rec in records])),
+                  "r": [rec.r for rec in records], "f": [rec.f for rec in records],
+                  "epoch_born": [rec.epoch_born for rec in records],
+                  "origin": [rec.origin for rec in records]}
+    old = _write_jsonl(tmp_path / "run" / "format-6.jsonl",
+                       [dict(meta, format=6), old_active, policy])
     assert main(["eval", "--snapshot", str(old)]) == 2
-    assert "format 5, expected 6" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: snapshot {old} line 1: format 6, expected 7\n"
+    with pytest.raises(ConfigError, match="format 6, expected 7"):
+        run_experiment(_small_config(epochs=2, resume_from=str(old)), run_dir=tmp_path / "run")
 
 
 def test_evaluate_snapshot_scores_the_stored_policy(tmp_path):
@@ -1229,7 +1394,7 @@ def test_cli_failures_exit_with_two(tmp_path, capsys):
     nulled = _write_jsonl(tmp_path / "nulled.jsonl", lines[:1] + [None] + lines[2:])
     assert main(["run", "--config", str(_write_config(tmp_path)), "--resume", str(nulled),
                  "--output-dir", str(tmp_path / "resumed")]) == 2
-    active = dict(lines[1], r=["x"] * len(lines[1]["r"]))
+    active = dict(lines[1], r="x")
     unmeasurable = _write_jsonl(tmp_path / "string-r.jsonl", lines[:1] + [active] + lines[2:])
     assert main(["run", "--config", str(_write_config(tmp_path)), "--resume", str(unmeasurable),
                  "--output-dir", str(tmp_path / "resumed")]) == 2

@@ -79,6 +79,10 @@ def test_genome_batch_checks_as_the_constructor_does():
             TaskGenome(single)
         with pytest.raises(ValueError, match=message):
             TaskGenome.batch(batch)
+        with pytest.raises(ValueError, match=message):
+            TaskGenome.adopt(single.copy())
+        with pytest.raises(ValueError, match=message):
+            TaskGenome.batch(batch.copy(), owned=True)
 
 
 def test_genome_batch_gives_the_genomes_of_its_rows():
@@ -107,6 +111,21 @@ def test_genomes_leave_the_callers_array_writable():
     blocks[0, 0] = 1.0
     stack[0, 0, 0] = 1.0
     assert genome.blocks[0, 0] == 0.0 and first.blocks[0, 0] == 0.0
+
+
+def test_an_adopted_array_becomes_the_genome_without_a_copy():
+    blocks = np.random.default_rng(3).random((2, BLOCK_SIZE))
+    genome = TaskGenome.adopt(blocks)
+    assert genome.blocks is blocks and not blocks.flags.writeable
+    stack = np.zeros((3, 2, BLOCK_SIZE))
+    genomes = TaskGenome.batch(stack, owned=True)
+    assert all(genome.blocks.base is stack for genome in genomes)
+    assert not stack.flags.writeable
+    # An array of another dtype or layout is checked in a copy that has the genome's.
+    for other in (np.zeros((2, BLOCK_SIZE), dtype=int), np.zeros((BLOCK_SIZE, 2)).T):
+        adopted = TaskGenome.adopt(other).blocks
+        assert adopted.dtype == float and adopted.flags.c_contiguous
+        assert not adopted.flags.writeable and other.flags.writeable
 
 
 def test_vector_round_trip():

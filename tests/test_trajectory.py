@@ -34,19 +34,19 @@ EXPECTED = {
     "vanilla-target": {
         "metrics.csv": "7fbdb08c15cbd82f21cc03ef3a866738a41f3714148e39e8b54fc67fd27dca2b",
         "snapshot_epoch00002.jsonl":
-            "ec681f8cf97e137e26f695f4d8fedd1befd06485d405bb7fa54c2247adf905bb",
+            "6a3468660c9d061559bab2abab99a39a7f2ba5e8380a21979f41a2bc13d7c3cb",
     },
     "ccl-default": {
         "metrics.csv": "fe571f1259158d378eef21592669b5bad635fcd2c8eec56115243432835dbd38",
         "snapshot_epoch00012.jsonl":
-            "dd7685a2f3000cb706fabd191392e6777a9a08e01198b5c9afa56aa49d862695",
-        "archive.jsonl": "9dc7a4e198d767635b73e262091034a944b519b0e6d35a5e924b9b4f8427838b",
+            "ec38aa476045b1335f45c8d13671daf597abfe0d4410943b848bfd152367dd7f",
+        "archive.jsonl": "3dcb0d75dc467283a994d90dd44136d990df17c4751086a2204d7b222761b2c2",
     },
     "ccl-checkpoint-resume": {
         "metrics.csv": "84bd2b47be5a700798e9a703d12a8dda73a9fd3ae72804c1d1da9016b0f40421",
         "snapshot_epoch00010.jsonl":
-            "d31bfe55cf6a56cb0bec242daefd556c60b7f204dd2aadf6d040b8f0922317e6",
-        "archive.jsonl": "d597c72da79a587ca5e19b7f36f480ee72dc6a41a278c9fc193d57194397c3e2",
+            "f45abd1fab9c6cfcdc1a1a60556a996508baa31bed89caf67d6c24c665d6d5ba",
+        "archive.jsonl": "44dfdeb6f20076e8ee1fed1e2361caa9c6a1fd9f157e190fa1248924af45c835",
     },
 }
 
