@@ -39,10 +39,12 @@ class LearnerParams:
 
 @dataclass
 class PolicyTable:
-    """Per-agent action-value tables. With ``rollout`` they are the greedy target evaluator
-    and the tests' oracle: ``act`` and ``update`` are the plain per-call reference for one
-    learner step, which ``train_on_tasks`` runs in lockstep on a bare Q array, and the tests
-    hold the two to bit-identical results."""
+    """Per-agent action-value tables, with ``rollout`` the tests' oracle only: ``act`` and
+    ``update`` are the plain per-call reference for one learner step, which
+    ``train_on_tasks`` runs in lockstep on a bare Q array and ``greedy_success`` runs
+    greedily, and the tests hold them to bit-identical results. No code in the package
+    calls it; it stays here, beside ``rollout``, while the benchmark's tracer
+    (``bench/tracing.py``) still names them."""
 
     q: np.ndarray  # shape EnvConfig.q_shape
 
@@ -91,7 +93,8 @@ def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable,
     the goal configuration, steps taken).
 
     ``draws`` may be None only when exploration is off, since a greedy episode reads no
-    random numbers.
+    random numbers. The one scalar episode, kept as the tests' oracle for
+    ``train_on_tasks`` and ``greedy_success`` (see ``PolicyTable``).
     """
     state = env.reset(task)
     cfg, goals = env.cfg, env.goals
@@ -118,6 +121,49 @@ def _successor_table(width: int) -> np.ndarray:
                      dtype=np.int32)
     table.setflags(write=False)
     return table
+
+
+@cache
+def _cell_moves(width: int) -> np.ndarray:
+    """``_successor_table(width)`` flat and times N_ACTIONS, as intp: entry ``cell *
+    N_ACTIONS + action`` is the successor cell times N_ACTIONS, so a walk over such cells
+    adds an action and takes the next one, with no multiply per step."""
+    table = (_successor_table(width) * N_ACTIONS).astype(np.intp).reshape(-1)
+    table.setflags(write=False)
+    return table
+
+
+def _start_and_goal_cells(blocks, env_cfg: EnvConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each agent's start and goal as flat cells ``x * width + y``, two ``(tasks, agents)``
+    arrays, of the ``(B, n_agents, 4)`` block stack ``blocks``, held to ``TaskGenome``'s
+    checks and to the environment's agent count."""
+    blocks = _checked_blocks(blocks, 3)
+    if blocks.shape[1] != env_cfg.n_agents:
+        raise ValueError(f"tasks have {blocks.shape[1]} agents, "
+                         f"environment expects {env_cfg.n_agents}")
+    width = env_cfg.grid_width
+    cells = grid_cells(blocks, width)
+    return (cells[..., 0::2] * width + cells[..., 1::2]).transpose(2, 0, 1)
+
+
+def _lane_tables(goals: np.ndarray,
+                 env_cfg: EnvConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tables over the rows ``(task * n_agents + agent) * n_cells + cell`` of a batch whose
+    agents have the flat goal cells ``goals`` (tasks, agents). A lane's goals are fixed, so
+    a row stands for its agent's cell and goal offset at once. Returns: the ``obs_index`` of
+    every (task, agent, cell); the first row of each (task, agent); each row's successor
+    under each action, flat over ``row * N_ACTIONS + action`` (int32 keeps it small); and
+    whether a row is its agent's goal cell."""
+    width = env_cfg.grid_width
+    n_cells = width * width
+    # obs_index broadcasts over coordinate arrays.
+    cell_x, cell_y = np.divmod(np.arange(n_cells, dtype=np.int32), width)
+    goal_x, goal_y = np.divmod(goals[..., None], width)
+    offsets = obs_index((cell_x, cell_y), (goal_x, goal_y), env_cfg)
+    first = np.arange(0, goals.size * n_cells, n_cells, dtype=np.int32)
+    successor = (first[:, None, None] + _successor_table(width)).reshape(-1)
+    on_goal = (np.arange(n_cells) == goals[..., None]).reshape(-1)
+    return offsets, first.reshape(goals.shape), successor, on_goal
 
 
 # _PICK[code + g] is the action of an agent with the step's code (see train_on_tasks) and
@@ -153,20 +199,20 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
     action 0, so each action is its draw's ``_PICK[code]`` alone, and until some
     lane wins, each update writes ``+0.0 + lr * (discount * +0.0 - +0.0) = +0.0``
     over +0.0. No episode then depends on another: each walks from its task's
-    start cells. A pre-pass steps every episode of the batch at once to the
-    step cap; if none reaches its goals, every episode of the loop would be
-    that walk and leave every bit of ``q`` as it was, so the call returns
-    without the loop. Otherwise the loop runs as it would have. The test reads
-    bits, since an update turns ``-0.0`` into +0.0. A vanilla run whose target
-    is out of reach is decided by the pre-pass in every epoch; a ccl run passes
-    through it only in its first epoch, where a lane wins on the first step.
+    start cells. A pre-pass walks every episode of the batch at once to the
+    step cap, recording each step's cells, and then tests the goals once over
+    the whole walk. If no episode stood on its goals at any step, every episode
+    of the loop would be that walk and leave every bit of ``q`` as it was, so
+    the call returns without the loop. Otherwise the loop runs as it would
+    have. The test reads bits, since an update turns ``-0.0`` into +0.0. A
+    vanilla run whose target is out of reach is decided by the pre-pass in
+    every epoch; a ccl run passes through it only in its first epoch, where a
+    lane wins on the first step.
     """
     if episodes_per_task < 1:
         raise ValueError("episodes_per_task must be at least 1")
-    blocks = _checked_blocks(blocks, 3)
-    n_tasks, n_agents, width = blocks.shape[0], env_cfg.n_agents, env_cfg.grid_width
-    if blocks.shape[1] != n_agents:
-        raise ValueError(f"tasks have {blocks.shape[1]} agents, environment expects {n_agents}")
+    starts, goals = _start_and_goal_cells(blocks, env_cfg)
+    n_tasks, n_agents, width = len(starts), env_cfg.n_agents, env_cfg.grid_width
     if not n_tasks:
         return np.zeros(0, int), np.zeros(0, int)
     n_cells, max_steps = width * width, env_cfg.max_steps
@@ -178,41 +224,38 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
     code = np.where(draws[..., 0] < epsilon, (explore + 1) * N_ACTIONS, 0).reshape(-1, n_agents)
     del draws, explore
 
-    # Each agent's start and goal as flat cells x * width + y, (tasks, agents) each.
-    cells = grid_cells(blocks, width)
-    starts, goals = (cells[..., 0::2] * width + cells[..., 1::2]).transpose(2, 0, 1)
     if not np.count_nonzero(q.view(np.uint64)):  # the pre-pass (see above)
-        # Every episode's actions, step by step: (max_steps, tasks * episodes, agents).
+        # Every episode's actions step by step, and the cells they lead to as cell *
+        # N_ACTIONS (see _cell_moves): (max_steps, tasks * episodes, agents) each.
         moves = _PICK.take(code.reshape(-1, max_steps, n_agents).transpose(1, 0, 2))
-        cell_successor = _successor_table(width).reshape(-1)
-        walk = np.repeat(starts, episodes_per_task, axis=0)
-        goal = np.repeat(goals, episodes_per_task, axis=0)
-        for actions in moves:
-            walk = cell_successor.take(walk * N_ACTIONS + actions)
-            if np.count_nonzero(np.logical_and.reduce(walk == goal, axis=1)):
-                break
-        else:  # every episode met the step cap, so q keeps its bits
+        cell_moves = _cell_moves(width)
+        walk = np.empty(moves.shape, cell_moves.dtype)
+        here = np.repeat(starts * N_ACTIONS, episodes_per_task, axis=0)
+        for actions, cells in zip(moves, walk):
+            # Every index is a cell times N_ACTIONS plus an action, so "clip" never clips;
+            # unlike the default, it lets take write into ``out`` without a buffer.
+            here = cell_moves.take(here + actions, out=cells, mode="clip")
+        # Where every agent stands on its goal at once, tested agent by agent: a reduction
+        # over the short last axis costs several times more.
+        goal = np.repeat(goals * N_ACTIONS, episodes_per_task, axis=0)
+        on_goals = walk[..., 0] == goal[:, 0]
+        for agent in range(1, n_agents):
+            on_goals &= walk[..., agent] == goal[:, agent]
+        if not np.count_nonzero(on_goals):
+            # no episode met its goals, so every one met the step cap and q keeps its bits
             return np.zeros(n_tasks, int), np.full(n_tasks, episodes_per_task * max_steps)
-    # obs_index of every (task, agent, cell); it broadcasts over coordinate arrays.
-    cell_x, cell_y = np.divmod(np.arange(n_cells, dtype=np.int32), width)
-    goal_x, goal_y = np.divmod(goals[..., None], width)
-    offsets = obs_index((cell_x, cell_y), (goal_x, goal_y), env_cfg)
+    offsets, first, successor, on_goal = _lane_tables(goals, env_cfg)
     agents = np.arange(n_agents, dtype=np.int32)[:, None]
-    # Private tables: row (task * n_agents + agent) * n_cells + cell. Over those rows, per
-    # call: whether a row is its agent's goal cell, and its successor under each action,
-    # flat over update indices row * N_ACTIONS + action (int32 keeps it small).
+    # Private tables over the rows of _lane_tables.
     private = q[agents, offsets].reshape(-1, N_ACTIONS)
     values = private.reshape(-1)
-    on_goal = (np.arange(n_cells) == goals[..., None]).reshape(-1)
-    first = np.arange(0, n_tasks * n_agents * n_cells, n_cells, dtype=np.int32)
-    successor = (first[:, None, None] + _successor_table(width)).reshape(-1)
 
     # The state of the live lanes, one entry (or row of agents) each: the private rows of
     # the agents' cells, a lane's position in ``code``, where its episode meets the step
     # cap there and the end of its last episode. ``left`` counts down to the first
     # iteration at which a lane may meet its cap. ``draw`` and ``stop`` are changed in
     # place; the arrays in ``records`` never are.
-    row = start = first.reshape(n_tasks, n_agents) + starts
+    row = start = first + starts
     draw = np.arange(0, n_tasks * episodes_per_task * max_steps, max_steps * episodes_per_task)
     stop, end = draw + max_steps, draw + episodes_per_task * max_steps
     left = max_steps
@@ -280,12 +323,48 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
     return successes, steps
 
 
-def evaluate_target(q: np.ndarray, target: TaskGenome, env_cfg: EnvConfig) -> float:
-    """Greedy (epsilon = 0) success of the action values ``q`` on ``target``, 1.0 or 0.0;
-    never mutates ``q``.
+def greedy_success(q: np.ndarray, blocks, env_cfg: EnvConfig) -> np.ndarray:
+    """Greedy (epsilon = 0) success of the action values ``q`` on each task of the
+    ``(B, n_agents, 4)`` block stack ``blocks``, checked as ``train_on_tasks`` checks it: a
+    bool array of length B. Never mutates ``q``.
 
-    The environment is deterministic and a greedy episode draws no random
-    numbers, so one episode gives the exact success rate.
+    The environment is deterministic and a greedy episode draws no random numbers, so one
+    episode per task gives its exact success rate: task b's is that of ``rollout`` without
+    draws. The tasks are lanes that step together, at most ``max_steps`` times. Each step,
+    every live lane reads ``q[agents, offsets]`` at its agents' current cells, takes each
+    row's first action of highest value, moves, and tests its goals. A lane stops when it
+    wins, or when no agent moved. The second stop is exact: an agent's greedy action
+    depends only on its cell, its fixed goal and ``q``, so a step that leaves every cell
+    where it was repeats until the step cap. The goal test comes first, so a task that
+    starts on its goals still wins at step 1. Longer cycles run to the cap.
     """
-    ok, _ = rollout(GridSpread(env_cfg), target, PolicyTable(q))
-    return float(ok)
+    starts, goals = _start_and_goal_cells(blocks, env_cfg)
+    won = np.zeros(len(starts), bool)
+    if not len(starts):
+        return won
+    offsets, first, successor, on_goal = _lane_tables(goals, env_cfg)
+    # q[agents, offsets] is q_rows[q_row], over the rows of _lane_tables. Rows are intp, so
+    # that each step's arithmetic stays in one dtype.
+    q_rows = q.reshape(-1, N_ACTIONS)
+    q_row = (offsets + np.arange(env_cfg.n_agents)[:, None] * env_cfg.n_states).reshape(-1)
+    successor = successor.astype(np.intp)
+    # The live lanes, one entry (or row of agents) each: the task and its agents' rows.
+    lanes, row = np.arange(len(starts)), (first + starts).astype(np.intp)
+    for _ in range(env_cfg.max_steps):
+        greedy = q_rows.take(q_row.take(row), axis=0).argmax(axis=2)
+        next_row = successor.take(row * N_ACTIONS + greedy)
+        wins = np.logical_and.reduce(on_goal.take(next_row), axis=1)
+        live = np.logical_or.reduce(next_row != row, axis=1) & ~wins
+        if np.count_nonzero(live) < len(live):  # a lane won, or none of its agents moved
+            won[lanes[wins]] = True
+            lanes, next_row = lanes[live], next_row[live]
+            if not len(lanes):
+                break
+        row = next_row
+    return won
+
+
+def evaluate_target(q: np.ndarray, target: TaskGenome, env_cfg: EnvConfig) -> float:
+    """Greedy (epsilon = 0) success of the action values ``q`` on ``target``, 1.0 or 0.0:
+    ``greedy_success`` on the one task. Never mutates ``q``."""
+    return float(greedy_success(q, target.blocks[None], env_cfg)[0])

@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from coevo_curriculum.config import config_from_dict
 from coevo_curriculum.gridworld import EnvConfig, GridSpread, MOVES, N_ACTIONS, obs_index
+from coevo_curriculum.harness import run_experiment
+from coevo_curriculum.snapshots import load_snapshot
 from coevo_curriculum.streams import stream
 from coevo_curriculum.tasks import TaskGenome, opposite_corner_target
-from coevo_curriculum.trainer import (LearnerParams, PolicyTable, evaluate_target, rollout,
-                                      train_on_tasks)
+from coevo_curriculum.trainer import (LearnerParams, PolicyTable, evaluate_target,
+                                      greedy_success, rollout, train_on_tasks)
 
 PARAMS = LearnerParams()
+_RIGHT, _LEFT, _UP, _DOWN = (MOVES.index(move) for move in ((1, 0), (-1, 0), (0, 1), (0, -1)))
 
 
 def _policy(cfg):
@@ -289,6 +293,7 @@ def _script_a_win(block, lane, episode, first, moves):
 @pytest.mark.parametrize("case", ["zero table, no win", "zero table, late win",
                                   "zero table, win at the last step cap",
                                   "zero table, win in a second episode",
+                                  "zero table, win left before the cap",
                                   "-0.0 entries, no win", "non-zero table, no win"])
 def test_train_on_tasks_matches_the_oracle_around_the_pre_pass(case):
     late = case.endswith("late win")
@@ -302,6 +307,11 @@ def test_train_on_tasks_matches_the_oracle_around_the_pre_pass(case):
     elif case.endswith("second episode"):
         # lane 1 stays through episode 0, then wins on step 2 of episode 1
         batch = _script_a_win(block, 1, 1, 1, (4, 1))
+    elif case.endswith("left before the cap"):
+        # lane 2 reaches its goals on step 3 of episode 0 and ends there; walked on past
+        # them, as the pre-pass walks every episode, it steps off them on step 4, the cap
+        batch = _script_a_win(block, 2, 0, 1, (_RIGHT, _UP))
+        block[2, 0, 3, 0] = (0.0, (_LEFT + 0.5) / N_ACTIONS)
     q = np.zeros(cfg.q_shape)
     if case.startswith("-0.0"):
         q[:, ::2] = -0.0  # equal to zero by value, not by bits
@@ -327,6 +337,8 @@ def test_train_on_tasks_matches_the_oracle_around_the_pre_pass(case):
     elif case.endswith("last step cap"):
         # the last step of the last episode of the last lane: the batch's last walker
         assert first == (3 * cfg.max_steps, 2) and successes == [0, 0, 1]
+    elif case.endswith("left before the cap"):
+        assert first == (3, 2) and successes == [0, 0, 1]
     else:
         assert first == (cfg.max_steps + 3, 1) and successes == [0, 1, 0]
 
@@ -457,6 +469,122 @@ def test_evaluate_on_zero_distance_target_is_perfect():
     assert evaluate_target(np.zeros(cfg.q_shape), genome, cfg) == 1.0
 
 
+def _greedy_oracle(q, blocks, cfg):
+    """``rollout`` without draws on each task of a block stack: (successes, steps) lists."""
+    env, policy = GridSpread(cfg), PolicyTable(q)
+    episodes = [rollout(env, TaskGenome(task), policy) for task in blocks]
+    return [ok for ok, _ in episodes], [steps for _, steps in episodes]
+
+
+def _ccl_table(cfg, tmp_path):
+    """The final Q table of a short ccl run on ``cfg``'s grid."""
+    config = config_from_dict({
+        "experiment": {"mode": "ccl", "epochs": 6, "episodes_per_task": 4, "master_seed": 3},
+        "env": {"grid_width": cfg.grid_width, "n_agents": cfg.n_agents,
+                "max_steps": cfg.max_steps},
+        "evolution": {"population_size": 8, "batch_size": 4, "knn_k": 2}})
+    return load_snapshot(run_experiment(config, run_dir=tmp_path).snapshot_path).policy_q
+
+
+def _greedy_table(kind, cfg, tmp_path):
+    rng = np.random.default_rng(cfg.grid_width * 10 + cfg.n_agents)
+    if kind == "zero":
+        return np.zeros(cfg.q_shape)
+    if kind == "uniform":
+        return rng.random(cfg.q_shape)
+    if kind == "normal":
+        return rng.normal(size=cfg.q_shape)
+    if kind == "ties":  # two values only: most rows hold a tie for their maximum
+        return rng.integers(2, size=cfg.q_shape).astype(float)
+    return _ccl_table(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["zero", "uniform", "normal", "ties", "ccl"])
+@pytest.mark.parametrize("width,n_agents,max_steps", [(2, 1, 3), (5, 1, 12), (5, 2, 12),
+                                                       (6, 4, 10), (12, 2, 40)])
+def test_greedy_success_matches_the_scalar_oracle(kind, width, n_agents, max_steps, tmp_path):
+    cfg = EnvConfig(grid_width=width, n_agents=n_agents, max_steps=max_steps)
+    q = _greedy_table(kind, cfg, tmp_path)
+    q.setflags(write=False)  # any write raises
+    rng = np.random.default_rng(width + n_agents)
+    # Random tasks, some outside the unit box (discretize clamps them), every fourth with
+    # its starts on its goals.
+    blocks = rng.uniform(-0.2, 1.2, size=(300, n_agents, 4))
+    blocks[::4, :, 2:] = blocks[::4, :, :2]
+    got = greedy_success(q, blocks, cfg)
+    assert got.dtype == bool and got.shape == (len(blocks),)
+    successes, steps = _greedy_oracle(q, blocks, cfg)
+    assert got.tolist() == successes
+    # Premises: some tasks fail (a random table wins few); on the zero table and the trained
+    # one, some win, and the trained table walks some tasks to their goals.
+    assert not all(successes)
+    if kind in ("zero", "ccl"):
+        assert any(successes)
+    if kind == "ccl":
+        assert any(ok and taken > 1 for ok, taken in zip(successes, steps))
+
+
+def _steered_table(cfg, steering):
+    """An all-zero table but for value 1.0 on agent 0's actions ``steering[offset]`` (one, or
+    a tuple of tied ones) at each goal offset ``(dx, dy)`` in ``steering``."""
+    q = np.zeros(cfg.q_shape)
+    for offset, actions in steering.items():
+        q[0, obs_index((0, 0), offset, cfg), actions] = 1.0
+    return q
+
+
+@pytest.mark.parametrize("case", ["stay on the goal offset", "leave the goal offset"])
+def test_greedy_success_stops_and_wins_where_the_oracle_does(case):
+    cfg = EnvConfig(grid_width=5, n_agents=1, max_steps=4)
+    steering = {(4, 0): _RIGHT, (3, 0): _RIGHT, (2, 0): _RIGHT, (1, 0): _RIGHT,
+                (0, 4): _UP, (0, 3): _DOWN,  # a period-2 oscillation
+                (0, 1): (_UP, _RIGHT)}  # tied: the first maximum, up, breaks the tie
+    if case == "leave the goal offset":
+        steering[(0, 0)] = _LEFT
+    q = _steered_table(cfg, steering)
+    q.setflags(write=False)
+    lanes = {  # start, goal, expected success with each case's table
+        "stuck off its goals": ((4, 4), (0, 4), False, False),
+        "period-2 oscillation to the cap": ((2, 0), (2, 4), False, False),
+        "wins at step 3": ((0, 2), (3, 2), True, True),
+        "wins exactly at max_steps": ((0, 1), (4, 1), True, True),
+        "starts on its goals": ((3, 3), (3, 3), True, True),  # leaves, then steps back
+        "starts on its goals at a wall": ((0, 3), (0, 3), True, True),
+        "a tie broken toward the goal": ((2, 2), (2, 3), True, True),
+        "stuck beside lanes that win later": ((1, 4), (1, 0), False, False),
+    }
+    blocks = np.stack([_genome_for_cells([start], [goal], 5).blocks
+                       for start, goal, _, _ in lanes.values()])
+    expected = [(stay if case.startswith("stay") else leave)
+                for _, _, stay, leave in lanes.values()]
+    assert greedy_success(q, blocks, cfg).tolist() == expected
+    successes, steps = _greedy_oracle(q, blocks, cfg)
+    assert successes == expected
+    # Premises: which step each lane ends at in the scalar episode.
+    by_name = dict(zip(lanes, steps))
+    assert by_name["wins at step 3"] == 3 and by_name["wins exactly at max_steps"] == 4
+    assert by_name["period-2 oscillation to the cap"] == by_name["stuck off its goals"] == 4
+    assert by_name["starts on its goals"] == (1 if case.startswith("stay") else 2)
+    assert by_name["starts on its goals at a wall"] == by_name["a tie broken toward the goal"] == 1
+
+
+def test_greedy_success_keeps_a_lane_whose_other_agent_moves():
+    # Agent 0 sits on its goal and stays; agent 1 walks three cells to its own goal.
+    cfg = EnvConfig(grid_width=5, n_agents=2, max_steps=6)
+    q = np.zeros(cfg.q_shape)
+    for x in range(3):
+        q[1, obs_index((x, 0), (3, 0), cfg), _RIGHT] = 1.0
+    blocks = _genome_for_cells([(2, 2), (0, 0)], [(2, 2), (3, 0)], 5).blocks[None]
+    assert greedy_success(q, blocks, cfg).tolist() == [True]
+    assert _greedy_oracle(q, blocks, cfg) == ([True], [3])
+
+
+def test_greedy_success_of_an_empty_batch():
+    cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=5)
+    got = greedy_success(np.zeros(cfg.q_shape), np.zeros((0, 2, 4)), cfg)
+    assert got.dtype == bool and got.shape == (0,)
+
+
 def test_policy_trained_to_convergence_beats_090():
     width = 3
     cfg = EnvConfig(grid_width=width, n_agents=2, max_steps=10)
@@ -497,18 +625,32 @@ def _poisoned(value):
     return blocks
 
 
-@pytest.mark.parametrize("blocks", [np.full((3, 1, 4), 0.5), np.full((3, 3, 4), 0.5),
-                                    np.full((3, 2, 3), 0.5), np.full((2, 4), 0.5),
-                                    np.full((1, 3, 2, 4), 0.5), _poisoned(np.nan),
-                                    _poisoned(np.inf), _poisoned(-np.inf)],
-                         ids=["one agent", "three agents", "last axis 3", "2-d", "4-d", "nan",
-                              "inf", "-inf"])
+# Block stacks that a two-agent environment refuses.
+_MALFORMED = pytest.mark.parametrize(
+    "blocks", [np.full((3, 1, 4), 0.5), np.full((3, 3, 4), 0.5), np.full((3, 2, 3), 0.5),
+               np.full((2, 4), 0.5), np.full((1, 3, 2, 4), 0.5), _poisoned(np.nan),
+               _poisoned(np.inf), _poisoned(-np.inf)],
+    ids=["one agent", "three agents", "last axis 3", "2-d", "4-d", "nan", "inf", "-inf"])
+
+
+@_MALFORMED
 def test_train_on_tasks_refuses_a_malformed_block_stack(blocks):
     cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=5)
     q = np.zeros(cfg.q_shape)
     with pytest.raises(ValueError):
         train_on_tasks(blocks, q, PARAMS, PARAMS.epsilon, 2, cfg, _rng(1))
     assert not q.any()
+
+
+@_MALFORMED
+def test_greedy_success_refuses_what_train_on_tasks_refuses(blocks):
+    cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=5)
+    q = np.zeros(cfg.q_shape)
+    with pytest.raises(ValueError) as trained:
+        train_on_tasks(blocks, q, PARAMS, PARAMS.epsilon, 2, cfg, _rng(1))
+    with pytest.raises(ValueError) as greedy:
+        greedy_success(q, blocks, cfg)
+    assert str(greedy.value) == str(trained.value)
 
 
 @pytest.mark.parametrize("goals,reachable", [([(1, 1), (3, 3)], True),
