@@ -22,7 +22,7 @@ ORIGINS = (ORIGIN_INIT, ORIGIN_CROSS, ORIGIN_MUTATE)
 GROWTH = 0.25
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TaskRecord:
     """One task with its latest measurement.
 
@@ -114,7 +114,7 @@ def pair_generation(records: list[TaskRecord],
     if len(records) % 2:
         raise ValueError("cannot pair an odd number of records")
     order = rng.permutation(len(records))
-    shuffled = [records[int(i)] for i in order]
+    shuffled = [records[i] for i in order.tolist()]
     half = len(shuffled) // 2
     return list(zip(shuffled[:half], shuffled[half:]))
 
@@ -126,27 +126,61 @@ def crossover_step(fitness_a: float, fitness_b: float, f_min: float, f_max: floa
     return abs(fitness_a - fitness_b) / (f_max - f_min)
 
 
+def _draw_gates(gates: np.ndarray, rng: np.random.Generator) -> None:
+    """Crossover's per-agent coins into ``gates``, agent by agent: on at or above 0.5."""
+    for j in range(gates.shape[0]):
+        gates[j] = rng.random() >= 0.5
+
+
+def _draw_noise(gates: np.ndarray, noise: np.ndarray, scale: float,
+                rng: np.random.Generator) -> None:
+    """Mutation's draws into ``gates`` and ``noise``, agent by agent: a coin, on at or above
+    0.5, then, when on, uniform noise from [-scale, scale]^4."""
+    for j in range(gates.shape[0]):
+        if rng.random() >= 0.5:
+            gates[j] = True
+            noise[j] = rng.uniform(-scale, scale, BLOCK_SIZE)
+
+
+def _mutation_scale(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
+                    params: EvolutionParams) -> float:
+    if params.adaptive_mutation:
+        rec_a, rec_b = pair
+        return params.mutation_scale * crossover_step(rec_a.f, rec_b.f, f_min, f_max)
+    return params.mutation_scale
+
+
+def _children(parents: np.ndarray, crossed: np.ndarray, steps: np.ndarray,
+              gates: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The children's blocks of P pairs, in pair order, from their parents stacked as
+    ``(2P, n_agents, 4)`` (a0, b0, a1, ...) and each pair's draws: a crossover pair
+    (``crossed``) gives both parents shifted by ``step * (a - b)``, a mutation pair its
+    first parent plus its ``noise``.
+
+    A crossover block moves where its gate is on, along a non-zero direction and at a
+    non-zero step; a mutation block wherever its gate is on. A moved block is clipped
+    into the box; every other keeps its bits, -0.0 included.
+    """
+    differences = parents[0::2] - parents[1::2]
+    delta = np.where(crossed[:, None, None], steps[:, None, None] * differences, noise)
+    along = np.any(differences != 0.0, axis=2) & (steps != 0.0)[:, None]
+    moves = gates & (along | ~crossed[:, None])
+    # Every pair's first parent, then its second when it crossed.
+    rows = np.flatnonzero(np.column_stack([np.ones_like(crossed), crossed]))
+    blocks, of_pair = parents[rows], rows // 2
+    return np.where(moves[of_pair, :, None], np.clip(blocks + delta[of_pair], 0.0, 1.0), blocks)
+
+
 def sample_direction(task_a: TaskGenome, task_b: TaskGenome,
                      rng: np.random.Generator) -> np.ndarray:
     """Per-agent direction blocks: a fair coin per agent picks zero or (a - b)."""
     if task_a.n_agents != task_b.n_agents:
         raise ValueError("parents must have the same number of agents")
+    gates = np.zeros(task_a.n_agents, dtype=bool)
+    _draw_gates(gates, rng)
     direction = np.zeros((task_a.n_agents, BLOCK_SIZE), dtype=float)
-    for j in range(task_a.n_agents):
-        if rng.random() >= 0.5:
-            direction[j] = task_a.blocks[j] - task_b.blocks[j]
+    direction[gates] = task_a.blocks[gates] - task_b.blocks[gates]
     return direction
-
-
-def _shift(genome: TaskGenome, step: float, direction: np.ndarray) -> TaskGenome:
-    # Copy the parent and touch only agents with a live direction, so gated-off
-    # blocks stay bit-identical.
-    blocks = genome.blocks.copy()
-    if step != 0.0:
-        moved = np.any(direction != 0.0, axis=1)
-        if moved.any():
-            blocks[moved] = np.clip(blocks[moved] + step * direction[moved], 0.0, 1.0)
-    return TaskGenome.adopt(blocks)
 
 
 def crossover(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
@@ -156,8 +190,13 @@ def crossover(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
     if rec_a.f is None or rec_b.f is None:
         raise ValueError("crossover requires assigned fitness on both parents")
     step = crossover_step(rec_a.f, rec_b.f, f_min, f_max)
-    direction = sample_direction(rec_a.genome, rec_b.genome, rng)
-    return _shift(rec_a.genome, step, direction), _shift(rec_b.genome, step, direction)
+    parents = np.stack([rec_a.genome.blocks, rec_b.genome.blocks])
+    gates = np.zeros((1, parents.shape[1]), dtype=bool)
+    _draw_gates(gates[0], rng)
+    children = _children(parents, np.ones(1, dtype=bool), np.array([step]), gates,
+                         np.zeros((1,) + parents.shape[1:]))
+    child_a, child_b = TaskGenome.batch(children, owned=True)
+    return child_a, child_b
 
 
 def mutate(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
@@ -171,16 +210,14 @@ def mutate(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
     rec_a, rec_b = pair
     if rec_a.f is None or rec_b.f is None:
         raise ValueError("mutation requires assigned fitness on both parents")
-    if params.adaptive_mutation:
-        scale = params.mutation_scale * crossover_step(rec_a.f, rec_b.f, f_min, f_max)
-    else:
-        scale = params.mutation_scale
-    blocks = rec_a.genome.blocks.copy()
-    for j in range(blocks.shape[0]):
-        if rng.random() >= 0.5:
-            delta = rng.uniform(-scale, scale, BLOCK_SIZE)
-            blocks[j] = np.clip(blocks[j] + delta, 0.0, 1.0)
-    return TaskGenome.adopt(blocks)
+    scale = _mutation_scale(pair, f_min, f_max, params)
+    parents = np.stack([rec_a.genome.blocks, rec_b.genome.blocks])
+    gates = np.zeros((1, parents.shape[1]), dtype=bool)
+    noise = np.zeros((1,) + parents.shape[1:])
+    _draw_noise(gates[0], noise[0], scale, rng)
+    child, = TaskGenome.batch(_children(parents, np.zeros(1, dtype=bool), np.zeros(1), gates,
+                                        noise), owned=True)
+    return child
 
 
 def delete_bad_tasks(pop: Population, band: tuple[float, float]) -> None:
@@ -201,9 +238,42 @@ def assign_population_fitness(active: list[TaskRecord], trained: PrototypeSet, k
     trained prototypes; records measured this epoch keep their own fitness."""
     unmeasured = [rec for rec in active if rec.r is None]
     if unmeasured:
-        queries = np.stack([rec.genome.blocks for rec in unmeasured]).reshape(len(unmeasured), -1)
+        queries = np.array([rec.genome.blocks for rec in unmeasured]).reshape(len(unmeasured), -1)
         for rec, estimate in zip(unmeasured, knn_estimate(queries, trained, k).tolist()):
             rec.f = estimate
+
+
+def _breed(pairs: list[tuple[TaskRecord, TaskRecord]], f_min: float, f_max: float,
+           params: EvolutionParams, rng: np.random.Generator,
+           epoch_born: int) -> list[TaskRecord]:
+    """The children of every pair, in pair order: two from a crossover pair (coin > 0.5),
+    one from a mutation pair.
+
+    The draws are ``crossover``'s and ``mutate``'s, pair by pair in the same order; the
+    children are then built in one ``_children`` pass over the stacked parents, as those
+    two build theirs, and checked in one ``TaskGenome.batch``.
+    """
+    # a0, b0, a1, ...; np.array copies a list of equal-shaped arrays in one C pass, np.stack
+    # goes through it array by array.
+    parents = np.array([rec.genome.blocks for pair in pairs for rec in pair])
+    n_pairs, n_agents = len(pairs), parents.shape[1]
+    crossed = np.zeros(n_pairs, dtype=bool)
+    steps = np.zeros(n_pairs)
+    gates = np.zeros((n_pairs, n_agents), dtype=bool)
+    noise = np.zeros((n_pairs, n_agents, BLOCK_SIZE))
+    for i, pair in enumerate(pairs):
+        if rng.random() > 0.5:
+            crossed[i] = True
+            steps[i] = crossover_step(pair[0].f, pair[1].f, f_min, f_max)
+            _draw_gates(gates[i], rng)
+        else:
+            _draw_noise(gates[i], noise[i], _mutation_scale(pair, f_min, f_max, params), rng)
+
+    blocks = _children(parents, crossed, steps, gates, noise)
+    origins = [origin for c in crossed.tolist()
+               for origin in ((ORIGIN_CROSS, ORIGIN_CROSS) if c else (ORIGIN_MUTATE,))]
+    return [TaskRecord(genome, epoch_born=epoch_born, origin=origin)
+            for genome, origin in zip(TaskGenome.batch(blocks, owned=True), origins)]
 
 
 def evolve_generation(pop: Population, params: EvolutionParams,
@@ -234,21 +304,13 @@ def evolve_generation(pop: Population, params: EvolutionParams,
     # pairing, it stays a refill candidate.
     if len(active) % 2:
         order = rng.permutation(len(active))
-        pool = [active[int(i)] for i in order[:-1]]
+        pool = [active[i] for i in order[:-1].tolist()]
     else:
         pool = active
     pairs = pair_generation(pool, rng) if len(pool) >= 2 else []
 
     next_epoch = pop.epoch + 1
-    children: list[TaskRecord] = []
-    for pair in pairs:
-        if rng.random() > 0.5:
-            child_a, child_b = crossover(pair, f_min, f_max, rng)
-            children.append(TaskRecord(child_a, epoch_born=next_epoch, origin=ORIGIN_CROSS))
-            children.append(TaskRecord(child_b, epoch_born=next_epoch, origin=ORIGIN_CROSS))
-        else:
-            child = mutate(pair, f_min, f_max, params, rng)
-            children.append(TaskRecord(child, epoch_born=next_epoch, origin=ORIGIN_MUTATE))
+    children = _breed(pairs, f_min, f_max, params, rng, next_epoch) if pairs else []
 
     next_active = children[:params.population_size]
     ranked = sorted(active, key=lambda rec: -rec.f)
@@ -277,7 +339,7 @@ def advance_toward(pop: Population, target: TaskGenome, success: float) -> Popul
         raise ValueError("success must lie in [0, 1]")
     if not pop.active:
         return pop
-    blocks = np.stack([rec.genome.blocks for rec in pop.active])  # (m, n_agents, 4)
+    blocks = np.array([rec.genome.blocks for rec in pop.active])  # (m, n_agents, 4)
     if blocks.shape[1] != target.n_agents:
         raise ValueError("target must have the population's agent count")
     step = GROWTH * success

@@ -84,8 +84,9 @@ def knn_estimate(query, prototypes: PrototypeSet, k: int) -> float | np.ndarray:
 
     ``query`` is one vector, which gives a float, or an ``(A, D)`` stack of them, which
     gives their A estimates as an array, each the float the single query gives. Distance
-    ties resolve toward the lowest prototype index. The k fitnesses are summed left to
-    right from 0.0, nearest first; ``np.sum`` would sum them pairwise once k >= 8.
+    ties resolve toward the lowest prototype index, as in a stable sort. The k fitnesses
+    are summed left to right from 0.0, nearest first; ``np.sum`` would sum them pairwise
+    once k >= 8.
     """
     count = len(prototypes)
     if count == 0:
@@ -103,9 +104,15 @@ def knn_estimate(query, prototypes: PrototypeSet, k: int) -> float | np.ndarray:
     diffs = prototypes.vectors - queries[:, None, :]
     diffs *= diffs
     squared = diffs.sum(axis=-1)
-    nearest = prototypes.fitnesses[np.argsort(squared, axis=-1, kind="stable")[:, :k]]
+    # k first-argmin passes, each taken entry set to inf: the first k indices of a stable
+    # argsort, ties included, without sorting whole rows. Overflowed distances are capped
+    # below inf first, so a taken entry never ties with one still to take.
+    np.minimum(squared, np.finfo(float).max, out=squared)
+    rows = np.arange(queries.shape[0])
     total = np.zeros(queries.shape[0])
-    for column in nearest.T:
-        total += column
+    for _ in range(k):
+        nearest = squared.argmin(axis=-1)
+        total += prototypes.fitnesses[nearest]
+        squared[rows, nearest] = np.inf
     estimates = total / k
     return float(estimates[0]) if single else estimates

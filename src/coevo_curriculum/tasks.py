@@ -29,7 +29,7 @@ def _checked_blocks(blocks, ndim: int, owned: bool = False) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TaskGenome:
     """Per-agent [start, goal] coordinate blocks in normalized [0, 1] units.
 
@@ -45,18 +45,11 @@ class TaskGenome:
         object.__setattr__(self, "blocks", _checked_blocks(self.blocks, 2))
 
     @classmethod
-    def adopt(cls, blocks: np.ndarray) -> "TaskGenome":
-        """A genome over ``blocks`` itself: the constructor's checks without its copy, for a
-        caller that has just built the array and no longer writes it. It becomes read-only."""
-        genome = object.__new__(cls)
-        object.__setattr__(genome, "blocks", _checked_blocks(blocks, 2, owned=True))
-        return genome
-
-    @classmethod
     def batch(cls, blocks, owned: bool = False) -> list["TaskGenome"]:
         """One genome per row of an ``(m, n_agents, 4)`` array, checked once as a whole with
         the constructor's checks; the genomes' blocks are read-only views of one checked
-        array, a copy unless the caller hands ``blocks`` over as ``owned`` (see ``adopt``)."""
+        array. It is a copy unless the caller hands ``blocks`` over as ``owned``: an array it
+        has just built and no longer writes, which then becomes read-only itself."""
         genomes = []
         for rows in _checked_blocks(blocks, 3, owned):
             genome = object.__new__(cls)

@@ -543,6 +543,123 @@ def test_evolve_empty_generation_breeds_from_the_latest_archived_one():
     assert all(rec.r == 1.0 for rec in latest)
 
 
+def _reference_children(pair, f_min, f_max, params, rng, tally):
+    """One pair's children as the per-pair loop built them, block by block with np.clip;
+    ``tally`` counts the blocks that moved, that were clipped and that added to -0.0."""
+    rec_a, rec_b = pair
+    n_agents = rec_a.genome.n_agents
+    if rng.random() > 0.5:
+        step = evolution.crossover_step(rec_a.f, rec_b.f, f_min, f_max)
+        children = [rec_a.genome.blocks.copy(), rec_b.genome.blocks.copy()]
+        for j in range(n_agents):
+            if rng.random() >= 0.5:
+                direction = rec_a.genome.blocks[j] - rec_b.genome.blocks[j]
+                if step != 0.0 and direction.any():
+                    for blocks in children:
+                        _reference_shift(blocks, j, step * direction, tally)
+        return [(blocks, "cross") for blocks in children]
+    if params.adaptive_mutation:
+        scale = params.mutation_scale * evolution.crossover_step(rec_a.f, rec_b.f, f_min, f_max)
+    else:
+        scale = params.mutation_scale
+    blocks = rec_a.genome.blocks.copy()
+    for j in range(n_agents):
+        if rng.random() >= 0.5:
+            _reference_shift(blocks, j, rng.uniform(-scale, scale, BLOCK_SIZE), tally)
+    return [(blocks, "mutate")]
+
+
+def _reference_shift(blocks, j, delta, tally):
+    moved = blocks[j] + delta
+    tally["moved"] += 1
+    tally["clipped"] += int(((moved < 0.0) | (moved > 1.0)).any())
+    tally["negative zero"] += int((np.signbit(moved) & (moved == 0.0)).any())
+    blocks[j] = np.clip(moved, 0.0, 1.0)
+
+
+def _reference_evolve(pop, params, rng, tally):
+    """evolve_generation's next generation as (blocks, origin, epoch_born) triples, in order."""
+    active = pop.active
+    fitness_values = [rec.f for rec in active]
+    f_min, f_max = min(fitness_values), max(fitness_values)
+    pool = active
+    if len(active) % 2:
+        order = rng.permutation(len(active))
+        pool = [active[int(i)] for i in order[:-1]]
+    pairs = pair_generation(pool, rng) if len(pool) >= 2 else []
+    children = []
+    for pair in pairs:
+        children.extend((blocks, origin, pop.epoch + 1) for blocks, origin in
+                        _reference_children(pair, f_min, f_max, params, rng, tally))
+    ranked = [(rec.genome.blocks, rec.origin, rec.epoch_born)
+              for rec in sorted(active, key=lambda rec: -rec.f)]
+    pool = ranked + children
+    nxt = children[:params.population_size]
+    nxt.extend(pool[i % len(pool)] for i in range(params.population_size - len(nxt)))
+    return nxt
+
+
+def _breeding_population(rng, size, n_agents, flat, distinct):
+    """``size`` records drawn from ``distinct`` genomes whose components are uniform or
+    exactly 0.0, 1.0 or -0.0; their fitness is one value for all (``flat``) or a few
+    values with ties."""
+    blocks = rng.random((distinct, n_agents, BLOCK_SIZE))
+    edge = rng.integers(0, 4, blocks.shape)
+    blocks[edge == 0] = 0.0
+    blocks[edge == 1] = 1.0
+    blocks[edge == 2] = -0.0
+    fitness = np.full(size, 0.3) if flat else rng.integers(0, 5, size) / 4.0
+    picks = rng.integers(0, distinct, size)
+    return Population(active=[_record(blocks[pick], f=float(f)) for pick, f in zip(picks, fitness)],
+                      epoch=int(rng.integers(0, 4)))
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 4])
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_evolve_generation_equals_the_per_pair_reference_bit_for_bit(n_agents, adaptive,
+                                                                     monkeypatch):
+    steps = []
+    original = evolution.crossover_step
+
+    def counted(*args):
+        steps.append(original(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(evolution, "crossover_step", counted)
+    tally = {"moved": 0, "clipped": 0, "negative zero": 0, "cases": 0}
+    rng = np.random.default_rng(1000 + 10 * n_agents + adaptive)
+    for size in (2, 3, 7, 16, 33):
+        for flat in (False, True):
+            for distinct in (1, 2, size):
+                for scale in (0.15, 0.0, 0.6):
+                    params = EvolutionParams(population_size=16, batch_size=4, knn_k=2,
+                                             mutation_scale=scale, adaptive_mutation=adaptive)
+                    pop = _breeding_population(rng, size, n_agents, flat, distinct)
+                    seed = int(rng.integers(1 << 30))
+                    got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    del steps[:]
+                    nxt = evolve_generation(pop, params, got_rng)
+                    got_steps = list(steps)
+                    del steps[:]
+                    expected = _reference_evolve(pop, params, expected_rng, tally)
+                    assert [(rec.genome.blocks.tobytes(), rec.origin, rec.epoch_born)
+                            for rec in nxt.active] == [
+                        (blocks.tobytes(), origin, born) for blocks, origin, born in expected]
+                    assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+                    assert got_steps == steps
+                    tally["cases"] += 1
+    # Every case kind occurred: moving blocks, blocks clipped into the box, sums at -0.0.
+    assert min(tally.values()) > 0, tally
+
+
+def test_records_and_genomes_have_no_instance_dict():
+    rec = _record(np.zeros((1, BLOCK_SIZE)), f=0.5)
+    for obj in (rec, rec.genome, TaskGenome.batch(np.zeros((1, 1, BLOCK_SIZE)))[0]):
+        assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        rec.note = "unused"
+
+
 def test_evolve_empty_generation_with_empty_archive_raises():
     with pytest.raises(ValueError, match="empty archive"):
         evolve_generation(Population(active=[]), PARAMS, np.random.default_rng(0))

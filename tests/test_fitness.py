@@ -158,6 +158,32 @@ def test_stacked_knn_matches_bruteforce_oracle_row_by_row():
                 assert got.tolist() == [knn_estimate(query, protos, k) for query in queries]
 
 
+def test_stacked_knn_takes_the_stable_argsorts_first_k_among_ties():
+    # Integer coordinates give integer squared distances, so nearly every row is full of
+    # ties; huge ones overflow to inf, which ties too. Each estimate must sum the fitnesses
+    # of a stable argsort's first k, in its order, left to right from 0.0.
+    rng = np.random.default_rng(29)
+    for scale in (1.0, 1e200):
+        for _ in range(40):
+            m, dim = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+            vectors = scale * rng.integers(-2, 3, (m, dim)).astype(float)
+            queries = scale * rng.integers(-2, 3, (11, dim)).astype(float)
+            fitnesses = rng.random(m)
+            with np.errstate(over="ignore"):
+                squared = ((vectors - queries[:, None, :]) ** 2).sum(axis=-1)
+            order = np.argsort(squared, axis=-1, kind="stable")
+            protos = PrototypeSet(vectors=vectors, fitnesses=fitnesses)
+            for k in range(1, m + 1):
+                expected = []
+                for row in order:
+                    total = 0.0
+                    for index in row[:k]:
+                        total += float(fitnesses[index])
+                    expected.append(total / k)
+                with np.errstate(over="ignore"):
+                    assert knn_estimate(queries, protos, k).tolist() == expected
+
+
 def test_stacked_knn_accepts_an_empty_stack_and_checks_its_width():
     protos = PrototypeSet(vectors=np.zeros((3, 4)), fitnesses=np.zeros(3))
     assert knn_estimate(np.zeros((0, 4)), protos, 2).shape == (0,)

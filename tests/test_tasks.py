@@ -68,9 +68,9 @@ def test_genome_batch_checks_as_the_constructor_does():
     inf[1, 0, 0] = -np.inf
     for single, batch, message in (
             (np.zeros((2, 3)), np.zeros((3, 2, 3)),
-             r"genome blocks must have shape \(n, 4\), got \((3, )?2, 3\)"),
+             r"genome blocks must have shape \(n, 4\), got \(([13], )?2, 3\)"),
             (np.zeros(BLOCK_SIZE), np.zeros((2, BLOCK_SIZE)),
-             r"genome blocks must have shape \(n, 4\), got \((2, )?4,?\)"),
+             r"genome blocks must have shape \(n, 4\), got \(([12], )?4,?\)"),
             (np.zeros((0, BLOCK_SIZE)), np.zeros((3, 0, BLOCK_SIZE)),
              "genome needs at least one agent block"),
             (nan[2], nan, "genome components must be finite"),
@@ -80,7 +80,7 @@ def test_genome_batch_checks_as_the_constructor_does():
         with pytest.raises(ValueError, match=message):
             TaskGenome.batch(batch)
         with pytest.raises(ValueError, match=message):
-            TaskGenome.adopt(single.copy())
+            TaskGenome.batch(single[None].copy(), owned=True)
         with pytest.raises(ValueError, match=message):
             TaskGenome.batch(batch.copy(), owned=True)
 
@@ -113,19 +113,19 @@ def test_genomes_leave_the_callers_array_writable():
     assert genome.blocks[0, 0] == 0.0 and first.blocks[0, 0] == 0.0
 
 
-def test_an_adopted_array_becomes_the_genome_without_a_copy():
-    blocks = np.random.default_rng(3).random((2, BLOCK_SIZE))
-    genome = TaskGenome.adopt(blocks)
-    assert genome.blocks is blocks and not blocks.flags.writeable
+def test_an_owned_array_becomes_the_genomes_without_a_copy():
+    single = np.random.default_rng(3).random((1, 2, BLOCK_SIZE))
+    genome, = TaskGenome.batch(single, owned=True)
+    assert genome.blocks.base is single and not single.flags.writeable
     stack = np.zeros((3, 2, BLOCK_SIZE))
     genomes = TaskGenome.batch(stack, owned=True)
     assert all(genome.blocks.base is stack for genome in genomes)
     assert not stack.flags.writeable
     # An array of another dtype or layout is checked in a copy that has the genome's.
-    for other in (np.zeros((2, BLOCK_SIZE), dtype=int), np.zeros((BLOCK_SIZE, 2)).T):
-        adopted = TaskGenome.adopt(other).blocks
-        assert adopted.dtype == float and adopted.flags.c_contiguous
-        assert not adopted.flags.writeable and other.flags.writeable
+    for other in (np.zeros((1, 2, BLOCK_SIZE), dtype=int), np.zeros((BLOCK_SIZE, 2, 1)).T):
+        owned, = TaskGenome.batch(other, owned=True)
+        assert owned.blocks.dtype == float and owned.blocks.flags.c_contiguous
+        assert not owned.blocks.flags.writeable and other.flags.writeable
 
 
 def test_vector_round_trip():

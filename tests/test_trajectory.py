@@ -1,10 +1,12 @@
-"""Trajectory gate: the files of the benchmark's three workloads at seed 1, pinned by SHA-256.
+"""Trajectory gate: the files of short ccl and vanilla workloads at seed 1, pinned by SHA-256.
 
 A change that alters any trajectory, on purpose or not, fails here. A deliberate
 re-baseline updates ``EXPECTED`` (and ``NUMPY_VERSION`` if it moved) in the same
-change and says so in CHANGES.md. The workloads restate the configs of
+change and says so in CHANGES.md. The first three workloads restate the configs of
 ``bench/run_bench.py``, shortened so tier-1 stays fast; the checkpoint workload
-stops halfway and resumes in place, as the benchmark does.
+stops halfway and resumes in place, as the benchmark does. The last two breed
+where those three do not: four agents under fixed-scale mutation, and one agent
+under linear fitness with a zero mutation scale.
 """
 
 import hashlib
@@ -27,6 +29,17 @@ WORKLOADS = {
     "ccl-checkpoint-resume": {"experiment": {"mode": "ccl", "epochs": 10, "episodes_per_task": 2,
                                              "snapshot_interval": 1},
                               "evolution": {"population_size": 256, "batch_size": 64}},
+    "ccl-four-agents-fixed-mutation": {
+        "experiment": {"mode": "ccl", "epochs": 6, "episodes_per_task": 2},
+        "env": {"grid_width": 6, "n_agents": 4, "max_steps": 12},
+        "evolution": {"population_size": 32, "batch_size": 8, "knn_k": 2,
+                      "adaptive_mutation": False}},
+    "ccl-one-agent-linear-still-mutation": {
+        "experiment": {"mode": "ccl", "epochs": 8, "episodes_per_task": 4},
+        "env": {"grid_width": 8, "n_agents": 1, "max_steps": 20},
+        "fitness": {"mode": "linear"},
+        "evolution": {"population_size": 32, "batch_size": 8, "knn_k": 2,
+                      "mutation_scale": 0.0}},
 }
 RESUME_AT = {"ccl-checkpoint-resume": 5}
 
@@ -47,6 +60,18 @@ EXPECTED = {
         "snapshot_epoch00010.jsonl":
             "f45abd1fab9c6cfcdc1a1a60556a996508baa31bed89caf67d6c24c665d6d5ba",
         "archive.jsonl": "44dfdeb6f20076e8ee1fed1e2361caa9c6a1fd9f157e190fa1248924af45c835",
+    },
+    "ccl-four-agents-fixed-mutation": {
+        "metrics.csv": "5d822340c3871cf10725abd29a4f570a9d6d08a989f538e5a240ebe3304d4ffa",
+        "snapshot_epoch00006.jsonl":
+            "22cceecda2811a355eb758d56162c3ba397e74cde3b5149def1a109fbb8df61f",
+        "archive.jsonl": "a2b4f79f4c68e37d1202b2e422398a5c8c056ca121de39d05b9905a0618f0be8",
+    },
+    "ccl-one-agent-linear-still-mutation": {
+        "metrics.csv": "23edbd9c50e0bd0b0243a1583b9f24571c34abbca026858fc7633a5aa1a7ede1",
+        "snapshot_epoch00008.jsonl":
+            "e684670dd69ec87df782fafd8921ab399ff49a05aab7e83bb56163e15f965aa3",
+        "archive.jsonl": "c04163291b10cd4fcc9efb117935dc7f89f0aca76303974d8bf6cf53d24b9f11",
     },
 }
 
