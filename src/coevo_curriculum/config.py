@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -124,21 +123,6 @@ _SCALARS = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
             float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
-def _plain(values: list | tuple, tp: Any) -> bool:
-    """Whether ``_coerce`` returns every one of ``values`` as it is for the item type ``tp``,
-    a scalar type or ``scalar | None``: every value is of exactly that type (or None) and
-    every float finite. False sends them through the per-element path, which converts an
-    int to a float and names the first bad element."""
-    optional = isinstance(tp, UnionType)
-    scalar = get_args(tp)[0] if optional else tp
-    allowed = {scalar, type(None)} if optional else {scalar}
-    if scalar not in _SCALARS or not set(map(type, values)) <= allowed:
-        return False
-    if scalar is not float:
-        return True
-    return all(map(math.isfinite, [v for v in values if v is not None] if optional else values))
-
-
 def _coerce(value: Any, tp: Any, where: str) -> Any:
     """Check one config or snapshot JSON value against a field type; ints pass as floats."""
     if tp in _SCALARS:
@@ -155,8 +139,6 @@ def _coerce(value: Any, tp: Any, where: str) -> Any:
         raise ConfigError(f"{where} must be a list")
     if args[-1] is not Ellipsis and len(value) != len(args):
         raise ConfigError(f"{where} must have exactly {len(args)} entries")
-    if args[-1] is Ellipsis and _plain(value, args[0]):
-        return tuple(value)
     types = [args[0]] * len(value) if args[-1] is Ellipsis else args
     return tuple([_coerce(item, item_tp, f"{where}[{index}]")
                   for index, (item, item_tp) in enumerate(zip(value, types))])

@@ -105,7 +105,7 @@ def init_population(domain: TaskDomain, population_size: int,
     goals = starts + radius * unit.reshape(starts.shape)
     blocks = np.clip(np.concatenate([starts, goals], axis=-1), 0.0, 1.0)
     return Population(active=[TaskRecord(genome, epoch_born=0, origin=ORIGIN_INIT)
-                              for genome in TaskGenome.batch(blocks, owned=True)])
+                              for genome in TaskGenome.batch(blocks)])
 
 
 def pair_generation(records: list[TaskRecord],
@@ -195,7 +195,7 @@ def crossover(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
     _draw_gates(gates[0], rng)
     children = _children(parents, np.ones(1, dtype=bool), np.array([step]), gates,
                          np.zeros((1,) + parents.shape[1:]))
-    child_a, child_b = TaskGenome.batch(children, owned=True)
+    child_a, child_b = TaskGenome.batch(children)
     return child_a, child_b
 
 
@@ -216,7 +216,7 @@ def mutate(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
     noise = np.zeros((1,) + parents.shape[1:])
     _draw_noise(gates[0], noise[0], scale, rng)
     child, = TaskGenome.batch(_children(parents, np.zeros(1, dtype=bool), np.zeros(1), gates,
-                                        noise), owned=True)
+                                        noise))
     return child
 
 
@@ -273,7 +273,7 @@ def _breed(pairs: list[tuple[TaskRecord, TaskRecord]], f_min: float, f_max: floa
     origins = [origin for c in crossed.tolist()
                for origin in ((ORIGIN_CROSS, ORIGIN_CROSS) if c else (ORIGIN_MUTATE,))]
     return [TaskRecord(genome, epoch_born=epoch_born, origin=origin)
-            for genome, origin in zip(TaskGenome.batch(blocks, owned=True), origins)]
+            for genome, origin in zip(TaskGenome.batch(blocks), origins)]
 
 
 def evolve_generation(pop: Population, params: EvolutionParams,
@@ -345,7 +345,7 @@ def advance_toward(pop: Population, target: TaskGenome, success: float) -> Popul
     step = GROWTH * success
     if step == 0.0:
         return pop
-    moved = TaskGenome.batch(blocks + step * (target.blocks - blocks), owned=True)
+    moved = TaskGenome.batch(blocks + step * (target.blocks - blocks))
     active = [TaskRecord(genome, rec.r, rec.f, rec.epoch_born, rec.origin)
               for genome, rec in zip(moved, pop.active)]
     return Population(active=active, archive=pop.archive, epoch=pop.epoch)

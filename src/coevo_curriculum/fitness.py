@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 FITNESS_MODES = ("sigmoid", "linear")
+# The largest gain whose exp(gain * |r - 0.5|) stays finite for every rate: 2 ln(float max).
+MAX_GAIN = 2.0 * math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -24,8 +27,10 @@ class FitnessParams:
     def __post_init__(self) -> None:
         if self.mode not in FITNESS_MODES:
             raise ValueError(f"fitness mode must be one of {FITNESS_MODES}, got {self.mode!r}")
-        if self.gain <= 0.0:
-            raise ValueError("gain must be positive")
+        # Checked in both modes: the fitness-shape ablation runs a linear config as sigmoid.
+        if not 0.0 < self.gain <= MAX_GAIN:
+            raise ValueError(f"gain must be positive and at most 2 ln(float max) = {MAX_GAIN!r}, "
+                             f"got {self.gain!r}")
 
     def evaluate(self, success_rate: float) -> float:
         if self.mode == "linear":

@@ -151,6 +151,11 @@ def _check_resume(config: ExperimentConfig, snapshot: Snapshot) -> None:
 
 def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> RunResult:
     """Run one experiment to completion and leave metrics, timings and snapshots on disk."""
+    # A resume's snapshot is loaded and checked first, so a refused one creates no directory.
+    resume = None
+    if config.resume_from is not None:
+        resume = load_snapshot(config.resume_from)
+        _check_resume(config, resume)
     out_dir = _prepare_run_dir(config, run_dir)
     ops: Counter[str] = Counter()
     seed = config.master_seed
@@ -158,10 +163,8 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
     evo = config.evolution
     target = config.target_genome()
 
-    resume = None
-    if config.resume_from is not None:
-        snap = resume = load_snapshot(config.resume_from)
-        _check_resume(config, snap)
+    if resume is not None:
+        snap = resume
         snapshot_path = Path(config.resume_from)
     else:
         pop = (init_population(config.domain(), evo.population_size, stream(seed, DOMAIN_INIT))
@@ -172,12 +175,11 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
                         None if pop is None else EMPTY_ARCHIVE_DIGEST)
         snapshot_path = out_dir / f"snapshot_epoch{0:05d}.jsonl"
     writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume)
-    # Written whole once (empty for a fresh run, a resume's checked lines as read), after the
-    # metrics files are checked so a rejected resume leaves it as it was; then only appended.
+    # Written whole once (empty for a fresh run, a resume's loaded generations re-encoded), after
+    # the metrics files are checked so a rejected resume leaves it as it was; then only appended.
     archive_path = out_dir / ARCHIVE_NAME
     if snap.pop is not None:
-        _start_archive(archive_path, snap.archive_lines or [])
-    snap.archive_lines = None
+        _start_archive(archive_path, snap.pop.archive)
     if resume is None:
         write_snapshot(snapshot_path, snap)
 

@@ -9,7 +9,7 @@ import math
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from pathlib import Path
@@ -29,9 +29,8 @@ class Snapshot:
     """A run's whole state after ``epoch`` epochs; a run advances one in place.
 
     A ccl run's archive lives in ``archive.jsonl`` beside its snapshots, one line per
-    generation; ``archive_digest`` chains its first ``epoch`` lines (see ``_chain``).
-    ``archive_lines`` holds those lines as ``load_snapshot`` read and checked them, so that a
-    resume writes them back without encoding them again; it is never written.
+    generation; ``archive_digest`` chains its first ``epoch`` lines (see ``_chain``), and
+    ``pop.archive`` holds the generations they encode.
     """
 
     config: ExperimentConfig
@@ -41,7 +40,6 @@ class Snapshot:
     pop: Population | None
     policy_q: np.ndarray
     archive_digest: str | None = None
-    archive_lines: list[str] | None = field(default=None, repr=False, compare=False)
 
 
 # Shared by writer and reader: the meta line's counters are Snapshot's int fields. The keys of
@@ -147,11 +145,11 @@ def _archive_line(epoch: int, records: list[TaskRecord]) -> str:
     return _ENCODE(_generation_line("archive", epoch, records)) + "\n"
 
 
-def _start_archive(path: Path, lines: list[str]) -> None:
-    """Write ``lines`` as a run's whole ``archive.jsonl``, which may be the file they were
-    read from."""
+def _start_archive(path: Path, archive: dict[int, list[TaskRecord]]) -> None:
+    """Write ``archive`` as a run's whole ``archive.jsonl``, which may be the file it was read
+    from; the reader loads only the writer's one encoding, so that gives the bytes it read."""
     with _replacing(path) as handle:
-        handle.writelines(lines)
+        handle.writelines(_archive_line(epoch, records) for epoch, records in archive.items())
 
 
 def _append_archive(path: Path, digest: str, epoch: int, records: list[TaskRecord]) -> str:
@@ -166,8 +164,7 @@ def load_snapshot(path: str | Path) -> Snapshot:
     """Read a snapshot and check it against its own stored config; any fault is a ConfigError.
 
     A ccl snapshot takes its archive from the first ``epoch`` lines of the ``archive.jsonl``
-    beside it, which must match its digest; later lines are ignored. Those lines are kept,
-    as read, in ``archive_lines``.
+    beside it, which must match its digest; later lines are ignored.
     """
     path = Path(path)
     try:
@@ -177,7 +174,7 @@ def load_snapshot(path: str | Path) -> Snapshot:
         raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
     snap = _read_snapshot(f"snapshot {path}", raw)
     if snap.pop is not None:
-        snap.pop.archive, snap.archive_lines = _read_archive(path.with_name(ARCHIVE_NAME), snap)
+        snap.pop.archive = _read_archive(path.with_name(ARCHIVE_NAME), snap)
     return snap
 
 
@@ -316,7 +313,7 @@ def _read_genomes(line: dict[str, Any], kind: str, genome_row: np.ndarray, n_age
         if (earlier := first.setdefault(raw[start:start + stride], row)) != row:
             raise ConfigError(f"{kind} genome row {row} repeats row {earlier}; each distinct "
                               "genome is stored once")
-    return TaskGenome.batch(genome.reshape(-1, n_agents, BLOCK_SIZE), owned=True)
+    return TaskGenome.batch(genome.reshape(-1, n_agents, BLOCK_SIZE))
 
 
 def _read_optional(line: dict[str, Any], kind: str, name: str, count: int
@@ -356,11 +353,9 @@ def _read_generation(line: dict[str, Any], config: ExperimentConfig, expected_ep
             in zip(genome_row.tolist(), r, f, epoch_born, origin.tolist())]
 
 
-def _read_archive(path: Path, snap: Snapshot
-                  ) -> tuple[dict[int, list[TaskRecord]], list[str]]:
-    """Generations 0 to ``snap.epoch - 1`` from the first lines of ``path``, and those lines,
-    checked against the snapshot's digest first, so another run's archive is refused
-    whatever it holds."""
+def _read_archive(path: Path, snap: Snapshot) -> dict[int, list[TaskRecord]]:
+    """Generations 0 to ``snap.epoch - 1`` from the first lines of ``path``, checked against
+    the snapshot's digest first, so another run's archive is refused whatever it holds."""
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as handle:
             lines = list(islice(handle, snap.epoch))
@@ -381,4 +376,4 @@ def _read_archive(path: Path, snap: Snapshot
             if not isinstance(line, dict) or line.get("kind") != "archive":
                 raise ConfigError("not an archive line")
             archive[expected] = _read_generation(line, snap.config, expected)
-    return archive, lines
+    return archive

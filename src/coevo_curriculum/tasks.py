@@ -12,13 +12,11 @@ UNIT_DIAMETER = math.sqrt(2.0)  # diagonal of the unit square each agent lives i
 DEFAULT_DISTANCE_THRESHOLD = 0.01 * UNIT_DIAMETER
 
 
-def _checked_blocks(blocks, ndim: int, owned: bool = False) -> np.ndarray:
+def _checked_blocks(blocks, ndim: int) -> np.ndarray:
     """``blocks`` as a read-only C-ordered float array with ``ndim`` dimensions, the last two
     (n_agents >= 1, BLOCK_SIZE), every component finite; the one genome check. It is a copy,
-    which leaves the caller's array writable, unless ``owned``: then the caller hands over an
-    array it has just built and no longer writes, and it is frozen in place when it already
-    has the right layout."""
-    arr = (np.asarray if owned else np.array)(blocks, dtype=float, order="C")
+    which leaves the caller's array writable."""
+    arr = np.array(blocks, dtype=float, order="C")
     if arr.ndim != ndim or arr.shape[-1] != BLOCK_SIZE:
         raise ValueError(f"genome blocks must have shape (n, {BLOCK_SIZE}), got {arr.shape}")
     if arr.shape[-2] < 1:
@@ -45,13 +43,11 @@ class TaskGenome:
         object.__setattr__(self, "blocks", _checked_blocks(self.blocks, 2))
 
     @classmethod
-    def batch(cls, blocks, owned: bool = False) -> list["TaskGenome"]:
+    def batch(cls, blocks) -> list["TaskGenome"]:
         """One genome per row of an ``(m, n_agents, 4)`` array, checked once as a whole with
-        the constructor's checks; the genomes' blocks are read-only views of one checked
-        array. It is a copy unless the caller hands ``blocks`` over as ``owned``: an array it
-        has just built and no longer writes, which then becomes read-only itself."""
+        the constructor's checks; the genomes' blocks are read-only views of one checked copy."""
         genomes = []
-        for rows in _checked_blocks(blocks, 3, owned):
+        for rows in _checked_blocks(blocks, 3):
             genome = object.__new__(cls)
             object.__setattr__(genome, "blocks", rows)
             genomes.append(genome)

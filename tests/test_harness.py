@@ -7,8 +7,10 @@ import hashlib
 import json
 import math
 import re
+import sys
 import textwrap
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ from coevo_curriculum.harness import (METRICS_COLUMNS, ablation_variants, evalua
 from coevo_curriculum.snapshots import EMPTY_ARCHIVE_DIGEST, Snapshot, _archive_line, _chain
 from coevo_curriculum.streams import DOMAIN_SELECT, stream
 from coevo_curriculum.tasks import TaskGenome
+from test_trajectory import WORKLOADS
+from test_trajectory import _config as _workload_config
 
 
 def _small_dict(**experiment):
@@ -140,6 +144,26 @@ def test_config_rejects_type_mismatches():
         data.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError):
             config_from_dict(data)
+
+
+def test_the_largest_finite_gain_is_accepted_and_the_next_float_refused(tmp_path, capsys):
+    largest = 2 * math.log(sys.float_info.max)
+    # Refused in both modes: the fitness-shape ablation runs a linear config as sigmoid.
+    for mode in ("sigmoid", "linear"):
+        data = _small_dict()
+        data["fitness"] = {"gain": largest, "mode": mode}
+        sigmoid = replace(config_from_dict(data).fitness, mode="sigmoid")
+        assert [sigmoid.evaluate(rate) for rate in (0.0, 0.5, 1.0)] == \
+            [5.562684646268137e-309, 0.5, 5.562684646268137e-309]
+        data["fitness"]["gain"] = math.nextafter(largest, math.inf)
+        with pytest.raises(ConfigError, match="gain must be positive and at most"):
+            config_from_dict(data)
+        config = tmp_path / f"{mode}.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / f"out-{mode}"
+        assert main(["run", "--config", str(config), "--output-dir", str(out)]) == 2
+        assert "gain must be positive and at most" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_config_errors_name_the_first_bad_element(tmp_path):
@@ -992,33 +1016,33 @@ def test_resumed_runs_write_the_files_of_an_uninterrupted_run(tmp_path):
     assert _files(run_dir) == full
 
 
-def test_a_resume_writes_the_archive_lines_it_read_without_encoding_them(tmp_path,
-                                                                         monkeypatch):
-    import coevo_curriculum.harness as harness
-    import coevo_curriculum.snapshots as snapshots
-
+def test_a_resume_writes_back_the_archive_lines_it_read(tmp_path):
     source = run_experiment(_small_config(epochs=4, snapshot_interval=1),
                             run_dir=tmp_path / "source").run_dir
     lines = (source / "archive.jsonl").read_bytes().splitlines(keepends=True)
-
-    def encode(*args):
-        raise AssertionError("a resume encodes no generation")
-
-    loaded = []
-
-    def load(path):  # a resume reads its snapshot through the name the harness imports
-        loaded.append(load_snapshot(path))
-        return loaded[-1]
-
-    monkeypatch.setattr(snapshots, "_archive_line", encode)
-    monkeypatch.setattr(harness, "load_snapshot", load)
     for epoch in (0, 2, 4):  # a resume at its snapshot's epoch runs no epoch of its own
         resume_from = str(source / f"snapshot_epoch{epoch:05d}.jsonl")
         run_dir = run_experiment(_small_config(epochs=epoch, resume_from=resume_from),
                                  run_dir=tmp_path / f"from-{epoch}").run_dir
         assert (run_dir / "archive.jsonl").read_bytes() == b"".join(lines[:epoch])
-    assert len(loaded) == 3
-    assert all(snap.archive_lines is None for snap in loaded)  # dropped once written
+
+
+@pytest.mark.parametrize("name", sorted(name for name in WORKLOADS if name.startswith("ccl")))
+def test_a_resume_into_a_new_directory_writes_the_uninterrupted_files(name, tmp_path):
+    # Four agents, one agent and zero mutation scale, where many records share a genome row:
+    # the generations a resume loaded are encoded again as the bytes it read.
+    full = run_experiment(_workload_config(name), run_dir=tmp_path / "full")
+    half = full.config.epochs // 2
+    first = run_experiment(_workload_config(name, epochs=half), run_dir=tmp_path / "first")
+    moved = run_experiment(_workload_config(name, resume_from=first.snapshot_path),
+                           run_dir=tmp_path / "moved")
+    assert moved.snapshot_path.name == full.snapshot_path.name
+    assert moved.snapshot_path.read_bytes() == full.snapshot_path.read_bytes()
+    lines = (moved.run_dir / "archive.jsonl").read_bytes().splitlines(keepends=True)
+    assert b"".join(lines) == (full.run_dir / "archive.jsonl").read_bytes()
+    rewritten = [line.decode("utf-8") for line in lines[:half]]
+    assert reduce(_chain, rewritten, EMPTY_ARCHIVE_DIGEST) == \
+        load_snapshot(first.snapshot_path).archive_digest
 
 
 def test_snapshots_hold_no_archive_and_each_epoch_appends_one_line(tmp_path, monkeypatch):
@@ -1093,6 +1117,23 @@ def test_ccl_snapshot_loads_only_with_its_runs_archive(tmp_path, capsys):
         assert list(loaded.pop.archive) == [0, 1]
         for epoch in (0, 1):
             _assert_same_records(loaded.pop.archive[epoch], expected.pop.archive[epoch])
+
+
+def test_each_epoch_born_value_is_checked_at_the_last_index(tmp_path, capsys):
+    data = _small_dict(epochs=1, snapshot_interval=1)
+    data["evolution"]["population_size"] = 64
+    run_dir = run_experiment(config_from_dict(data), run_dir=tmp_path / "run").run_dir
+    meta, active, policy = [json.loads(line) for line in
+                            (run_dir / "snapshot_epoch00001.jsonl").read_text().splitlines()]
+    archived = json.loads((run_dir / "archive.jsonl").read_text())
+    last = len(archived["epoch_born"]) - 1
+    assert last >= 63
+    for case, bad in enumerate((True, 1.0, "3", None)):
+        line = dict(archived, epoch_born=archived["epoch_born"][:-1] + [bad])
+        path = _write_archived(tmp_path / f"case-{case}", meta, active, policy, [line])
+        assert main(["eval", "--snapshot", str(path)]) == 2
+        assert f"archive.jsonl line 1: archive epoch_born[{last}] must be an integer" in \
+            capsys.readouterr().err
 
 
 def test_snapshot_with_the_full_config_in_its_meta_line_still_loads(tmp_path):
@@ -1210,11 +1251,23 @@ def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="disk full"):
         run_experiment(_small_config(epochs=4, snapshot_interval=2,
                                      resume_from=str(half.snapshot_path)), run_dir=tmp_path)
-    # Generations 0-1 are written back as read; append 2 and 3, then fail.
-    assert calls == ["archive"] * 2 + ["active"]
+    # Generations 0-1 are encoded again and written back; append 2 and 3, then fail.
+    assert calls == ["archive"] * 4 + ["active"]
     assert sorted(path.name for path in tmp_path.iterdir()) == before
     assert not (tmp_path / "snapshot_epoch00004.jsonl").exists()
     assert load_snapshot(half.snapshot_path).epoch == 2
+
+
+def test_a_refused_resume_creates_no_output_directory(tmp_path, capsys):
+    half = run_experiment(_small_config(epochs=2, snapshot_interval=2),
+                          run_dir=tmp_path / "half")
+    for name, snapshot, seed in (("missing", tmp_path / "missing.jsonl", "11"),
+                                 ("mismatched", half.snapshot_path, "12")):
+        out = tmp_path / "new" / name
+        assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)), "--seed", seed,
+                     "--resume", str(snapshot), "--output-dir", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
 
 def test_resume_rejects_mismatched_identity(tmp_path):

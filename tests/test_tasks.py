@@ -80,9 +80,9 @@ def test_genome_batch_checks_as_the_constructor_does():
         with pytest.raises(ValueError, match=message):
             TaskGenome.batch(batch)
         with pytest.raises(ValueError, match=message):
-            TaskGenome.batch(single[None].copy(), owned=True)
+            TaskGenome.batch(single[None].copy())
         with pytest.raises(ValueError, match=message):
-            TaskGenome.batch(batch.copy(), owned=True)
+            TaskGenome.batch(batch.copy())
 
 
 def test_genome_batch_gives_the_genomes_of_its_rows():
@@ -111,21 +111,11 @@ def test_genomes_leave_the_callers_array_writable():
     blocks[0, 0] = 1.0
     stack[0, 0, 0] = 1.0
     assert genome.blocks[0, 0] == 0.0 and first.blocks[0, 0] == 0.0
-
-
-def test_an_owned_array_becomes_the_genomes_without_a_copy():
-    single = np.random.default_rng(3).random((1, 2, BLOCK_SIZE))
-    genome, = TaskGenome.batch(single, owned=True)
-    assert genome.blocks.base is single and not single.flags.writeable
-    stack = np.zeros((3, 2, BLOCK_SIZE))
-    genomes = TaskGenome.batch(stack, owned=True)
-    assert all(genome.blocks.base is stack for genome in genomes)
-    assert not stack.flags.writeable
     # An array of another dtype or layout is checked in a copy that has the genome's.
     for other in (np.zeros((1, 2, BLOCK_SIZE), dtype=int), np.zeros((BLOCK_SIZE, 2, 1)).T):
-        owned, = TaskGenome.batch(other, owned=True)
-        assert owned.blocks.dtype == float and owned.blocks.flags.c_contiguous
-        assert not owned.blocks.flags.writeable and other.flags.writeable
+        copied, = TaskGenome.batch(other)
+        assert copied.blocks.dtype == float and copied.blocks.flags.c_contiguous
+        assert not copied.blocks.flags.writeable and other.flags.writeable
 
 
 def test_vector_round_trip():
