@@ -141,12 +141,82 @@ def _end_of_epoch(path: Path, header: tuple[str, ...], snap: Snapshot) -> int:
 
 
 def _check_resume(config: ExperimentConfig, snapshot: Snapshot) -> None:
-    if snapshot.config.identity_fingerprint() != config.identity_fingerprint():
-        raise ConfigError("resume snapshot was produced under a different configuration; "
-                          "seed, environment, evolution, fitness and learner settings must match")
+    stored, given = snapshot.config.identity_fingerprint(), config.identity_fingerprint()
+    for section, values in stored.items():
+        for key, value in values.items():
+            if given[section][key] != value:
+                raise ConfigError(f"resume snapshot was produced under a different configuration: "
+                                  f"{section}.{key}: {value!r} in the snapshot, "
+                                  f"{given[section][key]!r} here")
     if config.epochs < snapshot.epoch:
         raise ConfigError(f"config asks for {config.epochs} epochs but the snapshot is already "
                           f"at epoch {snapshot.epoch}")
+
+
+# A curriculum's two calls: batch(epoch) -> ((B, n_agents, 4) blocks, batch_new, batch_old),
+# observe(epoch, blocks, rates) -> active_mean_f; ``ops`` counts the operators it applied. Each
+# operator is looked up as a global of this module, where the tracer and the tests patch it.
+class _TargetCurriculum:
+    """``vanilla``: every epoch trains on batch_size copies of the target; nothing evolves."""
+
+    def __init__(self, config: ExperimentConfig, snap: Snapshot, archive_path: Path):
+        target = config.target_genome().blocks
+        self.blocks = np.broadcast_to(target, (config.evolution.batch_size,) + target.shape)
+        self.ops: Counter[str] = Counter()
+
+    def batch(self, epoch: int) -> tuple[np.ndarray, int, int]:
+        return self.blocks, 0, 0
+
+    def observe(self, epoch: int, blocks: np.ndarray, rates: list[float]) -> float:
+        return math.nan
+
+
+class _PopulationCurriculum:
+    """``ccl``: soft-selects each batch from a co-evolving task population held in
+    ``snap.pop``, and appends each closed generation to ``archive.jsonl``."""
+
+    def __init__(self, config: ExperimentConfig, snap: Snapshot, archive_path: Path):
+        self.config, self.snap, self.archive_path = config, snap, archive_path
+        self.target = config.target_genome()
+        self.ops: Counter[str] = Counter()
+        if snap.pop is None:  # a fresh run
+            snap.pop = init_population(config.domain(), config.evolution.population_size,
+                                       stream(config.master_seed, DOMAIN_INIT))
+            snap.archive_digest = EMPTY_ARCHIVE_DIGEST
+            self.ops["init_population"] += 1
+        # Written whole once (a resume's loaded generations re-encoded), then only appended.
+        _start_archive(archive_path, snap.pop.archive)
+
+    def batch(self, epoch: int) -> tuple[np.ndarray, int, int]:
+        self.selected = soft_select(self.snap.pop, self.config.evolution,
+                                    stream(self.config.master_seed, DOMAIN_SELECT, epoch - 1))
+        self.active_ids = {id(rec) for rec in self.snap.pop.active}
+        batch_new = sum(id(rec) in self.active_ids for rec in self.selected)
+        return (np.stack([rec.genome.blocks for rec in self.selected]), batch_new,
+                len(self.selected) - batch_new)
+
+    def observe(self, epoch: int, blocks: np.ndarray, rates: list[float]) -> float:
+        snap, evo, seed = self.snap, self.config.evolution, self.config.master_seed
+        fitnesses = [self.config.fitness.evaluate(rate) for rate in rates]
+        for rec, rate, fitness in zip(self.selected, rates, fitnesses):
+            if id(rec) in self.active_ids:  # an archived record keeps its archive.jsonl values
+                rec.r, rec.f = rate, fitness
+        delete_bad_tasks(snap.pop, evo.deletion_band)
+        prototypes = PrototypeSet(vectors=blocks.reshape(len(blocks), -1),
+                                  fitnesses=np.array(fitnesses, dtype=float))
+        assign_population_fitness(snap.pop.active, prototypes, evo.knn_k)
+        active_mean_f = (float(np.mean([rec.f for rec in snap.pop.active])) if snap.pop.active
+                         else math.nan)
+        snap.pop = evolve_generation(snap.pop, evo, stream(seed, DOMAIN_EVOLVE, epoch))
+        snap.pop = advance_toward(snap.pop, self.target, float(np.mean(rates)))
+        self.ops.update(EPOCH_OPERATORS)
+        closed = snap.pop.epoch - 1
+        snap.archive_digest = _append_archive(self.archive_path, snap.archive_digest, closed,
+                                              snap.pop.archive[closed])
+        return active_mean_f
+
+
+CURRICULA = {"ccl": _PopulationCurriculum, "vanilla": _TargetCurriculum}
 
 
 def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> RunResult:
@@ -157,74 +227,36 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
         resume = load_snapshot(config.resume_from)
         _check_resume(config, resume)
     out_dir = _prepare_run_dir(config, run_dir)
-    ops: Counter[str] = Counter()
     seed = config.master_seed
     env_cfg = config.env
-    evo = config.evolution
     target = config.target_genome()
 
-    if resume is not None:
-        snap = resume
-        snapshot_path = Path(config.resume_from)
-    else:
-        pop = (init_population(config.domain(), evo.population_size, stream(seed, DOMAIN_INIT))
-               if config.mode == "ccl" else None)
-        if pop is not None:
-            ops["init_population"] += 1
-        snap = Snapshot(config, 0, 0, 0, pop, np.zeros(env_cfg.q_shape),
-                        None if pop is None else EMPTY_ARCHIVE_DIGEST)
-        snapshot_path = out_dir / f"snapshot_epoch{0:05d}.jsonl"
+    snap = (resume if resume is not None
+            else Snapshot(config, 0, 0, 0, None, np.zeros(env_cfg.q_shape)))
     writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume)
-    # Written whole once (empty for a fresh run, a resume's loaded generations re-encoded), after
-    # the metrics files are checked so a rejected resume leaves it as it was; then only appended.
-    archive_path = out_dir / ARCHIVE_NAME
-    if snap.pop is not None:
-        _start_archive(archive_path, snap.pop.archive)
+    # Set up after the metrics files are checked, so a refused resume leaves its archive as it was.
+    curriculum = CURRICULA[config.mode](config, snap, out_dir / ARCHIVE_NAME)
+    snapshot_path = (Path(config.resume_from) if resume is not None
+                     else out_dir / f"snapshot_epoch{0:05d}.jsonl")
     if resume is None:
         write_snapshot(snapshot_path, snap)
 
     metrics: list[EpochMetrics] = []
     for epoch in range(snap.epoch + 1, config.epochs + 1):
         tic = time.perf_counter()
-        # The batch's (B, n_agents, 4) genome blocks, for training and as KNN prototypes.
-        blocks = np.broadcast_to(target.blocks, (evo.batch_size,) + target.blocks.shape)
-        batch_new = batch_old = 0
-        active_mean_f = math.nan
-        if snap.pop is not None:  # ccl
-            batch = soft_select(snap.pop, evo, stream(seed, DOMAIN_SELECT, epoch - 1))
-            active_ids = {id(rec) for rec in snap.pop.active}
-            batch_new = sum(id(rec) in active_ids for rec in batch)
-            batch_old = len(batch) - batch_new
-            blocks = np.stack([rec.genome.blocks for rec in batch])
+        blocks, batch_new, batch_old = curriculum.batch(epoch)
         successes, env_steps = train_on_tasks(
             blocks, snap.policy_q, config.learner, config.learner.epsilon_at(epoch),
             config.episodes_per_task, env_cfg, stream(seed, DOMAIN_TRAIN, epoch))
         snap.episodes_total += len(blocks) * config.episodes_per_task
         snap.env_steps_total += int(env_steps.sum())
         rates = (successes / config.episodes_per_task).tolist()
-        batch_mean_r = float(np.mean(rates))
-
-        if snap.pop is not None:
-            fitnesses = [config.fitness.evaluate(rate) for rate in rates]
-            for rec, rate, fitness in zip(batch, rates, fitnesses):
-                if id(rec) in active_ids:  # an archived record keeps its archive.jsonl values
-                    rec.r, rec.f = rate, fitness
-            delete_bad_tasks(snap.pop, evo.deletion_band)
-            prototypes = PrototypeSet(vectors=blocks.reshape(len(batch), -1),
-                                      fitnesses=np.array(fitnesses, dtype=float))
-            assign_population_fitness(snap.pop.active, prototypes, evo.knn_k)
-            if snap.pop.active:
-                active_mean_f = float(np.mean([rec.f for rec in snap.pop.active]))
-            snap.pop = evolve_generation(snap.pop, evo, stream(seed, DOMAIN_EVOLVE, epoch))
-            snap.pop = advance_toward(snap.pop, target, batch_mean_r)
-            ops.update(EPOCH_OPERATORS)
-            closed = snap.pop.epoch - 1
-            snap.archive_digest = _append_archive(archive_path, snap.archive_digest, closed,
-                                                  snap.pop.archive[closed])
+        active_mean_f = curriculum.observe(epoch, blocks, rates)
 
         target_success = evaluate_target(snap.policy_q, target, env_cfg)
-        row = EpochMetrics(epoch=epoch, target_success=target_success, batch_mean_r=batch_mean_r,
-                           active_mean_f=active_mean_f, batch_new=batch_new, batch_old=batch_old,
+        row = EpochMetrics(epoch=epoch, target_success=target_success,
+                           batch_mean_r=float(np.mean(rates)), active_mean_f=active_mean_f,
+                           batch_new=batch_new, batch_old=batch_old,
                            episodes_total=snap.episodes_total,
                            env_steps_total=snap.env_steps_total,
                            wall_clock_seconds=time.perf_counter() - tic)
@@ -242,7 +274,7 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
     return RunResult(config=config, final_target_success=final_rate, metrics=metrics,
                      run_dir=out_dir, metrics_path=writer.metrics_path,
                      timings_path=writer.timings_path, snapshot_path=snapshot_path,
-                     evolution_ops=ops)
+                     evolution_ops=curriculum.ops)
 
 
 def evaluate_snapshot(snapshot_path: str | Path) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from coevo_curriculum.cli import main
-from coevo_curriculum.config import (DEFAULT_OUTPUT_DIR, OUTPUT_DIR_ENV, ConfigError,
+from coevo_curriculum.config import (DEFAULT_OUTPUT_DIR, MODES, OUTPUT_DIR_ENV, ConfigError,
                                      ExperimentConfig, apply_overrides, config_from_dict,
                                      default_config, load_config)
 from coevo_curriculum.evolution import Population, TaskRecord
@@ -346,6 +346,40 @@ def test_vanilla_run_never_touches_evolution(tmp_path, monkeypatch):
         assert row[3] == "nan"
         assert row[4] == "0" and row[5] == "0"
     assert [int(row[6]) for row in rows[1:]] == [8, 16, 24, 32]  # same budget as ccl
+
+
+# The names each epoch calls, as the tracer and these tests patch them: harness globals.
+CCL_EPOCH = ["soft_select", "train_on_tasks", "delete_bad_tasks", "assign_population_fitness",
+             "evolve_generation", "advance_toward", "_append_archive", "evaluate_target"]
+VANILLA_EPOCH = ["train_on_tasks", "evaluate_target"]
+
+
+@pytest.mark.parametrize("mode, fresh, resumed, epoch_calls", [
+    ("ccl", ["init_population", "_start_archive"], ["load_snapshot", "_start_archive"], CCL_EPOCH),
+    ("vanilla", [], ["load_snapshot"], VANILLA_EPOCH)])
+def test_each_epoch_calls_its_operators_in_order_through_harness_names(
+        tmp_path, monkeypatch, mode, fresh, resumed, epoch_calls):
+    import coevo_curriculum.harness as harness
+
+    assert tuple(harness.CURRICULA) == MODES
+    calls = []
+
+    def recording(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in {"load_snapshot", "write_snapshot", "init_population", "_start_archive",
+                 *CCL_EPOCH}:
+        monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
+    half = run_experiment(_small_config(mode=mode, epochs=2, snapshot_interval=2),
+                          run_dir=tmp_path / "half")
+    assert calls == fresh + ["write_snapshot"] + epoch_calls * 2 + ["write_snapshot"]
+    calls.clear()
+    run_experiment(_small_config(mode=mode, epochs=3, resume_from=str(half.snapshot_path)),
+                   run_dir=tmp_path / "resumed")
+    assert calls == resumed + epoch_calls + ["write_snapshot"]
 
 
 def test_zero_epoch_run_leaves_header_and_initial_snapshot(tmp_path):
@@ -1309,6 +1343,23 @@ def test_resume_rejects_mismatched_identity(tmp_path):
         with pytest.raises(ConfigError, match="shape"):
             run_experiment(_small_config(epochs=4, resume_from=str(bad)),
                            run_dir=tmp_path / f"bad-{name}")
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("mode", "vanilla", "experiment.mode: 'ccl' in the snapshot, 'vanilla' here"),
+    ("master_seed", 12, "experiment.master_seed: 11 in the snapshot, 12 here"),
+    ("episodes_per_task", 3, "experiment.episodes_per_task: 2 in the snapshot, 3 here")])
+def test_a_refused_resume_names_the_setting_that_differs(tmp_path, capsys, key, value, named):
+    half = run_experiment(_small_config(epochs=2, snapshot_interval=2),
+                          run_dir=tmp_path / "half")
+    with pytest.raises(ConfigError, match="different configuration") as refused:
+        run_experiment(_small_config(epochs=4, resume_from=str(half.snapshot_path),
+                                     **{key: value}), run_dir=tmp_path / "resumed")
+    assert str(refused.value).endswith(named)
+    assert main(["run", "--config", str(_write_config(tmp_path, epochs=4, **{key: value})),
+                 "--resume", str(half.snapshot_path),
+                 "--output-dir", str(tmp_path / "cli")]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_resume_rejects_backward_epoch_target(tmp_path):
