@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -22,6 +23,7 @@ from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, st
 from .trainer import evaluate_target, train_on_tasks
 
 TIMINGS_COLUMNS = ("epoch", "wall_clock_seconds")
+_SNAPSHOT_EPOCH = re.compile(r"snapshot_epoch(\d+)\.jsonl")
 # The evolution operators a ccl epoch applies, once each, as RunResult.evolution_ops counts them.
 EPOCH_OPERATORS = ("soft_select", "delete_bad_tasks", "assign_population_fitness",
                    "evolve_generation", "advance_toward")
@@ -66,7 +68,8 @@ class RunResult:
 
 def _prepare_run_dir(config: ExperimentConfig, run_dir: Path | None) -> Path:
     """The run's output directory, created if missing. A fresh run refuses a directory that
-    holds another run's files, before it touches anything; only a resume continues there."""
+    holds another run's files, and a resume one that holds a snapshot past the resume's last
+    epoch, before either touches anything; only a resume continues there."""
     out = run_dir if run_dir is not None else config.resolved_output_dir()
     if config.resume_from is None and out.is_dir():
         found = sorted(path.name for path in out.iterdir()
@@ -75,6 +78,16 @@ def _prepare_run_dir(config: ExperimentConfig, run_dir: Path | None) -> Path:
         if found:
             raise ConfigError(f"output directory {out} already holds another run's files "
                               f"({', '.join(found)}); choose a new directory or resume")
+    elif out.is_dir():
+        # A resume rewrites the archive and metrics rows past its snapshot, so a snapshot
+        # past its last epoch would be left pointing at lines that are gone.
+        newest, name = max(((int(match[1]), path.name) for path in out.iterdir()
+                            if (match := _SNAPSHOT_EPOCH.fullmatch(path.name))), default=(0, ""))
+        if newest > config.epochs:
+            raise ConfigError(f"output directory {out} holds {name}, past epoch {config.epochs} "
+                              f"where this resume ends, which would leave it unreadable; resume "
+                              f"to epoch {newest} or later (--epochs) or into a new directory "
+                              f"(--output-dir)")
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"

@@ -10,7 +10,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gridworld import EnvConfig, GridSpread, N_ACTIONS, _successors, obs_index
+from .gridworld import MOVES, EnvConfig, GridSpread, N_ACTIONS, obs_index
 from .tasks import TaskGenome, _checked_blocks, grid_cells
 
 
@@ -115,20 +115,11 @@ def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable,
 
 @cache
 def _successor_table(width: int) -> np.ndarray:
-    """``gridworld._successors`` over flat cells ``x * width + y``: shape (width^2, N_ACTIONS)."""
-    successors = _successors(width)
-    table = np.array([[x * width + y for x, y in successors[cell]] for cell in sorted(successors)],
-                     dtype=np.int32)
-    table.setflags(write=False)
-    return table
-
-
-@cache
-def _cell_moves(width: int) -> np.ndarray:
-    """``_successor_table(width)`` flat and times N_ACTIONS, as intp: entry ``cell *
-    N_ACTIONS + action`` is the successor cell times N_ACTIONS, so a walk over such cells
-    adds an action and takes the next one, with no multiply per step."""
-    table = (_successor_table(width) * N_ACTIONS).astype(np.intp).reshape(-1)
+    """``move_cell`` of every flat cell ``x * width + y`` under each action, as flat cells:
+    shape (width^2, N_ACTIONS), int32."""
+    x, y = np.divmod(np.arange(width * width, dtype=np.int32)[:, None], width)
+    dx, dy = np.array(MOVES, dtype=np.int32).T
+    table = np.clip(x + dx, 0, width - 1) * width + np.clip(y + dy, 0, width - 1)
     table.setflags(write=False)
     return table
 
@@ -146,24 +137,26 @@ def _start_and_goal_cells(blocks, env_cfg: EnvConfig) -> tuple[np.ndarray, np.nd
     return (cells[..., 0::2] * width + cells[..., 1::2]).transpose(2, 0, 1)
 
 
-def _lane_tables(goals: np.ndarray,
+def _lane_tables(starts: np.ndarray, goals: np.ndarray,
                  env_cfg: EnvConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Tables over the rows ``(task * n_agents + agent) * n_cells + cell`` of a batch whose
-    agents have the flat goal cells ``goals`` (tasks, agents). A lane's goals are fixed, so
-    a row stands for its agent's cell and goal offset at once. Returns: the ``obs_index`` of
-    every (task, agent, cell); the first row of each (task, agent); each row's successor
-    under each action, flat over ``row * N_ACTIONS + action`` (int32 keeps it small); and
-    whether a row is its agent's goal cell."""
+    agents start on the flat cells ``starts`` and have the flat goal cells ``goals`` (tasks,
+    agents). A lane's goals are fixed, so a row stands for its agent's cell and goal offset
+    at once. Returns: each row's row in ``q.reshape(-1, N_ACTIONS)``, ``agent * n_states +
+    obs_index``; the start row of each (task, agent), as intp; each row's successor under
+    each action, flat over ``row * N_ACTIONS + action`` (int32 keeps it small); and whether
+    a row is its agent's goal cell."""
     width = env_cfg.grid_width
     n_cells = width * width
     # obs_index broadcasts over coordinate arrays.
     cell_x, cell_y = np.divmod(np.arange(n_cells, dtype=np.int32), width)
     goal_x, goal_y = np.divmod(goals[..., None], width)
-    offsets = obs_index((cell_x, cell_y), (goal_x, goal_y), env_cfg)
+    q_row = (obs_index((cell_x, cell_y), (goal_x, goal_y), env_cfg)
+             + np.arange(env_cfg.n_agents)[:, None] * env_cfg.n_states).reshape(-1)
     first = np.arange(0, goals.size * n_cells, n_cells, dtype=np.int32)
     successor = (first[:, None, None] + _successor_table(width)).reshape(-1)
     on_goal = (np.arange(n_cells) == goals[..., None]).reshape(-1)
-    return offsets, first.reshape(goals.shape), successor, on_goal
+    return q_row, (first.reshape(goals.shape) + starts).astype(np.intp), successor, on_goal
 
 
 # _PICK[code + g] is the action of an agent with the step's code (see train_on_tasks) and
@@ -226,9 +219,10 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
 
     if not np.count_nonzero(q.view(np.uint64)):  # the pre-pass (see above)
         # Every episode's actions step by step, and the cells they lead to as cell *
-        # N_ACTIONS (see _cell_moves): (max_steps, tasks * episodes, agents) each.
+        # N_ACTIONS: (max_steps, tasks * episodes, agents) each. cell_moves maps cell *
+        # N_ACTIONS + action to the successor times N_ACTIONS, so a step has no multiply.
         moves = _PICK.take(code.reshape(-1, max_steps, n_agents).transpose(1, 0, 2))
-        cell_moves = _cell_moves(width)
+        cell_moves = (_successor_table(width) * N_ACTIONS).astype(np.intp).reshape(-1)
         walk = np.empty(moves.shape, cell_moves.dtype)
         here = np.repeat(starts * N_ACTIONS, episodes_per_task, axis=0)
         for actions, cells in zip(moves, walk):
@@ -244,10 +238,11 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
         if not np.count_nonzero(on_goals):
             # no episode met its goals, so every one met the step cap and q keeps its bits
             return np.zeros(n_tasks, int), np.full(n_tasks, episodes_per_task * max_steps)
-    offsets, first, successor, on_goal = _lane_tables(goals, env_cfg)
-    agents = np.arange(n_agents, dtype=np.int32)[:, None]
-    # Private tables over the rows of _lane_tables.
-    private = q[agents, offsets].reshape(-1, N_ACTIONS)
+    q_row, start, successor, on_goal = _lane_tables(starts, goals, env_cfg)
+    # Private tables over the rows of _lane_tables. q_rows is a copy if q is not contiguous;
+    # the replay writes all of it back into q.
+    q_rows = q.reshape(-1, N_ACTIONS)
+    private = q_rows.take(q_row, axis=0)
     values = private.reshape(-1)
 
     # The state of the live lanes, one entry (or row of agents) each: the private rows of
@@ -255,7 +250,7 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
     # cap there and the end of its last episode. ``left`` counts down to the first
     # iteration at which a lane may meet its cap. ``draw`` and ``stop`` are changed in
     # place; the arrays in ``records`` never are.
-    row = start = first + starts
+    row = start
     draw = np.arange(0, n_tasks * episodes_per_task * max_steps, max_steps * episodes_per_task)
     stop, end = draw + max_steps, draw + episodes_per_task * max_steps
     left = max_steps
@@ -295,7 +290,7 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
                 left = int(np.minimum.reduce(stop - draw))
 
     # Task 0's shared updates are lane 0's private ones, made from the same values.
-    q[agents, offsets[0]] = private[:n_agents * n_cells].reshape(n_agents, n_cells, N_ACTIONS)
+    q_rows[q_row[:n_agents * n_cells]] = private[:n_agents * n_cells]
     del private, values, successor
     indices, next_rows, wins = (np.concatenate(column) for column in zip(*records))
     del records
@@ -306,13 +301,11 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
     # agents in order; one task's updates at a time keep the Python lists small.
     order = np.argsort(lanes, kind="stable")[steps[0]:]
     private_rows, picks = np.divmod(indices[order], N_ACTIONS)
-    # Each private row's row in q.reshape(-1, N_ACTIONS).
-    shared_row = (offsets + agents * env_cfg.n_states).reshape(-1)
-    rows = shared_row.take(private_rows).ravel()
-    next_rows = shared_row.take(next_rows[order]).ravel()
+    rows = q_row.take(private_rows).ravel()
+    next_rows = q_row.take(next_rows[order]).ravel()
     picks = picks.ravel()
     wins = np.repeat(wins[order], n_agents)
-    shared = q.reshape(-1, N_ACTIONS).tolist()
+    shared = q_rows.tolist()
     bounds = np.cumsum(steps[1:]) * n_agents
     for lo, hi in zip((bounds - steps[1:] * n_agents).tolist(), bounds.tolist()):
         # One lookup for both: itemgetter returns a bare item for a single key.
@@ -331,7 +324,7 @@ def greedy_success(q: np.ndarray, blocks, env_cfg: EnvConfig) -> np.ndarray:
     The environment is deterministic and a greedy episode draws no random numbers, so one
     episode per task gives its exact success rate: task b's is that of ``rollout`` without
     draws. The tasks are lanes that step together, at most ``max_steps`` times. Each step,
-    every live lane reads ``q[agents, offsets]`` at its agents' current cells, takes each
+    every live lane reads the rows of ``q`` at its agents' current cells, takes each
     row's first action of highest value, moves, and tests its goals. A lane stops when it
     wins, or when no agent moved. The second stop is exact: an agent's greedy action
     depends only on its cell, its fixed goal and ``q``, so a step that leaves every cell
@@ -342,14 +335,12 @@ def greedy_success(q: np.ndarray, blocks, env_cfg: EnvConfig) -> np.ndarray:
     won = np.zeros(len(starts), bool)
     if not len(starts):
         return won
-    offsets, first, successor, on_goal = _lane_tables(goals, env_cfg)
-    # q[agents, offsets] is q_rows[q_row], over the rows of _lane_tables. Rows are intp, so
-    # that each step's arithmetic stays in one dtype.
+    q_row, row, successor, on_goal = _lane_tables(starts, goals, env_cfg)
     q_rows = q.reshape(-1, N_ACTIONS)
-    q_row = (offsets + np.arange(env_cfg.n_agents)[:, None] * env_cfg.n_states).reshape(-1)
+    # Rows are intp, so that each step's arithmetic stays in one dtype.
     successor = successor.astype(np.intp)
     # The live lanes, one entry (or row of agents) each: the task and its agents' rows.
-    lanes, row = np.arange(len(starts)), (first + starts).astype(np.intp)
+    lanes = np.arange(len(starts))
     for _ in range(env_cfg.max_steps):
         greedy = q_rows.take(q_row.take(row), axis=0).argmax(axis=2)
         next_row = successor.take(row * N_ACTIONS + greedy)

@@ -1485,6 +1485,37 @@ def test_cli_fresh_run_into_a_used_directory_exits_with_two(tmp_path, capsys):
                  "--epochs", "4", "--resume", str(out / "snapshot_epoch00003.jsonl")]) == 0
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_cli_a_resume_in_place_that_would_orphan_later_snapshots_exits_with_two(
+        mode, tmp_path, capsys):
+    config = str(_write_config(tmp_path, mode=mode, snapshot_interval=1))
+    out = tmp_path / "rd"
+    assert main(["run", "--config", config, "--output-dir", str(out), "--epochs", "5"]) == 0
+    before = _contents(out)
+    rewind = ["run", "--config", config, "--output-dir", str(out),
+              "--resume", str(out / "snapshot_epoch00002.jsonl")]
+    assert main(rewind + ["--epochs", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "snapshot_epoch00005.jsonl" in err and "--epochs" in err and "--output-dir" in err
+    assert _contents(out) == before
+    # The refused resume left both later snapshots readable, and a resume that reaches the
+    # newest one rewrites the run's own files.
+    for name in ("snapshot_epoch00004.jsonl", "snapshot_epoch00005.jsonl"):
+        assert main(["eval", "--snapshot", str(out / name)]) == 0
+    assert main(rewind + ["--epochs", "5"]) == 0
+    assert _files(out) == {name: data for name, data in before.items() if name != "timings.csv"}
+
+
+def test_cli_run_into_an_output_path_that_is_a_file_exits_with_two(tmp_path, capsys):
+    # chmod cannot make a directory unwritable for root; a regular file in its place can.
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"not a directory\n")
+    assert main(["run", "--config", str(_write_config(tmp_path, epochs=1)),
+                 "--output-dir", str(blocker)]) == 2
+    assert "is not writable" in capsys.readouterr().err
+    assert blocker.read_bytes() == b"not a directory\n"
+
+
 def test_cli_failures_exit_with_two(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     bad = tmp_path / "bad.json"

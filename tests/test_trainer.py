@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from coevo_curriculum.config import config_from_dict
-from coevo_curriculum.gridworld import EnvConfig, GridSpread, MOVES, N_ACTIONS, obs_index
+from coevo_curriculum.gridworld import (EnvConfig, GridSpread, MOVES, N_ACTIONS, move_cell,
+                                        obs_index)
 from coevo_curriculum.harness import run_experiment
 from coevo_curriculum.snapshots import load_snapshot
 from coevo_curriculum.streams import stream
 from coevo_curriculum.tasks import TaskGenome, opposite_corner_target
-from coevo_curriculum.trainer import (LearnerParams, PolicyTable, evaluate_target,
+from coevo_curriculum.trainer import (LearnerParams, PolicyTable, _lane_tables,
+                                      _start_and_goal_cells, _successor_table, evaluate_target,
                                       greedy_success, rollout, train_on_tasks)
 
 PARAMS = LearnerParams()
@@ -669,3 +671,52 @@ def test_a_broadcast_block_stack_trains_as_its_stacked_copy(goals, reachable):
             assert counts.dtype == oracle.dtype and np.array_equal(counts, oracle)
         assert q_view.tobytes() == q_copy.tobytes()
     assert q_view.any() == reachable  # a team reward was found, or the pre-pass decided both
+
+
+@pytest.mark.parametrize("width", [2, 3, 12])
+def test_the_successor_table_is_move_cell_on_every_cell_and_action(width):
+    table = _successor_table(width)
+    assert table.shape == (width * width, N_ACTIONS) and table.dtype == np.int32
+    for x in range(width):
+        for y in range(width):
+            for action in range(N_ACTIONS):
+                assert divmod(int(table[x * width + y, action]), width) == move_cell(
+                    (x, y), action, width)
+
+
+@pytest.mark.parametrize("n_agents", [1, 3])
+def test_the_lane_tables_map_every_row_to_its_agent_and_goal_offset(n_agents):
+    cfg = EnvConfig(grid_width=4, n_agents=n_agents, max_steps=5)
+    blocks = np.random.default_rng(n_agents).random((5, n_agents, 4))
+    starts, goals = _start_and_goal_cells(blocks, cfg)
+    assert len(set(goals.ravel().tolist())) > 1  # the lanes' goals differ
+    q_row, start, successor, on_goal = _lane_tables(starts, goals, cfg)
+    n_cells = 16
+    assert q_row.shape == on_goal.shape == (5 * n_agents * n_cells,)
+    assert start.dtype == np.intp and successor.dtype == np.int32
+    for task in range(5):
+        for agent in range(n_agents):
+            first = (task * n_agents + agent) * n_cells
+            assert start[task, agent] == first + starts[task, agent]
+            goal = divmod(int(goals[task, agent]), 4)
+            for cell in range(n_cells):
+                row = first + cell
+                assert q_row[row] == agent * cfg.n_states + obs_index(divmod(cell, 4), goal, cfg)
+                assert on_goal[row] == (cell == goals[task, agent])
+                assert successor[row * N_ACTIONS:(row + 1) * N_ACTIONS].tolist() == (
+                    first + _successor_table(4)[cell]).tolist()
+
+
+def test_a_non_contiguous_q_trains_as_its_contiguous_copy():
+    cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=6)
+    tasks = _random_batch(cfg, 5, seed=8)
+    q_c = np.round(np.random.default_rng(9).random(cfg.q_shape), 1)
+    q_f = np.asfortranarray(q_c)
+    assert not q_f.flags.c_contiguous
+    for epoch in range(2):
+        got = _train(tasks, q_f, PARAMS, 0.5, 3, cfg, _rng(40 + epoch))
+        expected = _train(tasks, q_c, PARAMS, 0.5, 3, cfg, _rng(40 + epoch))
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert np.array_equal(q_f.view("<u8"), q_c.view("<u8"))
+    assert greedy_success(q_f, _blocks(tasks), cfg).tolist() == greedy_success(
+        q_c, _blocks(tasks), cfg).tolist()
