@@ -1,7 +1,7 @@
 """Co-evolutionary task curricula for sparse-reward cooperative grid worlds."""
 
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
-from .evolution import (EvolutionParams, Population, TaskRecord, advance_toward,
+from .evolution import (EvolutionParams, Generation, Population, TaskRecord, advance_toward,
                         assign_population_fitness, crossover, crossover_step, delete_bad_tasks,
                         evolve_generation, init_population, mutate, pair_generation,
                         sample_direction, soft_select)

@@ -16,6 +16,7 @@ ORIGIN_CROSS = "cross"
 ORIGIN_MUTATE = "mutate"
 # Every origin a record can have; a snapshot stores each record's as its index here.
 ORIGINS = (ORIGIN_INIT, ORIGIN_CROSS, ORIGIN_MUTATE)
+_ORIGIN_CODES = {origin: code for code, origin in enumerate(ORIGINS)}
 
 # Share of each active genome's remaining gap to the target that one epoch
 # closes at full batch success (see advance_toward).
@@ -42,20 +43,89 @@ class TaskRecord:
         return TaskRecord(self.genome, None, self.f, self.epoch_born, self.origin)
 
 
+def _listed(index: np.ndarray, values: np.ndarray, i: int) -> float | None:
+    """Record ``i``'s value in a column that lists its non-null values at the rising
+    positions ``index``; None when it is not listed."""
+    at = int(np.searchsorted(index, i))
+    return float(values[at]) if at < index.size and index[at] == i else None
+
+
+@dataclass(eq=False, slots=True)
+class Generation:
+    """A closed generation as the columns of its archive line (see ``snapshots``), so that
+    no object stands for an archived record until one is asked for.
+
+    ``genome`` holds each distinct genome once, ``(rows, n_agents, 4)``, in order of first
+    use, and ``genome_row`` each record's row in it; ``r`` and ``f`` hold the non-null values
+    of the records listed, rising, in ``r_index`` and ``f_index``; ``epoch_born`` and
+    ``origin`` (an index into ``ORIGINS``) hold one value per record.
+    """
+
+    genome: np.ndarray
+    genome_row: np.ndarray
+    r_index: np.ndarray
+    r: np.ndarray
+    f_index: np.ndarray
+    f: np.ndarray
+    epoch_born: np.ndarray
+    origin: np.ndarray
+    handed: dict[int, TaskRecord] = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def of(cls, records: list[TaskRecord]) -> "Generation":
+        """The columns of ``records``, their genomes compared on their bits, so that refill
+        clones and zero-step children take their parent's row."""
+        rows: dict[bytes, int] = {}
+        genome_row = [rows.setdefault(rec.genome.blocks.tobytes(), len(rows)) for rec in records]
+        shape = (len(rows),) + (records[0].genome.blocks.shape if records else (0, BLOCK_SIZE))
+        listed = {}
+        for name in ("r", "f"):
+            values = [getattr(rec, name) for rec in records]
+            index = [i for i, value in enumerate(values) if value is not None]
+            listed |= {f"{name}_index": np.array(index, dtype=np.uint32),
+                       name: np.array([values[i] for i in index], dtype=float)}
+        return cls(np.frombuffer(b"".join(rows), dtype=float).reshape(shape),
+                   np.array(genome_row, dtype=np.uint32), **listed,
+                   epoch_born=np.array([rec.epoch_born for rec in records], dtype=np.int64),
+                   origin=np.array([_ORIGIN_CODES[rec.origin] for rec in records],
+                                   dtype=np.uint8))
+
+    def __len__(self) -> int:
+        return self.genome_row.size
+
+    def record(self, i: int) -> TaskRecord:
+        """Record ``i``, built the first time it is asked for and kept, so that every call
+        gives the same object; it holds the values of the generation's line."""
+        rec = self.handed.get(i)
+        if rec is None:
+            rec = self.handed[i] = TaskRecord(
+                TaskGenome(self.genome[self.genome_row[i]]), _listed(self.r_index, self.r, i),
+                _listed(self.f_index, self.f, i), int(self.epoch_born[i]),
+                ORIGINS[self.origin[i]])
+        return rec
+
+    def records(self) -> list[TaskRecord]:
+        """Every record, in order, each as ``record`` gives it."""
+        return [self.record(i) for i in range(len(self))]
+
+
 @dataclass
 class Population:
-    """Active generation plus an archive of every earlier record, by generation."""
+    """Active generation plus an archive of every earlier one, by the epoch it closed in.
+
+    ``retired`` holds the records ``delete_bad_tasks`` took out of the active generation;
+    ``evolve_generation`` archives them ahead of the rest when the generation closes.
+    """
 
     active: list[TaskRecord]
-    archive: dict[int, list[TaskRecord]] = field(default_factory=dict)
+    archive: dict[int, Generation] = field(default_factory=dict)
     epoch: int = 0
+    retired: list[TaskRecord] = field(default_factory=list)
 
     def archived_records(self) -> list[TaskRecord]:
-        """Archive pooled across generations, in stable (generation, insertion) order."""
-        pooled: list[TaskRecord] = []
-        for epoch in sorted(self.archive):
-            pooled.extend(self.archive[epoch])
-        return pooled
+        """Archive pooled across generations, in stable (generation, insertion) order; the
+        objects ``soft_select`` hands out for the same records."""
+        return [rec for epoch in sorted(self.archive) for rec in self.archive[epoch].records()]
 
 
 @dataclass(frozen=True)
@@ -222,14 +292,14 @@ def mutate(pair: tuple[TaskRecord, TaskRecord], f_min: float, f_max: float,
 
 def delete_bad_tasks(pop: Population, band: tuple[float, float]) -> None:
     """Retire every active record measured this epoch whose success rate lies
-    outside the band (edges inclusive) to the current-epoch archive bucket, in
-    active order; unmeasured records stay.  Nothing is discarded.
+    outside the band (edges inclusive) to ``pop.retired``, in active order;
+    unmeasured records stay.  Nothing is discarded: the generation's archive
+    line holds them when it closes.
     """
     low, high = band
     keep = [rec.r is None or low <= rec.r <= high for rec in pop.active]
     if not all(keep):
-        pop.archive.setdefault(pop.epoch, []).extend(
-            rec for rec, kept in zip(pop.active, keep) if not kept)
+        pop.retired.extend(rec for rec, kept in zip(pop.active, keep) if not kept)
         pop.active = list(compress(pop.active, keep))
 
 
@@ -278,20 +348,23 @@ def _breed(pairs: list[tuple[TaskRecord, TaskRecord]], f_min: float, f_max: floa
 
 def evolve_generation(pop: Population, params: EvolutionParams,
                       rng: np.random.Generator) -> Population:
-    """Produce the next generation and retire the current one to the archive.
+    """Produce the next generation and close the current one into the archive: its
+    retired records, then its active ones, as one ``Generation``.
 
     Each pair yields either a crossover child pair (coin > 0.5) or one
     mutation child.  The next generation keeps children first, then fills up to
     population_size with unmeasured copies of the parents, fittest first, then
     of the children, repeating both lists as often as needed.
     """
+    if pop.epoch in pop.archive:
+        raise ValueError(f"generation {pop.epoch} is archived already")
     active = pop.active
     if not active:
         # Every task left the difficulty band at once.  Rather than dying out,
-        # breed from fresh copies of the latest archived generation.
-        if not pop.archive:
+        # breed from fresh copies of the latest retired or archived generation.
+        if not (pop.retired or pop.archive):
             raise ValueError("cannot evolve an empty population with an empty archive")
-        latest = pop.archive[max(pop.archive)]
+        latest = pop.retired or pop.archive[max(pop.archive)].records()
         active = [rec.clone() for rec in latest]
     if any(rec.f is None for rec in active):
         raise ValueError("every active record needs fitness before evolving")
@@ -317,12 +390,9 @@ def evolve_generation(pop: Population, params: EvolutionParams,
     refill = islice(cycle(ranked + children), params.population_size - len(next_active))
     next_active.extend(rec.clone() for rec in refill)
 
-    archive = dict(pop.archive)
-    bucket = list(archive.get(pop.epoch, []))
     # pop.active, not the breeding stock: rebreeding clones never started life
     # as real generation members, their originals are archived already.
-    bucket.extend(pop.active)
-    archive[pop.epoch] = bucket
+    archive = pop.archive | {pop.epoch: Generation.of(pop.retired + pop.active)}
     return Population(active=next_active, archive=archive, epoch=next_epoch)
 
 
@@ -333,7 +403,7 @@ def advance_toward(pop: Population, target: TaskGenome, success: float) -> Popul
     advances only as fast as the team masters it and holds still at 0.  Each
     move is a convex combination of two points in the box, so genomes stay
     in the domain.  Records keep their measurement, origin and birth epoch;
-    the archive is shared as it is.
+    the archive and the retired records are shared as they are.
     """
     if not 0.0 <= success <= 1.0:
         raise ValueError("success must lie in [0, 1]")
@@ -348,7 +418,7 @@ def advance_toward(pop: Population, target: TaskGenome, success: float) -> Popul
     moved = TaskGenome.batch(blocks + step * (target.blocks - blocks))
     active = [TaskRecord(genome, rec.r, rec.f, rec.epoch_born, rec.origin)
               for genome, rec in zip(moved, pop.active)]
-    return Population(active=active, archive=pop.archive, epoch=pop.epoch)
+    return Population(active=active, archive=pop.archive, epoch=pop.epoch, retired=pop.retired)
 
 
 def soft_select(pop: Population, params: EvolutionParams,
@@ -357,7 +427,9 @@ def soft_select(pop: Population, params: EvolutionParams,
     from the active generation, the rest uniformly from the pooled archive.
 
     Archive shortfall (including the first epoch's empty archive) is covered
-    from the active generation.
+    from the active generation.  The archive is pooled in (epoch, position)
+    order by index alone: an old pick's record comes from its generation's
+    ``record``, and no other archived record is built.
     """
     if not pop.active:
         raise ValueError("cannot select from an empty population")
@@ -365,14 +437,21 @@ def soft_select(pop: Population, params: EvolutionParams,
         raise ValueError("batch size exceeds the active generation")
     n_new = int(round(params.batch_size * params.new_fraction))
     n_old = params.batch_size - n_new
-    old_pool = pop.archived_records()
-    if len(old_pool) < n_old:
-        n_old = len(old_pool)
+    generations = [pop.archive[epoch] for epoch in sorted(pop.archive)]
+    sizes = np.array([len(generation) for generation in generations], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    pooled = int(sizes.sum())
+    if pooled < n_old:
+        n_old = pooled
         n_new = params.batch_size - n_old
     batch: list[TaskRecord] = []
     new_indices = rng.choice(len(pop.active), size=n_new, replace=False)
     batch.extend(pop.active[int(i)] for i in new_indices)
     if n_old:
-        old_indices = rng.choice(len(old_pool), size=n_old, replace=False)
-        batch.extend(old_pool[int(i)] for i in old_indices)
+        old_indices = rng.choice(pooled, size=n_old, replace=False)
+        # The generation of each pick: the first whose end lies past it.
+        which = np.searchsorted(ends, old_indices, side="right")
+        starts = ends - sizes
+        batch.extend(generations[g].record(int(i - starts[g]))
+                     for g, i in zip(which.tolist(), old_indices.tolist()))
     return batch

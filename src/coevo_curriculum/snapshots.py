@@ -18,8 +18,8 @@ from typing import Any, TextIO
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _check_keys, _coerce, _schema, config_from_dict
-from .evolution import ORIGINS, Population, TaskRecord
-from .tasks import BLOCK_SIZE, TaskGenome
+from .evolution import ORIGINS, Generation, Population
+from .tasks import BLOCK_SIZE
 
 SNAPSHOT_FORMAT = 7
 
@@ -49,7 +49,6 @@ _COUNTS = tuple(name for name, tp in _schema(Snapshot).items() if tp is int)
 _GENERATION_KEYS = ("kind", "epoch", "genome", "genome_row", "r_index", "r", "f_index", "f",
                     "epoch_born", "origin")
 _FLOAT, _INDEX, _CODE = np.dtype("<f8"), np.dtype("<u4"), np.dtype("<u1")
-_ORIGIN_CODES = {origin: code for code, origin in enumerate(ORIGINS)}
 _ENCODE = json.JSONEncoder(allow_nan=False).encode  # so no run writes a file the reader rejects
 ARCHIVE_NAME = "archive.jsonl"
 EMPTY_ARCHIVE_DIGEST = hashlib.sha256().hexdigest()
@@ -82,16 +81,22 @@ def write_snapshot(path: Path, snapshot: Snapshot) -> None:
     one does.
 
     Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
-    ``write_snapshot(p, load_snapshot(p))`` writes the bytes of a ``p`` it wrote again.
+    ``write_snapshot(p, load_snapshot(p))`` writes the bytes of a ``p`` it wrote again. A
+    population holding retired records that no generation has archived yet is refused: no
+    line would hold them.
     """
+    pop = snapshot.pop
+    if pop is not None and pop.retired:
+        raise ValueError(f"the population holds {len(pop.retired)} retired records that are not "
+                         "archived yet; a snapshot is taken after evolve_generation")
     with _replacing(path) as handle:
         counts = {name: getattr(snapshot, name) for name in _COUNTS}
-        pop = snapshot.pop
         digest = {} if pop is None else {"archive_digest": snapshot.archive_digest}
         handle.write(_ENCODE({"kind": "meta", "format": SNAPSHOT_FORMAT, **counts, **digest,
                               "config": snapshot.config.identity_fingerprint()}) + "\n")
         if pop is not None:
-            handle.write(_ENCODE(_generation_line("active", pop.epoch, pop.active)) + "\n")
+            handle.write(_ENCODE(_generation_line("active", pop.epoch, Generation.of(pop.active)))
+                         + "\n")
         handle.write(_ENCODE(_policy_line(snapshot.policy_q)) + "\n")
 
 
@@ -121,40 +126,32 @@ def _policy_line(q: np.ndarray) -> dict[str, Any]:
                                                            flat[index])}
 
 
-def _generation_line(kind: str, epoch: int, records: list[TaskRecord]) -> dict[str, Any]:
-    """The records as columns: ``genome`` holds each distinct genome once, compared on its bits,
-    in order of first use, and ``genome_row`` each record's row in it, since refill clones and
-    zero-step children repeat a parent's; ``r`` and ``f`` list their non-null values; ``origin``
-    holds each record's index in ``ORIGINS``. Each generation has this one encoding."""
-    rows: dict[bytes, int] = {}
-    genome_row = [rows.setdefault(rec.genome.blocks.tobytes(), len(rows)) for rec in records]
-    line = {"kind": kind, "epoch": epoch,
-            "genome": _binary(np.frombuffer(b"".join(rows), dtype=float), _FLOAT,
-                              f"{kind} genome"),
-            "genome_row": _binary(genome_row, _INDEX, f"{kind} genome_row")}
-    for name in ("r", "f"):
-        values = [getattr(rec, name) for rec in records]
-        index = [i for i, value in enumerate(values) if value is not None]
-        line |= _sparse(kind, (f"{name}_index", name), index, [values[i] for i in index])
-    origin = [_ORIGIN_CODES[rec.origin] for rec in records]
-    return line | {"epoch_born": [rec.epoch_born for rec in records],
-                   "origin": _binary(origin, _CODE, f"{kind} origin")}
+def _generation_line(kind: str, epoch: int, generation: Generation) -> dict[str, Any]:
+    """A generation's columns (see ``Generation``) as a line; each generation has this one
+    encoding."""
+    return {"kind": kind, "epoch": epoch,
+            "genome": _binary(generation.genome, _FLOAT, f"{kind} genome"),
+            "genome_row": _binary(generation.genome_row, _INDEX, f"{kind} genome_row"),
+            **_sparse(kind, ("r_index", "r"), generation.r_index, generation.r),
+            **_sparse(kind, ("f_index", "f"), generation.f_index, generation.f),
+            "epoch_born": generation.epoch_born.tolist(),
+            "origin": _binary(generation.origin, _CODE, f"{kind} origin")}
 
 
-def _archive_line(epoch: int, records: list[TaskRecord]) -> str:
-    return _ENCODE(_generation_line("archive", epoch, records)) + "\n"
+def _archive_line(epoch: int, generation: Generation) -> str:
+    return _ENCODE(_generation_line("archive", epoch, generation)) + "\n"
 
 
-def _start_archive(path: Path, archive: dict[int, list[TaskRecord]]) -> None:
+def _start_archive(path: Path, archive: dict[int, Generation]) -> None:
     """Write ``archive`` as a run's whole ``archive.jsonl``, which may be the file it was read
     from; the reader loads only the writer's one encoding, so that gives the bytes it read."""
     with _replacing(path) as handle:
-        handle.writelines(_archive_line(epoch, records) for epoch, records in archive.items())
+        handle.writelines(_archive_line(epoch, generation) for epoch, generation in archive.items())
 
 
-def _append_archive(path: Path, digest: str, epoch: int, records: list[TaskRecord]) -> str:
+def _append_archive(path: Path, digest: str, epoch: int, generation: Generation) -> str:
     """Append the generation that just closed to ``archive.jsonl``; returns the new digest."""
-    line = _archive_line(epoch, records)
+    line = _archive_line(epoch, generation)
     with open(path, "a", encoding="utf-8", newline="\n") as handle:
         handle.write(line)
     return _chain(digest, line)
@@ -218,7 +215,7 @@ def _read_snapshot(where: str, raw: list[str]) -> Snapshot:
     pop = None
     if ccl:
         with _at_line(where, 2):
-            pop = Population(_read_generation(lines[1], config, counts["epoch"]),
+            pop = Population(_read_generation(lines[1], config, counts["epoch"]).records(),
                              epoch=counts["epoch"])
     return Snapshot(config=config, **counts, pop=pop, policy_q=q, archive_digest=digest)
 
@@ -283,10 +280,10 @@ def _read_policy(line: dict[str, Any], shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _read_genomes(line: dict[str, Any], kind: str, genome_row: np.ndarray, n_agents: int
-                  ) -> list[TaskGenome]:
-    """The genome column's rows, refused unless in the writer's form: whole finite genomes of
-    the config's agent count, numbered in order of first use by ``genome_row``, each used and
-    none with the bits of another. Records that share a row share its genome, as clones do."""
+                  ) -> np.ndarray:
+    """The genome column's rows as ``(rows, n_agents, 4)``, refused unless in the writer's form:
+    whole finite genomes of the config's agent count, numbered in order of first use by
+    ``genome_row``, each used and none with the bits of another."""
     width = n_agents * BLOCK_SIZE
     genome = _read_column(line["genome"], _FLOAT, f"{kind} genome")
     if genome.size % width:
@@ -313,23 +310,12 @@ def _read_genomes(line: dict[str, Any], kind: str, genome_row: np.ndarray, n_age
         if (earlier := first.setdefault(raw[start:start + stride], row)) != row:
             raise ConfigError(f"{kind} genome row {row} repeats row {earlier}; each distinct "
                               "genome is stored once")
-    return TaskGenome.batch(genome.reshape(-1, n_agents, BLOCK_SIZE))
-
-
-def _read_optional(line: dict[str, Any], kind: str, name: str, count: int
-                   ) -> list[float | None]:
-    """A column of ``count`` floats or nulls from its non-null values (see ``_read_sparse``)."""
-    index, values = _read_sparse(line, kind, (f"{name}_index", name), count,
-                                 f"the generation holds {count} records")
-    column: list[float | None] = [None] * count
-    for i, value in zip(index.tolist(), values.tolist()):
-        column[i] = value
-    return column
+    return genome.reshape(-1, n_agents, BLOCK_SIZE)
 
 
 def _read_generation(line: dict[str, Any], config: ExperimentConfig, expected_epoch: int
-                     ) -> list[TaskRecord]:
-    """A generation's records, checked as the README lists; only the writer's one encoding of
+                     ) -> Generation:
+    """A generation's columns, checked as the README lists; only the writer's one encoding of
     them loads, so that writing them back gives the line's bytes again."""
     kind = line["kind"]
     _check_keys(line, _GENERATION_KEYS, f"{kind} line")
@@ -338,6 +324,10 @@ def _read_generation(line: dict[str, Any], config: ExperimentConfig, expected_ep
     genome_row = _read_column(line["genome_row"], _INDEX, f"{kind} genome_row")
     count = genome_row.size
     epoch_born = _coerce(line["epoch_born"], tuple[int, ...], f"{kind} epoch_born")
+    try:
+        born = np.array(epoch_born, dtype=np.int64)
+    except OverflowError:
+        raise ConfigError(f"{kind} epoch_born holds an integer outside 64 bits") from None
     origin = _read_column(line["origin"], _CODE, f"{kind} origin")
     for name, size in (("epoch_born", len(epoch_born)), ("origin", origin.size)):
         if size != count:
@@ -346,14 +336,14 @@ def _read_generation(line: dict[str, Any], config: ExperimentConfig, expected_ep
     if (unknown := np.flatnonzero(origin >= len(ORIGINS))).size:
         raise ConfigError(f"{kind} origin[{unknown[0]}] is code {origin[unknown[0]]}, not one "
                           f"of 0 to {len(ORIGINS) - 1} ({', '.join(ORIGINS)})")
-    r, f = (_read_optional(line, kind, name, count) for name in ("r", "f"))
-    genomes = _read_genomes(line, kind, genome_row, config.env.n_agents)
-    return [TaskRecord(genomes[row], r_value, f_value, born, ORIGINS[code])
-            for row, r_value, f_value, born, code
-            in zip(genome_row.tolist(), r, f, epoch_born, origin.tolist())]
+    extent = f"the generation holds {count} records"
+    r_index, r = _read_sparse(line, kind, ("r_index", "r"), count, extent)
+    f_index, f = _read_sparse(line, kind, ("f_index", "f"), count, extent)
+    return Generation(_read_genomes(line, kind, genome_row, config.env.n_agents), genome_row,
+                      r_index, r, f_index, f, born, origin)
 
 
-def _read_archive(path: Path, snap: Snapshot) -> dict[int, list[TaskRecord]]:
+def _read_archive(path: Path, snap: Snapshot) -> dict[int, Generation]:
     """Generations 0 to ``snap.epoch - 1`` from the first lines of ``path``, checked against
     the snapshot's digest first, so another run's archive is refused whatever it holds."""
     try:

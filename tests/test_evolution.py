@@ -1,19 +1,23 @@
 """Population lifecycle: init constraint, crossover algebra, selection, archives."""
 
+import copy
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coevo_curriculum.evolution import (GROWTH, EvolutionParams, Population, TaskRecord,
-                                        advance_toward, assign_population_fitness, crossover,
-                                        crossover_step, delete_bad_tasks, evolve_generation,
-                                        init_population, mutate, pair_generation,
-                                        sample_direction, soft_select)
+from coevo_curriculum.evolution import (GROWTH, EvolutionParams, Generation, Population,
+                                        TaskRecord, advance_toward, assign_population_fitness,
+                                        crossover, crossover_step, delete_bad_tasks,
+                                        evolve_generation, init_population, mutate,
+                                        pair_generation, sample_direction, soft_select)
 from coevo_curriculum import evolution
 from coevo_curriculum.fitness import FitnessParams, PrototypeSet, knn_estimate
 from coevo_curriculum.tasks import (BLOCK_SIZE, DEFAULT_DISTANCE_THRESHOLD, TaskDomain,
-                                    TaskGenome, UNIT_DIAMETER, start_goal_distance)
+                                    TaskGenome, UNIT_DIAMETER, opposite_corner_target,
+                                    start_goal_distance)
 
 PARAMS = EvolutionParams(population_size=8, batch_size=4, knn_k=2)
 
@@ -39,6 +43,12 @@ class ScriptedRng:
 def _record(blocks, f=None, r=None, epoch_born=0):
     return TaskRecord(TaskGenome(np.array(blocks, dtype=float)), r=r, f=f,
                       epoch_born=epoch_born)
+
+
+def _values(records):
+    """What an archive line holds of each record, in order."""
+    return [(rec.genome.blocks.tobytes(), rec.r, rec.f, rec.epoch_born, rec.origin)
+            for rec in records]
 
 
 def _uniform_population(n, rng, f=0.3):
@@ -341,14 +351,14 @@ def test_delete_bad_tasks_band():
     pop = _measured_population((0.0, 0.02, 0.5, 0.98, 1.0))
     delete_bad_tasks(pop, (0.02, 0.98))
     assert [rec.r for rec in pop.active] == [0.02, 0.5, 0.98]  # band edges survive
-    assert [rec.r for rec in pop.archive[3]] == [0.0, 1.0]
+    assert [rec.r for rec in pop.retired] == [0.0, 1.0] and pop.archive == {}
 
 
 def test_delete_bad_tasks_full_band_keeps_everything():
     pop = _measured_population((0.0, 0.5, 1.0))
     active = list(pop.active)
     delete_bad_tasks(pop, (0.0, 1.0))
-    assert pop.active == active and pop.archive == {}
+    assert pop.active == active and pop.retired == [] and pop.archive == {}
 
 
 def test_delete_bad_tasks_keeps_unmeasured_records():
@@ -356,17 +366,23 @@ def test_delete_bad_tasks_keeps_unmeasured_records():
     unmeasured = [pop.active[0], pop.active[2]]
     delete_bad_tasks(pop, (0.02, 0.98))
     assert pop.active == unmeasured
-    assert [rec.r for rec in pop.archive[3]] == [0.0, 1.0]
+    assert [rec.r for rec in pop.retired] == [0.0, 1.0]
 
 
 def test_delete_bad_tasks_fills_the_bucket_in_active_order():
     pop = _measured_population((1.0, 0.5, 0.0, 0.99, 0.01))
     earlier = _record(np.ones((1, BLOCK_SIZE)), f=0.2)
-    pop.archive[3] = [earlier]
+    pop.retired = [earlier]
     retired = [pop.active[i] for i in (0, 2, 3, 4)]
     delete_bad_tasks(pop, (0.02, 0.98))
-    assert pop.archive[3] == [earlier] + retired
+    assert pop.retired == [earlier] + retired
     assert [rec.r for rec in pop.active] == [0.5]
+    # The generation's line holds the retired records first, then the rest, as measured.
+    pop.active[0].f = 0.2
+    nxt = evolve_generation(pop, EvolutionParams(population_size=2, batch_size=1, knn_k=1),
+                            np.random.default_rng(0))
+    assert nxt.retired == [] and list(nxt.archive) == [3]
+    assert _values(nxt.archive[3].records()) == _values([earlier] + retired + pop.active)
 
 
 # ---------------------------------------------------------------- estimation
@@ -448,7 +464,7 @@ def test_evolve_generation_bookkeeping():
     assert nxt.epoch == 1
     assert len(nxt.active) == 8
     assert sum(map(len, nxt.archive.values())) == 8
-    assert [id(rec) for rec in nxt.archive[0]] == [id(rec) for rec in old_active]
+    assert _values(nxt.archive[0].records()) == _values(old_active)
     children = [rec for rec in nxt.active if rec.epoch_born == 1]
     carried = [rec for rec in nxt.active if rec.epoch_born == 0]
     assert children and all(rec.origin in ("cross", "mutate") for rec in children)
@@ -525,22 +541,43 @@ def test_evolve_empty_generation_breeds_from_the_latest_archived_one():
     rng = np.random.default_rng(122)
     older = [_record(rng.random((2, BLOCK_SIZE)), f=0.3, r=0.5) for _ in range(4)]
     latest = [_record(rng.random((2, BLOCK_SIZE)), f=0.3, r=1.0, epoch_born=1) for _ in range(4)]
-    pop = Population(active=[], archive={0: list(older), 1: list(latest)}, epoch=1)
+    pop = Population(active=[], archive={0: Generation.of(older), 1: Generation.of(latest)},
+                     epoch=2)
     nxt = evolve_generation(pop, params, np.random.default_rng(7))
-    assert nxt.epoch == 2 and len(nxt.active) == 8
+    assert nxt.epoch == 3 and len(nxt.active) == 8
     # flat fitness: every child copies a parent, and parents are the latest generation
     latest_bytes = {rec.genome.blocks.tobytes() for rec in latest}
     for rec in nxt.active:
         assert rec.genome.blocks.tobytes() in latest_bytes
         assert rec.r is None
-    n_children = next(i for i, rec in enumerate(nxt.active) if rec.epoch_born != 2)
+    n_children = next(i for i, rec in enumerate(nxt.active) if rec.epoch_born != 3)
     for got, source in zip(nxt.active[n_children:], latest):
         assert got is not source
         assert got.genome.blocks.tobytes() == source.genome.blocks.tobytes()
     # the archive is left as it was, measurements included
-    assert [[id(rec) for rec in nxt.archive[e]] for e in (0, 1)] == [
-        [id(rec) for rec in older], [id(rec) for rec in latest]]
-    assert all(rec.r == 1.0 for rec in latest)
+    assert [nxt.archive[e] for e in (0, 1)] == [pop.archive[e] for e in (0, 1)]
+    assert [_values(nxt.archive[e].records()) for e in (0, 1)] == [_values(older),
+                                                                    _values(latest)]
+    assert len(nxt.archive[2]) == 0
+    # A generation is archived once: closing one that is archived already is refused.
+    with pytest.raises(ValueError, match="generation 1 is archived already"):
+        evolve_generation(Population(active=[], archive=pop.archive, epoch=1), params,
+                          np.random.default_rng(7))
+
+
+def test_evolve_emptied_generation_breeds_from_its_retired_records():
+    params = EvolutionParams(population_size=8, batch_size=4, knn_k=2)
+    rng = np.random.default_rng(123)
+    archived = [_record(rng.random((2, BLOCK_SIZE)), f=0.3, r=0.5) for _ in range(4)]
+    active = [_record(rng.random((2, BLOCK_SIZE)), f=0.3, r=1.0, epoch_born=1) for _ in range(4)]
+    pop = Population(active=list(active), archive={0: Generation.of(archived)}, epoch=1)
+    delete_bad_tasks(pop, params.deletion_band)
+    assert pop.active == [] and pop.retired == active
+    nxt = evolve_generation(pop, params, np.random.default_rng(7))
+    retired_bytes = {rec.genome.blocks.tobytes() for rec in active}
+    assert all(rec.genome.blocks.tobytes() in retired_bytes and rec.r is None
+               for rec in nxt.active)
+    assert _values(nxt.archive[1].records()) == _values(active)
 
 
 def _reference_children(pair, f_min, f_max, params, rng, tally):
@@ -677,6 +714,33 @@ def test_archive_accumulates_one_generation_per_epoch():
         assert sorted(pop.archive) == list(range(epoch))
 
 
+def test_an_archived_record_costs_at_most_160_bytes():
+    # An archived generation is held as the columns of its line: about 64 bytes of genome,
+    # a row, f, epoch_born and origin per record, against 331 as one object graph per record.
+    params = EvolutionParams(population_size=256, batch_size=64, knn_k=4)
+    target = opposite_corner_target(2)
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        pop = init_population(TaskDomain(n_agents=2, grid_width=12), 256,
+                              np.random.default_rng(4))
+        for epoch in range(12):
+            for rec in pop.active:
+                rec.f = float(rng.random())
+            pop = evolve_generation(pop, params, np.random.default_rng(epoch))
+            pop = advance_toward(pop, target, 0.5)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        archived = sum(map(len, pop.archive.values()))
+        pop.archive = {}
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert archived == 12 * 256
+    assert freed / archived <= 160, freed / archived
+
+
 # ---------------------------------------------------------------- advance
 
 def test_advance_toward_closes_growth_times_success_of_each_gap():
@@ -691,15 +755,14 @@ def test_advance_toward_closes_growth_times_success_of_each_gap():
         rec.epoch_born = index
         rec.origin = ("init", "cross", "mutate")[index % 3]
     archived = _record(rng.random((2, BLOCK_SIZE)), f=0.4, r=0.9)
-    pop.archive = {0: [archived]}
+    pop.archive = {0: Generation.of([archived])}
     pop.epoch = 1
     archived_before = archived.genome.blocks.tobytes()
 
     for success in (1.0, 0.75, 0.3, 1e-3):
         moved = advance_toward(pop, target, success)
         assert moved.epoch == 1
-        assert moved.archive == {0: [archived]}
-        assert moved.archive[0][0] is archived
+        assert moved.archive is pop.archive
         assert archived.genome.blocks.tobytes() == archived_before
         assert len(moved.active) == len(pop.active)
         for before, after in zip(pop.active, moved.active):
@@ -795,6 +858,66 @@ def test_soft_select_is_seed_deterministic():
     first = soft_select(pop, PARAMS, np.random.default_rng(6))
     second = soft_select(pop, PARAMS, np.random.default_rng(6))
     assert [id(rec) for rec in first] == [id(rec) for rec in second]
+
+
+def _reference_soft_select(pop, params, rng):
+    """``soft_select`` as it was before generations became columns: every archived record
+    built and pooled in (epoch, position) order, the picks taken from the pool. It builds its
+    records from a copy of the archive, which leaves the population's generations as they were."""
+    n_new = int(round(params.batch_size * params.new_fraction))
+    n_old = params.batch_size - n_new
+    archive = copy.deepcopy(pop.archive)
+    old_pool = [rec for epoch in sorted(archive) for rec in archive[epoch].records()]
+    if len(old_pool) < n_old:
+        n_old = len(old_pool)
+        n_new = params.batch_size - n_old
+    batch = [pop.active[int(i)] for i in rng.choice(len(pop.active), size=n_new, replace=False)]
+    if n_old:
+        batch.extend(old_pool[int(i)]
+                     for i in rng.choice(len(old_pool), size=n_old, replace=False))
+    return batch
+
+
+def test_soft_select_draws_what_the_pooled_records_gave():
+    rng = np.random.default_rng(126)
+    params = EvolutionParams(population_size=16, batch_size=10, new_fraction=0.7, knn_k=3)
+
+    def generation(size, epoch):
+        return Generation.of([TaskRecord(TaskGenome(rng.random((2, BLOCK_SIZE))),
+                                         r=float(rng.random()) if i % 3 else None,
+                                         f=float(rng.random()), epoch_born=epoch,
+                                         origin=evolution.ORIGINS[i % 3])
+                              for i in range(size)])
+
+    archives = {
+        "empty archive": {},
+        "an empty generation": {0: generation(0, 0), 1: generation(5, 1)},
+        "only empty generations": {0: generation(0, 0), 1: generation(0, 1)},
+        "one-record generations": {epoch: generation(1, epoch) for epoch in range(6)},
+        "a shortfall": {0: generation(1, 0), 1: generation(1, 1)},
+        "out of order": {2: generation(4, 2), 0: generation(3, 0), 1: generation(0, 1),
+                         3: generation(1, 3)},
+        "several": {epoch: generation(size, epoch)
+                    for epoch, size in enumerate((16, 0, 7, 16, 1, 16))},
+    }
+    for name, archive in archives.items():
+        pop = Population(active=_uniform_population(16, rng).active, archive=archive,
+                         epoch=len(archive))
+        for seed in range(8):
+            got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = soft_select(pop, params, got_rng)
+            expected = _reference_soft_select(pop, params, expected_rng)
+            assert _values(got) == _values(expected), (name, seed)
+            assert got_rng.bit_generator.state == expected_rng.bit_generator.state, name
+            n_new = sum(1 for rec in got if any(rec is active for active in pop.active))
+            assert got[:n_new] == expected[:n_new]  # the active picks are the records
+            # The old picks are the generations' kept records, and no other is built.
+            picked = {id(rec) for rec in got[n_new:]}
+            assert picked <= {id(rec) for gen in archive.values() for rec in gen.handed.values()}
+        kept = sum(len(gen.handed) for gen in archive.values())
+        assert kept <= 8 * (params.batch_size - 7), name
+        assert {id(rec) for rec in pop.archived_records()} >= {
+            id(rec) for gen in archive.values() for rec in gen.handed.values()}
 
 
 def test_soft_select_rejects_oversized_batch():

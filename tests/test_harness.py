@@ -20,7 +20,7 @@ from coevo_curriculum.cli import main
 from coevo_curriculum.config import (DEFAULT_OUTPUT_DIR, MODES, OUTPUT_DIR_ENV, ConfigError,
                                      ExperimentConfig, apply_overrides, config_from_dict,
                                      default_config, load_config)
-from coevo_curriculum.evolution import Population, TaskRecord
+from coevo_curriculum.evolution import Generation, Population, TaskRecord, delete_bad_tasks
 from coevo_curriculum.harness import (METRICS_COLUMNS, ablation_variants, evaluate_snapshot,
                                       load_snapshot, run_ablation, run_experiment,
                                       write_snapshot)
@@ -412,11 +412,14 @@ def test_snapshot_round_trip_preserves_population(tmp_path):
     assert len(snap.pop.active) == 8
     assert sum(map(len, snap.pop.archive.values())) == 4 * 8
     assert sorted(snap.pop.archive) == [0, 1, 2, 3]
+    # The archive loads as columns: no record object stands for an archived task.
+    assert all(isinstance(gen, Generation) and not gen.handed
+               for gen in snap.pop.archive.values())
     for rec in snap.pop.active:
         assert rec.genome.in_domain
         assert rec.origin in ("init", "cross", "mutate")
     for gen in snap.pop.archive.values():
-        for rec in gen:
+        for rec in gen.records():
             assert rec.f is not None
     assert snap.episodes_total == 32
 
@@ -453,17 +456,17 @@ def test_snapshot_round_trip_is_exact(tmp_path, monkeypatch):
     assert all(rec.f is None for rec in written[0][1].active)
     last = written[-1][1]
     assert {rec.origin for rec in last.active} >= {"cross", "mutate"}
-    assert any(rec.r is not None for gen in closed.values() for rec in gen)
+    assert any(rec.r is not None for gen in closed.values() for rec in gen.records())
     for path, pop, q in written:
         snap = load_snapshot(path)
         assert snap.pop.epoch == pop.epoch
         _assert_same_records(snap.pop.active, pop.active)
         assert list(snap.pop.archive) == list(pop.archive)
         for epoch in pop.archive:
-            _assert_same_records(snap.pop.archive[epoch], closed[epoch])
+            _assert_same_records(snap.pop.archive[epoch].records(), closed[epoch].records())
             # Later epochs measure archived records again; the archive in memory still holds
             # what its line in archive.jsonl holds.
-            _assert_same_records(pop.archive[epoch], snap.pop.archive[epoch])
+            _assert_same_records(pop.archive[epoch].records(), snap.pop.archive[epoch].records())
         assert snap.policy_q.dtype == q.dtype and snap.policy_q.shape == q.shape
         assert snap.policy_q.tobytes() == q.tobytes()
 
@@ -764,7 +767,8 @@ def test_binary_columns_round_trip_bit_for_bit(tmp_path):
     path = _write_archived(tmp_path / "empty", meta, empty, policy,
                            [dict(empty, kind="archive", epoch=0)])
     loaded = load_snapshot(path)
-    assert loaded.pop.active == [] and loaded.pop.archive == {0: []}
+    assert loaded.pop.active == [] and list(loaded.pop.archive) == [0]
+    assert len(loaded.pop.archive[0]) == 0
     write_snapshot(tmp_path / "empty" / "again.jsonl", loaded)
     assert (tmp_path / "empty" / "again.jsonl").read_text().splitlines() == \
         path.read_text().splitlines()
@@ -791,7 +795,7 @@ def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
             TaskRecord(other, None, 1e-300, 2, "cross")],
         2: [],
     }
-    lines = [_archive_line(epoch, records) for epoch, records in generations.items()]
+    lines = [_archive_line(epoch, Generation.of(records)) for epoch, records in generations.items()]
     rows = [np.frombuffer(base64.b64decode(json.loads(line)["genome_row"]), "<u4").tolist()
             for line in lines]
     assert rows == [[0, 1, 2, 0, 0], [0, 1, 0], []]
@@ -812,16 +816,16 @@ def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
     loaded = load_snapshot(path)
     assert loaded.pop.active == [] and list(loaded.pop.archive) == [0, 1, 2]
     for epoch, records in generations.items():
-        got = loaded.pop.archive[epoch]
+        got = loaded.pop.archive[epoch].records()
         _assert_same_records(got, records)
         for a, b in zip(got, records):  # -0.0 stays itself, in r and f too
             assert [math.copysign(1.0, x) for x in (a.r or 1.0, a.f)] == \
                 [math.copysign(1.0, x) for x in (b.r or 1.0, b.f)]
-        assert _archive_line(epoch, got) == lines[epoch]
-    # Records that share a row load sharing one genome, as clones share one in memory.
+        assert _archive_line(epoch, loaded.pop.archive[epoch]) == lines[epoch]
+        assert _archive_line(epoch, Generation.of(got)) == lines[epoch]
+    # Records that share a row load as one stored genome, as clones share one in memory.
     first = loaded.pop.archive[0]
-    assert first[0].genome is first[3].genome is first[4].genome
-    assert first[1].genome is not first[2].genome
+    assert first.genome.shape == (3, n_agents, 4) and first.genome_row.tolist() == [0, 1, 2, 0, 0]
     again = tmp_path / "again.jsonl"
     write_snapshot(again, loaded)
     assert again.read_bytes() == path.read_bytes()
@@ -843,7 +847,7 @@ def test_the_readme_decoder_reads_what_load_snapshot_reads(tmp_path):
     snap = load_snapshot(path)
     lines = [json.loads(line) for line in (tmp_path / "archive.jsonl").read_text().splitlines()]
     lines.append(json.loads(path.read_text().splitlines()[1]))
-    generations = [snap.pop.archive[epoch] for epoch in range(4)] + [snap.pop.active]
+    generations = [snap.pop.archive[epoch].records() for epoch in range(4)] + [snap.pop.active]
     shared = 0
     for line, records in zip(lines, generations, strict=True):
         got = read_generation(line, 2)
@@ -1150,7 +1154,8 @@ def test_ccl_snapshot_loads_only_with_its_runs_archive(tmp_path, capsys):
         loaded = load_snapshot(place(name, archive))
         assert list(loaded.pop.archive) == [0, 1]
         for epoch in (0, 1):
-            _assert_same_records(loaded.pop.archive[epoch], expected.pop.archive[epoch])
+            _assert_same_records(loaded.pop.archive[epoch].records(),
+                                 expected.pop.archive[epoch].records())
 
 
 def test_each_epoch_born_value_is_checked_at_the_last_index(tmp_path, capsys):
@@ -1168,6 +1173,12 @@ def test_each_epoch_born_value_is_checked_at_the_last_index(tmp_path, capsys):
         assert main(["eval", "--snapshot", str(path)]) == 2
         assert f"archive.jsonl line 1: archive epoch_born[{last}] must be an integer" in \
             capsys.readouterr().err
+    # The column holds 64-bit integers.
+    line = dict(archived, epoch_born=archived["epoch_born"][:-1] + [2 ** 63])
+    path = _write_archived(tmp_path / "wide", meta, active, policy, [line])
+    assert main(["eval", "--snapshot", str(path)]) == 2
+    assert "archive.jsonl line 1: archive epoch_born holds an integer outside 64 bits" in \
+        capsys.readouterr().err
 
 
 def test_snapshot_with_the_full_config_in_its_meta_line_still_loads(tmp_path):
@@ -1265,6 +1276,19 @@ def test_resume_in_place_rejects_a_file_without_its_header_row(tmp_path):
             assert main(["run", "--config", str(config), "--output-dir", str(run_dir),
                          "--resume", snapshot]) == 2
             assert {path: path.read_bytes() for path in run_dir.glob("*.csv")} == before
+
+
+def test_a_snapshot_refuses_retired_records_that_no_generation_archived(tmp_path):
+    # Retired records wait in pop.retired until evolve_generation archives them; no snapshot
+    # line holds them, so a snapshot taken in between would drop them.
+    snap = load_snapshot(run_experiment(_small_config(epochs=0), run_dir=tmp_path).snapshot_path)
+    before = sorted(path.name for path in tmp_path.iterdir())
+    snap.pop.active[0].r = 1.0
+    delete_bad_tasks(snap.pop, (0.02, 0.98))
+    assert len(snap.pop.retired) == 1
+    with pytest.raises(ValueError, match="holds 1 retired records that are not archived yet"):
+        write_snapshot(tmp_path / "snapshot_epoch00001.jsonl", snap)
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
 
 
 def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch):
