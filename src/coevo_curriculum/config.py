@@ -20,7 +20,7 @@ from .trainer import LearnerParams
 
 OUTPUT_DIR_ENV = "COEVO_CURRICULUM_OUTDIR"
 DEFAULT_OUTPUT_DIR = "runs"
-MODES = ("ccl", "vanilla")
+MODES = {"ccl": True, "vanilla": False}  # each mode: whether it keeps a task population
 ABLATION_AXES = ("fitness-shape", "mutation-step")
 
 
@@ -57,7 +57,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.epochs < 0:
             raise ConfigError("epochs cannot be negative")
         if self.episodes_per_task < 1:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ABLATION_AXES, ConfigError, ExperimentConfig
+from .config import ABLATION_AXES, MODES, ConfigError, ExperimentConfig
 from .evolution import (advance_toward, assign_population_fitness, delete_bad_tasks,
                         evolve_generation, init_population, soft_select)
 from .fitness import PrototypeSet
@@ -170,7 +170,7 @@ def _check_resume(config: ExperimentConfig, snapshot: Snapshot) -> None:
 # observe(epoch, blocks, rates) -> active_mean_f; ``ops`` counts the operators it applied. Each
 # operator is looked up as a global of this module, where the tracer and the tests patch it.
 class _TargetCurriculum:
-    """``vanilla``: every epoch trains on batch_size copies of the target; nothing evolves."""
+    """A mode with no population (``vanilla``): every epoch trains on batch_size target copies."""
 
     def __init__(self, config: ExperimentConfig, snap: Snapshot, archive_path: Path):
         target = config.target_genome().blocks
@@ -185,8 +185,8 @@ class _TargetCurriculum:
 
 
 class _PopulationCurriculum:
-    """``ccl``: soft-selects each batch from a co-evolving task population held in
-    ``snap.pop``, and appends each closed generation to ``archive.jsonl``."""
+    """A population mode (``ccl``): soft-selects each batch from a co-evolving task population
+    held in ``snap.pop``, and appends each closed generation to ``archive.jsonl``."""
 
     def __init__(self, config: ExperimentConfig, snap: Snapshot, archive_path: Path):
         self.config, self.snap, self.archive_path = config, snap, archive_path
@@ -229,7 +229,7 @@ class _PopulationCurriculum:
         return active_mean_f
 
 
-CURRICULA = {"ccl": _PopulationCurriculum, "vanilla": _TargetCurriculum}
+CURRICULA = {True: _PopulationCurriculum, False: _TargetCurriculum}  # by MODES[mode]
 
 
 def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> RunResult:
@@ -248,7 +248,7 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
             else Snapshot(config, 0, 0, 0, None, np.zeros(env_cfg.q_shape)))
     writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume)
     # Set up after the metrics files are checked, so a refused resume leaves its archive as it was.
-    curriculum = CURRICULA[config.mode](config, snap, out_dir / ARCHIVE_NAME)
+    curriculum = CURRICULA[MODES[config.mode]](config, snap, out_dir / ARCHIVE_NAME)
     snapshot_path = (Path(config.resume_from) if resume is not None
                      else out_dir / f"snapshot_epoch{0:05d}.jsonl")
     if resume is None:
@@ -310,8 +310,8 @@ def ablation_variants(config: ExperimentConfig, axis: str) -> dict[str, Experime
     """Matched-seed variants differing only on the chosen axis."""
     if axis not in ABLATION_AXES:
         raise ConfigError(f"axis must be one of {ABLATION_AXES}, got {axis!r}")
-    if config.mode != "ccl":
-        raise ConfigError("ablations compare curriculum runs; set mode to 'ccl'")
+    if not MODES[config.mode]:
+        raise ConfigError(f"ablations compare task populations; mode {config.mode!r} keeps none")
     if axis == "fitness-shape":
         return {
             "sigmoid": replace(config, fitness=replace(config.fitness, mode="sigmoid")),

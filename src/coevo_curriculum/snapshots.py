@@ -17,7 +17,8 @@ from typing import Any, TextIO
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, _check_keys, _coerce, _schema, config_from_dict
+from .config import (MODES, ConfigError, ExperimentConfig, _check_keys, _coerce, _schema,
+                     config_from_dict)
 from .evolution import ORIGINS, Generation, Population
 from .tasks import BLOCK_SIZE
 
@@ -201,19 +202,19 @@ def _read_snapshot(where: str, raw: list[str]) -> Snapshot:
         if (found := meta.get("format", "missing")) != SNAPSHOT_FORMAT:
             raise ConfigError(f"format {found}, expected {SNAPSHOT_FORMAT}")
         config = config_from_dict(meta["config"])
-        ccl = config.mode == "ccl"
+        pop_mode = MODES[config.mode]
         _check_keys(meta, {"kind", "format", "config", *_COUNTS,
-                           *(["archive_digest"] if ccl else [])}, "meta line")
+                           *(["archive_digest"] if pop_mode else [])}, "meta line")
         counts = {name: _coerce(meta[name], int, f"meta {name}") for name in _COUNTS}
-        digest = _coerce(meta["archive_digest"], str, "meta archive_digest") if ccl else None
+        digest = _coerce(meta["archive_digest"], str, "meta archive_digest") if pop_mode else None
     kinds = [line.get("kind") for line in lines]
-    if kinds != ["meta", *(["active"] if ccl else []), "policy"]:
+    if kinds != ["meta", *(["active"] if pop_mode else []), "policy"]:
         raise ConfigError(f"{where}: lines run {', '.join(map(str, kinds))}; a {config.mode} "
-                          f"snapshot needs meta, {'active, ' if ccl else ''}policy")
+                          f"snapshot needs meta, {'active, ' if pop_mode else ''}policy")
     with _at_line(where, len(lines)):
         q = _read_policy(lines[-1], config.env.q_shape)
     pop = None
-    if ccl:
+    if pop_mode:
         with _at_line(where, 2):
             pop = Population(_read_generation(lines[1], config, counts["epoch"]).records(),
                              epoch=counts["epoch"])

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from operator import itemgetter
-from typing import Iterable
 
 import numpy as np
 
@@ -65,23 +63,6 @@ class PolicyTable:
         target = reward + learner.discount * future
         self.q[agent, state, action] += (learner.learning_rate
                                          * (target - self.q[agent, state, action]))
-
-
-def _td_updates(rows: Iterable[list[float]], actions: Iterable[int],
-                next_rows: Iterable[list[float]], wins: Iterable[bool], learning_rate: float,
-                discount: float) -> None:
-    """TD updates in order, update k into the agent's row ``rows[k]``, a list of
-    N_ACTIONS Python floats: on rows that short a Python max beats numpy's per-call
-    overhead, and the IEEE double arithmetic is the array's, bit for bit.
-
-    The team reward is 1 exactly on an episode's terminal transition, so it
-    also marks the updates that do not bootstrap: the target is 1.0 on a win
-    and ``discount * max(next row)`` otherwise, which equal ``1 + discount * 0.0``
-    and ``0 + discount * max(next row)`` for finite values.
-    """
-    for row, action, next_row, won in zip(rows, actions, next_rows, wins):
-        old = row[action]
-        row[action] = old + learning_rate * ((1.0 if won else discount * max(next_row)) - old)
 
 
 def rollout(env: GridSpread, task: TaskGenome, policy: PolicyTable,
@@ -181,77 +162,87 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
 
     The draws are one block ``rng.random((tasks, episodes, max_steps, n_agents,
     2))``; episode e of task b reads its slice ``[b, e]`` as ``rollout`` does.
-    The tasks are lanes that run their episodes back to back and step in
-    lockstep on numpy arrays, with the arithmetic and order of ``_td_updates``.
-    A lane's goals are fixed, so its private table is indexed by cell rather
-    than by goal offset. The shared ``q`` never steers an action, so its
-    updates are replayed after the loop in the order the scalar episodes make
-    them: task, then step, then agent.
-
-    While every bit of ``q`` is zero, the greedy first-argmax of every row is
-    action 0, so each action is its draw's ``_PICK[code]`` alone, and until some
-    lane wins, each update writes ``+0.0 + lr * (discount * +0.0 - +0.0) = +0.0``
-    over +0.0. No episode then depends on another: each walks from its task's
-    start cells. A pre-pass walks every episode of the batch at once to the
-    step cap, recording each step's cells, and then tests the goals once over
-    the whole walk. If no episode stood on its goals at any step, every episode
-    of the loop would be that walk and leave every bit of ``q`` as it was, so
-    the call returns without the loop. Otherwise the loop runs as it would
-    have. The test reads bits, since an update turns ``-0.0`` into +0.0. A
-    vanilla run whose target is out of reach is decided by the pre-pass in
-    every epoch; a ccl run passes through it only in its first epoch, where a
-    lane wins on the first step.
+    Then come three phases, each looked up as a global of this module: ``_prepass``,
+    only while every bit of ``q`` is zero (an update turns ``-0.0`` into +0.0), which
+    may decide the call; ``_lockstep`` on the private tables; and ``_replay`` into ``q``.
     """
     if episodes_per_task < 1:
         raise ValueError("episodes_per_task must be at least 1")
     starts, goals = _start_and_goal_cells(blocks, env_cfg)
-    n_tasks, n_agents, width = len(starts), env_cfg.n_agents, env_cfg.grid_width
+    n_tasks, n_agents = starts.shape
     if not n_tasks:
         return np.zeros(0, int), np.zeros(0, int)
-    n_cells, max_steps = width * width, env_cfg.max_steps
-    lr, discount = learner.learning_rate, learner.discount
-    draws = rng.random((n_tasks, episodes_per_task, max_steps, n_agents, 2))
-    # Each agent's code at each (task, episode, step) for _PICK: 0 to act greedily,
-    # 5 * (a + 1) to explore with action a.
+    draws = rng.random((n_tasks, episodes_per_task, env_cfg.max_steps, n_agents, 2))
     explore = (draws[..., 1] * N_ACTIONS).astype(np.int8)
-    code = np.where(draws[..., 0] < epsilon, (explore + 1) * N_ACTIONS, 0).reshape(-1, n_agents)
-    del draws, explore
-
-    if not np.count_nonzero(q.view(np.uint64)):  # the pre-pass (see above)
-        # Every episode's actions step by step, and the cells they lead to as cell *
-        # N_ACTIONS: (max_steps, tasks * episodes, agents) each. cell_moves maps cell *
-        # N_ACTIONS + action to the successor times N_ACTIONS, so a step has no multiply.
-        moves = _PICK.take(code.reshape(-1, max_steps, n_agents).transpose(1, 0, 2))
-        cell_moves = (_successor_table(width) * N_ACTIONS).astype(np.intp).reshape(-1)
-        walk = np.empty(moves.shape, cell_moves.dtype)
-        here = np.repeat(starts * N_ACTIONS, episodes_per_task, axis=0)
-        for actions, cells in zip(moves, walk):
-            # Every index is a cell times N_ACTIONS plus an action, so "clip" never clips;
-            # unlike the default, it lets take write into ``out`` without a buffer.
-            here = cell_moves.take(here + actions, out=cells, mode="clip")
-        # Where every agent stands on its goal at once, tested agent by agent: a reduction
-        # over the short last axis costs several times more.
-        goal = np.repeat(goals * N_ACTIONS, episodes_per_task, axis=0)
-        on_goals = walk[..., 0] == goal[:, 0]
-        for agent in range(1, n_agents):
-            on_goals &= walk[..., agent] == goal[:, agent]
-        if not np.count_nonzero(on_goals):
-            # no episode met its goals, so every one met the step cap and q keeps its bits
-            return np.zeros(n_tasks, int), np.full(n_tasks, episodes_per_task * max_steps)
+    code = np.where(draws[..., 0] < epsilon, (explore + 1) * N_ACTIONS, 0)
+    del draws, explore  # the phases read only the codes, and run faster with these freed
+    if not np.count_nonzero(q.view(np.uint64)) and not _prepass(code, starts, goals, env_cfg):
+        return np.zeros(n_tasks, int), np.full(n_tasks, episodes_per_task * env_cfg.max_steps)
     q_row, start, successor, on_goal = _lane_tables(starts, goals, env_cfg)
-    # Private tables over the rows of _lane_tables. q_rows is a copy if q is not contiguous;
-    # the replay writes all of it back into q.
-    q_rows = q.reshape(-1, N_ACTIONS)
-    private = q_rows.take(q_row, axis=0)
-    values = private.reshape(-1)
+    private = q.reshape(-1, N_ACTIONS).take(q_row, axis=0)
+    indices, next_rows, wins = _lockstep(private, code, start, successor, on_goal, learner)
+    del code, start, successor, on_goal  # the replay reads none, and runs faster with them freed
+    lanes = indices[:, 0] // (n_agents * env_cfg.grid_width ** 2 * N_ACTIONS)
+    steps = np.bincount(lanes, minlength=n_tasks)
+    successes = np.bincount(lanes[wins], minlength=n_tasks)
+    _replay(q, q_row.reshape(n_tasks, -1), private, lanes, indices, next_rows, wins, learner)
+    return successes, steps
 
+
+def _prepass(code: np.ndarray, starts: np.ndarray, goals: np.ndarray, env_cfg: EnvConfig) -> bool:
+    """The all-zero walk of ``train_on_tasks``: whether an episode ever stood on its goals.
+
+    While every bit of ``q`` is zero, the greedy first-argmax of every row is action 0, so
+    each action is its draw's ``_PICK[code]`` alone, and until some lane wins, each update
+    writes ``+0.0 + lr * (discount * +0.0 - +0.0) = +0.0`` over +0.0. No episode then
+    depends on another: each walks from its task's start cells. The pre-pass walks every
+    episode of the batch at once to the step cap, recording each step's cells, and then
+    tests the goals once over the whole walk. If no episode stood on its goals at any step,
+    every episode of ``_lockstep`` would be that walk and leave every bit of ``q`` as it
+    was, so the call returns without ``_lockstep`` and ``_replay``. Otherwise they run as
+    they would have. A vanilla run whose target is out of reach is decided by the pre-pass
+    in every epoch; a ccl run passes through it only in its first epoch, where a lane wins
+    on the first step.
+    """
+    _, episodes_per_task, max_steps, n_agents = code.shape
+    # Every episode's actions step by step, and the cells they lead to as cell *
+    # N_ACTIONS: (max_steps, tasks * episodes, agents) each. cell_moves maps cell *
+    # N_ACTIONS + action to the successor times N_ACTIONS, so a step has no multiply.
+    moves = _PICK.take(code.reshape(-1, max_steps, n_agents).transpose(1, 0, 2))
+    cell_moves = (_successor_table(env_cfg.grid_width) * N_ACTIONS).astype(np.intp).reshape(-1)
+    walk = np.empty(moves.shape, cell_moves.dtype)
+    here = np.repeat(starts * N_ACTIONS, episodes_per_task, axis=0)
+    for actions, cells in zip(moves, walk):
+        # Every index is a cell times N_ACTIONS plus an action, so "clip" never clips;
+        # unlike the default, it lets take write into ``out`` without a buffer.
+        here = cell_moves.take(here + actions, out=cells, mode="clip")
+    # Where every agent stands on its goal at once, tested agent by agent: a reduction
+    # over the short last axis costs several times more.
+    goal = np.repeat(goals * N_ACTIONS, episodes_per_task, axis=0)
+    on_goals = walk[..., 0] == goal[:, 0]
+    for agent in range(1, n_agents):
+        on_goals &= walk[..., agent] == goal[:, agent]
+    return bool(np.count_nonzero(on_goals))
+
+
+def _lockstep(private: np.ndarray, code: np.ndarray, start: np.ndarray, successor: np.ndarray,
+              on_goal: np.ndarray, learner: LearnerParams) -> tuple[np.ndarray, ...]:
+    """Run the episodes on the lane tables of ``_lane_tables``, updating ``private`` in place;
+    returns every iteration's live lanes' update indices into it, next rows and wins, in turn.
+
+    The tasks are lanes that run their episodes back to back and step in lockstep on numpy
+    arrays, with the arithmetic and order of ``_replay``.
+    """
+    _, episodes_per_task, max_steps, n_agents = code.shape
+    code = code.reshape(-1, n_agents)
+    values = private.reshape(-1)
     # The state of the live lanes, one entry (or row of agents) each: the private rows of
     # the agents' cells, a lane's position in ``code``, where its episode meets the step
     # cap there and the end of its last episode. ``left`` counts down to the first
     # iteration at which a lane may meet its cap. ``draw`` and ``stop`` are changed in
     # place; the arrays in ``records`` never are.
     row = start
-    draw = np.arange(0, n_tasks * episodes_per_task * max_steps, max_steps * episodes_per_task)
+    draw = np.arange(0, len(code), max_steps * episodes_per_task)
     stop, end = draw + max_steps, draw + episodes_per_task * max_steps
     left = max_steps
     records = []  # per iteration: update indices, next rows, rewards
@@ -264,13 +255,13 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
         left -= 1
         any_won = np.count_nonzero(won)
         ends_episode = left == 0 or any_won
-        # _td_updates' target: discount * max(next row), or 1.0 on the team reward.
-        target = np.maximum.reduce(private.take(next_row, axis=0), axis=2) * discount
+        # _replay's target: discount * max(next row), or 1.0 on the team reward.
+        target = np.maximum.reduce(private.take(next_row, axis=0), axis=2) * learner.discount
         if any_won:
             np.copyto(target, 1.0, where=won[:, None])
         old = values.take(index)
         target -= old
-        target *= lr
+        target *= learner.learning_rate
         target += old
         values.put(index, target)
         records.append((index, next_row, won))
@@ -283,37 +274,45 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
             live = draw < end
             if not np.logical_and.reduce(live):
                 if not np.count_nonzero(live):
-                    break
+                    return tuple(np.concatenate(column) for column in zip(*records))
                 row, start, draw, stop, end = (array[live]
                                                for array in (row, start, draw, stop, end))
             if left == 0:
                 left = int(np.minimum.reduce(stop - draw))
 
-    # Task 0's shared updates are lane 0's private ones, made from the same values.
-    q_rows[q_row[:n_agents * n_cells]] = private[:n_agents * n_cells]
-    del private, values, successor
-    indices, next_rows, wins = (np.concatenate(column) for column in zip(*records))
-    del records
-    lanes = indices[:, 0] // (n_agents * n_cells * N_ACTIONS)
-    steps = np.bincount(lanes, minlength=n_tasks)
-    successes = np.bincount(lanes[wins], minlength=n_tasks)
-    # Tasks 1 to B - 1 are replayed in order, each task's steps in order and each step's
-    # agents in order; one task's updates at a time keep the Python lists small.
-    order = np.argsort(lanes, kind="stable")[steps[0]:]
-    private_rows, picks = np.divmod(indices[order], N_ACTIONS)
-    rows = q_row.take(private_rows).ravel()
-    next_rows = q_row.take(next_rows[order]).ravel()
-    picks = picks.ravel()
-    wins = np.repeat(wins[order], n_agents)
+
+def _replay(q: np.ndarray, q_row: np.ndarray, private: np.ndarray, lanes: np.ndarray,
+            indices: np.ndarray, next_rows: np.ndarray, wins: np.ndarray,
+            learner: LearnerParams) -> None:
+    """Make in ``q`` the updates ``_lockstep`` recorded, of the tasks ``lanes``, in the order
+    the scalar episodes make them: task, step, agent. ``q_row`` is the (tasks, rows) lane map.
+
+    The shared ``q`` never steers an action, so its updates wait for the loop's end. Task
+    0's are lane 0's private ones, made from the same values, so its private rows are copied
+    into ``q``. Tasks 1 to B - 1 are replayed in one pass, each update into the agent's row,
+    a list of N_ACTIONS Python floats: on rows that short a Python max beats numpy's
+    per-call overhead, and the IEEE double arithmetic is the array's, bit for bit.
+
+    The team reward is 1 exactly on an episode's terminal transition, so it also marks the
+    updates that do not bootstrap: the target is 1.0 on a win and ``discount * max(next
+    row)`` otherwise, which equal ``1 + discount * 0.0`` and ``0 + discount * max(next
+    row)`` for finite values.
+    """
+    lr, discount = learner.learning_rate, learner.discount
+    # A copy if q is not contiguous; all of it is written back into q.
+    q_rows = q.reshape(-1, N_ACTIONS)
+    q_rows[q_row[0]] = private[:q_row.shape[1]]
+    order = np.argsort(lanes, kind="stable")[np.count_nonzero(lanes == 0):]
+    private_rows, picks = np.divmod(indices[order].ravel(), N_ACTIONS)
     shared = q_rows.tolist()
-    bounds = np.cumsum(steps[1:]) * n_agents
-    for lo, hi in zip((bounds - steps[1:] * n_agents).tolist(), bounds.tolist()):
-        # One lookup for both: itemgetter returns a bare item for a single key.
-        found = itemgetter(*rows[lo:hi].tolist(), *next_rows[lo:hi].tolist())(shared)
-        _td_updates(found[:hi - lo], picks[lo:hi].tolist(), found[hi - lo:],
-                    wins[lo:hi].tolist(), lr, discount)
+    for row, action, next_row, won in zip(  # memoryviews, not lists: no copy of every update
+            map(shared.__getitem__, memoryview(q_row.take(private_rows))),
+            memoryview(picks),
+            map(shared.__getitem__, memoryview(q_row.take(next_rows[order].ravel()))),
+            memoryview(np.repeat(wins[order], indices.shape[1]))):
+        old = row[action]
+        row[action] = old + lr * ((1.0 if won else discount * max(next_row)) - old)
     q[:] = np.fromiter(chain.from_iterable(shared), float, q.size).reshape(q.shape)
-    return successes, steps
 
 
 def greedy_success(q: np.ndarray, blocks, env_cfg: EnvConfig) -> np.ndarray:

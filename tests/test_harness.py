@@ -361,7 +361,6 @@ def test_each_epoch_calls_its_operators_in_order_through_harness_names(
         tmp_path, monkeypatch, mode, fresh, resumed, epoch_calls):
     import coevo_curriculum.harness as harness
 
-    assert tuple(harness.CURRICULA) == MODES
     calls = []
 
     def recording(name, real):
@@ -1528,6 +1527,30 @@ def test_cli_a_resume_in_place_that_would_orphan_later_snapshots_exits_with_two(
         assert main(["eval", "--snapshot", str(out / name)]) == 0
     assert main(rewind + ["--epochs", "5"]) == 0
     assert _files(out) == {name: data for name, data in before.items() if name != "timings.csv"}
+
+
+def test_a_second_population_mode_in_the_declaration_snapshots_and_resumes_in_place(
+        tmp_path, monkeypatch):
+    import coevo_curriculum.config as config
+
+    monkeypatch.setitem(config.MODES, "ccl-twin", True)
+    run = ["run", "--config", str(_write_config(tmp_path, snapshot_interval=1)),
+           "--mode", "ccl-twin"]
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(run + ["--output-dir", str(full), "--epochs", "3"]) == 0
+    for epoch in range(4):
+        snap = load_snapshot(full / f"snapshot_epoch{epoch:05d}.jsonl")
+        assert (snap.config.mode, snap.epoch, len(snap.pop.archive)) == ("ccl-twin", epoch, epoch)
+    assert main(run + ["--output-dir", str(part), "--epochs", "2"]) == 0
+    assert main(run + ["--output-dir", str(part), "--epochs", "3",
+                       "--resume", str(part / "snapshot_epoch00002.jsonl")]) == 0
+    assert _files(part) == _files(full)
+    # The declaration alone picks the curriculum, so the twin trains and evolves as ccl does.
+    ccl = _files(run_experiment(_small_config(epochs=3, snapshot_interval=1),
+                                run_dir=tmp_path / "ccl").run_dir)
+    assert {name: ccl[name] for name in ("metrics.csv", "archive.jsonl")} == {
+        name: _files(full)[name] for name in ("metrics.csv", "archive.jsonl")}
+    assert set(ablation_variants(snap.config, "fitness-shape")) == {"sigmoid", "linear"}
 
 
 def test_cli_run_into_an_output_path_that_is_a_file_exits_with_two(tmp_path, capsys):

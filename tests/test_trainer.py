@@ -12,9 +12,9 @@ from coevo_curriculum.harness import run_experiment
 from coevo_curriculum.snapshots import load_snapshot
 from coevo_curriculum.streams import stream
 from coevo_curriculum.tasks import TaskGenome, opposite_corner_target
-from coevo_curriculum.trainer import (LearnerParams, PolicyTable, _lane_tables,
-                                      _start_and_goal_cells, _successor_table, evaluate_target,
-                                      greedy_success, rollout, train_on_tasks)
+from coevo_curriculum.trainer import (LearnerParams, PolicyTable, _lane_tables, _lockstep,
+                                      _prepass, _replay, _start_and_goal_cells, _successor_table,
+                                      evaluate_target, greedy_success, rollout, train_on_tasks)
 
 PARAMS = LearnerParams()
 _RIGHT, _LEFT, _UP, _DOWN = (MOVES.index(move) for move in ((1, 0), (-1, 0), (0, 1), (0, -1)))
@@ -720,3 +720,123 @@ def test_a_non_contiguous_q_trains_as_its_contiguous_copy():
         assert np.array_equal(q_f.view("<u8"), q_c.view("<u8"))
     assert greedy_success(q_f, _blocks(tasks), cfg).tolist() == greedy_success(
         q_c, _blocks(tasks), cfg).tolist()
+
+
+# ---------------------------------------------------------------- the phases of train_on_tasks
+
+def _plain_walk_meets_goals(code, starts, goals, width):
+    """Whether any episode of the (tasks, episodes, max_steps, agents) ``code`` block has all
+    its agents on their goals after some step, each walking episode by episode from its
+    flat start cell through ``move_cell``: code 0 stays, code 5 * (a + 1) takes action a."""
+    for task, episodes in enumerate(code):
+        goal = [divmod(int(cell), width) for cell in goals[task]]
+        for episode in episodes:
+            cells = [divmod(int(cell), width) for cell in starts[task]]
+            for step in episode:
+                actions = [int(c) // N_ACTIONS - 1 if c else 0 for c in step]
+                cells = [move_cell(cell, action, width) for cell, action in zip(cells, actions)]
+                if cells == goal:
+                    return True
+    return False
+
+
+def _random_codes(rng, shape, explore):
+    """Codes as train_on_tasks makes them: greedy (0), or an explored action a (5 * (a + 1))
+    with probability ``explore``."""
+    explored = (rng.integers(N_ACTIONS, size=shape) + 1) * N_ACTIONS
+    return np.where(rng.random(shape) < explore, explored, 0).astype(np.int8)
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 3])
+def test_prepass_matches_a_plain_walk_over_random_code_blocks(n_agents):
+    met = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        width, n_tasks, episodes, max_steps = 5 - n_agents, int(rng.integers(1, 4)), 2, 5
+        cfg = EnvConfig(grid_width=width, n_agents=n_agents, max_steps=max_steps)
+        starts = rng.integers(width * width, size=(n_tasks, n_agents))
+        goals = rng.integers(width * width, size=(n_tasks, n_agents))
+        code = _random_codes(rng, (n_tasks, episodes, max_steps, n_agents), 0.7)
+        expected = _plain_walk_meets_goals(code, starts, goals, width)
+        assert _prepass(code, starts, goals, cfg) is expected
+        met.add(expected)
+    assert met == {True, False}  # both answers were tested
+
+
+@pytest.mark.parametrize("goal, expected", [((1, 0), True), ((0, 3), False)])
+def test_prepass_sees_an_episode_that_meets_its_goals_and_walks_off_before_the_cap(goal,
+                                                                                   expected):
+    # Agent 0 steps right onto (1, 0) and back off, then stays to the cap; agent 1 stays on
+    # its goal throughout. Episode 1 of task 0 and task 1 only stay. With the goal (1, 0) the
+    # walk ends off the goals, yet met them after step 1; the goal (0, 3) is never met.
+    width, cfg = 4, EnvConfig(grid_width=4, n_agents=2, max_steps=5)
+    cell = lambda xy: xy[0] * width + xy[1]
+    starts = np.array([[cell((0, 0)), cell((2, 2))], [cell((3, 3)), cell((0, 0))]])
+    goals = np.array([[cell(goal), cell((2, 2))], [cell((1, 1)), cell((0, 3))]])
+    code = np.zeros((2, 2, cfg.max_steps, 2), np.int8)
+    code[0, 0, 0, 0] = (_RIGHT + 1) * N_ACTIONS
+    code[0, 0, 1, 0] = (_LEFT + 1) * N_ACTIONS
+    assert _plain_walk_meets_goals(code, starts, goals, width) is expected
+    assert _prepass(code, starts, goals, cfg) is expected
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_replay_matches_policy_table_update_in_task_step_agent_order(layout):
+    cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=6)
+    learner = LearnerParams(learning_rate=0.5, discount=0.9)
+    starts, goals = _start_and_goal_cells(_blocks(_random_batch(cfg, 5, seed=12)), cfg)
+    rng = np.random.default_rng(12)
+    code = _random_codes(rng, (5, 3, cfg.max_steps, cfg.n_agents), 0.3)
+    # Ties for the argmax, and staying is greedy wherever it holds 1.0, so that lanes win.
+    q = np.asarray(np.round(rng.random(cfg.q_shape), 1), order=layout)
+    q[:, ::2, 0] = 1.0
+    assert q.flags.c_contiguous == (layout == "C")
+    q_row, start, successor, on_goal = _lane_tables(starts, goals, cfg)
+    private = q.reshape(-1, N_ACTIONS).take(q_row, axis=0)
+    indices, next_rows, wins = _lockstep(private, code, start, successor, on_goal, learner)
+    lanes = indices[:, 0] // (len(q_row) // len(starts) * N_ACTIONS)
+    assert wins.any() and len(set(lanes.tolist())) == len(starts)
+    reference = PolicyTable(q.copy())
+    for lane in range(len(starts)):  # task, then step, then agent
+        mine = lanes == lane
+        for index, next_row, won in zip(indices[mine], next_rows[mine], wins[mine]):
+            for agent, (at, to) in enumerate(zip(index.tolist(), next_row.tolist())):
+                row, action = divmod(at, N_ACTIONS)
+                owner, state = divmod(int(q_row[row]), cfg.n_states)
+                assert owner == agent
+                next_state = int(q_row[to]) - agent * cfg.n_states
+                reference.update(agent, state, action, float(won), next_state, bool(won),
+                                 learner)
+    _replay(q, q_row.reshape(len(starts), -1), private, lanes, indices, next_rows, wins,
+            learner)
+    assert np.array_equal(q.view("<u8"), reference.q.view("<u8"))
+
+
+@pytest.mark.parametrize("case, phases", [
+    ("zero table, late win", ["_prepass", "_lockstep", "_replay"]),
+    ("zero table, no win", ["_prepass"]),
+    ("non-zero table, no win", ["_lockstep", "_replay"])])
+def test_train_on_tasks_calls_its_phases_in_order_through_trainer_names(monkeypatch, case,
+                                                                         phases):
+    import coevo_curriculum.trainer as trainer
+
+    calls = []
+
+    def recording(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("_prepass", "_lockstep", "_replay"):
+        monkeypatch.setattr(trainer, name, recording(name, getattr(trainer, name)))
+    late = case.endswith("late win")
+    cfg = EnvConfig(grid_width=4 if late else 6, n_agents=1 if late else 2, max_steps=4)
+    q = np.zeros(cfg.q_shape)
+    if case.startswith("non-zero"):
+        q[:] = np.round(np.random.default_rng(2).random(cfg.q_shape), 1)
+    before = q.copy()
+    successes, _ = _train(_LATE_WIN if late else _FAR, q, PARAMS, 0.5, 4, cfg, _rng(4))
+    assert calls == phases
+    assert any(successes) == late
+    assert np.array_equal(q, before) == (phases == ["_prepass"])
