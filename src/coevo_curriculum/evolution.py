@@ -43,29 +43,19 @@ class TaskRecord:
         return TaskRecord(self.genome, None, self.f, self.epoch_born, self.origin)
 
 
-def _listed(index: np.ndarray, values: np.ndarray, i: int) -> float | None:
-    """Record ``i``'s value in a column that lists its non-null values at the rising
-    positions ``index``; None when it is not listed."""
-    at = int(np.searchsorted(index, i))
-    return float(values[at]) if at < index.size and index[at] == i else None
-
-
 @dataclass(eq=False, slots=True)
 class Generation:
     """A closed generation as the columns of its archive line (see ``snapshots``), so that
     no object stands for an archived record until one is asked for.
 
     ``genome`` holds each distinct genome once, ``(rows, n_agents, 4)``, in order of first
-    use, and ``genome_row`` each record's row in it; ``r`` and ``f`` hold the non-null values
-    of the records listed, rising, in ``r_index`` and ``f_index``; ``epoch_born`` and
-    ``origin`` (an index into ``ORIGINS``) hold one value per record.
+    use, and ``genome_row`` each record's row in it; ``r``, ``f`` (NaN where the record holds
+    None), ``epoch_born`` and ``origin`` (an index into ``ORIGINS``) hold one value per record.
     """
 
     genome: np.ndarray
     genome_row: np.ndarray
-    r_index: np.ndarray
     r: np.ndarray
-    f_index: np.ndarray
     f: np.ndarray
     epoch_born: np.ndarray
     origin: np.ndarray
@@ -78,14 +68,14 @@ class Generation:
         rows: dict[bytes, int] = {}
         genome_row = [rows.setdefault(rec.genome.blocks.tobytes(), len(rows)) for rec in records]
         shape = (len(rows),) + (records[0].genome.blocks.shape if records else (0, BLOCK_SIZE))
-        listed = {}
+        measured = {}
         for name in ("r", "f"):
             values = [getattr(rec, name) for rec in records]
-            index = [i for i, value in enumerate(values) if value is not None]
-            listed |= {f"{name}_index": np.array(index, dtype=np.uint32),
-                       name: np.array([values[i] for i in index], dtype=float)}
+            measured[name] = np.array(values, dtype=float)  # None gives NaN
+            if np.count_nonzero(np.isnan(measured[name])) != values.count(None):
+                raise ValueError(f"a record's {name} is NaN; a measurement is a number or None")
         return cls(np.frombuffer(b"".join(rows), dtype=float).reshape(shape),
-                   np.array(genome_row, dtype=np.uint32), **listed,
+                   np.array(genome_row, dtype=np.uint32), **measured,
                    epoch_born=np.array([rec.epoch_born for rec in records], dtype=np.int64),
                    origin=np.array([_ORIGIN_CODES[rec.origin] for rec in records],
                                    dtype=np.uint8))
@@ -98,10 +88,10 @@ class Generation:
         gives the same object; it holds the values of the generation's line."""
         rec = self.handed.get(i)
         if rec is None:
-            rec = self.handed[i] = TaskRecord(
-                TaskGenome(self.genome[self.genome_row[i]]), _listed(self.r_index, self.r, i),
-                _listed(self.f_index, self.f, i), int(self.epoch_born[i]),
-                ORIGINS[self.origin[i]])
+            r, f = (None if math.isnan(value) else value
+                    for value in (self.r.item(i), self.f.item(i)))
+            rec = self.handed[i] = TaskRecord(TaskGenome(self.genome[self.genome_row[i]]), r, f,
+                                              int(self.epoch_born[i]), ORIGINS[self.origin[i]])
         return rec
 
     def records(self) -> list[TaskRecord]:
@@ -358,14 +348,11 @@ def evolve_generation(pop: Population, params: EvolutionParams,
     """
     if pop.epoch in pop.archive:
         raise ValueError(f"generation {pop.epoch} is archived already")
-    active = pop.active
+    # When every task left the difficulty band at once, breed from fresh copies of the
+    # retired records rather than die out.
+    active = pop.active or [rec.clone() for rec in pop.retired]
     if not active:
-        # Every task left the difficulty band at once.  Rather than dying out,
-        # breed from fresh copies of the latest retired or archived generation.
-        if not (pop.retired or pop.archive):
-            raise ValueError("cannot evolve an empty population with an empty archive")
-        latest = pop.retired or pop.archive[max(pop.archive)].records()
-        active = [rec.clone() for rec in latest]
+        raise ValueError("cannot evolve an empty generation with no retired records")
     if any(rec.f is None for rec in active):
         raise ValueError("every active record needs fitness before evolving")
 

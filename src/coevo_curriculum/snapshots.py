@@ -109,22 +109,24 @@ def _binary(values: np.ndarray, dtype: np.dtype, where: str) -> str:
     return base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _sparse(where: str, keys: tuple[str, str], index, values) -> dict[str, str]:
-    """A sparse column as the two binary columns ``keys``: the positions of its listed entries
-    and their values. The policy's non-zero entries and a generation's non-null ``r`` and ``f``
-    share this one codec; ``_read_sparse`` reads it back."""
+def _sparse(where: str, keys: tuple[str, str], column: np.ndarray, listed: np.ndarray
+            ) -> dict[str, str]:
+    """A float column as the two binary columns ``keys``: the positions where ``listed`` is
+    non-zero, rising, and the column's values there; ``_read_sparse`` fills every other
+    position back in. The policy lists its non-zero entries and a generation its non-NaN
+    ``r`` and ``f``: the Q table and both measurement columns share this one codec."""
     index_key, value_key = keys
+    index = np.flatnonzero(listed)
     return {index_key: _binary(index, _INDEX, f"{where} {index_key}"),
-            value_key: _binary(values, _FLOAT, f"{where} {value_key}")}
+            value_key: _binary(column[index], _FLOAT, f"{where} {value_key}")}
 
 
 def _policy_line(q: np.ndarray) -> dict[str, Any]:
     """The table's size, the flat positions of its non-zero entries, tested on the bit pattern
     so that a -0.0 is kept, and their values; each table has this one encoding."""
     flat = np.ascontiguousarray(q, dtype=_FLOAT).reshape(-1)
-    index = np.flatnonzero(flat.view("<u8"))
-    return {"kind": "policy", "size": flat.size, **_sparse("policy", ("index", "q"), index,
-                                                           flat[index])}
+    return {"kind": "policy", "size": flat.size,
+            **_sparse("policy", ("index", "q"), flat, flat.view("<u8"))}
 
 
 def _generation_line(kind: str, epoch: int, generation: Generation) -> dict[str, Any]:
@@ -133,8 +135,8 @@ def _generation_line(kind: str, epoch: int, generation: Generation) -> dict[str,
     return {"kind": kind, "epoch": epoch,
             "genome": _binary(generation.genome, _FLOAT, f"{kind} genome"),
             "genome_row": _binary(generation.genome_row, _INDEX, f"{kind} genome_row"),
-            **_sparse(kind, ("r_index", "r"), generation.r_index, generation.r),
-            **_sparse(kind, ("f_index", "f"), generation.f_index, generation.f),
+            **_sparse(kind, ("r_index", "r"), generation.r, ~np.isnan(generation.r)),
+            **_sparse(kind, ("f_index", "f"), generation.f, ~np.isnan(generation.f)),
             "epoch_born": generation.epoch_born.tolist(),
             "origin": _binary(generation.origin, _CODE, f"{kind} origin")}
 
@@ -206,6 +208,9 @@ def _read_snapshot(where: str, raw: list[str]) -> Snapshot:
         _check_keys(meta, {"kind", "format", "config", *_COUNTS,
                            *(["archive_digest"] if pop_mode else [])}, "meta line")
         counts = {name: _coerce(meta[name], int, f"meta {name}") for name in _COUNTS}
+        for name, count in counts.items():
+            if count < 0:
+                raise ConfigError(f"meta {name} is {count}; a count is at least 0")
         digest = _coerce(meta["archive_digest"], str, "meta archive_digest") if pop_mode else None
     kinds = [line.get("kind") for line in lines]
     if kinds != ["meta", *(["active"] if pop_mode else []), "policy"]:
@@ -216,8 +221,11 @@ def _read_snapshot(where: str, raw: list[str]) -> Snapshot:
     pop = None
     if pop_mode:
         with _at_line(where, 2):
-            pop = Population(_read_generation(lines[1], config, counts["epoch"]).records(),
-                             epoch=counts["epoch"])
+            active = _read_generation(lines[1], config, counts["epoch"])
+            if len(active) != config.evolution.population_size:
+                raise ConfigError(f"active line holds {len(active)} records; every snapshot of "
+                                  f"the stored config holds {config.evolution.population_size}")
+            pop = Population(active.records(), epoch=counts["epoch"])
     return Snapshot(config=config, **counts, pop=pop, policy_q=q, archive_digest=digest)
 
 
@@ -243,10 +251,11 @@ def _check_finite(values: np.ndarray, where: str) -> None:
 
 
 def _read_sparse(line: dict[str, Any], where: str, keys: tuple[str, str], size: int,
-                 extent: str) -> tuple[np.ndarray, np.ndarray]:
-    """The listed entries of a sparse column of ``size`` positions (see ``_sparse``): as many
-    positions as values, the positions rising strictly below ``size``, every value finite.
-    ``extent`` says what holds the ``size`` positions."""
+                 extent: str, fill: float) -> np.ndarray:
+    """The column of ``size`` values that ``_sparse`` listed, ``fill`` at every position it
+    did not list. Only the writer's one encoding loads: as many positions as values, the
+    positions rising strictly below ``size``, every value finite and none with the bits of
+    ``fill``. ``extent`` says what holds the ``size`` positions."""
     index_key, value_key = keys
     index = _read_column(line[index_key], _INDEX, f"{where} {index_key}")
     values = _read_column(line[value_key], _FLOAT, f"{where} {value_key}")
@@ -254,11 +263,16 @@ def _read_sparse(line: dict[str, Any], where: str, keys: tuple[str, str], size: 
         raise ConfigError(f"{where} {index_key} holds {index.size} positions, {where} "
                           f"{value_key} {values.size} values")
     _check_finite(values, f"{where} {value_key}")
+    if (filled := np.flatnonzero(values.view("<u8") == _FLOAT.type(fill).view("<u8"))).size:
+        raise ConfigError(f"{where} {value_key}[{filled[0]}] is a listed {fill}; only values "
+                          f"other than {fill} are listed")
     if (index[1:] <= index[:-1]).any():
         raise ConfigError(f"{where} {index_key} does not rise strictly")
     if index.size and index[-1] >= size:
         raise ConfigError(f"{where} {index_key} {index[-1]} is out of range: {extent}")
-    return index, values
+    column = np.full(size, fill)
+    column[index] = values
+    return column
 
 
 def _read_policy(line: dict[str, Any], shape: tuple[int, ...]) -> np.ndarray:
@@ -269,15 +283,8 @@ def _read_policy(line: dict[str, Any], shape: tuple[int, ...]) -> np.ndarray:
     if _coerce(line["size"], int, "policy size") != size:
         raise ConfigError(f"policy holds a table of {line['size']} values; the shape {shape} "
                           f"needs {size}")
-    index, q = _read_sparse(line, "policy", ("index", "q"), size,
-                            f"the shape {shape} holds {size} values")
-    zeros = np.flatnonzero(q.view("<u8") == 0)
-    if zeros.size:
-        raise ConfigError(f"policy q[{zeros[0]}] is a listed zero; only non-zero entries are "
-                          "listed")
-    table = np.zeros(size)
-    table[index] = q
-    return table.reshape(shape)
+    return _read_sparse(line, "policy", ("index", "q"), size,
+                        f"the shape {shape} holds {size} values", 0.0).reshape(shape)
 
 
 def _read_genomes(line: dict[str, Any], kind: str, genome_row: np.ndarray, n_agents: int
@@ -338,10 +345,10 @@ def _read_generation(line: dict[str, Any], config: ExperimentConfig, expected_ep
         raise ConfigError(f"{kind} origin[{unknown[0]}] is code {origin[unknown[0]]}, not one "
                           f"of 0 to {len(ORIGINS) - 1} ({', '.join(ORIGINS)})")
     extent = f"the generation holds {count} records"
-    r_index, r = _read_sparse(line, kind, ("r_index", "r"), count, extent)
-    f_index, f = _read_sparse(line, kind, ("f_index", "f"), count, extent)
+    r, f = (_read_sparse(line, kind, (name + "_index", name), count, extent, math.nan)
+            for name in ("r", "f"))
     return Generation(_read_genomes(line, kind, genome_row, config.env.n_agents), genome_row,
-                      r_index, r, f_index, f, born, origin)
+                      r, f, born, origin)
 
 
 def _read_archive(path: Path, snap: Snapshot) -> dict[int, Generation]:

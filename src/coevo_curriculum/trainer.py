@@ -234,6 +234,7 @@ def _lockstep(private: np.ndarray, code: np.ndarray, start: np.ndarray, successo
     arrays, with the arithmetic and order of ``_replay``.
     """
     _, episodes_per_task, max_steps, n_agents = code.shape
+    lr, discount = learner.learning_rate, learner.discount
     code = code.reshape(-1, n_agents)
     values = private.reshape(-1)
     # The state of the live lanes, one entry (or row of agents) each: the private rows of
@@ -256,12 +257,12 @@ def _lockstep(private: np.ndarray, code: np.ndarray, start: np.ndarray, successo
         any_won = np.count_nonzero(won)
         ends_episode = left == 0 or any_won
         # _replay's target: discount * max(next row), or 1.0 on the team reward.
-        target = np.maximum.reduce(private.take(next_row, axis=0), axis=2) * learner.discount
+        target = np.maximum.reduce(private.take(next_row, axis=0), axis=2) * discount
         if any_won:
             np.copyto(target, 1.0, where=won[:, None])
         old = values.take(index)
         target -= old
-        target *= learner.learning_rate
+        target *= lr
         target += old
         values.put(index, target)
         records.append((index, next_row, won))

@@ -536,35 +536,6 @@ def test_evolve_refills_from_ranked_parents_then_children_in_turn():
     assert counts == {1, 2}
 
 
-def test_evolve_empty_generation_breeds_from_the_latest_archived_one():
-    params = EvolutionParams(population_size=8, batch_size=4, knn_k=2)
-    rng = np.random.default_rng(122)
-    older = [_record(rng.random((2, BLOCK_SIZE)), f=0.3, r=0.5) for _ in range(4)]
-    latest = [_record(rng.random((2, BLOCK_SIZE)), f=0.3, r=1.0, epoch_born=1) for _ in range(4)]
-    pop = Population(active=[], archive={0: Generation.of(older), 1: Generation.of(latest)},
-                     epoch=2)
-    nxt = evolve_generation(pop, params, np.random.default_rng(7))
-    assert nxt.epoch == 3 and len(nxt.active) == 8
-    # flat fitness: every child copies a parent, and parents are the latest generation
-    latest_bytes = {rec.genome.blocks.tobytes() for rec in latest}
-    for rec in nxt.active:
-        assert rec.genome.blocks.tobytes() in latest_bytes
-        assert rec.r is None
-    n_children = next(i for i, rec in enumerate(nxt.active) if rec.epoch_born != 3)
-    for got, source in zip(nxt.active[n_children:], latest):
-        assert got is not source
-        assert got.genome.blocks.tobytes() == source.genome.blocks.tobytes()
-    # the archive is left as it was, measurements included
-    assert [nxt.archive[e] for e in (0, 1)] == [pop.archive[e] for e in (0, 1)]
-    assert [_values(nxt.archive[e].records()) for e in (0, 1)] == [_values(older),
-                                                                    _values(latest)]
-    assert len(nxt.archive[2]) == 0
-    # A generation is archived once: closing one that is archived already is refused.
-    with pytest.raises(ValueError, match="generation 1 is archived already"):
-        evolve_generation(Population(active=[], archive=pop.archive, epoch=1), params,
-                          np.random.default_rng(7))
-
-
 def test_evolve_emptied_generation_breeds_from_its_retired_records():
     params = EvolutionParams(population_size=8, batch_size=4, knn_k=2)
     rng = np.random.default_rng(123)
@@ -578,6 +549,10 @@ def test_evolve_emptied_generation_breeds_from_its_retired_records():
     assert all(rec.genome.blocks.tobytes() in retired_bytes and rec.r is None
                for rec in nxt.active)
     assert _values(nxt.archive[1].records()) == _values(active)
+    # A generation is archived once: closing one that is archived already is refused.
+    with pytest.raises(ValueError, match="generation 1 is archived already"):
+        evolve_generation(Population(active=nxt.active, archive=nxt.archive, epoch=1), params,
+                          np.random.default_rng(7))
 
 
 def _reference_children(pair, f_min, f_max, params, rng, tally):
@@ -697,9 +672,27 @@ def test_records_and_genomes_have_no_instance_dict():
         rec.note = "unused"
 
 
-def test_evolve_empty_generation_with_empty_archive_raises():
-    with pytest.raises(ValueError, match="empty archive"):
-        evolve_generation(Population(active=[]), PARAMS, np.random.default_rng(0))
+def test_evolve_empty_generation_with_nothing_retired_raises():
+    archived = Generation.of([_record(np.zeros((2, BLOCK_SIZE)), f=0.3, r=0.5)])
+    for archive in ({}, {0: archived}):  # an archived generation is no breeding stock
+        with pytest.raises(ValueError, match="empty generation with no retired records"):
+            evolve_generation(Population(active=[], archive=archive, epoch=1), PARAMS,
+                              np.random.default_rng(0))
+
+
+def test_a_generation_holds_r_and_f_as_one_value_per_record():
+    records = [_record(np.zeros((1, BLOCK_SIZE)), f=0.25, r=-0.0),
+               _record(np.ones((1, BLOCK_SIZE)), f=-0.0)]
+    generation = Generation.of(records)
+    assert generation.r.dtype == generation.f.dtype == np.float64
+    assert generation.r.view("<u8").tolist() == np.array([-0.0, math.nan]).view("<u8").tolist()
+    assert generation.f.view("<u8").tolist() == np.array([0.25, -0.0]).view("<u8").tolist()
+    assert _values(generation.records()) == _values(records)
+    assert math.copysign(1.0, generation.record(0).r) == -1.0
+    # NaN stands for None, so a NaN measurement is refused.
+    for name in ("r", "f"):
+        with pytest.raises(ValueError, match=f"a record's {name} is NaN"):
+            Generation.of(records + [_record(np.zeros((1, BLOCK_SIZE)), **{name: math.nan})])
 
 
 def test_archive_accumulates_one_generation_per_epoch():

@@ -487,6 +487,14 @@ def test_write_snapshot_reproduces_every_loaded_snapshot(tmp_path):
         with pytest.raises(ValueError, match="policy q holds a non-finite value"):
             write_snapshot(tmp_path / "nan.jsonl", unreadable)
         assert not list(tmp_path.glob("nan.jsonl*"))
+    # A measurement is a finite number or None, which the active line does not list.
+    unmeasurable = load_snapshot(tmp_path / "ccl" / "snapshot_epoch00005.jsonl")
+    for bad, message in ((math.nan, "a record's r is NaN"),
+                         (math.inf, "active r holds a non-finite value")):
+        unmeasurable.pop.active[0].r = bad
+        with pytest.raises(ValueError, match=message):
+            write_snapshot(tmp_path / "nan.jsonl", unmeasurable)
+        assert not list(tmp_path.glob("nan.jsonl*"))
 
 
 def _b64(values, dtype="<f8"):
@@ -758,15 +766,14 @@ def test_binary_columns_round_trip_bit_for_bit(tmp_path):
         assert again.read_bytes() == path.read_bytes(), name
     assert json.loads((tmp_path / "zero.jsonl").read_text().splitlines()[-1]) == {
         "kind": "policy", "size": math.prod(shape), "index": "", "q": ""}
-    # A generation with no record, active or archived.
+    # An archived generation with no record, beside an active one of the config's size.
     ccl = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "c").snapshot_path
     meta, active, policy = [json.loads(line) for line in ccl.read_text().splitlines()]
-    empty = dict(active, genome="", genome_row="", r_index="", r="", f_index="", f="",
-                 epoch_born=[], origin="")
-    path = _write_archived(tmp_path / "empty", meta, empty, policy,
-                           [dict(empty, kind="archive", epoch=0)])
+    empty = dict(active, kind="archive", epoch=0, genome="", genome_row="", r_index="", r="",
+                 f_index="", f="", epoch_born=[], origin="")
+    path = _write_archived(tmp_path / "empty", meta, active, policy, [empty])
     loaded = load_snapshot(path)
-    assert loaded.pop.active == [] and list(loaded.pop.archive) == [0]
+    assert len(loaded.pop.active) == 8 and list(loaded.pop.archive) == [0]
     assert len(loaded.pop.archive[0]) == 0
     write_snapshot(tmp_path / "empty" / "again.jsonl", loaded)
     assert (tmp_path / "empty" / "again.jsonl").read_text().splitlines() == \
@@ -806,14 +813,13 @@ def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
     for line in lines:
         digest = _chain(digest, line)
     path = tmp_path / "snapshot.jsonl"
-    write_snapshot(path, Snapshot(config, 3, 0, 0, Population([], epoch=3),
+    # An active generation of the config's 8 records, with the rows and -0.0s of the archived ones.
+    active = generations[0] + generations[1]
+    write_snapshot(path, Snapshot(config, 3, 0, 0, Population(active, epoch=3),
                                   np.zeros(config.env.q_shape), archive_digest=digest))
-    # An empty active generation.
-    assert json.loads(path.read_text().splitlines()[1]) == {
-        "kind": "active", "epoch": 3, "genome": "", "genome_row": "", "r_index": "", "r": "",
-        "f_index": "", "f": "", "epoch_born": [], "origin": ""}
     loaded = load_snapshot(path)
-    assert loaded.pop.active == [] and list(loaded.pop.archive) == [0, 1, 2]
+    _assert_same_records(loaded.pop.active, active)
+    assert list(loaded.pop.archive) == [0, 1, 2]
     for epoch, records in generations.items():
         got = loaded.pop.archive[epoch].records()
         _assert_same_records(got, records)
@@ -908,7 +914,7 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
             ("more-values", active, listed([1], [1.0, 2.0]),
              "policy index holds 1 positions, policy q 2 values"),
             ("listed-zero", active, listed([1, 2], [1.0, 0.0]),
-             r"policy q\[1\] is a listed zero"),
+             r"policy q\[1\] is a listed 0\.0; only values other than 0\.0 are listed"),
             ("nan-q", active, listed([1], [math.nan]), r"policy q\[0\] must be finite"),
             ("inf-q", active, listed([1, 4], [1.0, -math.inf]), r"policy q\[1\] must be finite"),
             ("nan-last-q", active, listed(range(size), [1.0] * (size - 1) + [math.nan]),
@@ -1324,6 +1330,38 @@ def test_a_refused_resume_creates_no_output_directory(tmp_path, capsys):
         assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)), "--seed", seed,
                      "--resume", str(snapshot), "--output-dir", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+
+def test_a_resume_from_an_active_line_of_another_size_exits_with_two(tmp_path, capsys):
+    # Every snapshot a run writes holds population_size (8) active records.
+    half = run_experiment(_small_config(epochs=2, snapshot_interval=2), run_dir=tmp_path / "half")
+    snap = load_snapshot(half.snapshot_path)
+    for count in (0, 2, 6):
+        cut = tmp_path / "half" / f"cut-{count}.jsonl"
+        write_snapshot(cut, replace(snap, pop=replace(snap.pop, active=snap.pop.active[:count])))
+        out = tmp_path / "new" / str(count)
+        assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)),
+                     "--resume", str(cut), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: snapshot {cut} line 2: active line holds {count} records; every snapshot "
+            "of the stored config holds 8\n")
+        assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("counter", ["epoch", "episodes_total", "env_steps_total"])
+def test_a_resume_from_a_negative_meta_counter_exits_with_two(tmp_path, capsys, counter):
+    for mode in MODES:
+        half = run_experiment(_small_config(mode=mode, epochs=2, snapshot_interval=2),
+                              run_dir=tmp_path / mode)
+        lines = [json.loads(line) for line in half.snapshot_path.read_text().splitlines()]
+        negative = _write_jsonl(tmp_path / mode / "negative.jsonl",
+                                [dict(lines[0], **{counter: -1})] + lines[1:])
+        out = tmp_path / "new" / mode
+        assert main(["run", "--config", str(_write_config(tmp_path, mode=mode, epochs=4)),
+                     "--resume", str(negative), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: snapshot {negative} line 1: meta {counter} is -1; a count is at least 0\n")
         assert not (tmp_path / "new").exists()
 
 
