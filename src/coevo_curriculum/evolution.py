@@ -86,17 +86,18 @@ class Generation:
     def record(self, i: int) -> TaskRecord:
         """Record ``i``, built the first time it is asked for and kept, so that every call
         gives the same object; it holds the values of the generation's line."""
-        rec = self.handed.get(i)
-        if rec is None:
-            r, f = (None if math.isnan(value) else value
-                    for value in (self.r.item(i), self.f.item(i)))
-            rec = self.handed[i] = TaskRecord(TaskGenome(self.genome[self.genome_row[i]]), r, f,
-                                              int(self.epoch_born[i]), ORIGINS[self.origin[i]])
-        return rec
+        if i not in self.handed:
+            self.handed[i] = self._build(i)
+        return self.handed[i]
 
     def records(self) -> list[TaskRecord]:
-        """Every record, in order, each as ``record`` gives it."""
-        return [self.record(i) for i in range(len(self))]
+        """Every record, in order: those ``record`` handed out, the others built and not kept."""
+        return [self.handed[i] if i in self.handed else self._build(i) for i in range(len(self))]
+
+    def _build(self, i: int) -> TaskRecord:
+        r, f = (None if math.isnan(value) else value for value in (self.r.item(i), self.f.item(i)))
+        return TaskRecord(TaskGenome(self.genome[self.genome_row[i]]), r, f,
+                          int(self.epoch_born[i]), ORIGINS[self.origin[i]])
 
 
 @dataclass
@@ -113,8 +114,8 @@ class Population:
     retired: list[TaskRecord] = field(default_factory=list)
 
     def archived_records(self) -> list[TaskRecord]:
-        """Archive pooled across generations, in stable (generation, insertion) order; the
-        objects ``soft_select`` hands out for the same records."""
+        """Archive pooled across generations, in stable (generation, insertion) order, each
+        generation's as its ``records`` gives them."""
         return [rec for epoch in sorted(self.archive) for rec in self.archive[epoch].records()]
 
 

@@ -18,7 +18,7 @@ from .evolution import (advance_toward, assign_population_fitness, delete_bad_ta
                         evolve_generation, init_population, soft_select)
 from .fitness import PrototypeSet
 from .snapshots import (ARCHIVE_NAME, EMPTY_ARCHIVE_DIGEST, Snapshot, _COUNTS, _append_archive,
-                        _start_archive, load_snapshot, write_snapshot)
+                        _start_archive, load_snapshot, read_snapshot, write_snapshot)
 from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, stream
 from .trainer import evaluate_target, train_on_tasks
 
@@ -291,8 +291,8 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
 
 
 def evaluate_snapshot(snapshot_path: str | Path) -> float:
-    """Greedy target success of a stored policy, using the snapshot's own config."""
-    snap = load_snapshot(snapshot_path)
+    """Greedy target success of a stored policy under the snapshot's own config; no archive."""
+    snap = read_snapshot(snapshot_path)
     return evaluate_target(snap.policy_q, snap.config.target_genome(), snap.config.env)
 
 

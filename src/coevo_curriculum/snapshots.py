@@ -161,20 +161,12 @@ def _append_archive(path: Path, digest: str, epoch: int, generation: Generation)
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
-    """Read a snapshot and check it against its own stored config; any fault is a ConfigError.
-
-    A ccl snapshot takes its archive from the first ``epoch`` lines of the ``archive.jsonl``
-    beside it, which must match its digest; later lines are ignored.
-    """
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = handle.readlines()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-        raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
-    snap = _read_snapshot(f"snapshot {path}", raw)
+    """``read_snapshot``, with the archive of a snapshot that keeps a population taken from the
+    first ``epoch`` lines of the ``archive.jsonl`` beside it, which must match its digest;
+    later lines are ignored."""
+    snap = read_snapshot(path)
     if snap.pop is not None:
-        snap.pop.archive = _read_archive(path.with_name(ARCHIVE_NAME), snap)
+        snap.pop.archive = _read_archive(Path(path).with_name(ARCHIVE_NAME), snap)
     return snap
 
 
@@ -189,8 +181,16 @@ def _at_line(where: str, number: int) -> Iterator[None]:
         raise ConfigError(f"{where} line {number} is malformed: {exc}") from exc
 
 
-def _read_snapshot(where: str, raw: list[str]) -> Snapshot:
-    """Every value is checked against its field's type, as a config value is."""
+def read_snapshot(path: str | Path) -> Snapshot:
+    """A snapshot's own lines, without its archive (``pop.archive`` stays empty), checked
+    against its stored config; any fault is a ConfigError. Every value is checked against its
+    field's type, as a config value is."""
+    where = f"snapshot {path}"
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = handle.readlines()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise ConfigError(f"cannot read {where}: {exc}") from exc
     lines = []
     for number, text in enumerate(raw, 1):
         with _at_line(where, number):
@@ -225,6 +225,9 @@ def _read_snapshot(where: str, raw: list[str]) -> Snapshot:
             if len(active) != config.evolution.population_size:
                 raise ConfigError(f"active line holds {len(active)} records; every snapshot of "
                                   f"the stored config holds {config.evolution.population_size}")
+            if (measured := np.flatnonzero(~np.isnan(active.r))).size:
+                raise ConfigError(f"active r lists record {measured[0]}; a snapshot is taken "
+                                  "after evolve_generation, so no active record is measured")
             pop = Population(active.records(), epoch=counts["epoch"])
     return Snapshot(config=config, **counts, pop=pop, policy_q=q, archive_digest=digest)
 

@@ -108,9 +108,8 @@ def discretize(genome: TaskGenome, domain: TaskDomain) -> list[tuple[tuple[int, 
 def grid_cells(blocks: np.ndarray, width: int) -> np.ndarray:
     """``discretize``'s arithmetic on any array of genome blocks: every coordinate as its
     cell index floor(c * width), clamped to [0, width - 1], as int32."""
-    # Plain ufuncs rather than np.clip: this runs on every reset and on every
-    # training batch, and np.clip's per-call dtype-limit checks cost more than
-    # the arithmetic.
+    # Plain ufuncs rather than np.clip: this runs on every training batch and greedy
+    # evaluation, and np.clip's per-call dtype-limit checks cost more than the arithmetic.
     return np.minimum(np.maximum(np.floor(blocks * width), 0), width - 1).astype(np.int32)
 
 

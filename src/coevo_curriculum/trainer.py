@@ -178,15 +178,9 @@ def train_on_tasks(blocks, q: np.ndarray, learner: LearnerParams, epsilon: float
     del draws, explore  # the phases read only the codes, and run faster with these freed
     if not np.count_nonzero(q.view(np.uint64)) and not _prepass(code, starts, goals, env_cfg):
         return np.zeros(n_tasks, int), np.full(n_tasks, episodes_per_task * env_cfg.max_steps)
-    q_row, start, successor, on_goal = _lane_tables(starts, goals, env_cfg)
-    private = q.reshape(-1, N_ACTIONS).take(q_row, axis=0)
-    indices, next_rows, wins = _lockstep(private, code, start, successor, on_goal, learner)
-    del code, start, successor, on_goal  # the replay reads none, and runs faster with them freed
-    lanes = indices[:, 0] // (n_agents * env_cfg.grid_width ** 2 * N_ACTIONS)
-    steps = np.bincount(lanes, minlength=n_tasks)
-    successes = np.bincount(lanes[wins], minlength=n_tasks)
-    _replay(q, q_row.reshape(n_tasks, -1), private, lanes, indices, next_rows, wins, learner)
-    return successes, steps
+    tasks, positions, next_rows, wins = _lockstep(q, code, starts, goals, env_cfg, learner)
+    _replay(q, positions, next_rows, wins, learner)
+    return np.bincount(tasks[wins], minlength=n_tasks), np.bincount(tasks, minlength=n_tasks)
 
 
 def _prepass(code: np.ndarray, starts: np.ndarray, goals: np.ndarray, env_cfg: EnvConfig) -> bool:
@@ -225,16 +219,21 @@ def _prepass(code: np.ndarray, starts: np.ndarray, goals: np.ndarray, env_cfg: E
     return bool(np.count_nonzero(on_goals))
 
 
-def _lockstep(private: np.ndarray, code: np.ndarray, start: np.ndarray, successor: np.ndarray,
-              on_goal: np.ndarray, learner: LearnerParams) -> tuple[np.ndarray, ...]:
-    """Run the episodes on the lane tables of ``_lane_tables``, updating ``private`` in place;
-    returns every iteration's live lanes' update indices into it, next rows and wins, in turn.
+def _lockstep(q: np.ndarray, code: np.ndarray, starts: np.ndarray, goals: np.ndarray,
+              env_cfg: EnvConfig, learner: LearnerParams) -> tuple[np.ndarray, ...]:
+    """Run the episodes on private copies of ``q``'s rows (see ``_lane_tables``); returns
+    every step's updates in the scalar episodes' order (task, step, agent), in ``q``'s
+    coordinates: the step's task, its agents' flat positions ``q_row * N_ACTIONS + action``
+    and next Q rows, (steps, agents) each, and whether it won the team reward.
 
     The tasks are lanes that run their episodes back to back and step in lockstep on numpy
-    arrays, with the arithmetic and order of ``_replay``.
+    arrays, with the arithmetic and order of ``_replay``. A lane's private rows map one to
+    one onto Q rows, so its updates are those that ``_replay`` makes in ``q``.
     """
-    _, episodes_per_task, max_steps, n_agents = code.shape
+    n_tasks, episodes_per_task, max_steps, n_agents = code.shape
     lr, discount = learner.learning_rate, learner.discount
+    q_row, start, successor, on_goal = _lane_tables(starts, goals, env_cfg)
+    private = q.reshape(-1, N_ACTIONS).take(q_row, axis=0)
     code = code.reshape(-1, n_agents)
     values = private.reshape(-1)
     # The state of the live lanes, one entry (or row of agents) each: the private rows of
@@ -242,11 +241,10 @@ def _lockstep(private: np.ndarray, code: np.ndarray, start: np.ndarray, successo
     # cap there and the end of its last episode. ``left`` counts down to the first
     # iteration at which a lane may meet its cap. ``draw`` and ``stop`` are changed in
     # place; the arrays in ``records`` never are.
-    row = start
-    draw = np.arange(0, len(code), max_steps * episodes_per_task)
+    row, draw = start, np.arange(0, len(code), max_steps * episodes_per_task)
     stop, end = draw + max_steps, draw + episodes_per_task * max_steps
     left = max_steps
-    records = []  # per iteration: update indices, next rows, rewards
+    records = []  # per iteration: update indices into private, next rows, rewards
     while True:
         pick = _PICK.take(code.take(draw, axis=0) + private.take(row, axis=0).argmax(axis=2))
         index = row * N_ACTIONS + pick
@@ -275,24 +273,28 @@ def _lockstep(private: np.ndarray, code: np.ndarray, start: np.ndarray, successo
             live = draw < end
             if not np.logical_and.reduce(live):
                 if not np.count_nonzero(live):
-                    return tuple(np.concatenate(column) for column in zip(*records))
+                    break
                 row, start, draw, stop, end = (array[live]
                                                for array in (row, start, draw, stop, end))
             if left == 0:
                 left = int(np.minimum.reduce(stop - draw))
+    index, next_row, won = (np.concatenate(column) for column in zip(*records))
+    del records, private, values, successor, on_goal  # mapped with these alive, the peak RSS rose
+    lanes = index[:, 0] // (len(q_row) // n_tasks * N_ACTIONS)
+    order = np.argsort(lanes, kind="stable")
+    rows, actions = np.divmod(index.take(order, axis=0), N_ACTIONS)
+    return (lanes.take(order), q_row.take(rows) * N_ACTIONS + actions,
+            q_row.take(next_row.take(order, axis=0)), won.take(order))
 
 
-def _replay(q: np.ndarray, q_row: np.ndarray, private: np.ndarray, lanes: np.ndarray,
-            indices: np.ndarray, next_rows: np.ndarray, wins: np.ndarray,
+def _replay(q: np.ndarray, positions: np.ndarray, next_rows: np.ndarray, wins: np.ndarray,
             learner: LearnerParams) -> None:
-    """Make in ``q`` the updates ``_lockstep`` recorded, of the tasks ``lanes``, in the order
-    the scalar episodes make them: task, step, agent. ``q_row`` is the (tasks, rows) lane map.
-
-    The shared ``q`` never steers an action, so its updates wait for the loop's end. Task
-    0's are lane 0's private ones, made from the same values, so its private rows are copied
-    into ``q``. Tasks 1 to B - 1 are replayed in one pass, each update into the agent's row,
-    a list of N_ACTIONS Python floats: on rows that short a Python max beats numpy's
-    per-call overhead, and the IEEE double arithmetic is the array's, bit for bit.
+    """Make in ``q``, in order, the updates of ``_lockstep``'s steps: step i's into the
+    flat positions ``positions[i]``, toward the rows ``next_rows[i]`` of ``q.reshape(-1,
+    N_ACTIONS)``, on the team reward ``wins[i]``. The shared ``q`` never steers an action,
+    so its updates wait for the loop's end. Each goes into its row, a list of N_ACTIONS
+    Python floats: on rows that short a Python max beats numpy's per-call overhead, and
+    the IEEE double arithmetic is the array's, bit for bit.
 
     The team reward is 1 exactly on an episode's terminal transition, so it also marks the
     updates that do not bootstrap: the target is 1.0 on a win and ``discount * max(next
@@ -300,17 +302,12 @@ def _replay(q: np.ndarray, q_row: np.ndarray, private: np.ndarray, lanes: np.nda
     row)`` for finite values.
     """
     lr, discount = learner.learning_rate, learner.discount
-    # A copy if q is not contiguous; all of it is written back into q.
-    q_rows = q.reshape(-1, N_ACTIONS)
-    q_rows[q_row[0]] = private[:q_row.shape[1]]
-    order = np.argsort(lanes, kind="stable")[np.count_nonzero(lanes == 0):]
-    private_rows, picks = np.divmod(indices[order].ravel(), N_ACTIONS)
-    shared = q_rows.tolist()
+    shared = q.reshape(-1, N_ACTIONS).tolist()
+    rows, actions = np.divmod(positions.ravel(), N_ACTIONS)
     for row, action, next_row, won in zip(  # memoryviews, not lists: no copy of every update
-            map(shared.__getitem__, memoryview(q_row.take(private_rows))),
-            memoryview(picks),
-            map(shared.__getitem__, memoryview(q_row.take(next_rows[order].ravel()))),
-            memoryview(np.repeat(wins[order], indices.shape[1]))):
+            map(shared.__getitem__, memoryview(rows)), memoryview(actions),
+            map(shared.__getitem__, memoryview(next_rows.ravel())),
+            memoryview(np.repeat(wins, positions.shape[1]))):
         old = row[action]
         row[action] = old + lr * ((1.0 if won else discount * max(next_row)) - old)
     q[:] = np.fromiter(chain.from_iterable(shared), float, q.size).reshape(q.shape)

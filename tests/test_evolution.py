@@ -913,6 +913,26 @@ def test_soft_select_draws_what_the_pooled_records_gave():
             id(rec) for gen in archive.values() for rec in gen.handed.values()}
 
 
+def test_archived_records_hands_back_the_drawn_records_and_keeps_no_other():
+    rng = np.random.default_rng(127)
+    params = EvolutionParams(population_size=16, batch_size=10, new_fraction=0.7, knn_k=3)
+    pop = _uniform_population(16, rng, f=0.2)
+    for epoch in range(3):
+        for rec in pop.active:
+            rec.f = float(rng.random())
+        pop = evolve_generation(pop, params, np.random.default_rng(epoch))
+    drawn = soft_select(pop, params, np.random.default_rng(9))[7:]  # the three old picks
+    handed = {epoch: dict(gen.handed) for epoch, gen in pop.archive.items()}
+    assert sum(map(len, handed.values())) == 3
+    pooled = pop.archived_records()
+    assert {epoch: gen.handed for epoch, gen in pop.archive.items()} == handed  # none kept
+    assert len(pooled) == 3 * 16 and all(any(rec is got for got in pooled) for rec in drawn)
+    # The others are built afresh at each call, with the values of their lines.
+    again = pop.archived_records()
+    assert _values(again) == _values(pooled)
+    assert sum(a is b for a, b in zip(again, pooled)) == 3
+
+
 def test_soft_select_rejects_oversized_batch():
     rng = np.random.default_rng(125)
     pop = _uniform_population(4, rng, f=0.2)

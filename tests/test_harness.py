@@ -537,6 +537,13 @@ def _write_archived(directory, meta, active, policy, archive):
     return _write_jsonl(directory / "snapshot.jsonl", [meta, dict(active, epoch=len(raw)), policy])
 
 
+def _resume_from(snapshot, out):
+    """Exit status of the CLI's resume from ``snapshot`` into ``out`` with the small config: a
+    resume reads the archive beside the snapshot, which ``eval`` leaves alone."""
+    return main(["run", "--config", str(_write_config(out.parent)), "--resume", str(snapshot),
+                 "--output-dir", str(out)])
+
+
 def test_load_snapshot_rejects_garbage(tmp_path):
     missing = tmp_path / "none.jsonl"
     with pytest.raises(ConfigError):
@@ -635,10 +642,10 @@ def test_load_snapshot_rejects_garbage(tmp_path):
              "malformed")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
-    measured = dict(active, **_optional("r", [0.5] * n), **_optional("f", [1] * n),
-                    origin=_b64([1] * n, "<u1"))
-    loaded = load_snapshot(_write_archived(tmp_path / "measured", meta, measured, policy, []))
-    assert [(rec.r, rec.f, rec.origin) for rec in loaded.pop.active] == [(0.5, 1, "cross")] * n
+    # Active records are unmeasured: the snapshot is taken after evolve_generation.
+    crossed = dict(active, **_optional("f", [1] * n), origin=_b64([1] * n, "<u1"))
+    loaded = load_snapshot(_write_archived(tmp_path / "crossed", meta, crossed, policy, []))
+    assert [(rec.r, rec.f, rec.origin) for rec in loaded.pop.active] == [(None, 1, "cross")] * n
 
 
 def test_snapshot_lines_refuse_keys_their_kind_does_not_define(tmp_path, capsys):
@@ -660,8 +667,11 @@ def test_snapshot_lines_refuse_keys_their_kind_does_not_define(tmp_path, capsys)
             path = _write_jsonl(tmp_path / f"{name}.jsonl", lines)
         else:
             path = _write_archived(tmp_path / name, *lines, archive)
-        assert main(["eval", "--snapshot", str(path)]) == 2, name
+        assert _resume_from(path, tmp_path / f"resumed-{name}") == 2, name
         assert f"unknown key(s) in {message}" in capsys.readouterr().err, name
+        if name != "archive":  # eval reads the snapshot's own lines and no archive
+            assert main(["eval", "--snapshot", str(path)]) == 2, name
+            assert f"unknown key(s) in {message}" in capsys.readouterr().err, name
     vanilla_meta.pop("archive_digest")
     loaded = load_snapshot(_write_jsonl(tmp_path / "vanilla.jsonl", [vanilla_meta, policy]))
     assert loaded.pop is None and loaded.archive_digest is None
@@ -717,7 +727,7 @@ def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_p
              f"archive genome holds {n * 8 - 1} values, not whole genomes of 2 agents"),
             ("not-json", '{"kind": "archive",', "is malformed: Expecting")):
         path = _write_archived(tmp_path / name, meta, active, policy, [archived, line])
-        assert main(["eval", "--snapshot", str(path)]) == 2, name
+        assert _resume_from(path, tmp_path / f"resumed-{name}") == 2, name
         err = capsys.readouterr().err
         where = f"error: {path.with_name('archive.jsonl')} line 2"
         assert err.startswith(where) and message in err, (name, err)
@@ -813,8 +823,9 @@ def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
     for line in lines:
         digest = _chain(digest, line)
     path = tmp_path / "snapshot.jsonl"
-    # An active generation of the config's 8 records, with the rows and -0.0s of the archived ones.
-    active = generations[0] + generations[1]
+    # An active generation of the config's 8 records, unmeasured as evolve_generation leaves
+    # them, with the rows and the -0.0 f of the archived ones.
+    active = [rec.clone() for rec in generations[0] + generations[1]]
     write_snapshot(path, Snapshot(config, 3, 0, 0, Population(active, epoch=3),
                                   np.zeros(config.env.q_shape), archive_digest=digest))
     loaded = load_snapshot(path)
@@ -1149,10 +1160,10 @@ def test_ccl_snapshot_loads_only_with_its_runs_archive(tmp_path, capsys):
              r"archive.jsonl line 1: archive epoch_born\[0\] must be an integer")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(path)
-        assert main(["eval", "--snapshot", str(path)]) == 2, name
+        assert main(["eval", "--snapshot", str(path)]) == 0, name  # eval reads no archive
         assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)), "--resume",
                      str(path), "--output-dir", str(tmp_path / f"resumed-{name}")]) == 2, name
-    assert capsys.readouterr().err.count("error:") == 14
+    assert capsys.readouterr().err.count("error:") == 7
     # Lines past the snapshot's prefix are not read: a torn trailing line still loads.
     for name, archive in (("longer", b"".join(lines)),
                           ("torn-tail", b"".join(lines[:3]) + lines[3][:len(lines[3]) // 2])):
@@ -1175,13 +1186,13 @@ def test_each_epoch_born_value_is_checked_at_the_last_index(tmp_path, capsys):
     for case, bad in enumerate((True, 1.0, "3", None)):
         line = dict(archived, epoch_born=archived["epoch_born"][:-1] + [bad])
         path = _write_archived(tmp_path / f"case-{case}", meta, active, policy, [line])
-        assert main(["eval", "--snapshot", str(path)]) == 2
+        assert _resume_from(path, tmp_path / f"resumed-{case}") == 2
         assert f"archive.jsonl line 1: archive epoch_born[{last}] must be an integer" in \
             capsys.readouterr().err
     # The column holds 64-bit integers.
     line = dict(archived, epoch_born=archived["epoch_born"][:-1] + [2 ** 63])
     path = _write_archived(tmp_path / "wide", meta, active, policy, [line])
-    assert main(["eval", "--snapshot", str(path)]) == 2
+    assert _resume_from(path, tmp_path / "resumed-wide") == 2
     assert "archive.jsonl line 1: archive epoch_born holds an integer outside 64 bits" in \
         capsys.readouterr().err
 
@@ -1347,6 +1358,41 @@ def test_a_resume_from_an_active_line_of_another_size_exits_with_two(tmp_path, c
             f"error: snapshot {cut} line 2: active line holds {count} records; every snapshot "
             "of the stored config holds 8\n")
         assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("listed", [{2: 0.5}, dict.fromkeys(range(8), 5.0)])
+def test_a_resume_from_an_active_line_that_lists_r_exits_with_two(tmp_path, capsys, listed):
+    # A snapshot is taken after evolve_generation, whose children and clones are unmeasured.
+    half = run_experiment(_small_config(epochs=2, snapshot_interval=2), run_dir=tmp_path / "half")
+    snap = load_snapshot(half.snapshot_path)
+    assert all(rec.r is None for rec in snap.pop.active)
+    for index, r in listed.items():
+        snap.pop.active[index].r = r
+    measured = tmp_path / "half" / "listed-r.jsonl"
+    write_snapshot(measured, snap)
+    out = tmp_path / "new"
+    assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)),
+                 "--resume", str(measured), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: snapshot {measured} line 2: active r lists record {min(listed)}; a snapshot is "
+        "taken after evolve_generation, so no active record is measured\n")
+    assert not out.exists()
+
+
+def test_eval_of_a_snapshot_copied_alone_prints_the_in_place_rate(tmp_path, capsys):
+    run_dir = run_experiment(_small_config(epochs=4, snapshot_interval=2),
+                             run_dir=tmp_path / "run").run_dir
+    for name in ("snapshot_epoch00002.jsonl", "snapshot_epoch00004.jsonl"):
+        alone = tmp_path / "alone" / name
+        alone.parent.mkdir(exist_ok=True)
+        alone.write_bytes((run_dir / name).read_bytes())
+        with pytest.raises(ConfigError, match="cannot read archive"):
+            load_snapshot(alone)  # a resume needs the archive
+        assert main(["eval", "--snapshot", str(run_dir / name)]) == 0
+        in_place = capsys.readouterr().out
+        assert main(["eval", "--snapshot", str(alone)]) == 0
+        assert capsys.readouterr().out == in_place
+        assert in_place.startswith("target_success=")
 
 
 @pytest.mark.parametrize("counter", ["epoch", "episodes_total", "env_steps_total"])

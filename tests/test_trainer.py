@@ -782,34 +782,73 @@ def test_prepass_sees_an_episode_that_meets_its_goals_and_walks_off_before_the_c
 
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_replay_matches_policy_table_update_in_task_step_agent_order(layout):
-    cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=6)
+    cfg = EnvConfig(grid_width=3, n_agents=2, max_steps=6)
     learner = LearnerParams(learning_rate=0.5, discount=0.9)
-    starts, goals = _start_and_goal_cells(_blocks(_random_batch(cfg, 5, seed=12)), cfg)
     rng = np.random.default_rng(12)
-    code = _random_codes(rng, (5, 3, cfg.max_steps, cfg.n_agents), 0.3)
-    # Ties for the argmax, and staying is greedy wherever it holds 1.0, so that lanes win.
     q = np.asarray(np.round(rng.random(cfg.q_shape), 1), order=layout)
-    q[:, ::2, 0] = 1.0
     assert q.flags.c_contiguous == (layout == "C")
-    q_row, start, successor, on_goal = _lane_tables(starts, goals, cfg)
-    private = q.reshape(-1, N_ACTIONS).take(q_row, axis=0)
-    indices, next_rows, wins = _lockstep(private, code, start, successor, on_goal, learner)
-    lanes = indices[:, 0] // (len(q_row) // len(starts) * N_ACTIONS)
-    assert wins.any() and len(set(lanes.tolist())) == len(starts)
-    reference = PolicyTable(q.copy())
-    for lane in range(len(starts)):  # task, then step, then agent
-        mine = lanes == lane
-        for index, next_row, won in zip(indices[mine], next_rows[mine], wins[mine]):
-            for agent, (at, to) in enumerate(zip(index.tolist(), next_row.tolist())):
-                row, action = divmod(at, N_ACTIONS)
-                owner, state = divmod(int(q_row[row]), cfg.n_states)
-                assert owner == agent
-                next_state = int(q_row[to]) - agent * cfg.n_states
-                reference.update(agent, state, action, float(won), next_state, bool(won),
-                                 learner)
-    _replay(q, q_row.reshape(len(starts), -1), private, lanes, indices, next_rows, wins,
-            learner)
+    # Random steps of three tasks in Q-table coordinates, column i holding agent i's updates:
+    # states from a pool of six, so that rows repeat within a task and across tasks.
+    tasks = np.repeat([0, 1, 2], [7, 5, 9])
+    states = rng.integers(6, size=(len(tasks), cfg.n_agents))
+    next_states = rng.integers(6, size=states.shape)
+    next_states[3, 0] = states[3, 0]  # a next row equal to its own row
+    actions = rng.integers(N_ACTIONS, size=states.shape)
+    wins = rng.random(len(tasks)) < 0.25
+    wins[[2, 11]] = True
+    agent_rows = np.arange(cfg.n_agents) * cfg.n_states
+    positions, next_rows = (states + agent_rows) * N_ACTIONS + actions, next_states + agent_rows
+    keys = [(task, row) for task, step in zip(tasks.tolist(), positions.tolist()) for row in step]
+    assert len(set(keys)) < len(keys)  # a row repeated within a task
+    assert len({row for _, row in set(keys)}) < len(set(keys))  # and across tasks
+    before, reference = q.copy(), PolicyTable(q.copy())
+    for step, won in enumerate(wins.tolist()):
+        for agent in range(cfg.n_agents):
+            reference.update(agent, int(states[step, agent]), int(actions[step, agent]),
+                             float(won), int(next_states[step, agent]), won, learner)
+    _replay(q, positions, next_rows, wins, learner)
     assert np.array_equal(q.view("<u8"), reference.q.view("<u8"))
+    assert not np.array_equal(q, before)
+
+
+def test_lockstep_returns_the_q_rows_of_the_cells_its_episodes_walk():
+    cfg = EnvConfig(grid_width=4, n_agents=2, max_steps=6)
+    episodes = 3
+    batch = _random_batch(cfg, 5, seed=12)
+    starts, goals = _start_and_goal_cells(_blocks(batch), cfg)
+    rng = np.random.default_rng(12)
+    code = _random_codes(rng, (len(batch), episodes, cfg.max_steps, cfg.n_agents), 0.3)
+    # Ties for the argmax, and staying is greedy wherever it holds 1.0, so that lanes win.
+    q = np.round(rng.random(cfg.q_shape), 1)
+    q[:, ::2, 0] = 1.0
+    before = q.copy()
+    tasks, positions, next_rows, wins = _lockstep(q, code, starts, goals, cfg, PARAMS)
+    assert np.array_equal(q, before)  # the episodes learn on private copies
+    assert positions.shape == next_rows.shape == (len(tasks), cfg.n_agents) == (len(wins), 2)
+    assert wins.any() and tasks.tolist() == sorted(tasks.tolist())
+    agent_rows = np.arange(cfg.n_agents) * cfg.n_states
+    steps = iter(zip(tasks.tolist(), positions.tolist(), next_rows.tolist(), wins.tolist()))
+    width = cfg.grid_width
+    for task in range(len(batch)):
+        goal = [divmod(int(cell), width) for cell in goals[task]]
+        for episode in range(episodes):
+            cells = [divmod(int(cell), width) for cell in starts[task]]
+            for t in range(cfg.max_steps):
+                walked, position, next_row, won = next(steps)
+                actions = [at % N_ACTIONS for at in position]
+                moved = [move_cell(cell, action, width) for cell, action in zip(cells, actions)]
+                assert walked == task
+                assert [at // N_ACTIONS for at in position] == [
+                    row + obs_index(cell, g, cfg) for row, cell, g in zip(agent_rows, cells, goal)]
+                assert next_row == [row + obs_index(cell, g, cfg)
+                                    for row, cell, g in zip(agent_rows, moved, goal)]
+                explored = [int(c) // N_ACTIONS - 1 for c in code[task, episode, t] if c]
+                assert explored == [a for a, c in zip(actions, code[task, episode, t]) if c]
+                assert won == (moved == goal)
+                cells = moved
+                if won:
+                    break
+    assert next(steps, None) is None
 
 
 @pytest.mark.parametrize("case, phases", [
