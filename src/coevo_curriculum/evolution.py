@@ -25,11 +25,11 @@ GROWTH = 0.25
 
 @dataclass(eq=False, slots=True)
 class TaskRecord:
-    """One task with its latest measurement.
+    """One task with its measurement of the current epoch.
 
     ``r`` is non-None only while the record holds a success rate measured in
-    the current epoch; ``f`` is then fitness(r), otherwise a nearest-prototype
-    estimate (or None before the first assignment).
+    the current epoch; ``f`` is then fitness(r), otherwise the epoch's
+    nearest-prototype estimate, or None before the epoch assigns one.
     """
 
     genome: TaskGenome
@@ -39,8 +39,8 @@ class TaskRecord:
     origin: str = ORIGIN_INIT
 
     def clone(self) -> "TaskRecord":
-        """Unmeasured copy: the measurement belongs to the epoch it was taken in."""
-        return TaskRecord(self.genome, None, self.f, self.epoch_born, self.origin)
+        """Copy with no ``r`` and no ``f``: a measurement belongs to the epoch it was taken in."""
+        return TaskRecord(self.genome, epoch_born=self.epoch_born, origin=self.origin)
 
 
 @dataclass(eq=False, slots=True)
@@ -138,8 +138,8 @@ class EvolutionParams:
             raise ValueError("new fraction must lie in [0, 1]")
         if not 1 <= self.knn_k <= self.batch_size:
             raise ValueError("knn_k must lie in [1, batch_size]")
-        if self.mutation_scale < 0.0:
-            raise ValueError("mutation scale cannot be negative")
+        if not 0.0 <= self.mutation_scale < math.inf:
+            raise ValueError("mutation scale must be finite and non-negative")
         low, high = self.deletion_band
         if not 0.0 <= low < high <= 1.0:
             raise ValueError("deletion band must satisfy 0 <= low < high <= 1")
@@ -344,14 +344,14 @@ def evolve_generation(pop: Population, params: EvolutionParams,
 
     Each pair yields either a crossover child pair (coin > 0.5) or one
     mutation child.  The next generation keeps children first, then fills up to
-    population_size with unmeasured copies of the parents, fittest first, then
+    population_size with copies (no ``r``, no ``f``) of the parents, fittest first, then
     of the children, repeating both lists as often as needed.
     """
     if pop.epoch in pop.archive:
         raise ValueError(f"generation {pop.epoch} is archived already")
-    # When every task left the difficulty band at once, breed from fresh copies of the
-    # retired records rather than die out.
-    active = pop.active or [rec.clone() for rec in pop.retired]
+    # When every task left the difficulty band at once, breed from the retired records
+    # rather than die out; breeding only reads them, and they are archived as they are.
+    active = pop.active or pop.retired
     if not active:
         raise ValueError("cannot evolve an empty generation with no retired records")
     if any(rec.f is None for rec in active):
@@ -378,8 +378,6 @@ def evolve_generation(pop: Population, params: EvolutionParams,
     refill = islice(cycle(ranked + children), params.population_size - len(next_active))
     next_active.extend(rec.clone() for rec in refill)
 
-    # pop.active, not the breeding stock: rebreeding clones never started life
-    # as real generation members, their originals are archived already.
     archive = pop.archive | {pop.epoch: Generation.of(pop.retired + pop.active)}
     return Population(active=next_active, archive=archive, epoch=next_epoch)
 

@@ -22,7 +22,7 @@ from .config import (MODES, ConfigError, ExperimentConfig, _check_keys, _coerce,
 from .evolution import ORIGINS, Generation, Population
 from .tasks import BLOCK_SIZE
 
-SNAPSHOT_FORMAT = 7
+SNAPSHOT_FORMAT = 8
 
 
 @dataclass
@@ -82,23 +82,38 @@ def write_snapshot(path: Path, snapshot: Snapshot) -> None:
     one does.
 
     Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
-    ``write_snapshot(p, load_snapshot(p))`` writes the bytes of a ``p`` it wrote again. A
-    population holding retired records that no generation has archived yet is refused: no
-    line would hold them.
+    ``write_snapshot(p, load_snapshot(p))`` writes the bytes of a ``p`` it wrote again. It
+    refuses the active generations the reader refuses (see ``_check_active``), and retired
+    records that no generation has archived yet: no line would hold them.
     """
     pop = snapshot.pop
     if pop is not None and pop.retired:
         raise ValueError(f"the population holds {len(pop.retired)} retired records that are not "
                          "archived yet; a snapshot is taken after evolve_generation")
+    active = None if pop is None else Generation.of(pop.active)
+    _check_active(snapshot.config, active, ValueError)
     with _replacing(path) as handle:
         counts = {name: getattr(snapshot, name) for name in _COUNTS}
         digest = {} if pop is None else {"archive_digest": snapshot.archive_digest}
         handle.write(_ENCODE({"kind": "meta", "format": SNAPSHOT_FORMAT, **counts, **digest,
                               "config": snapshot.config.identity_fingerprint()}) + "\n")
-        if pop is not None:
-            handle.write(_ENCODE(_generation_line("active", pop.epoch, Generation.of(pop.active)))
-                         + "\n")
+        if active is not None:
+            handle.write(_ENCODE(_generation_line("active", pop.epoch, active)) + "\n")
         handle.write(_ENCODE(_policy_line(snapshot.policy_q)) + "\n")
+
+
+def _check_active(config: ExperimentConfig, active: Generation | None, error: type) -> None:
+    """The writer's and reader's one rule, a fault raised as ``error``: an active generation is
+    there exactly when the mode keeps a population: population_size records, none with r or f."""
+    if (active is None) == (keeps := MODES[config.mode]):
+        raise error(f"a {config.mode} snapshot {'needs an' if keeps else 'holds no'} active line")
+    if active is not None and len(active) != config.evolution.population_size:
+        raise error(f"active line holds {len(active)} records; every snapshot of the stored config "
+                    f"holds {config.evolution.population_size}")
+    for name in ("r", "f") if active is not None else ():
+        if (listed := np.flatnonzero(~np.isnan(getattr(active, name)))).size:
+            raise error(f"active {name} lists record {listed[0]}; a snapshot is taken after "
+                        "evolve_generation, so no active record is measured")
 
 
 def _binary(values: np.ndarray, dtype: np.dtype, where: str) -> str:
@@ -218,17 +233,10 @@ def read_snapshot(path: str | Path) -> Snapshot:
                           f"snapshot needs meta, {'active, ' if pop_mode else ''}policy")
     with _at_line(where, len(lines)):
         q = _read_policy(lines[-1], config.env.q_shape)
-    pop = None
-    if pop_mode:
-        with _at_line(where, 2):
-            active = _read_generation(lines[1], config, counts["epoch"])
-            if len(active) != config.evolution.population_size:
-                raise ConfigError(f"active line holds {len(active)} records; every snapshot of "
-                                  f"the stored config holds {config.evolution.population_size}")
-            if (measured := np.flatnonzero(~np.isnan(active.r))).size:
-                raise ConfigError(f"active r lists record {measured[0]}; a snapshot is taken "
-                                  "after evolve_generation, so no active record is measured")
-            pop = Population(active.records(), epoch=counts["epoch"])
+    with _at_line(where, 2):
+        active = _read_generation(lines[1], config, counts["epoch"]) if pop_mode else None
+        _check_active(config, active, ConfigError)
+    pop = None if active is None else Population(active.records(), epoch=counts["epoch"])
     return Snapshot(config=config, **counts, pop=pop, policy_q=q, archive_digest=digest)
 
 

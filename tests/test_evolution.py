@@ -483,8 +483,11 @@ def test_evolve_keeps_the_fittest_parents():
     children = [rec for rec in nxt.active if rec.epoch_born == 1]
     carried = [rec for rec in nxt.active if rec.epoch_born == 0]
     n_parents = len(carried)
-    best = sorted((rec.f for rec in records), reverse=True)[:n_parents]
-    assert sorted((rec.f for rec in carried), reverse=True) == best
+    # A copy carries its parent's genome and no measurement: fitness belongs to its epoch.
+    best = sorted(records, key=lambda rec: -rec.f)[:n_parents]
+    assert [rec.genome.blocks.tobytes() for rec in carried] == [
+        rec.genome.blocks.tobytes() for rec in best]
+    assert all(rec.r is None and rec.f is None for rec in carried)
     assert len(children) + n_parents == 8
 
 
@@ -532,7 +535,7 @@ def test_evolve_refills_from_ranked_parents_then_children_in_turn():
             assert got is not source
             assert got.genome.blocks.tobytes() == source.genome.blocks.tobytes()
             assert (got.r, got.f, got.epoch_born, got.origin) == (
-                None, source.f, source.epoch_born, source.origin)
+                None, None, source.epoch_born, source.origin)
     assert counts == {1, 2}
 
 
@@ -953,8 +956,9 @@ def test_evolution_params_validation():
         EvolutionParams(new_fraction=1.2)
     with pytest.raises(ValueError):
         EvolutionParams(batch_size=4, knn_k=5)
-    with pytest.raises(ValueError):
-        EvolutionParams(mutation_scale=-0.1)
+    for scale in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="mutation scale must be finite and non-negative"):
+            EvolutionParams(mutation_scale=scale)
     with pytest.raises(ValueError):
         EvolutionParams(deletion_band=(0.5, 0.5))
     with pytest.raises(ValueError):

@@ -487,14 +487,17 @@ def test_write_snapshot_reproduces_every_loaded_snapshot(tmp_path):
         with pytest.raises(ValueError, match="policy q holds a non-finite value"):
             write_snapshot(tmp_path / "nan.jsonl", unreadable)
         assert not list(tmp_path.glob("nan.jsonl*"))
-    # A measurement is a finite number or None, which the active line does not list.
+    # A measurement is a finite number or None, and the active line lists none.
     unmeasurable = load_snapshot(tmp_path / "ccl" / "snapshot_epoch00005.jsonl")
-    for bad, message in ((math.nan, "a record's r is NaN"),
-                         (math.inf, "active r holds a non-finite value")):
+    for bad, message in ((math.nan, "a record's r is NaN"), (math.inf, "active r lists record 0")):
         unmeasurable.pop.active[0].r = bad
         with pytest.raises(ValueError, match=message):
             write_snapshot(tmp_path / "nan.jsonl", unmeasurable)
         assert not list(tmp_path.glob("nan.jsonl*"))
+    # An archive line lists measurements, each a finite number.
+    infinite = Generation.of([TaskRecord(unmeasurable.pop.active[1].genome, math.inf, 0.5)])
+    with pytest.raises(ValueError, match="archive r holds a non-finite value"):
+        _archive_line(0, infinite)
 
 
 def _b64(values, dtype="<f8"):
@@ -561,6 +564,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     assert [line["kind"] for line in lines] == ["meta", "active", "policy"]
     meta, active, policy = lines
     for found, edit in (("99", lambda meta: meta.update(format=99)),
+                        ("7", lambda meta: meta.update(format=7)),
                         ("6", lambda meta: meta.update(format=6)),
                         ("5", lambda meta: meta.update(format=5)),
                         ("4", lambda meta: meta.update(format=4)),
@@ -570,7 +574,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
                         ("missing", lambda meta: meta.pop("format"))):
         other = dict(meta)
         edit(other)
-        with pytest.raises(ConfigError, match=f"format {found}, expected 7"):
+        with pytest.raises(ConfigError, match=f"format {found}, expected 8"):
             load_snapshot(_write_jsonl(tmp_path / f"format-{found}.jsonl",
                                        [other, active, policy]))
     n = len(active["epoch_born"])
@@ -642,10 +646,10 @@ def test_load_snapshot_rejects_garbage(tmp_path):
              "malformed")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
-    # Active records are unmeasured: the snapshot is taken after evolve_generation.
-    crossed = dict(active, **_optional("f", [1] * n), origin=_b64([1] * n, "<u1"))
+    # Active records hold no r and no f: the snapshot is taken after evolve_generation.
+    crossed = dict(active, origin=_b64([1] * n, "<u1"))
     loaded = load_snapshot(_write_archived(tmp_path / "crossed", meta, crossed, policy, []))
-    assert [(rec.r, rec.f, rec.origin) for rec in loaded.pop.active] == [(None, 1, "cross")] * n
+    assert [(rec.r, rec.f, rec.origin) for rec in loaded.pop.active] == [(None, None, "cross")] * n
 
 
 def test_snapshot_lines_refuse_keys_their_kind_does_not_define(tmp_path, capsys):
@@ -823,8 +827,8 @@ def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
     for line in lines:
         digest = _chain(digest, line)
     path = tmp_path / "snapshot.jsonl"
-    # An active generation of the config's 8 records, unmeasured as evolve_generation leaves
-    # them, with the rows and the -0.0 f of the archived ones.
+    # An active generation of the config's 8 records, copies with no r and no f as
+    # evolve_generation leaves them, with the rows of the archived ones.
     active = [rec.clone() for rec in generations[0] + generations[1]]
     write_snapshot(path, Snapshot(config, 3, 0, 0, Population(active, epoch=3),
                                   np.zeros(config.env.q_shape), archive_digest=digest))
@@ -964,7 +968,7 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
 
 def test_eval_refuses_a_format_6_snapshot(tmp_path, capsys):
     # Format 6 stored every record's genome, in record order, and r, f and origin as JSON
-    # lists; its policy line is format 7's.
+    # lists; its policy line is format 8's.
     path = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
     meta, active, policy = [json.loads(line) for line in path.read_text().splitlines()]
     records = load_snapshot(path).pop.active
@@ -976,8 +980,8 @@ def test_eval_refuses_a_format_6_snapshot(tmp_path, capsys):
     old = _write_jsonl(tmp_path / "run" / "format-6.jsonl",
                        [dict(meta, format=6), old_active, policy])
     assert main(["eval", "--snapshot", str(old)]) == 2
-    assert capsys.readouterr().err == f"error: snapshot {old} line 1: format 6, expected 7\n"
-    with pytest.raises(ConfigError, match="format 6, expected 7"):
+    assert capsys.readouterr().err == f"error: snapshot {old} line 1: format 6, expected 8\n"
+    with pytest.raises(ConfigError, match="format 6, expected 8"):
         run_experiment(_small_config(epochs=2, resume_from=str(old)), run_dir=tmp_path / "run")
 
 
@@ -1344,38 +1348,107 @@ def test_a_refused_resume_creates_no_output_directory(tmp_path, capsys):
         assert not (tmp_path / "new").exists()
 
 
+def _column(line, key, dtype):
+    return np.frombuffer(base64.b64decode(line[key], validate=True), dtype=dtype)
+
+
+def _first_records(active, count, n_agents=2):
+    """The active line ``active`` cut to its first ``count`` records, each column in the
+    writer's form: the genome column keeps the rows those records use."""
+    rows = _column(active, "genome_row", "<u4")[:count]
+    used = int(rows.max()) + 1 if count else 0
+    return dict(active, genome=_b64(_floats(active["genome"])[:used * n_agents * 4]),
+                genome_row=_b64(rows, "<u4"), epoch_born=active["epoch_born"][:count],
+                origin=_b64(_column(active, "origin", "<u1")[:count], "<u1"))
+
+
+def _doctored_resume(tmp_path, edit):
+    """Exit status of a CLI resume from the epoch-2 snapshot of a small ccl run whose active
+    line ``edit`` rewrote as JSON, and the doctored snapshot's path; the resume must leave no
+    output directory."""
+    half = run_experiment(_small_config(epochs=2, snapshot_interval=2), run_dir=tmp_path / "half")
+    lines = half.snapshot_path.read_text().splitlines()
+    meta, active, policy = [json.loads(line) for line in lines]
+    assert active["r_index"] == active["f_index"] == ""  # evolve_generation measures none
+    doctored = _write_jsonl(tmp_path / "half" / "doctored.jsonl", [meta, edit(active), policy])
+    out = tmp_path / "new"
+    code = main(["run", "--config", str(_write_config(tmp_path, epochs=4)),
+                 "--resume", str(doctored), "--output-dir", str(out)])
+    assert not out.exists()
+    return code, doctored
+
+
 def test_a_resume_from_an_active_line_of_another_size_exits_with_two(tmp_path, capsys):
     # Every snapshot a run writes holds population_size (8) active records.
-    half = run_experiment(_small_config(epochs=2, snapshot_interval=2), run_dir=tmp_path / "half")
-    snap = load_snapshot(half.snapshot_path)
     for count in (0, 2, 6):
-        cut = tmp_path / "half" / f"cut-{count}.jsonl"
-        write_snapshot(cut, replace(snap, pop=replace(snap.pop, active=snap.pop.active[:count])))
-        out = tmp_path / "new" / str(count)
-        assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)),
-                     "--resume", str(cut), "--output-dir", str(out)]) == 2
+        code, cut = _doctored_resume(tmp_path / str(count),
+                                     lambda active: _first_records(active, count))
+        assert code == 2
         assert capsys.readouterr().err == (
             f"error: snapshot {cut} line 2: active line holds {count} records; every snapshot "
             "of the stored config holds 8\n")
-        assert not (tmp_path / "new").exists()
+
+
+def _assert_listed_resume_exits_with_two(tmp_path, capsys, name, listed):
+    values = [listed.get(i) for i in range(8)]
+    code, measured = _doctored_resume(tmp_path,
+                                      lambda active: dict(active, **_optional(name, values)))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: snapshot {measured} line 2: active {name} lists record {min(listed)}; a "
+        "snapshot is taken after evolve_generation, so no active record is measured\n")
 
 
 @pytest.mark.parametrize("listed", [{2: 0.5}, dict.fromkeys(range(8), 5.0)])
 def test_a_resume_from_an_active_line_that_lists_r_exits_with_two(tmp_path, capsys, listed):
-    # A snapshot is taken after evolve_generation, whose children and clones are unmeasured.
-    half = run_experiment(_small_config(epochs=2, snapshot_interval=2), run_dir=tmp_path / "half")
-    snap = load_snapshot(half.snapshot_path)
-    assert all(rec.r is None for rec in snap.pop.active)
-    for index, r in listed.items():
-        snap.pop.active[index].r = r
-    measured = tmp_path / "half" / "listed-r.jsonl"
-    write_snapshot(measured, snap)
+    # A snapshot is taken after evolve_generation, whose children and copies are unmeasured.
+    _assert_listed_resume_exits_with_two(tmp_path, capsys, "r", listed)
+
+
+@pytest.mark.parametrize("listed", [{5: 0.25}, dict.fromkeys(range(8), -3.0)])
+def test_a_resume_from_an_active_line_that_lists_f_exits_with_two(tmp_path, capsys, listed):
+    # A copy carries no fitness: every active record's f is assigned in the epoch it trains.
+    _assert_listed_resume_exits_with_two(tmp_path, capsys, "f", listed)
+
+
+def test_write_snapshot_refuses_every_active_generation_the_reader_refuses(tmp_path):
+    ccl = load_snapshot(run_experiment(_small_config(epochs=2, snapshot_interval=2),
+                                       run_dir=tmp_path / "ccl").snapshot_path)
+    vanilla = load_snapshot(run_experiment(_small_config(mode="vanilla", epochs=0),
+                                           run_dir=tmp_path / "vanilla").snapshot_path)
+
+    def measured(name, value):
+        active = [rec.clone() for rec in ccl.pop.active]
+        setattr(active[3], name, value)
+        return replace(ccl, pop=replace(ccl.pop, active=active))
+
+    cases = [(replace(ccl, pop=None), "a ccl snapshot needs an active line"),
+             (replace(vanilla, pop=ccl.pop), "a vanilla snapshot holds no active line"),
+             *((replace(ccl, pop=replace(ccl.pop, active=ccl.pop.active[:count])),
+                f"active line holds {count} records; every snapshot of the stored config "
+                "holds 8") for count in (0, 2, 6)),
+             (measured("r", 0.5), "active r lists record 3"),
+             (measured("f", 0.5), "active f lists record 3")]
+    for snap, message in cases:
+        with pytest.raises(ValueError, match=message):
+            write_snapshot(tmp_path / "refused.jsonl", snap)
+        assert not list(tmp_path.glob("refused.jsonl*"))
+
+
+def test_a_format_7_snapshot_exits_with_two(tmp_path, capsys):
+    # Format 7 listed the active records' f, which a copy carried over from the epoch before.
+    path = run_experiment(_small_config(epochs=2, snapshot_interval=2),
+                          run_dir=tmp_path / "run").snapshot_path
+    meta, active, policy = [json.loads(line) for line in path.read_text().splitlines()]
+    old = _write_jsonl(tmp_path / "run" / "format-7.jsonl",
+                       [dict(meta, format=7), dict(active, **_optional("f", [0.5] * 8)), policy])
+    expected = f"error: snapshot {old} line 1: format 7, expected 8\n"
+    assert main(["eval", "--snapshot", str(old)]) == 2
+    assert capsys.readouterr().err == expected
     out = tmp_path / "new"
-    assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)),
-                 "--resume", str(measured), "--output-dir", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: snapshot {measured} line 2: active r lists record {min(listed)}; a snapshot is "
-        "taken after evolve_generation, so no active record is measured\n")
+    assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)), "--resume", str(old),
+                 "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == expected
     assert not out.exists()
 
 

@@ -47,30 +47,30 @@ EXPECTED = {
     "vanilla-target": {
         "metrics.csv": "7fbdb08c15cbd82f21cc03ef3a866738a41f3714148e39e8b54fc67fd27dca2b",
         "snapshot_epoch00002.jsonl":
-            "6a3468660c9d061559bab2abab99a39a7f2ba5e8380a21979f41a2bc13d7c3cb",
+            "8a1f15e8e763f43547cb3135dd5b24a6d2c7a54399d29b3381cd8795d0d42ef0",
     },
     "ccl-default": {
         "metrics.csv": "fe571f1259158d378eef21592669b5bad635fcd2c8eec56115243432835dbd38",
         "snapshot_epoch00012.jsonl":
-            "ec38aa476045b1335f45c8d13671daf597abfe0d4410943b848bfd152367dd7f",
+            "d3dba0287a0494528c832603b6f424ee5fd7d3dc11009181c78c65bfc42c63b5",
         "archive.jsonl": "3dcb0d75dc467283a994d90dd44136d990df17c4751086a2204d7b222761b2c2",
     },
     "ccl-checkpoint-resume": {
         "metrics.csv": "84bd2b47be5a700798e9a703d12a8dda73a9fd3ae72804c1d1da9016b0f40421",
         "snapshot_epoch00010.jsonl":
-            "f45abd1fab9c6cfcdc1a1a60556a996508baa31bed89caf67d6c24c665d6d5ba",
+            "6f67f68467f2c9c0694ce07514a73fd497a87865191dab22b032a5e524ec9762",
         "archive.jsonl": "44dfdeb6f20076e8ee1fed1e2361caa9c6a1fd9f157e190fa1248924af45c835",
     },
     "ccl-four-agents-fixed-mutation": {
         "metrics.csv": "5d822340c3871cf10725abd29a4f570a9d6d08a989f538e5a240ebe3304d4ffa",
         "snapshot_epoch00006.jsonl":
-            "22cceecda2811a355eb758d56162c3ba397e74cde3b5149def1a109fbb8df61f",
+            "bed9913095ac28a9bcbf82bf1c412efd7df6943d3a6cf5c6d8254fcea823f1cf",
         "archive.jsonl": "a2b4f79f4c68e37d1202b2e422398a5c8c056ca121de39d05b9905a0618f0be8",
     },
     "ccl-one-agent-linear-still-mutation": {
         "metrics.csv": "23edbd9c50e0bd0b0243a1583b9f24571c34abbca026858fc7633a5aa1a7ede1",
         "snapshot_epoch00008.jsonl":
-            "e684670dd69ec87df782fafd8921ab399ff49a05aab7e83bb56163e15f965aa3",
+            "c79a6c8651a7e20abedc8060a40c6bb6db5ce4c9e77a83b38777daa524af6bd7",
         "archive.jsonl": "c04163291b10cd4fcc9efb117935dc7f89f0aca76303974d8bf6cf53d24b9f11",
     },
 }
