@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coevo_curriculum.cli import main
-from coevo_curriculum.config import (DEFAULT_OUTPUT_DIR, MODES, OUTPUT_DIR_ENV, ConfigError,
-                                     ExperimentConfig, apply_overrides, config_from_dict,
-                                     default_config, load_config)
+from coevo_curriculum.cli import console, main
+from coevo_curriculum.config import (ABLATION_AXES, DEFAULT_OUTPUT_DIR, MODES, OUTPUT_DIR_ENV,
+                                     ConfigError, ExperimentConfig, apply_overrides,
+                                     config_from_dict, default_config, load_config)
 from coevo_curriculum.evolution import Generation, Population, TaskRecord, delete_bad_tasks
 from coevo_curriculum.harness import (METRICS_COLUMNS, ablation_variants, evaluate_snapshot,
                                       load_snapshot, run_ablation, run_experiment,
@@ -346,6 +346,7 @@ def test_vanilla_run_never_touches_evolution(tmp_path, monkeypatch):
         assert row[3] == "nan"
         assert row[4] == "0" and row[5] == "0"
     assert [int(row[6]) for row in rows[1:]] == [8, 16, 24, 32]  # same budget as ccl
+    assert not (result.run_dir / "archive.jsonl").exists()  # no population, so no archive
 
 
 # The names each epoch calls, as the tracer and these tests patch them: harness globals.
@@ -1086,9 +1087,10 @@ def test_a_resume_writes_back_the_archive_lines_it_read(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(name for name in WORKLOADS if name.startswith("ccl")))
-def test_a_resume_into_a_new_directory_writes_the_uninterrupted_files(name, tmp_path):
+def test_a_resume_into_a_new_directory_writes_the_uninterrupted_files(name, tmp_path, capsys):
     # Four agents, one agent and zero mutation scale, where many records share a genome row:
-    # the generations a resume loaded are encoded again as the bytes it read.
+    # the generations a resume loaded are encoded again as the bytes it read, into a new
+    # directory and in place.
     full = run_experiment(_workload_config(name), run_dir=tmp_path / "full")
     half = full.config.epochs // 2
     first = run_experiment(_workload_config(name, epochs=half), run_dir=tmp_path / "first")
@@ -1101,6 +1103,12 @@ def test_a_resume_into_a_new_directory_writes_the_uninterrupted_files(name, tmp_
     rewritten = [line.decode("utf-8") for line in lines[:half]]
     assert reduce(_chain, rewritten, EMPTY_ARCHIVE_DIGEST) == \
         load_snapshot(first.snapshot_path).archive_digest
+    resumed = run_experiment(_workload_config(name, resume_from=first.snapshot_path),
+                             run_dir=first.run_dir)
+    for path in (resumed.metrics_path, resumed.snapshot_path, resumed.run_dir / "archive.jsonl"):
+        assert path.read_bytes() == (full.run_dir / path.name).read_bytes()
+    assert main(["eval", "--snapshot", str(resumed.snapshot_path)]) == 0
+    assert capsys.readouterr().out == f"target_success={resumed.final_target_success}\n"
 
 
 def test_snapshots_hold_no_archive_and_each_epoch_appends_one_line(tmp_path, monkeypatch):
@@ -1583,16 +1591,22 @@ def test_ablation_variant_construction():
         ablation_variants(_small_config(mode="vanilla"), "fitness-shape")
 
 
-def test_run_ablation_writes_a_combined_report(tmp_path):
-    cfg = _small_config(epochs=2)
-    report = run_ablation(cfg, "fitness-shape", out_dir=tmp_path)
-    assert set(report.results) == {"sigmoid", "linear"}
+ABLATION_VARIANTS = {"fitness-shape": ["sigmoid", "linear"],
+                     "mutation-step": ["adaptive", "fixed", "none"]}
+
+
+@pytest.mark.parametrize("axis", ABLATION_AXES)
+def test_run_ablation_writes_a_combined_report(axis, tmp_path):
+    variants = ABLATION_VARIANTS[axis]
+    report = run_ablation(_small_config(epochs=2), axis, out_dir=tmp_path)
+    assert list(report.results) == variants
     rows = _read_rows(report.report_path)
     assert rows[0] == ["variant"] + list(METRICS_COLUMNS)
-    assert len(rows) == 1 + 2 * 2
-    assert {row[0] for row in rows[1:]} == {"sigmoid", "linear"}
-    for name in ("sigmoid", "linear"):
-        assert (tmp_path / "ablation-fitness-shape" / name / "metrics.csv").exists()
+    # One row per variant and epoch, in the declared order.
+    assert [tuple(row[:2]) for row in rows[1:]] == [
+        (name, epoch) for name in variants for epoch in ("1", "2")]
+    for name in variants:
+        assert (tmp_path / f"ablation-{axis}" / name / "metrics.csv").exists()
     for rate in report.final_rates().values():
         assert 0.0 <= rate <= 1.0
 
@@ -1639,6 +1653,17 @@ def test_cli_eval_reports_snapshot_rate(tmp_path, capsys):
         assert out == f"target_success={result.final_target_success}\n"
         finals.append(result.final_target_success)
     assert finals == [0.0, 1.0]
+    # Its first team reward comes in epoch 5, so a resume in place at epoch 4 starts from an
+    # all-zero table whose next epoch leaves the trainer's pre-pass for the lockstep loop.
+    rewards = [float(row["batch_mean_r"]) for row in csv.DictReader(
+        (tmp_path / "vanilla" / "metrics.csv").read_text(encoding="utf-8").splitlines())]
+    assert [reward != 0 for reward in rewards] == [False] * 4 + [True] * 2
+    reaching["experiment"]["epochs"] = 4
+    run_experiment(config_from_dict(reaching), run_dir=tmp_path / "late")
+    reaching["experiment"].update(epochs=6, resume_from=str(tmp_path / "late" /
+                                                            "snapshot_epoch00004.jsonl"))
+    run_experiment(config_from_dict(reaching), run_dir=tmp_path / "late")
+    assert _files(tmp_path / "late") == _files(tmp_path / "vanilla")
 
 
 def test_cli_ablate_round_trip(tmp_path, capsys):
@@ -1747,3 +1772,14 @@ def test_cli_failures_exit_with_two(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--output-dir", str(tmp_path / "nan")]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 8
+
+
+def test_the_console_entry_point_exits_with_the_status_of_main(tmp_path, monkeypatch, capsys):
+    config = str(_write_config(tmp_path, epochs=1))
+    for argv, status in ((["run", "--config", config, "--output-dir", str(tmp_path / "out")], 0),
+                         (["run", "--config", str(tmp_path / "absent.json")], 2)):
+        monkeypatch.setattr(sys, "argv", ["coevo-curriculum", *argv])
+        with pytest.raises(SystemExit) as exited:
+            console()
+        assert exited.value.code == status
+    assert "final_target_success=" in capsys.readouterr().out
