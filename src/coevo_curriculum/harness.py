@@ -166,7 +166,8 @@ def _check_resume(config: ExperimentConfig, snapshot: Snapshot) -> None:
                           f"at epoch {snapshot.epoch}")
 
 
-# A curriculum's two calls: batch(epoch) -> ((B, n_agents, 4) blocks, batch_new, batch_old),
+# A curriculum's calls: start() writes the files it keeps, once, before the first epoch;
+# batch(epoch) -> ((B, n_agents, 4) blocks, batch_new, batch_old),
 # observe(epoch, blocks, rates) -> active_mean_f; ``ops`` counts the operators it applied. Each
 # operator is looked up as a global of this module, where the tracer and the tests patch it.
 class _TargetCurriculum:
@@ -176,6 +177,9 @@ class _TargetCurriculum:
         target = config.target_genome().blocks
         self.blocks = np.broadcast_to(target, (config.evolution.batch_size,) + target.shape)
         self.ops: Counter[str] = Counter()
+
+    def start(self) -> None:
+        pass
 
     def batch(self, epoch: int) -> tuple[np.ndarray, int, int]:
         return self.blocks, 0, 0
@@ -197,8 +201,10 @@ class _PopulationCurriculum:
                                        stream(config.master_seed, DOMAIN_INIT))
             snap.archive_digest = EMPTY_ARCHIVE_DIGEST
             self.ops["init_population"] += 1
+
+    def start(self) -> None:
         # Written whole once (a resume's loaded generations re-encoded), then only appended.
-        _start_archive(archive_path, snap.pop.archive)
+        _start_archive(self.archive_path, self.snap.pop.archive)
 
     def batch(self, epoch: int) -> tuple[np.ndarray, int, int]:
         self.selected = soft_select(self.snap.pop, self.config.evolution,
@@ -246,13 +252,16 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
 
     snap = (resume if resume is not None
             else Snapshot(config, 0, 0, 0, None, np.zeros(env_cfg.q_shape)))
-    writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume)
-    # Set up after the metrics files are checked, so a refused resume leaves its archive as it was.
     curriculum = CURRICULA[MODES[config.mode]](config, snap, out_dir / ARCHIVE_NAME)
     snapshot_path = (Path(config.resume_from) if resume is not None
                      else out_dir / f"snapshot_epoch{0:05d}.jsonl")
     if resume is None:
+        # A fresh run's first file, so a set-up that fails leaves either no file a fresh run
+        # refuses or a snapshot to resume from.
         write_snapshot(snapshot_path, snap)
+    writer = _MetricsWriter(out_dir / "metrics.csv", out_dir / "timings.csv", resume)
+    # Started after the metrics files are checked, so a refused resume leaves its archive as it was.
+    curriculum.start()
 
     metrics: list[EpochMetrics] = []
     for epoch in range(snap.epoch + 1, config.epochs + 1):

@@ -22,7 +22,7 @@ from .config import (MODES, ConfigError, ExperimentConfig, _check_keys, _coerce,
 from .evolution import ORIGINS, Generation, Population
 from .tasks import BLOCK_SIZE
 
-SNAPSHOT_FORMAT = 8
+SNAPSHOT_FORMAT = 9
 
 
 @dataclass
@@ -44,11 +44,12 @@ class Snapshot:
 
 
 # Shared by writer and reader: the meta line's counters are Snapshot's int fields. The keys of
-# a generation line are the ones _generation_line writes; every column but epoch_born is
-# binary: exact little-endian bytes (see _binary).
+# a generation line, by kind, are the ones _generation_line writes; every column but epoch_born
+# is binary: exact little-endian bytes (see _binary).
 _COUNTS = tuple(name for name, tp in _schema(Snapshot).items() if tp is int)
-_GENERATION_KEYS = ("kind", "epoch", "genome", "genome_row", "r_index", "r", "f_index", "f",
-                    "epoch_born", "origin")
+_ACTIVE_KEYS = ("kind", "epoch", "genome", "genome_row", "epoch_born", "origin")
+_GENERATION_KEYS = {"active": _ACTIVE_KEYS,
+                    "archive": (*_ACTIVE_KEYS, "r_index", "r", "f_index", "f")}
 _FLOAT, _INDEX, _CODE = np.dtype("<f8"), np.dtype("<u4"), np.dtype("<u1")
 _ENCODE = json.JSONEncoder(allow_nan=False).encode  # so no run writes a file the reader rejects
 ARCHIVE_NAME = "archive.jsonl"
@@ -83,8 +84,8 @@ def write_snapshot(path: Path, snapshot: Snapshot) -> None:
 
     Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
     ``write_snapshot(p, load_snapshot(p))`` writes the bytes of a ``p`` it wrote again. It
-    refuses the active generations the reader refuses (see ``_check_active``), and retired
-    records that no generation has archived yet: no line would hold them.
+    refuses the active generations the reader refuses (see ``_check_active``), and measured
+    active records and retired records that no generation has archived yet: no line holds them.
     """
     pop = snapshot.pop
     if pop is not None and pop.retired:
@@ -92,6 +93,10 @@ def write_snapshot(path: Path, snapshot: Snapshot) -> None:
                          "archived yet; a snapshot is taken after evolve_generation")
     active = None if pop is None else Generation.of(pop.active)
     _check_active(snapshot.config, active, ValueError)
+    for name in ("r", "f") if active is not None else ():
+        if (listed := np.flatnonzero(~np.isnan(getattr(active, name)))).size:
+            raise ValueError(f"active {name} lists record {listed[0]}; a snapshot is taken after "
+                             "evolve_generation, so no active record is measured")
     with _replacing(path) as handle:
         counts = {name: getattr(snapshot, name) for name in _COUNTS}
         digest = {} if pop is None else {"archive_digest": snapshot.archive_digest}
@@ -104,16 +109,12 @@ def write_snapshot(path: Path, snapshot: Snapshot) -> None:
 
 def _check_active(config: ExperimentConfig, active: Generation | None, error: type) -> None:
     """The writer's and reader's one rule, a fault raised as ``error``: an active generation is
-    there exactly when the mode keeps a population: population_size records, none with r or f."""
+    there exactly when the mode keeps a population, with population_size records."""
     if (active is None) == (keeps := MODES[config.mode]):
         raise error(f"a {config.mode} snapshot {'needs an' if keeps else 'holds no'} active line")
     if active is not None and len(active) != config.evolution.population_size:
         raise error(f"active line holds {len(active)} records; every snapshot of the stored config "
                     f"holds {config.evolution.population_size}")
-    for name in ("r", "f") if active is not None else ():
-        if (listed := np.flatnonzero(~np.isnan(getattr(active, name)))).size:
-            raise error(f"active {name} lists record {listed[0]}; a snapshot is taken after "
-                        "evolve_generation, so no active record is measured")
 
 
 def _binary(values: np.ndarray, dtype: np.dtype, where: str) -> str:
@@ -146,12 +147,14 @@ def _policy_line(q: np.ndarray) -> dict[str, Any]:
 
 def _generation_line(kind: str, epoch: int, generation: Generation) -> dict[str, Any]:
     """A generation's columns (see ``Generation``) as a line; each generation has this one
-    encoding."""
+    encoding. Only an archive line holds ``r`` and ``f``: no active record is measured."""
+    measured = {} if kind == "active" else {
+        **_sparse(kind, ("r_index", "r"), generation.r, ~np.isnan(generation.r)),
+        **_sparse(kind, ("f_index", "f"), generation.f, ~np.isnan(generation.f))}
     return {"kind": kind, "epoch": epoch,
             "genome": _binary(generation.genome, _FLOAT, f"{kind} genome"),
             "genome_row": _binary(generation.genome_row, _INDEX, f"{kind} genome_row"),
-            **_sparse(kind, ("r_index", "r"), generation.r, ~np.isnan(generation.r)),
-            **_sparse(kind, ("f_index", "f"), generation.f, ~np.isnan(generation.f)),
+            **measured,
             "epoch_born": generation.epoch_born.tolist(),
             "origin": _binary(generation.origin, _CODE, f"{kind} origin")}
 
@@ -178,7 +181,7 @@ def _append_archive(path: Path, digest: str, epoch: int, generation: Generation)
 def load_snapshot(path: str | Path) -> Snapshot:
     """``read_snapshot``, with the archive of a snapshot that keeps a population taken from the
     first ``epoch`` lines of the ``archive.jsonl`` beside it, which must match its digest;
-    later lines are ignored."""
+    later lines are ignored, and an epoch-0 snapshot needs no file."""
     snap = read_snapshot(path)
     if snap.pop is not None:
         snap.pop.archive = _read_archive(Path(path).with_name(ARCHIVE_NAME), snap)
@@ -337,7 +340,7 @@ def _read_generation(line: dict[str, Any], config: ExperimentConfig, expected_ep
     """A generation's columns, checked as the README lists; only the writer's one encoding of
     them loads, so that writing them back gives the line's bytes again."""
     kind = line["kind"]
-    _check_keys(line, _GENERATION_KEYS, f"{kind} line")
+    _check_keys(line, _GENERATION_KEYS[kind], f"{kind} line")
     if _coerce(line["epoch"], int, f"{kind} epoch") != expected_epoch:
         raise ConfigError(f"{kind} epoch {line['epoch']}, expected {expected_epoch}")
     genome_row = _read_column(line["genome_row"], _INDEX, f"{kind} genome_row")
@@ -357,17 +360,20 @@ def _read_generation(line: dict[str, Any], config: ExperimentConfig, expected_ep
                           f"of 0 to {len(ORIGINS) - 1} ({', '.join(ORIGINS)})")
     extent = f"the generation holds {count} records"
     r, f = (_read_sparse(line, kind, (name + "_index", name), count, extent, math.nan)
-            for name in ("r", "f"))
+            if kind == "archive" else np.full(count, math.nan) for name in ("r", "f"))
     return Generation(_read_genomes(line, kind, genome_row, config.env.n_agents), genome_row,
                       r, f, born, origin)
 
 
 def _read_archive(path: Path, snap: Snapshot) -> dict[int, Generation]:
     """Generations 0 to ``snap.epoch - 1`` from the first lines of ``path``, checked against
-    the snapshot's digest first, so another run's archive is refused whatever it holds."""
+    the snapshot's digest first, so another run's archive is refused whatever it holds; at
+    epoch 0, none, so a set-up that failed before it wrote ``path`` resumes."""
+    lines: list[str] = []
     try:
-        with open(path, "r", encoding="utf-8", newline="\n") as handle:
-            lines = list(islice(handle, snap.epoch))
+        if snap.epoch:
+            with open(path, "r", encoding="utf-8", newline="\n") as handle:
+                lines = list(islice(handle, snap.epoch))
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise ConfigError(f"cannot read archive {path}: {exc}") from exc
     if lines and not lines[-1].endswith("\n"):

@@ -195,7 +195,7 @@ def test_config_errors_name_the_first_bad_element(tmp_path):
         with pytest.raises(ConfigError, match=r"active genome\[1\]\[2\] must be finite$"):
             load_snapshot(_write_jsonl(tmp_path / "genome.jsonl",
                                        [meta, dict(active, genome=_b64(edited)), policy]))
-        archived = dict(active, kind="archive", epoch=0, genome=_b64(edited))
+        archived = _archived(active, genome=_b64(edited))
         with pytest.raises(ConfigError, match=r"archive genome\[1\]\[2\] must be finite$"):
             load_snapshot(_write_archived(tmp_path / f"archived-{case}", meta, active, policy,
                                           [archived]))
@@ -356,8 +356,10 @@ VANILLA_EPOCH = ["train_on_tasks", "evaluate_target"]
 
 
 @pytest.mark.parametrize("mode, fresh, resumed, epoch_calls", [
-    ("ccl", ["init_population", "_start_archive"], ["load_snapshot", "_start_archive"], CCL_EPOCH),
-    ("vanilla", [], ["load_snapshot"], VANILLA_EPOCH)])
+    # A fresh run writes its epoch-0 snapshot before any other file.
+    ("ccl", ["init_population", "write_snapshot", "_start_archive"],
+     ["load_snapshot", "_start_archive"], CCL_EPOCH),
+    ("vanilla", ["write_snapshot"], ["load_snapshot"], VANILLA_EPOCH)])
 def test_each_epoch_calls_its_operators_in_order_through_harness_names(
         tmp_path, monkeypatch, mode, fresh, resumed, epoch_calls):
     import coevo_curriculum.harness as harness
@@ -375,7 +377,7 @@ def test_each_epoch_calls_its_operators_in_order_through_harness_names(
         monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
     half = run_experiment(_small_config(mode=mode, epochs=2, snapshot_interval=2),
                           run_dir=tmp_path / "half")
-    assert calls == fresh + ["write_snapshot"] + epoch_calls * 2 + ["write_snapshot"]
+    assert calls == fresh + epoch_calls * 2 + ["write_snapshot"]
     calls.clear()
     run_experiment(_small_config(mode=mode, epochs=3, resume_from=str(half.snapshot_path)),
                    run_dir=tmp_path / "resumed")
@@ -517,6 +519,13 @@ def _optional(name, values):
     return {f"{name}_index": _b64(index, "<u4"), name: _b64([values[i] for i in index])}
 
 
+def _archived(active, **columns):
+    """The active line ``active`` as the archive line of epoch 0, with an archive line's empty
+    ``r`` and ``f`` columns, then ``columns`` set."""
+    return {**active, "kind": "archive", "epoch": 0, "r_index": "", "r": "", "f_index": "",
+            "f": "", **columns}
+
+
 def _write_jsonl(path, lines):
     path.write_text("\n".join(json.dumps(line) for line in lines), encoding="utf-8")
     return path
@@ -565,6 +574,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     assert [line["kind"] for line in lines] == ["meta", "active", "policy"]
     meta, active, policy = lines
     for found, edit in (("99", lambda meta: meta.update(format=99)),
+                        ("8", lambda meta: meta.update(format=8)),
                         ("7", lambda meta: meta.update(format=7)),
                         ("6", lambda meta: meta.update(format=6)),
                         ("5", lambda meta: meta.update(format=5)),
@@ -575,7 +585,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
                         ("missing", lambda meta: meta.pop("format"))):
         other = dict(meta)
         edit(other)
-        with pytest.raises(ConfigError, match=f"format {found}, expected 8"):
+        with pytest.raises(ConfigError, match=f"format {found}, expected 9"):
             load_snapshot(_write_jsonl(tmp_path / f"format-{found}.jsonl",
                                        [other, active, policy]))
     n = len(active["epoch_born"])
@@ -606,9 +616,6 @@ def test_load_snapshot_rejects_garbage(tmp_path):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
     for name, columns, match in (
-            ("json-r", {"r": [0.5] * n}, "active r must be a base64 string"),
-            ("json-f", {"f": [None] * n}, "active f must be a base64 string"),
-            ("nan-f", _optional("f", [math.nan] * n), r"active f\[0\] must be finite"),
             ("float-epoch-born", {"epoch_born": [0.5] * n}, "epoch_born"),
             ("string-epoch-born", {"epoch_born": ["0"] * n}, "epoch_born"),
             ("bool-epoch-born", {"epoch_born": [False] * n}, "epoch_born"),
@@ -620,9 +627,12 @@ def test_load_snapshot_rejects_garbage(tmp_path):
         bad = [meta, dict(active, **columns), policy]
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
-    archived = dict(active, kind="archive", epoch=0)
+    archived = _archived(active)
     for name, archive, match in (
             ("archive-r", [dict(archived, r=["x"] * n)], "archive r must be a base64 string"),
+            ("json-f", [dict(archived, f=[None] * n)], "archive f must be a base64 string"),
+            ("nan-f", [dict(archived, **_optional("f", [math.nan] * n))],
+             r"archive f\[0\] must be finite"),
             ("nan-archive-r", [dict(archived, **_optional("r", [math.nan] * n))],
              r"archive r\[0\] must be finite"),
             ("repeated-epoch", [archived] * 2,
@@ -660,7 +670,7 @@ def test_snapshot_lines_refuse_keys_their_kind_does_not_define(tmp_path, capsys)
     vanilla_meta = dict(meta, config=dict(meta["config"],
                                           experiment=dict(meta["config"]["experiment"],
                                                           mode="vanilla")))
-    archived = dict(active, kind="archive", epoch=0)
+    archived = _archived(active)
     for name, lines, archive, message in (
             ("meta", [dict(meta, extra=1), active, policy], [], "meta line: extra"),
             ("active", [meta, dict(active, extra=1), policy], [], "active line: extra"),
@@ -685,7 +695,7 @@ def test_snapshot_lines_refuse_keys_their_kind_does_not_define(tmp_path, capsys)
 def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_path, capsys):
     good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
     meta, active, policy = [json.loads(line) for line in good.read_text().splitlines()]
-    archived = dict(active, kind="archive", epoch=0)
+    archived = _archived(active)
     n = len(archived["epoch_born"])
     genomes = _floats(archived["genome"]).reshape(n, 8)  # epoch 0: n distinct genomes
     rows = list(range(n))
@@ -694,7 +704,7 @@ def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_p
         return dict(archived, epoch=1, **columns)
 
     # A line in any form but the writer's one: each distinct genome once, rows in order of
-    # first use, sparse positions rising strictly within the generation, known codes only.
+    # first use, known codes only.
     noncanonical = (
         ("repeated-row", second(genome=_b64(np.vstack([genomes[:1], genomes[:1], genomes[2:]]))),
          "archive genome row 1 repeats row 0; each distinct genome is stored once"),
@@ -706,6 +716,14 @@ def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_p
          "archive genome_row[0] uses row 1 before row 0; rows are numbered in order of first use"),
         ("row-out-of-range", second(genome_row=_b64(rows[:-1] + [n], "<u4")),
          f"archive genome_row[{n - 1}] is row {n}; the genome column holds {n} rows"),
+        ("unknown-origin", second(origin=_b64([3] * n, "<u1")),
+         "archive origin[0] is code 3, not one of 0 to 2 (init, cross, mutate)"),
+        ("inf-genome", second(genome=_b64(np.where(np.arange(n * 8).reshape(n, 8) == 11,
+                                                   math.inf, genomes))),
+         "archive genome[1][3] must be finite"))
+    # The r and f columns, which only an archive line holds: sparse positions rising strictly
+    # within the generation, finite values.
+    measured = (
         ("r-index-out-of-range", second(**_optional("r", [None] * n + [0.5])),
          f"archive r_index {n} is out of range: the generation holds {n} records"),
         ("f-index-falling", second(f_index=_b64([3, 1], "<u4"), f=_b64([0.5, 0.25])),
@@ -714,17 +732,12 @@ def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_p
          "archive f_index does not rise strictly"),
         ("r-index-longer", second(r_index=_b64([0, 1], "<u4"), r=_b64([0.5])),
          "archive r_index holds 2 positions, archive r 1 values"),
-        ("unknown-origin", second(origin=_b64([3] * n, "<u1")),
-         "archive origin[0] is code 3, not one of 0 to 2 (init, cross, mutate)"),
         ("nan-r", second(**_optional("r", [0.5, math.nan] + [None] * (n - 2))),
          "archive r[1] must be finite"),
-        ("inf-f", second(**_optional("f", [-math.inf] * n)), "archive f[0] must be finite"),
-        ("inf-genome", second(genome=_b64(np.where(np.arange(n * 8).reshape(n, 8) == 11,
-                                                   math.inf, genomes))),
-         "archive genome[1][3] must be finite"))
+        ("inf-f", second(**_optional("f", [-math.inf] * n)), "archive f[0] must be finite"))
     # Each fault sits in the second line of a two-line archive whose digest is the snapshot's,
     # so the content checks run.
-    for name, line, message in noncanonical + (
+    for name, line, message in noncanonical + measured + (
             ("wrong-type", second(epoch_born=["1"] * n),
              "archive epoch_born[0] must be an integer"),
             ("unknown-key", second(extra=1), "unknown key(s) in archive line: extra"),
@@ -738,6 +751,7 @@ def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_p
         assert err.startswith(where) and message in err, (name, err)
     # The same faults in a snapshot's active line name the snapshot and its line 2.
     for name, line, message in noncanonical:
+        line = {key: line[key] for key in active}  # an active line's keys
         path = _write_jsonl(tmp_path / f"active-{name}.jsonl",
                             [meta, dict(line, kind="active", epoch=0), policy])
         assert main(["eval", "--snapshot", str(path)]) == 2, name
@@ -784,8 +798,7 @@ def test_binary_columns_round_trip_bit_for_bit(tmp_path):
     # An archived generation with no record, beside an active one of the config's size.
     ccl = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "c").snapshot_path
     meta, active, policy = [json.loads(line) for line in ccl.read_text().splitlines()]
-    empty = dict(active, kind="archive", epoch=0, genome="", genome_row="", r_index="", r="",
-                 f_index="", f="", epoch_born=[], origin="")
+    empty = _archived(active, genome="", genome_row="", epoch_born=[], origin="")
     path = _write_archived(tmp_path / "empty", meta, active, policy, [empty])
     loaded = load_snapshot(path)
     assert len(loaded.pop.active) == 8 and list(loaded.pop.archive) == [0]
@@ -894,7 +907,7 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
 
     size = math.prod(_small_config().env.q_shape)
     # A value that is no column at all, in each column: not a string, or not strict base64.
-    cases = []
+    cases, measured = [], []  # measured: the r and f columns, which only an archive line holds
     for case, (bad, message) in enumerate((
             (True, "must be a base64 string"), (None, "must be a base64 string"),
             (1.5, "must be a base64 string"), (10**400, "must be a base64 string"),
@@ -904,8 +917,9 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
         cases += [(f"index-{case}", active, dict(policy, index=bad), f"policy index {message}"),
                   (f"q-{case}", active, dict(policy, q=bad), f"policy q {message}")]
         cases += [(f"{column}-{case}", dict(active, **{column: bad}), policy,
-                   f"active {column} {message}")
-                  for column in ("genome", "genome_row", "r_index", "r", "f_index", "f", "origin")]
+                   f"active {column} {message}") for column in ("genome", "genome_row", "origin")]
+        measured += [(f"{column}-{case}", _archived(active, **{column: bad}),
+                      f"archive {column} {message}") for column in ("r_index", "r", "f_index", "f")]
     for name, active_line, policy_line, match in cases + [
             ("newline", dict(active, genome=active["genome"][:4] + "\n" + active["genome"][4:]),
              policy, "active genome is not base64"),
@@ -917,8 +931,6 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
              rf"active genome holds {(n * 8 - 1) * 4} bytes, not whole 8-byte values"),
             ("partial-genome-row", dict(active, genome_row=_b64(range(n - 1), "<u2")), policy,
              rf"active genome_row holds {n * 2 - 2} bytes, not whole 4-byte values"),
-            ("partial-r", dict(active, r_index=_b64([1], "<u4"), r=_b64([0.5], "<f4")), policy,
-             "active r holds 4 bytes, not whole 8-byte values"),
             ("out-of-range", active, listed([3, size], [1.0, 2.0]),
              rf"policy index {size} is out of range: the shape \(2, 81, 5\) holds {size}"),
             ("falling-index", active, listed([5, 3], [1.0, 2.0]),
@@ -957,10 +969,13 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl",
                                        [meta, active_line, policy_line]))
         if active_line is not active:  # an archived generation's columns are checked the same way
-            archived = dict(active_line, kind="archive", epoch=0)
-            with pytest.raises(ConfigError, match=match.replace("active", "archive")):
-                load_snapshot(_write_archived(tmp_path / f"archived-{name}", meta, active, policy,
-                                              [archived]))
+            measured.append((name, _archived(active_line), match.replace("active", "archive")))
+    measured.append(("partial-r", _archived(active, r_index=_b64([1], "<u4"), r=_b64([0.5], "<f4")),
+                     "archive r holds 4 bytes, not whole 8-byte values"))
+    for name, archived, match in measured:
+        with pytest.raises(ConfigError, match=match):
+            load_snapshot(_write_archived(tmp_path / f"archived-{name}", meta, active, policy,
+                                          [archived]))
     # -0.0 is not a zero on the bit pattern, so it is listed and loads as itself.
     loaded = load_snapshot(_write_archived(tmp_path / "negative-zero", meta, active,
                                            listed([2], [-0.0]), []))
@@ -981,8 +996,8 @@ def test_eval_refuses_a_format_6_snapshot(tmp_path, capsys):
     old = _write_jsonl(tmp_path / "run" / "format-6.jsonl",
                        [dict(meta, format=6), old_active, policy])
     assert main(["eval", "--snapshot", str(old)]) == 2
-    assert capsys.readouterr().err == f"error: snapshot {old} line 1: format 6, expected 8\n"
-    with pytest.raises(ConfigError, match="format 6, expected 8"):
+    assert capsys.readouterr().err == f"error: snapshot {old} line 1: format 6, expected 9\n"
+    with pytest.raises(ConfigError, match="format 6, expected 9"):
         run_experiment(_small_config(epochs=2, resume_from=str(old)), run_dir=tmp_path / "run")
 
 
@@ -1075,6 +1090,36 @@ def test_resumed_runs_write_the_files_of_an_uninterrupted_run(tmp_path):
     assert _files(run_dir) == full
 
 
+@pytest.mark.parametrize("mode, past_snapshot", [("ccl", "_start_archive"),
+                                                   ("vanilla", "_MetricsWriter")])
+def test_a_failed_set_up_leaves_a_directory_to_run_again_or_resume(tmp_path, monkeypatch, mode,
+                                                                    past_snapshot):
+    import coevo_curriculum.harness as harness
+
+    def fail(*args):
+        raise OSError("no space left on device")
+
+    config = _small_config(mode=mode, epochs=4, snapshot_interval=2)
+    full = _files(run_experiment(config, run_dir=tmp_path / "full").run_dir)
+    # Set-up fails at the epoch-0 snapshot, a fresh run's first file, and just past it.
+    for name, run_dir in (("write_snapshot", tmp_path / "again"),
+                          (past_snapshot, tmp_path / "in-place")):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, name, fail)
+            with pytest.raises(OSError, match="no space left"):
+                run_experiment(config, run_dir=run_dir)
+    # At the snapshot it leaves no file, so a fresh run into the same directory starts over.
+    assert list((tmp_path / "again").iterdir()) == []
+    run_experiment(config, run_dir=tmp_path / "again")
+    assert _files(tmp_path / "again") == full
+    # A set-up that fails past it leaves that snapshot, and a resume in place goes on from it.
+    first = tmp_path / "in-place" / "snapshot_epoch00000.jsonl"
+    assert first.read_bytes() == full[first.name]
+    run_experiment(_small_config(mode=mode, epochs=4, snapshot_interval=2,
+                                 resume_from=str(first)), run_dir=tmp_path / "in-place")
+    assert _files(tmp_path / "in-place") == full
+
+
 def test_a_resume_writes_back_the_archive_lines_it_read(tmp_path):
     source = run_experiment(_small_config(epochs=4, snapshot_interval=1),
                             run_dir=tmp_path / "source").run_dir
@@ -1118,19 +1163,23 @@ def test_snapshots_hold_no_archive_and_each_epoch_appends_one_line(tmp_path, mon
     real_write = harness.write_snapshot
 
     def counting_write(path, snapshot):
-        lines_at_write.append(len((path.parent / "archive.jsonl").read_bytes().splitlines()))
+        archive = path.parent / "archive.jsonl"
+        lines_at_write.append(len(archive.read_bytes().splitlines()) if archive.exists()
+                              else "absent")
         real_write(path, snapshot)
 
     monkeypatch.setattr(harness, "write_snapshot", counting_write)
     run_experiment(_small_config(epochs=6, snapshot_interval=1), run_dir=tmp_path)
-    assert lines_at_write == list(range(7))
+    assert lines_at_write == ["absent", *range(1, 7)]  # the epoch-0 snapshot is written first
     archive = [json.loads(line) for line in (tmp_path / "archive.jsonl").read_text().splitlines()]
     assert [(line["kind"], line["epoch"]) for line in archive] == [
         ("archive", epoch) for epoch in range(6)]
     for epoch in range(7):
         path = tmp_path / f"snapshot_epoch{epoch:05d}.jsonl"
-        kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
-        assert kinds == ["meta", "active", "policy"]
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [line["kind"] for line in lines] == ["meta", "active", "policy"]
+        # No active record is measured, so the active line has no r or f column.
+        assert list(lines[1]) == ["kind", "epoch", "genome", "genome_row", "epoch_born", "origin"]
 
 
 def test_ccl_snapshot_loads_only_with_its_runs_archive(tmp_path, capsys):
@@ -1377,7 +1426,7 @@ def _doctored_resume(tmp_path, edit):
     half = run_experiment(_small_config(epochs=2, snapshot_interval=2), run_dir=tmp_path / "half")
     lines = half.snapshot_path.read_text().splitlines()
     meta, active, policy = [json.loads(line) for line in lines]
-    assert active["r_index"] == active["f_index"] == ""  # evolve_generation measures none
+    assert "r_index" not in active and "f_index" not in active  # evolve_generation measures none
     doctored = _write_jsonl(tmp_path / "half" / "doctored.jsonl", [meta, edit(active), policy])
     out = tmp_path / "new"
     code = main(["run", "--config", str(_write_config(tmp_path, epochs=4)),
@@ -1402,9 +1451,9 @@ def _assert_listed_resume_exits_with_two(tmp_path, capsys, name, listed):
     code, measured = _doctored_resume(tmp_path,
                                       lambda active: dict(active, **_optional(name, values)))
     assert code == 2
+    # An active line has no r or f column: a listed one is a key its kind does not define.
     assert capsys.readouterr().err == (
-        f"error: snapshot {measured} line 2: active {name} lists record {min(listed)}; a "
-        "snapshot is taken after evolve_generation, so no active record is measured\n")
+        f"error: snapshot {measured} line 2: unknown key(s) in active line: {name}, {name}_index\n")
 
 
 @pytest.mark.parametrize("listed", [{2: 0.5}, dict.fromkeys(range(8), 5.0)])
@@ -1444,20 +1493,24 @@ def test_write_snapshot_refuses_every_active_generation_the_reader_refuses(tmp_p
 
 
 def test_a_format_7_snapshot_exits_with_two(tmp_path, capsys):
-    # Format 7 listed the active records' f, which a copy carried over from the epoch before.
+    # Format 7 listed the active records' f, which a copy carried over from the epoch before;
+    # format 8 held the r and f columns on the active line too, each empty.
     path = run_experiment(_small_config(epochs=2, snapshot_interval=2),
                           run_dir=tmp_path / "run").snapshot_path
     meta, active, policy = [json.loads(line) for line in path.read_text().splitlines()]
-    old = _write_jsonl(tmp_path / "run" / "format-7.jsonl",
-                       [dict(meta, format=7), dict(active, **_optional("f", [0.5] * 8)), policy])
-    expected = f"error: snapshot {old} line 1: format 7, expected 8\n"
-    assert main(["eval", "--snapshot", str(old)]) == 2
-    assert capsys.readouterr().err == expected
-    out = tmp_path / "new"
-    assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)), "--resume", str(old),
-                 "--output-dir", str(out)]) == 2
-    assert capsys.readouterr().err == expected
-    assert not out.exists()
+    empty = {"r_index": "", "r": "", "f_index": "", "f": ""}
+    for found, old_active in ((7, {**active, **empty, **_optional("f", [0.5] * 8)}),
+                              (8, {**active, **empty})):
+        old = _write_jsonl(tmp_path / "run" / f"format-{found}.jsonl",
+                           [dict(meta, format=found), old_active, policy])
+        expected = f"error: snapshot {old} line 1: format {found}, expected 9\n"
+        assert main(["eval", "--snapshot", str(old)]) == 2
+        assert capsys.readouterr().err == expected
+        out = tmp_path / f"new-{found}"
+        assert main(["run", "--config", str(_write_config(tmp_path, epochs=4)), "--resume",
+                     str(old), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
 
 
 def test_eval_of_a_snapshot_copied_alone_prints_the_in_place_rate(tmp_path, capsys):

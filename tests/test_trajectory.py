@@ -47,30 +47,30 @@ EXPECTED = {
     "vanilla-target": {
         "metrics.csv": "7fbdb08c15cbd82f21cc03ef3a866738a41f3714148e39e8b54fc67fd27dca2b",
         "snapshot_epoch00002.jsonl":
-            "8a1f15e8e763f43547cb3135dd5b24a6d2c7a54399d29b3381cd8795d0d42ef0",
+            "b0ae02784abeedc16570d58b1e46ffb569a28df49b7a561d09381b225a10077a",
     },
     "ccl-default": {
         "metrics.csv": "fe571f1259158d378eef21592669b5bad635fcd2c8eec56115243432835dbd38",
         "snapshot_epoch00012.jsonl":
-            "d3dba0287a0494528c832603b6f424ee5fd7d3dc11009181c78c65bfc42c63b5",
+            "5792c69d0312f9f795588ed1dda0076095a01c98f1a6756062bfb666fd680eb3",
         "archive.jsonl": "3dcb0d75dc467283a994d90dd44136d990df17c4751086a2204d7b222761b2c2",
     },
     "ccl-checkpoint-resume": {
         "metrics.csv": "84bd2b47be5a700798e9a703d12a8dda73a9fd3ae72804c1d1da9016b0f40421",
         "snapshot_epoch00010.jsonl":
-            "6f67f68467f2c9c0694ce07514a73fd497a87865191dab22b032a5e524ec9762",
+            "88a4f40a396a4b216be45de93db21065ea886244119a28390e35f2f4cff240af",
         "archive.jsonl": "44dfdeb6f20076e8ee1fed1e2361caa9c6a1fd9f157e190fa1248924af45c835",
     },
     "ccl-four-agents-fixed-mutation": {
         "metrics.csv": "5d822340c3871cf10725abd29a4f570a9d6d08a989f538e5a240ebe3304d4ffa",
         "snapshot_epoch00006.jsonl":
-            "bed9913095ac28a9bcbf82bf1c412efd7df6943d3a6cf5c6d8254fcea823f1cf",
+            "d70481a1c2d5ec4b1a4d199fc46691c2dcd6f1b1b1df985347f98661ec47c49a",
         "archive.jsonl": "a2b4f79f4c68e37d1202b2e422398a5c8c056ca121de39d05b9905a0618f0be8",
     },
     "ccl-one-agent-linear-still-mutation": {
         "metrics.csv": "23edbd9c50e0bd0b0243a1583b9f24571c34abbca026858fc7633a5aa1a7ede1",
         "snapshot_epoch00008.jsonl":
-            "c79a6c8651a7e20abedc8060a40c6bb6db5ce4c9e77a83b38777daa524af6bd7",
+            "4bf41baad3f06f3904eb49ca6b155bfd3e3e8423ce5bb3e5c2e18702c81d065a",
         "archive.jsonl": "c04163291b10cd4fcc9efb117935dc7f89f0aca76303974d8bf6cf53d24b9f11",
     },
 }
