@@ -67,12 +67,11 @@ class ExperimentConfig:
         if self.snapshot_interval < 1:
             raise ConfigError("snapshot_interval must be at least 1")
         if self.target is not None:
+            if len(self.target) != self.env.n_agents:
+                raise ConfigError("target task must match the environment agent count")
             if any(len(row) != 4 for row in self.target):
                 raise ConfigError("experiment.target rows must have exactly 4 components")
-            genome = self.target_genome()
-            if genome.n_agents != self.env.n_agents:
-                raise ConfigError("target task must match the environment agent count")
-            if not genome.in_domain:
+            if not self.target_genome().in_domain:
                 raise ConfigError("target task components must lie in [0, 1]")
         try:
             self.domain()
@@ -193,10 +192,7 @@ def apply_overrides(config: ExperimentConfig, *, seed: int | None = None,
         ("resume_from", resume_from), ("epochs", epochs)) if value is not None}
     if not updates:
         return config
-    try:
-        return replace(config, **updates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return replace(config, **updates)
 
 
 def default_config() -> ExperimentConfig:

@@ -50,7 +50,8 @@ class Generation:
 
     ``genome`` holds each distinct genome once, ``(rows, n_agents, 4)``, in order of first
     use, and ``genome_row`` each record's row in it; ``r``, ``f`` (NaN where the record holds
-    None), ``epoch_born`` and ``origin`` (an index into ``ORIGINS``) hold one value per record.
+    None, for ``f`` only in an active generation: every archived record is measured),
+    ``epoch_born`` and ``origin`` (an index into ``ORIGINS``) hold one value per record.
     """
 
     genome: np.ndarray

@@ -17,7 +17,7 @@ from .config import ABLATION_AXES, MODES, ConfigError, ExperimentConfig
 from .evolution import (advance_toward, assign_population_fitness, delete_bad_tasks,
                         evolve_generation, init_population, soft_select)
 from .fitness import PrototypeSet
-from .snapshots import (ARCHIVE_NAME, EMPTY_ARCHIVE_DIGEST, Snapshot, _COUNTS, _append_archive,
+from .snapshots import (ARCHIVE_NAME, EMPTY_ARCHIVE_DIGEST, Snapshot, _append_archive,
                         _start_archive, load_snapshot, read_snapshot, write_snapshot)
 from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, stream
 from .trainer import evaluate_target, train_on_tasks
@@ -145,12 +145,19 @@ def _end_of_epoch(path: Path, header: tuple[str, ...], snap: Snapshot) -> int:
             last = line
     if last is not None:
         row = dict(zip(header, last.rstrip(b"\r\n").decode("utf-8", "replace").split(",")))
-        for name in _COUNTS:  # the snapshot's epoch and totals
-            if name in row and row[name] != str(getattr(snap, name)):
+        for name, count in _row_counts(snap).items():
+            if name in row and row[name] != str(count):
                 raise ConfigError(f"cannot resume into {path}: its last row up to epoch "
                                   f"{snap.epoch} has {name} {row[name]}, the snapshot "
-                                  f"{getattr(snap, name)}; it holds another run's rows")
+                                  f"{count}; it holds another run's rows")
     return end
+
+
+def _row_counts(snap: Snapshot) -> dict[str, int]:
+    """The counts a metrics row shares with its epoch's snapshot, which stores no episodes."""
+    episodes = snap.epoch * snap.config.evolution.batch_size * snap.config.episodes_per_task
+    return {"epoch": snap.epoch, "episodes_total": episodes,
+            "env_steps_total": snap.env_steps_total}
 
 
 def _check_resume(config: ExperimentConfig, snapshot: Snapshot) -> None:
@@ -251,7 +258,7 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
     target = config.target_genome()
 
     snap = (resume if resume is not None
-            else Snapshot(config, 0, 0, 0, None, np.zeros(env_cfg.q_shape)))
+            else Snapshot(config, 0, 0, None, np.zeros(env_cfg.q_shape)))
     curriculum = CURRICULA[MODES[config.mode]](config, snap, out_dir / ARCHIVE_NAME)
     snapshot_path = (Path(config.resume_from) if resume is not None
                      else out_dir / f"snapshot_epoch{0:05d}.jsonl")
@@ -270,22 +277,18 @@ def run_experiment(config: ExperimentConfig, run_dir: Path | None = None) -> Run
         successes, env_steps = train_on_tasks(
             blocks, snap.policy_q, config.learner, config.learner.epsilon_at(epoch),
             config.episodes_per_task, env_cfg, stream(seed, DOMAIN_TRAIN, epoch))
-        snap.episodes_total += len(blocks) * config.episodes_per_task
+        snap.epoch = epoch
         snap.env_steps_total += int(env_steps.sum())
         rates = (successes / config.episodes_per_task).tolist()
         active_mean_f = curriculum.observe(epoch, blocks, rates)
 
         target_success = evaluate_target(snap.policy_q, target, env_cfg)
-        row = EpochMetrics(epoch=epoch, target_success=target_success,
-                           batch_mean_r=float(np.mean(rates)), active_mean_f=active_mean_f,
-                           batch_new=batch_new, batch_old=batch_old,
-                           episodes_total=snap.episodes_total,
-                           env_steps_total=snap.env_steps_total,
-                           wall_clock_seconds=time.perf_counter() - tic)
+        row = EpochMetrics(target_success=target_success, batch_mean_r=float(np.mean(rates)),
+                           active_mean_f=active_mean_f, batch_new=batch_new, batch_old=batch_old,
+                           **_row_counts(snap), wall_clock_seconds=time.perf_counter() - tic)
         metrics.append(row)
         writer.append(row)
 
-        snap.epoch = epoch
         if epoch % config.snapshot_interval == 0 or epoch == config.epochs:
             snapshot_path = out_dir / f"snapshot_epoch{epoch:05d}.jsonl"
             write_snapshot(snapshot_path, snap)

@@ -22,7 +22,7 @@ from .config import (MODES, ConfigError, ExperimentConfig, _check_keys, _coerce,
 from .evolution import ORIGINS, Generation, Population
 from .tasks import BLOCK_SIZE
 
-SNAPSHOT_FORMAT = 9
+SNAPSHOT_FORMAT = 10
 
 
 @dataclass
@@ -36,7 +36,6 @@ class Snapshot:
 
     config: ExperimentConfig
     epoch: int
-    episodes_total: int
     env_steps_total: int
     pop: Population | None
     policy_q: np.ndarray
@@ -49,7 +48,7 @@ class Snapshot:
 _COUNTS = tuple(name for name, tp in _schema(Snapshot).items() if tp is int)
 _ACTIVE_KEYS = ("kind", "epoch", "genome", "genome_row", "epoch_born", "origin")
 _GENERATION_KEYS = {"active": _ACTIVE_KEYS,
-                    "archive": (*_ACTIVE_KEYS, "r_index", "r", "f_index", "f")}
+                    "archive": (*_ACTIVE_KEYS, "r_index", "r", "f")}
 _FLOAT, _INDEX, _CODE = np.dtype("<f8"), np.dtype("<u4"), np.dtype("<u1")
 _ENCODE = json.JSONEncoder(allow_nan=False).encode  # so no run writes a file the reader rejects
 ARCHIVE_NAME = "archive.jsonl"
@@ -76,11 +75,10 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 
 
 def write_snapshot(path: Path, snapshot: Snapshot) -> None:
-    """One meta line with the run's identity config (and, for a ccl run, the archive digest);
-    for a ccl run, one line for the active generation, records as columns; then one line with
-    the Q table's size and its non-zero entries, their flat positions and values as binary
-    columns. No operational key is stored, so a resumed run writes the files an uninterrupted
-    one does.
+    """One meta line with the run's identity config and counters (and, for a ccl run, the
+    archive digest); for a ccl run, the active generation's line; then the policy line (see
+    ``_policy_line``). No operational key is stored, so a resumed run writes the files an
+    uninterrupted one does.
 
     Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
     ``write_snapshot(p, load_snapshot(p))`` writes the bytes of a ``p`` it wrote again. It
@@ -129,8 +127,7 @@ def _sparse(where: str, keys: tuple[str, str], column: np.ndarray, listed: np.nd
             ) -> dict[str, str]:
     """A float column as the two binary columns ``keys``: the positions where ``listed`` is
     non-zero, rising, and the column's values there; ``_read_sparse`` fills every other
-    position back in. The policy lists its non-zero entries and a generation its non-NaN
-    ``r`` and ``f``: the Q table and both measurement columns share this one codec."""
+    position back in. The policy's non-zero entries and an archive's non-NaN ``r`` use it."""
     index_key, value_key = keys
     index = np.flatnonzero(listed)
     return {index_key: _binary(index, _INDEX, f"{where} {index_key}"),
@@ -146,11 +143,11 @@ def _policy_line(q: np.ndarray) -> dict[str, Any]:
 
 
 def _generation_line(kind: str, epoch: int, generation: Generation) -> dict[str, Any]:
-    """A generation's columns (see ``Generation``) as a line; each generation has this one
-    encoding. Only an archive line holds ``r`` and ``f``: no active record is measured."""
+    """A generation's columns (see ``Generation``) as a line, in its one encoding. Only an
+    archive line holds ``r`` and ``f``, ``f`` dense: every archived record is measured."""
     measured = {} if kind == "active" else {
         **_sparse(kind, ("r_index", "r"), generation.r, ~np.isnan(generation.r)),
-        **_sparse(kind, ("f_index", "f"), generation.f, ~np.isnan(generation.f))}
+        "f": _binary(generation.f, _FLOAT, f"{kind} f")}
     return {"kind": kind, "epoch": epoch,
             "genome": _binary(generation.genome, _FLOAT, f"{kind} genome"),
             "genome_row": _binary(generation.genome_row, _INDEX, f"{kind} genome_row"),
@@ -351,16 +348,19 @@ def _read_generation(line: dict[str, Any], config: ExperimentConfig, expected_ep
     except OverflowError:
         raise ConfigError(f"{kind} epoch_born holds an integer outside 64 bits") from None
     origin = _read_column(line["origin"], _CODE, f"{kind} origin")
-    for name, size in (("epoch_born", len(epoch_born)), ("origin", origin.size)):
+    r, f = np.full((2, count), math.nan)  # no active record is measured
+    if kind == "archive":  # and every archived one is: f holds a finite value for each
+        f = _read_column(line["f"], _FLOAT, f"{kind} f")
+        _check_finite(f, f"{kind} f")
+        r = _read_sparse(line, kind, ("r_index", "r"), count,
+                         f"the generation holds {count} records", math.nan)
+    for name, size in (("epoch_born", len(epoch_born)), ("origin", origin.size), ("f", f.size)):
         if size != count:
             raise ConfigError(f"{kind} {name} holds {size} values; genome_row lists {count} "
                               "records")
     if (unknown := np.flatnonzero(origin >= len(ORIGINS))).size:
         raise ConfigError(f"{kind} origin[{unknown[0]}] is code {origin[unknown[0]]}, not one "
                           f"of 0 to {len(ORIGINS) - 1} ({', '.join(ORIGINS)})")
-    extent = f"the generation holds {count} records"
-    r, f = (_read_sparse(line, kind, (name + "_index", name), count, extent, math.nan)
-            if kind == "archive" else np.full(count, math.nan) for name in ("r", "f"))
     return Generation(_read_genomes(line, kind, genome_row, config.env.n_agents), genome_row,
                       r, f, born, origin)
 

@@ -24,7 +24,8 @@ from coevo_curriculum.evolution import Generation, Population, TaskRecord, delet
 from coevo_curriculum.harness import (METRICS_COLUMNS, ablation_variants, evaluate_snapshot,
                                       load_snapshot, run_ablation, run_experiment,
                                       write_snapshot)
-from coevo_curriculum.snapshots import EMPTY_ARCHIVE_DIGEST, Snapshot, _archive_line, _chain
+from coevo_curriculum.snapshots import (EMPTY_ARCHIVE_DIGEST, Snapshot, _append_archive,
+                                        _archive_line, _chain, _start_archive)
 from coevo_curriculum.streams import DOMAIN_SELECT, stream
 from coevo_curriculum.tasks import TaskGenome
 from test_trajectory import WORKLOADS
@@ -213,8 +214,9 @@ def test_config_validates_experiment_fields():
 
 
 def test_config_validates_target():
-    with pytest.raises(ConfigError, match="agent count"):
-        _small_config(target=[[0.0, 0.0, 1.0, 1.0]])
+    for target in ([[0.0, 0.0, 1.0, 1.0]], []):
+        with pytest.raises(ConfigError, match="must match the environment agent count"):
+            _small_config(target=target)
     with pytest.raises(ConfigError, match="target"):
         _small_config(target=[[0.0, 0.0, 1.0, 1.5], [1.0, 1.0, 0.0, 0.0]])
     with pytest.raises(ConfigError, match="4 components"):
@@ -392,7 +394,7 @@ def test_zero_epoch_run_leaves_header_and_initial_snapshot(tmp_path):
     rows = _read_rows(result.metrics_path)
     assert len(rows) == 1
     snap = load_snapshot(tmp_path / "snapshot_epoch00000.jsonl")
-    assert snap.epoch == 0 and snap.episodes_total == 0
+    assert snap.epoch == 0 and snap.env_steps_total == 0
     assert len(snap.pop.active) == 8
     assert snap.pop.archive == {}
     assert snap.policy_q.shape == (2, 9 ** 2, 5)
@@ -423,7 +425,10 @@ def test_snapshot_round_trip_preserves_population(tmp_path):
     for gen in snap.pop.archive.values():
         for rec in gen.records():
             assert rec.f is not None
-    assert snap.episodes_total == 32
+    # The snapshot stores no episode total; the row of its epoch holds the one it implies.
+    row = dict(zip(METRICS_COLUMNS, _read_rows(tmp_path / "metrics.csv")[4]))
+    assert (row["epoch"], row["episodes_total"], row["env_steps_total"]) == (
+        "4", "32", str(snap.env_steps_total))
 
 
 def _assert_same_records(got, want):
@@ -501,6 +506,18 @@ def test_write_snapshot_reproduces_every_loaded_snapshot(tmp_path):
     infinite = Generation.of([TaskRecord(unmeasurable.pop.active[1].genome, math.inf, 0.5)])
     with pytest.raises(ValueError, match="archive r holds a non-finite value"):
         _archive_line(0, infinite)
+    # Every archived record is measured, so f holds one value per record: a generation with an
+    # unmeasured record is refused, and neither archive writer changes the file.
+    genome = unmeasurable.pop.active[1].genome
+    unmeasured = Generation.of([TaskRecord(genome, 0.5, 0.25), TaskRecord(genome, 0.5)])
+    archive = tmp_path / "ccl" / "archive.jsonl"
+    before = archive.read_bytes()
+    for write in (lambda: _append_archive(archive, EMPTY_ARCHIVE_DIGEST, 5, unmeasured),
+                  lambda: _start_archive(archive, {**unmeasurable.pop.archive, 5: unmeasured})):
+        with pytest.raises(ValueError, match="archive f holds a non-finite value"):
+            write()
+        assert archive.read_bytes() == before
+        assert not list(archive.parent.glob("*.tmp"))
 
 
 def _b64(values, dtype="<f8"):
@@ -513,17 +530,17 @@ def _floats(column):
 
 
 def _optional(name, values):
-    """A generation's ``r`` or ``f`` column as the README specifies: the positions of its
-    non-null values and those values."""
+    """An archive line's ``r`` column as the README specifies: the positions of its non-null
+    values and those values. Listed ``f`` columns in this form are older formats' or faults."""
     index = [i for i, value in enumerate(values) if value is not None]
     return {f"{name}_index": _b64(index, "<u4"), name: _b64([values[i] for i in index])}
 
 
 def _archived(active, **columns):
-    """The active line ``active`` as the archive line of epoch 0, with an archive line's empty
-    ``r`` and ``f`` columns, then ``columns`` set."""
-    return {**active, "kind": "archive", "epoch": 0, "r_index": "", "r": "", "f_index": "",
-            "f": "", **columns}
+    """The active line ``active`` as the archive line of epoch 0, with an archive line's
+    measurements, no ``r`` listed and each record's ``f`` 0.5, then ``columns`` set."""
+    return {**active, "kind": "archive", "epoch": 0, "r_index": "", "r": "",
+            "f": _b64([0.5] * len(active["epoch_born"])), **columns}
 
 
 def _write_jsonl(path, lines):
@@ -574,6 +591,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     assert [line["kind"] for line in lines] == ["meta", "active", "policy"]
     meta, active, policy = lines
     for found, edit in (("99", lambda meta: meta.update(format=99)),
+                        ("9", lambda meta: meta.update(format=9, episodes_total=0)),
                         ("8", lambda meta: meta.update(format=8)),
                         ("7", lambda meta: meta.update(format=7)),
                         ("6", lambda meta: meta.update(format=6)),
@@ -585,7 +603,7 @@ def test_load_snapshot_rejects_garbage(tmp_path):
                         ("missing", lambda meta: meta.pop("format"))):
         other = dict(meta)
         edit(other)
-        with pytest.raises(ConfigError, match=f"format {found}, expected 9"):
+        with pytest.raises(ConfigError, match=f"format {found}, expected 10"):
             load_snapshot(_write_jsonl(tmp_path / f"format-{found}.jsonl",
                                        [other, active, policy]))
     n = len(active["epoch_born"])
@@ -631,8 +649,8 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     for name, archive, match in (
             ("archive-r", [dict(archived, r=["x"] * n)], "archive r must be a base64 string"),
             ("json-f", [dict(archived, f=[None] * n)], "archive f must be a base64 string"),
-            ("nan-f", [dict(archived, **_optional("f", [math.nan] * n))],
-             r"archive f\[0\] must be finite"),
+            ("nan-f", [dict(archived, f=_b64([0.5] * (n - 1) + [math.nan]))],
+             rf"archive f\[{n - 1}\] must be finite"),
             ("nan-archive-r", [dict(archived, **_optional("r", [math.nan] * n))],
              r"archive r\[0\] must be finite"),
             ("repeated-epoch", [archived] * 2,
@@ -647,8 +665,8 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     for name, bad, match in (
             ("fractional-epoch", [dict(meta, epoch=1.9), active, policy],
              "meta epoch must be an integer"),
-            ("string-episodes", [dict(meta, episodes_total="8"), active, policy],
-             "meta episodes_total must be an integer"),
+            ("string-env-steps", [dict(meta, env_steps_total="8"), active, policy],
+             "meta env_steps_total must be an integer"),
             ("bool-env-steps", [dict(meta, env_steps_total=True), active, policy],
              "meta env_steps_total must be an integer"),
             ("bool-policy-size", [meta, active, dict(policy, size=True)],
@@ -673,10 +691,14 @@ def test_snapshot_lines_refuse_keys_their_kind_does_not_define(tmp_path, capsys)
     archived = _archived(active)
     for name, lines, archive, message in (
             ("meta", [dict(meta, extra=1), active, policy], [], "meta line: extra"),
+            ("meta-episodes", [dict(meta, episodes_total=0), active, policy], [],
+             "meta line: episodes_total"),
             ("active", [meta, dict(active, extra=1), policy], [], "active line: extra"),
             ("policy", [meta, active, dict(policy, extra=1)], [], "policy line: extra"),
             ("archive", [meta, active, policy], [dict(archived, extra=1)],
              "archive line: extra"),
+            ("archive-f-index", [meta, active, policy], [dict(archived, f_index="")],
+             "archive line: f_index"),
             ("vanilla-digest", [vanilla_meta, policy], None, "meta line: archive_digest")):
         if archive is None:
             path = _write_jsonl(tmp_path / f"{name}.jsonl", lines)
@@ -684,7 +706,7 @@ def test_snapshot_lines_refuse_keys_their_kind_does_not_define(tmp_path, capsys)
             path = _write_archived(tmp_path / name, *lines, archive)
         assert _resume_from(path, tmp_path / f"resumed-{name}") == 2, name
         assert f"unknown key(s) in {message}" in capsys.readouterr().err, name
-        if name != "archive":  # eval reads the snapshot's own lines and no archive
+        if not archive:  # eval reads the snapshot's own lines and no archive
             assert main(["eval", "--snapshot", str(path)]) == 2, name
             assert f"unknown key(s) in {message}" in capsys.readouterr().err, name
     vanilla_meta.pop("archive_digest")
@@ -721,20 +743,18 @@ def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_p
         ("inf-genome", second(genome=_b64(np.where(np.arange(n * 8).reshape(n, 8) == 11,
                                                    math.inf, genomes))),
          "archive genome[1][3] must be finite"))
-    # The r and f columns, which only an archive line holds: sparse positions rising strictly
-    # within the generation, finite values.
+    # The r and f columns, which only an archive line holds: r's sparse positions rising
+    # strictly within the generation, one f per record, finite values.
     measured = (
         ("r-index-out-of-range", second(**_optional("r", [None] * n + [0.5])),
          f"archive r_index {n} is out of range: the generation holds {n} records"),
-        ("f-index-falling", second(f_index=_b64([3, 1], "<u4"), f=_b64([0.5, 0.25])),
-         "archive f_index does not rise strictly"),
-        ("f-index-repeated", second(f_index=_b64([2, 2], "<u4"), f=_b64([0.5, 0.25])),
-         "archive f_index does not rise strictly"),
+        ("f-longer", second(f=_b64([0.5] * (n + 1))),
+         f"archive f holds {n + 1} values; genome_row lists {n} records"),
         ("r-index-longer", second(r_index=_b64([0, 1], "<u4"), r=_b64([0.5])),
          "archive r_index holds 2 positions, archive r 1 values"),
         ("nan-r", second(**_optional("r", [0.5, math.nan] + [None] * (n - 2))),
          "archive r[1] must be finite"),
-        ("inf-f", second(**_optional("f", [-math.inf] * n)), "archive f[0] must be finite"))
+        ("inf-f", second(f=_b64([-math.inf] * n)), "archive f[0] must be finite"))
     # Each fault sits in the second line of a two-line archive whose digest is the snapshot's,
     # so the content checks run.
     for name, line, message in noncanonical + measured + (
@@ -798,7 +818,7 @@ def test_binary_columns_round_trip_bit_for_bit(tmp_path):
     # An archived generation with no record, beside an active one of the config's size.
     ccl = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "c").snapshot_path
     meta, active, policy = [json.loads(line) for line in ccl.read_text().splitlines()]
-    empty = _archived(active, genome="", genome_row="", epoch_born=[], origin="")
+    empty = _archived(active, genome="", genome_row="", f="", epoch_born=[], origin="")
     path = _write_archived(tmp_path / "empty", meta, active, policy, [empty])
     loaded = load_snapshot(path)
     assert len(loaded.pop.active) == 8 and list(loaded.pop.archive) == [0]
@@ -833,9 +853,11 @@ def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
     rows = [np.frombuffer(base64.b64decode(json.loads(line)["genome_row"]), "<u4").tolist()
             for line in lines]
     assert rows == [[0, 1, 2, 0, 0], [0, 1, 0], []]
-    r_index, f_index = ([json.loads(line)[key] for line in lines] for key in ("r_index", "f_index"))
-    assert r_index == [_b64([0, 4], "<u4"), "", ""]
-    assert f_index == [_b64(range(5), "<u4"), _b64(range(3), "<u4"), ""]
+    assert [json.loads(line)["r_index"] for line in lines] == [_b64([0, 4], "<u4"), "", ""]
+    # f holds one value per record, in record order, with no positions.
+    assert [_floats(json.loads(line)["f"]).tolist() for line in lines] == [
+        [rec.f for rec in records] for records in generations.values()]
+    assert all("f_index" not in json.loads(line) for line in lines)
     (tmp_path / "archive.jsonl").write_text("".join(lines), encoding="utf-8")
     digest = EMPTY_ARCHIVE_DIGEST
     for line in lines:
@@ -844,7 +866,7 @@ def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
     # An active generation of the config's 8 records, copies with no r and no f as
     # evolve_generation leaves them, with the rows of the archived ones.
     active = [rec.clone() for rec in generations[0] + generations[1]]
-    write_snapshot(path, Snapshot(config, 3, 0, 0, Population(active, epoch=3),
+    write_snapshot(path, Snapshot(config, 3, 0, Population(active, epoch=3),
                                   np.zeros(config.env.q_shape), archive_digest=digest))
     loaded = load_snapshot(path)
     _assert_same_records(loaded.pop.active, active)
@@ -919,7 +941,7 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
         cases += [(f"{column}-{case}", dict(active, **{column: bad}), policy,
                    f"active {column} {message}") for column in ("genome", "genome_row", "origin")]
         measured += [(f"{column}-{case}", _archived(active, **{column: bad}),
-                      f"archive {column} {message}") for column in ("r_index", "r", "f_index", "f")]
+                      f"archive {column} {message}") for column in ("r_index", "r", "f")]
     for name, active_line, policy_line, match in cases + [
             ("newline", dict(active, genome=active["genome"][:4] + "\n" + active["genome"][4:]),
              policy, "active genome is not base64"),
@@ -970,8 +992,15 @@ def test_binary_columns_refuse_every_malformed_value(tmp_path):
                                        [meta, active_line, policy_line]))
         if active_line is not active:  # an archived generation's columns are checked the same way
             measured.append((name, _archived(active_line), match.replace("active", "archive")))
-    measured.append(("partial-r", _archived(active, r_index=_b64([1], "<u4"), r=_b64([0.5], "<f4")),
-                     "archive r holds 4 bytes, not whole 8-byte values"))
+    measured += [
+        ("partial-r", _archived(active, r_index=_b64([1], "<u4"), r=_b64([0.5], "<f4")),
+         "archive r holds 4 bytes, not whole 8-byte values"),
+        ("partial-f", _archived(active, f=_b64([0.5] * (n + 1), "<f4")),
+         f"archive f holds {(n + 1) * 4} bytes, not whole 8-byte values"),
+        # f is dense: one value for each record genome_row lists.
+        *((f"{count}-f", _archived(active, f=_b64([0.5] * count)),
+           f"archive f holds {count} values; genome_row lists {n} records")
+          for count in (0, n - 1, n + 1))]
     for name, archived, match in measured:
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_archived(tmp_path / f"archived-{name}", meta, active, policy,
@@ -996,8 +1025,8 @@ def test_eval_refuses_a_format_6_snapshot(tmp_path, capsys):
     old = _write_jsonl(tmp_path / "run" / "format-6.jsonl",
                        [dict(meta, format=6), old_active, policy])
     assert main(["eval", "--snapshot", str(old)]) == 2
-    assert capsys.readouterr().err == f"error: snapshot {old} line 1: format 6, expected 9\n"
-    with pytest.raises(ConfigError, match="format 6, expected 9"):
+    assert capsys.readouterr().err == f"error: snapshot {old} line 1: format 6, expected 10\n"
+    with pytest.raises(ConfigError, match="format 6, expected 10"):
         run_experiment(_small_config(epochs=2, resume_from=str(old)), run_dir=tmp_path / "run")
 
 
@@ -1494,16 +1523,17 @@ def test_write_snapshot_refuses_every_active_generation_the_reader_refuses(tmp_p
 
 def test_a_format_7_snapshot_exits_with_two(tmp_path, capsys):
     # Format 7 listed the active records' f, which a copy carried over from the epoch before;
-    # format 8 held the r and f columns on the active line too, each empty.
+    # format 8 held the r and f columns on the active line too, each empty. Formats up to 9
+    # stored the episode total, 2 epochs of 4 tasks of 2 episodes here, in the meta line.
     path = run_experiment(_small_config(epochs=2, snapshot_interval=2),
                           run_dir=tmp_path / "run").snapshot_path
     meta, active, policy = [json.loads(line) for line in path.read_text().splitlines()]
     empty = {"r_index": "", "r": "", "f_index": "", "f": ""}
     for found, old_active in ((7, {**active, **empty, **_optional("f", [0.5] * 8)}),
-                              (8, {**active, **empty})):
+                              (8, {**active, **empty}), (9, active)):
         old = _write_jsonl(tmp_path / "run" / f"format-{found}.jsonl",
-                           [dict(meta, format=found), old_active, policy])
-        expected = f"error: snapshot {old} line 1: format {found}, expected 9\n"
+                           [dict(meta, format=found, episodes_total=16), old_active, policy])
+        expected = f"error: snapshot {old} line 1: format {found}, expected 10\n"
         assert main(["eval", "--snapshot", str(old)]) == 2
         assert capsys.readouterr().err == expected
         out = tmp_path / f"new-{found}"
@@ -1529,8 +1559,14 @@ def test_eval_of_a_snapshot_copied_alone_prints_the_in_place_rate(tmp_path, caps
         assert in_place.startswith("target_success=")
 
 
-@pytest.mark.parametrize("counter", ["epoch", "episodes_total", "env_steps_total"])
-def test_a_resume_from_a_negative_meta_counter_exits_with_two(tmp_path, capsys, counter):
+@pytest.mark.parametrize("counter, refusal", [
+    ("epoch", "meta epoch is -1; a count is at least 0"),
+    # The episode total is no longer stored: each epoch trains batch_size tasks.
+    ("episodes_total", "unknown key(s) in meta line: episodes_total"),
+    ("env_steps_total", "meta env_steps_total is -1; a count is at least 0")],
+    ids=["epoch", "episodes_total", "env_steps_total"])
+def test_a_resume_from_a_negative_meta_counter_exits_with_two(tmp_path, capsys, counter,
+                                                               refusal):
     for mode in MODES:
         half = run_experiment(_small_config(mode=mode, epochs=2, snapshot_interval=2),
                               run_dir=tmp_path / mode)
@@ -1540,8 +1576,7 @@ def test_a_resume_from_a_negative_meta_counter_exits_with_two(tmp_path, capsys, 
         out = tmp_path / "new" / mode
         assert main(["run", "--config", str(_write_config(tmp_path, mode=mode, epochs=4)),
                      "--resume", str(negative), "--output-dir", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: snapshot {negative} line 1: meta {counter} is -1; a count is at least 0\n")
+        assert capsys.readouterr().err == f"error: snapshot {negative} line 1: {refusal}\n"
         assert not (tmp_path / "new").exists()
 
 
@@ -1559,8 +1594,13 @@ def test_resume_rejects_mismatched_identity(tmp_path):
     # Rows of another run in the target directory: a resume would splice them.
     seed7 = run_experiment(_small_config(epochs=1, master_seed=7), run_dir=tmp_path / "seed7")
     seed12 = run_experiment(_small_config(epochs=2, master_seed=12), run_dir=tmp_path / "seed12")
+    # The snapshot stores no episode total, and a row's must be the one its epoch implies.
+    other_episodes = run_experiment(_small_config(epochs=2), run_dir=tmp_path / "episodes")
+    rows = other_episodes.metrics_path.read_text(encoding="utf-8")
+    other_episodes.metrics_path.write_text(rows.replace(",16,", ",17,"), encoding="utf-8")
     for other, match in ((seed7, "epoch 2 has epoch 1, the snapshot 2"),
-                         (seed12, "env_steps_total")):
+                         (seed12, "env_steps_total"),
+                         (other_episodes, "epoch 2 has episodes_total 17, the snapshot 16")):
         resume = _small_config(epochs=4, resume_from=str(half.snapshot_path))
         before = {path: path.read_bytes() for path in other.run_dir.glob("*.csv")}
         with pytest.raises(ConfigError, match=match):

@@ -47,31 +47,31 @@ EXPECTED = {
     "vanilla-target": {
         "metrics.csv": "7fbdb08c15cbd82f21cc03ef3a866738a41f3714148e39e8b54fc67fd27dca2b",
         "snapshot_epoch00002.jsonl":
-            "b0ae02784abeedc16570d58b1e46ffb569a28df49b7a561d09381b225a10077a",
+            "0112f0fc3cfc5156b9b8a63ea15d3b5cfda89ea31da155a222773bd5a91487a1",
     },
     "ccl-default": {
         "metrics.csv": "fe571f1259158d378eef21592669b5bad635fcd2c8eec56115243432835dbd38",
         "snapshot_epoch00012.jsonl":
-            "5792c69d0312f9f795588ed1dda0076095a01c98f1a6756062bfb666fd680eb3",
-        "archive.jsonl": "3dcb0d75dc467283a994d90dd44136d990df17c4751086a2204d7b222761b2c2",
+            "29be89d7a90c204f97999081579827aadb49317b6709b4ffd1057d37783bb7b2",
+        "archive.jsonl": "757b311bffbc38195aea50fe8df9133eb35ad5dee87c929bfa2d2c75a3d1190c",
     },
     "ccl-checkpoint-resume": {
         "metrics.csv": "84bd2b47be5a700798e9a703d12a8dda73a9fd3ae72804c1d1da9016b0f40421",
         "snapshot_epoch00010.jsonl":
-            "88a4f40a396a4b216be45de93db21065ea886244119a28390e35f2f4cff240af",
-        "archive.jsonl": "44dfdeb6f20076e8ee1fed1e2361caa9c6a1fd9f157e190fa1248924af45c835",
+            "747ce999ec76c2d88b315f089541a505216fa4cc4b911cdeeb499f0bde56ad42",
+        "archive.jsonl": "73af3a2557a3deedf2c1a6ab8d62e8ae3757a4cb874fb3e6e6926b6acc013c6c",
     },
     "ccl-four-agents-fixed-mutation": {
         "metrics.csv": "5d822340c3871cf10725abd29a4f570a9d6d08a989f538e5a240ebe3304d4ffa",
         "snapshot_epoch00006.jsonl":
-            "d70481a1c2d5ec4b1a4d199fc46691c2dcd6f1b1b1df985347f98661ec47c49a",
-        "archive.jsonl": "a2b4f79f4c68e37d1202b2e422398a5c8c056ca121de39d05b9905a0618f0be8",
+            "afaca10c0fd48d896f7d812208004495416810b699bf36d30eedf0c3f7c7dd22",
+        "archive.jsonl": "9723c5b1392ec5492d090de0276790b9ab262d762e898fb546484f74329f7f37",
     },
     "ccl-one-agent-linear-still-mutation": {
         "metrics.csv": "23edbd9c50e0bd0b0243a1583b9f24571c34abbca026858fc7633a5aa1a7ede1",
         "snapshot_epoch00008.jsonl":
-            "4bf41baad3f06f3904eb49ca6b155bfd3e3e8423ce5bb3e5c2e18702c81d065a",
-        "archive.jsonl": "c04163291b10cd4fcc9efb117935dc7f89f0aca76303974d8bf6cf53d24b9f11",
+            "5a8666cbce2c76712cf8b82c4814b36e3d5b847cf144890a7b14d517c0dbdb87",
+        "archive.jsonl": "2d419f447a63c4ec3c24784e63e43c9b7443f8d8000f6ef6ec9dc50b5e5c0ac9",
     },
 }
 
