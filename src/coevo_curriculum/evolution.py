@@ -50,8 +50,8 @@ class Generation:
 
     ``genome`` holds each distinct genome once, ``(rows, n_agents, 4)``, in order of first
     use, and ``genome_row`` each record's row in it; ``r``, ``f`` (NaN where the record holds
-    None, for ``f`` only in an active generation: every archived record is measured),
-    ``epoch_born`` and ``origin`` (an index into ``ORIGINS``) hold one value per record.
+    None, never for ``f`` once archived: every archived record is measured), ``epoch_born``
+    and ``origin`` (an index into ``ORIGINS``) hold one value per record.
     """
 
     genome: np.ndarray
@@ -94,6 +94,11 @@ class Generation:
     def records(self) -> list[TaskRecord]:
         """Every record, in order: those ``record`` handed out, the others built and not kept."""
         return [self.handed[i] if i in self.handed else self._build(i) for i in range(len(self))]
+
+    def retired(self, band: tuple[float, float]) -> np.ndarray:
+        """The records ``delete_bad_tasks`` takes out under ``band``: those measured outside it."""
+        low, high = band
+        return (self.r < low) | (self.r > high)
 
     def _build(self, i: int) -> TaskRecord:
         r, f = (None if math.isnan(value) else value for value in (self.r.item(i), self.f.item(i)))

@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ABLATION_AXES, MODES, ConfigError, ExperimentConfig
-from .evolution import (advance_toward, assign_population_fitness, delete_bad_tasks,
-                        evolve_generation, init_population, soft_select)
+from .evolution import (Population, advance_toward, assign_population_fitness,
+                        delete_bad_tasks, evolve_generation, init_population, soft_select)
 from .fitness import PrototypeSet
 from .snapshots import (ARCHIVE_NAME, EMPTY_ARCHIVE_DIGEST, Snapshot, _append_archive,
-                        _start_archive, load_snapshot, read_snapshot, write_snapshot)
+                        _replacing, _start_archive, load_snapshot, read_snapshot,
+                        write_snapshot)
 from .streams import DOMAIN_EVOLVE, DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, stream
 from .trainer import evaluate_target, train_on_tasks
 
@@ -111,8 +112,8 @@ class _MetricsWriter:
         for path, header in files:
             if path in kept:
                 os.truncate(path, kept[path])
-            else:
-                with open(path, "w", encoding="utf-8", newline="") as handle:
+            else:  # whole or not at all, so a crash leaves no file a resume refuses
+                with _replacing(path) as handle:
                     csv.writer(handle).writerow(header)
 
     def append(self, row: EpochMetrics) -> None:
@@ -204,10 +205,25 @@ class _PopulationCurriculum:
         self.target = config.target_genome()
         self.ops: Counter[str] = Counter()
         if snap.pop is None:  # a fresh run
-            snap.pop = init_population(config.domain(), config.evolution.population_size,
-                                       stream(config.master_seed, DOMAIN_INIT))
             snap.archive_digest = EMPTY_ARCHIVE_DIGEST
             self.ops["init_population"] += 1
+        # Drawn for a fresh run; a loaded snapshot's, which no file holds, is made as the run did.
+        if not snap.epoch:
+            snap.pop = init_population(config.domain(), config.evolution.population_size,
+                                       stream(config.master_seed, DOMAIN_INIT))
+        else:
+            archive, closed = snap.pop.archive, snap.pop.archive[snap.epoch - 1]
+            records = closed.records()
+            cut = int(np.count_nonzero(closed.retired(config.evolution.deletion_band)))
+            snap.pop = Population(records[cut:], epoch=snap.epoch - 1, retired=records[:cut])
+            self._close(snap.epoch)
+            snap.pop.archive = archive
+
+    def _close(self, epoch: int) -> None:
+        """End ``epoch``: breed the next active generation, archiving this one, and advance it."""
+        pop = evolve_generation(self.snap.pop, self.config.evolution,
+                                stream(self.config.master_seed, DOMAIN_EVOLVE, epoch))
+        self.snap.pop = advance_toward(pop, self.target, self.snap.batch_mean_r)
 
     def start(self) -> None:
         # Written whole once (a resume's loaded generations re-encoded), then only appended.
@@ -222,7 +238,7 @@ class _PopulationCurriculum:
                 len(self.selected) - batch_new)
 
     def observe(self, epoch: int, blocks: np.ndarray, rates: list[float]) -> float:
-        snap, evo, seed = self.snap, self.config.evolution, self.config.master_seed
+        snap, evo = self.snap, self.config.evolution
         fitnesses = [self.config.fitness.evaluate(rate) for rate in rates]
         for rec, rate, fitness in zip(self.selected, rates, fitnesses):
             if id(rec) in self.active_ids:  # an archived record keeps its archive.jsonl values
@@ -233,12 +249,11 @@ class _PopulationCurriculum:
         assign_population_fitness(snap.pop.active, prototypes, evo.knn_k)
         active_mean_f = (float(np.mean([rec.f for rec in snap.pop.active])) if snap.pop.active
                          else math.nan)
-        snap.pop = evolve_generation(snap.pop, evo, stream(seed, DOMAIN_EVOLVE, epoch))
-        snap.pop = advance_toward(snap.pop, self.target, float(np.mean(rates)))
+        snap.batch_mean_r = float(np.mean(rates))
+        self._close(epoch)
         self.ops.update(EPOCH_OPERATORS)
-        closed = snap.pop.epoch - 1
-        snap.archive_digest = _append_archive(self.archive_path, snap.archive_digest, closed,
-                                              snap.pop.archive[closed])
+        snap.archive_digest = _append_archive(self.archive_path, snap.archive_digest, epoch - 1,
+                                              snap.pop.archive[epoch - 1])
         return active_mean_f
 
 

@@ -22,7 +22,7 @@ from .config import (MODES, ConfigError, ExperimentConfig, _check_keys, _coerce,
 from .evolution import ORIGINS, Generation, Population
 from .tasks import BLOCK_SIZE
 
-SNAPSHOT_FORMAT = 10
+SNAPSHOT_FORMAT = 11
 
 
 @dataclass
@@ -31,7 +31,8 @@ class Snapshot:
 
     A ccl run's archive lives in ``archive.jsonl`` beside its snapshots, one line per
     generation; ``archive_digest`` chains its first ``epoch`` lines (see ``_chain``), and
-    ``pop.archive`` holds the generations they encode.
+    ``pop.archive`` holds the generations they encode. No file holds the active generation: a
+    resume breeds it again from the last of them and ``batch_mean_r`` (see ``harness``).
     """
 
     config: ExperimentConfig
@@ -40,19 +41,25 @@ class Snapshot:
     pop: Population | None
     policy_q: np.ndarray
     archive_digest: str | None = None
+    batch_mean_r: float | None = None
 
 
 # Shared by writer and reader: the meta line's counters are Snapshot's int fields. The keys of
-# a generation line, by kind, are the ones _generation_line writes; every column but epoch_born
-# is binary: exact little-endian bytes (see _binary).
+# an archive line are the ones _archive_line writes; every column but epoch_born is binary:
+# exact little-endian bytes (see _binary).
 _COUNTS = tuple(name for name, tp in _schema(Snapshot).items() if tp is int)
-_ACTIVE_KEYS = ("kind", "epoch", "genome", "genome_row", "epoch_born", "origin")
-_GENERATION_KEYS = {"active": _ACTIVE_KEYS,
-                    "archive": (*_ACTIVE_KEYS, "r_index", "r", "f")}
+_ARCHIVE_KEYS = ("kind", "epoch", "genome", "genome_row", "r_index", "r", "f", "epoch_born",
+                 "origin")
 _FLOAT, _INDEX, _CODE = np.dtype("<f8"), np.dtype("<u4"), np.dtype("<u1")
 _ENCODE = json.JSONEncoder(allow_nan=False).encode  # so no run writes a file the reader rejects
 ARCHIVE_NAME = "archive.jsonl"
 EMPTY_ARCHIVE_DIGEST = hashlib.sha256().hexdigest()
+
+
+def _meta_keys(config: ExperimentConfig, epoch: int) -> tuple[str, ...]:
+    """A population mode's meta keys: its archive digest and, after epoch 0, ``batch_mean_r``."""
+    keys = ("archive_digest", "batch_mean_r") if epoch else ("archive_digest",)
+    return keys if MODES[config.mode] else ()
 
 
 def _chain(digest: str, line: str) -> str:
@@ -75,44 +82,17 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 
 
 def write_snapshot(path: Path, snapshot: Snapshot) -> None:
-    """One meta line with the run's identity config and counters (and, for a ccl run, the
-    archive digest); for a ccl run, the active generation's line; then the policy line (see
-    ``_policy_line``). No operational key is stored, so a resumed run writes the files an
-    uninterrupted one does.
-
-    Written to ``<path>.tmp`` and renamed onto ``path``, so a failed write leaves no partial file.
-    ``write_snapshot(p, load_snapshot(p))`` writes the bytes of a ``p`` it wrote again. It
-    refuses the active generations the reader refuses (see ``_check_active``), and measured
-    active records and retired records that no generation has archived yet: no line holds them.
-    """
-    pop = snapshot.pop
-    if pop is not None and pop.retired:
-        raise ValueError(f"the population holds {len(pop.retired)} retired records that are not "
-                         "archived yet; a snapshot is taken after evolve_generation")
-    active = None if pop is None else Generation.of(pop.active)
-    _check_active(snapshot.config, active, ValueError)
-    for name in ("r", "f") if active is not None else ():
-        if (listed := np.flatnonzero(~np.isnan(getattr(active, name)))).size:
-            raise ValueError(f"active {name} lists record {listed[0]}; a snapshot is taken after "
-                             "evolve_generation, so no active record is measured")
+    """One meta line with the run's identity config, counters and ``_meta_keys``, then the
+    policy line (see ``_policy_line``). No operational key is stored, so a resumed run writes
+    the files an uninterrupted one does. Written to ``<path>.tmp`` and renamed onto ``path``, so
+    a failed write leaves no partial file; ``write_snapshot(p, load_snapshot(p))`` writes the
+    bytes of a ``p`` it wrote again."""
+    extra = {key: getattr(snapshot, key) for key in _meta_keys(snapshot.config, snapshot.epoch)}
     with _replacing(path) as handle:
         counts = {name: getattr(snapshot, name) for name in _COUNTS}
-        digest = {} if pop is None else {"archive_digest": snapshot.archive_digest}
-        handle.write(_ENCODE({"kind": "meta", "format": SNAPSHOT_FORMAT, **counts, **digest,
+        handle.write(_ENCODE({"kind": "meta", "format": SNAPSHOT_FORMAT, **counts, **extra,
                               "config": snapshot.config.identity_fingerprint()}) + "\n")
-        if active is not None:
-            handle.write(_ENCODE(_generation_line("active", pop.epoch, active)) + "\n")
         handle.write(_ENCODE(_policy_line(snapshot.policy_q)) + "\n")
-
-
-def _check_active(config: ExperimentConfig, active: Generation | None, error: type) -> None:
-    """The writer's and reader's one rule, a fault raised as ``error``: an active generation is
-    there exactly when the mode keeps a population, with population_size records."""
-    if (active is None) == (keeps := MODES[config.mode]):
-        raise error(f"a {config.mode} snapshot {'needs an' if keeps else 'holds no'} active line")
-    if active is not None and len(active) != config.evolution.population_size:
-        raise error(f"active line holds {len(active)} records; every snapshot of the stored config "
-                    f"holds {config.evolution.population_size}")
 
 
 def _binary(values: np.ndarray, dtype: np.dtype, where: str) -> str:
@@ -142,22 +122,19 @@ def _policy_line(q: np.ndarray) -> dict[str, Any]:
             **_sparse("policy", ("index", "q"), flat, flat.view("<u8"))}
 
 
-def _generation_line(kind: str, epoch: int, generation: Generation) -> dict[str, Any]:
-    """A generation's columns (see ``Generation``) as a line, in its one encoding. Only an
-    archive line holds ``r`` and ``f``, ``f`` dense: every archived record is measured."""
-    measured = {} if kind == "active" else {
-        **_sparse(kind, ("r_index", "r"), generation.r, ~np.isnan(generation.r)),
-        "f": _binary(generation.f, _FLOAT, f"{kind} f")}
-    return {"kind": kind, "epoch": epoch,
-            "genome": _binary(generation.genome, _FLOAT, f"{kind} genome"),
-            "genome_row": _binary(generation.genome_row, _INDEX, f"{kind} genome_row"),
-            **measured,
-            "epoch_born": generation.epoch_born.tolist(),
-            "origin": _binary(generation.origin, _CODE, f"{kind} origin")}
-
-
 def _archive_line(epoch: int, generation: Generation) -> str:
-    return _ENCODE(_generation_line("archive", epoch, generation)) + "\n"
+    """A closed generation's columns (see ``Generation``) as its line of ``archive.jsonl``, in
+    its one encoding: ``r`` sparse, ``f`` dense, since every archived record is measured."""
+    if (unmeasured := np.flatnonzero(np.isnan(generation.f))).size:
+        raise ValueError(f"archive record {unmeasured[0]} has no f; every archived record is "
+                         "measured")
+    return _ENCODE({"kind": "archive", "epoch": epoch,
+                    "genome": _binary(generation.genome, _FLOAT, "archive genome"),
+                    "genome_row": _binary(generation.genome_row, _INDEX, "archive genome_row"),
+                    **_sparse("archive", ("r_index", "r"), generation.r, ~np.isnan(generation.r)),
+                    "f": _binary(generation.f, _FLOAT, "archive f"),
+                    "epoch_born": generation.epoch_born.tolist(),
+                    "origin": _binary(generation.origin, _CODE, "archive origin")}) + "\n"
 
 
 def _start_archive(path: Path, archive: dict[int, Generation]) -> None:
@@ -197,9 +174,9 @@ def _at_line(where: str, number: int) -> Iterator[None]:
 
 
 def read_snapshot(path: str | Path) -> Snapshot:
-    """A snapshot's own lines, without its archive (``pop.archive`` stays empty), checked
-    against its stored config; any fault is a ConfigError. Every value is checked against its
-    field's type, as a config value is."""
+    """A snapshot's own lines, without its archive (``pop.archive`` stays empty, and so does
+    ``pop.active``), checked against its stored config; any fault is a ConfigError. Every value
+    is checked against its field's type, as a config value is."""
     where = f"snapshot {path}"
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -219,25 +196,25 @@ def read_snapshot(path: str | Path) -> Snapshot:
         if (found := meta.get("format", "missing")) != SNAPSHOT_FORMAT:
             raise ConfigError(f"format {found}, expected {SNAPSHOT_FORMAT}")
         config = config_from_dict(meta["config"])
-        pop_mode = MODES[config.mode]
-        _check_keys(meta, {"kind", "format", "config", *_COUNTS,
-                           *(["archive_digest"] if pop_mode else [])}, "meta line")
         counts = {name: _coerce(meta[name], int, f"meta {name}") for name in _COUNTS}
         for name, count in counts.items():
             if count < 0:
                 raise ConfigError(f"meta {name} is {count}; a count is at least 0")
-        digest = _coerce(meta["archive_digest"], str, "meta archive_digest") if pop_mode else None
-    kinds = [line.get("kind") for line in lines]
-    if kinds != ["meta", *(["active"] if pop_mode else []), "policy"]:
-        raise ConfigError(f"{where}: lines run {', '.join(map(str, kinds))}; a {config.mode} "
-                          f"snapshot needs meta, {'active, ' if pop_mode else ''}policy")
-    with _at_line(where, len(lines)):
-        q = _read_policy(lines[-1], config.env.q_shape)
+        extra = _meta_keys(config, counts["epoch"])
+        _check_keys(meta, {"kind", "format", "config", *_COUNTS, *extra}, "meta line")
+        if missing := [key for key in extra if key not in meta]:
+            raise ConfigError(f"missing key(s) in meta line: {', '.join(missing)}")
+        values = {key: _coerce(meta[key], tp, f"meta {key}")
+                  for key, tp in zip(extra, (str, float))}
+        if not 0.0 <= (rate := values.get("batch_mean_r", 0.0)) <= 1.0:
+            raise ConfigError(f"meta batch_mean_r is {rate}; a mean success rate lies in [0, 1]")
+    if (kinds := [line.get("kind") for line in lines]) != ["meta", "policy"]:
+        raise ConfigError(f"{where}: lines run {', '.join(map(str, kinds))}; a snapshot holds "
+                          "meta, policy")
     with _at_line(where, 2):
-        active = _read_generation(lines[1], config, counts["epoch"]) if pop_mode else None
-        _check_active(config, active, ConfigError)
-    pop = None if active is None else Population(active.records(), epoch=counts["epoch"])
-    return Snapshot(config=config, **counts, pop=pop, policy_q=q, archive_digest=digest)
+        q = _read_policy(lines[1], config.env.q_shape)
+    pop = Population([], epoch=counts["epoch"]) if extra else None
+    return Snapshot(config=config, **counts, pop=pop, policy_q=q, **values)
 
 
 def _read_column(value: Any, dtype: np.dtype, where: str) -> np.ndarray:
@@ -298,71 +275,73 @@ def _read_policy(line: dict[str, Any], shape: tuple[int, ...]) -> np.ndarray:
                         f"the shape {shape} holds {size} values", 0.0).reshape(shape)
 
 
-def _read_genomes(line: dict[str, Any], kind: str, genome_row: np.ndarray, n_agents: int
-                  ) -> np.ndarray:
+def _read_genomes(line: dict[str, Any], genome_row: np.ndarray, n_agents: int) -> np.ndarray:
     """The genome column's rows as ``(rows, n_agents, 4)``, refused unless in the writer's form:
     whole finite genomes of the config's agent count, numbered in order of first use by
     ``genome_row``, each used and none with the bits of another."""
     width = n_agents * BLOCK_SIZE
-    genome = _read_column(line["genome"], _FLOAT, f"{kind} genome")
+    genome = _read_column(line["genome"], _FLOAT, "archive genome")
     if genome.size % width:
-        raise ConfigError(f"{kind} genome holds {genome.size} values, not whole genomes of "
+        raise ConfigError(f"archive genome holds {genome.size} values, not whole genomes of "
                           f"{n_agents} agents ({width} values each)")
     rows = genome.reshape(-1, width)
-    _check_finite(rows, f"{kind} genome")
+    _check_finite(rows, "archive genome")
     used = genome_row.astype(np.int64)
     if (outside := np.flatnonzero(used >= len(rows))).size:
-        raise ConfigError(f"{kind} genome_row[{outside[0]}] is row {used[outside[0]]}; the "
+        raise ConfigError(f"archive genome_row[{outside[0]}] is row {used[outside[0]]}; the "
                           f"genome column holds {len(rows)} rows")
     # In order of first use, each record uses a row already used or the next one.
     highest = np.maximum.accumulate(np.concatenate(([-1], used)))
     if (early := np.flatnonzero(used > highest[:-1] + 1)).size:
         i = early[0]
-        raise ConfigError(f"{kind} genome_row[{i}] uses row {used[i]} before row "
+        raise ConfigError(f"archive genome_row[{i}] uses row {used[i]} before row "
                           f"{highest[i] + 1}; rows are numbered in order of first use")
     if highest[-1] + 1 != len(rows):
-        raise ConfigError(f"{kind} genome holds {len(rows)} rows; genome_row uses "
+        raise ConfigError(f"archive genome holds {len(rows)} rows; genome_row uses "
                           f"{highest[-1] + 1}")
     raw, stride = genome.tobytes(), width * _FLOAT.itemsize
     first: dict[bytes, int] = {}
     for row, start in enumerate(range(0, len(raw), stride)):
         if (earlier := first.setdefault(raw[start:start + stride], row)) != row:
-            raise ConfigError(f"{kind} genome row {row} repeats row {earlier}; each distinct "
+            raise ConfigError(f"archive genome row {row} repeats row {earlier}; each distinct "
                               "genome is stored once")
     return genome.reshape(-1, n_agents, BLOCK_SIZE)
 
 
 def _read_generation(line: dict[str, Any], config: ExperimentConfig, expected_epoch: int
                      ) -> Generation:
-    """A generation's columns, checked as the README lists; only the writer's one encoding of
-    them loads, so that writing them back gives the line's bytes again."""
-    kind = line["kind"]
-    _check_keys(line, _GENERATION_KEYS[kind], f"{kind} line")
-    if _coerce(line["epoch"], int, f"{kind} epoch") != expected_epoch:
-        raise ConfigError(f"{kind} epoch {line['epoch']}, expected {expected_epoch}")
-    genome_row = _read_column(line["genome_row"], _INDEX, f"{kind} genome_row")
-    count = genome_row.size
-    epoch_born = _coerce(line["epoch_born"], tuple[int, ...], f"{kind} epoch_born")
+    """An archive line's columns, checked as the README lists; only the writer's one encoding
+    of them loads, so that writing them back gives the line's bytes again."""
+    _check_keys(line, _ARCHIVE_KEYS, "archive line")
+    if _coerce(line["epoch"], int, "archive epoch") != expected_epoch:
+        raise ConfigError(f"archive epoch {line['epoch']}, expected {expected_epoch}")
+    genome_row = _read_column(line["genome_row"], _INDEX, "archive genome_row")
+    count = config.evolution.population_size  # every generation a run closes holds as many
+    epoch_born = _coerce(line["epoch_born"], tuple[int, ...], "archive epoch_born")
     try:
         born = np.array(epoch_born, dtype=np.int64)
     except OverflowError:
-        raise ConfigError(f"{kind} epoch_born holds an integer outside 64 bits") from None
-    origin = _read_column(line["origin"], _CODE, f"{kind} origin")
-    r, f = np.full((2, count), math.nan)  # no active record is measured
-    if kind == "archive":  # and every archived one is: f holds a finite value for each
-        f = _read_column(line["f"], _FLOAT, f"{kind} f")
-        _check_finite(f, f"{kind} f")
-        r = _read_sparse(line, kind, ("r_index", "r"), count,
-                         f"the generation holds {count} records", math.nan)
-    for name, size in (("epoch_born", len(epoch_born)), ("origin", origin.size), ("f", f.size)):
+        raise ConfigError("archive epoch_born holds an integer outside 64 bits") from None
+    origin = _read_column(line["origin"], _CODE, "archive origin")
+    f = _read_column(line["f"], _FLOAT, "archive f")
+    _check_finite(f, "archive f")
+    r = _read_sparse(line, "archive", ("r_index", "r"), count,
+                     f"the generation holds {count} records", math.nan)
+    for name, size in (("genome_row", genome_row.size), ("epoch_born", len(epoch_born)),
+                       ("origin", origin.size), ("f", f.size)):
         if size != count:
-            raise ConfigError(f"{kind} {name} holds {size} values; genome_row lists {count} "
-                              "records")
+            raise ConfigError(f"archive {name} holds {size} values; every generation of the "
+                              f"stored config holds {count} records")
     if (unknown := np.flatnonzero(origin >= len(ORIGINS))).size:
-        raise ConfigError(f"{kind} origin[{unknown[0]}] is code {origin[unknown[0]]}, not one "
+        raise ConfigError(f"archive origin[{unknown[0]}] is code {origin[unknown[0]]}, not one "
                           f"of 0 to {len(ORIGINS) - 1} ({', '.join(ORIGINS)})")
-    return Generation(_read_genomes(line, kind, genome_row, config.env.n_agents), genome_row,
-                      r, f, born, origin)
+    generation = Generation(_read_genomes(line, genome_row, config.env.n_agents),
+                            genome_row, r, f, born, origin)
+    retired = generation.retired(band := config.evolution.deletion_band)
+    if (late := np.flatnonzero(retired & (np.cumsum(~retired) > 0))).size:
+        raise ConfigError(f"archive record {late[0]} was measured outside deletion_band {band} "
+                          "after a kept record; the retired records lead their generation's line")
+    return generation
 
 
 def _read_archive(path: Path, snap: Snapshot) -> dict[int, Generation]:

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import re
+import shutil
 import sys
 import textwrap
 from dataclasses import replace
@@ -20,10 +21,10 @@ from coevo_curriculum.cli import console, main
 from coevo_curriculum.config import (ABLATION_AXES, DEFAULT_OUTPUT_DIR, MODES, OUTPUT_DIR_ENV,
                                      ConfigError, ExperimentConfig, apply_overrides,
                                      config_from_dict, default_config, load_config)
-from coevo_curriculum.evolution import Generation, Population, TaskRecord, delete_bad_tasks
-from coevo_curriculum.harness import (METRICS_COLUMNS, ablation_variants, evaluate_snapshot,
-                                      load_snapshot, run_ablation, run_experiment,
-                                      write_snapshot)
+from coevo_curriculum.evolution import Generation, TaskRecord
+from coevo_curriculum.harness import (CURRICULA, METRICS_COLUMNS, ablation_variants,
+                                      evaluate_snapshot, load_snapshot, run_ablation,
+                                      run_experiment, write_snapshot)
 from coevo_curriculum.snapshots import (EMPTY_ARCHIVE_DIGEST, Snapshot, _append_archive,
                                         _archive_line, _chain, _start_archive)
 from coevo_curriculum.streams import DOMAIN_SELECT, stream
@@ -182,24 +183,19 @@ def test_config_errors_name_the_first_bad_element(tmp_path):
     with pytest.raises(ConfigError, match=r"evolution.deletion_band\[1\] must be a number"):
         config_from_dict(data)
     # The snapshot's binary columns name the first bad element as a config check does.
-    good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
-    meta, active, policy = [json.loads(line) for line in good.read_text().splitlines()]
-    genomes = _floats(active["genome"]).reshape(-1, 8)  # one row per distinct genome of 2 agents
+    meta, policy, archived = _first_generation(tmp_path)
+    genomes = _floats(archived["genome"]).reshape(-1, 8)  # one row per distinct genome of 2 agents
     for case, bad in enumerate((math.nan, math.inf, -math.inf)):
         q = np.ones(5)
         q[3] = bad
         listed = dict(policy, index=_b64(range(5), "<u4"), q=_b64(q))
         with pytest.raises(ConfigError, match=r"policy q\[3\] must be finite$"):
-            load_snapshot(_write_jsonl(tmp_path / "q.jsonl", [meta, active, listed]))
+            load_snapshot(_write_jsonl(tmp_path / "q.jsonl", [meta, listed]))
         edited = genomes.copy()
         edited[1, 2] = bad
-        with pytest.raises(ConfigError, match=r"active genome\[1\]\[2\] must be finite$"):
-            load_snapshot(_write_jsonl(tmp_path / "genome.jsonl",
-                                       [meta, dict(active, genome=_b64(edited)), policy]))
-        archived = _archived(active, genome=_b64(edited))
         with pytest.raises(ConfigError, match=r"archive genome\[1\]\[2\] must be finite$"):
-            load_snapshot(_write_archived(tmp_path / f"archived-{case}", meta, active, policy,
-                                          [archived]))
+            load_snapshot(_write_archived(tmp_path / f"archived-{case}", meta, policy,
+                                          [dict(archived, genome=_b64(edited))]))
 
 
 def test_config_validates_experiment_fields():
@@ -359,8 +355,9 @@ VANILLA_EPOCH = ["train_on_tasks", "evaluate_target"]
 
 @pytest.mark.parametrize("mode, fresh, resumed, epoch_calls", [
     # A fresh run writes its epoch-0 snapshot before any other file.
+    # A resume breeds its active generation again from the last archived one.
     ("ccl", ["init_population", "write_snapshot", "_start_archive"],
-     ["load_snapshot", "_start_archive"], CCL_EPOCH),
+     ["load_snapshot", "evolve_generation", "advance_toward", "_start_archive"], CCL_EPOCH),
     ("vanilla", ["write_snapshot"], ["load_snapshot"], VANILLA_EPOCH)])
 def test_each_epoch_calls_its_operators_in_order_through_harness_names(
         tmp_path, monkeypatch, mode, fresh, resumed, epoch_calls):
@@ -394,9 +391,9 @@ def test_zero_epoch_run_leaves_header_and_initial_snapshot(tmp_path):
     rows = _read_rows(result.metrics_path)
     assert len(rows) == 1
     snap = load_snapshot(tmp_path / "snapshot_epoch00000.jsonl")
-    assert snap.epoch == 0 and snap.env_steps_total == 0
-    assert len(snap.pop.active) == 8
-    assert snap.pop.archive == {}
+    assert snap.epoch == 0 and snap.env_steps_total == 0 and snap.batch_mean_r is None
+    assert snap.pop.active == [] and snap.pop.archive == {}  # no file holds the active generation
+    assert len(_rebuilt(tmp_path / "snapshot_epoch00000.jsonl").pop.active) == 8
     assert snap.policy_q.shape == (2, 9 ** 2, 5)
     assert not snap.policy_q.any()
 
@@ -411,7 +408,7 @@ def test_metrics_are_byte_identical_across_runs(tmp_path):
 def test_snapshot_round_trip_preserves_population(tmp_path):
     cfg = _small_config()
     run_experiment(cfg, run_dir=tmp_path)
-    snap = load_snapshot(tmp_path / "snapshot_epoch00004.jsonl")
+    snap = _rebuilt(tmp_path / "snapshot_epoch00004.jsonl")
     assert snap.epoch == 4
     assert len(snap.pop.active) == 8
     assert sum(map(len, snap.pop.archive.values())) == 4 * 8
@@ -465,7 +462,7 @@ def test_snapshot_round_trip_is_exact(tmp_path, monkeypatch):
     assert {rec.origin for rec in last.active} >= {"cross", "mutate"}
     assert any(rec.r is not None for gen in closed.values() for rec in gen.records())
     for path, pop, q in written:
-        snap = load_snapshot(path)
+        snap = _rebuilt(path)  # the active generation bred again from the last archived one
         assert snap.pop.epoch == pop.epoch
         _assert_same_records(snap.pop.active, pop.active)
         assert list(snap.pop.archive) == list(pop.archive)
@@ -495,26 +492,27 @@ def test_write_snapshot_reproduces_every_loaded_snapshot(tmp_path):
         with pytest.raises(ValueError, match="policy q holds a non-finite value"):
             write_snapshot(tmp_path / "nan.jsonl", unreadable)
         assert not list(tmp_path.glob("nan.jsonl*"))
-    # A measurement is a finite number or None, and the active line lists none.
-    unmeasurable = load_snapshot(tmp_path / "ccl" / "snapshot_epoch00005.jsonl")
-    for bad, message in ((math.nan, "a record's r is NaN"), (math.inf, "active r lists record 0")):
-        unmeasurable.pop.active[0].r = bad
-        with pytest.raises(ValueError, match=message):
-            write_snapshot(tmp_path / "nan.jsonl", unmeasurable)
-        assert not list(tmp_path.glob("nan.jsonl*"))
-    # An archive line lists measurements, each a finite number.
-    infinite = Generation.of([TaskRecord(unmeasurable.pop.active[1].genome, math.inf, 0.5)])
+    # The batch's mean success rate is a finite number too.
+    ccl = load_snapshot(tmp_path / "ccl" / "snapshot_epoch00005.jsonl")
+    with pytest.raises(ValueError, match="Out of range float values"):
+        write_snapshot(tmp_path / "nan.jsonl", replace(ccl, batch_mean_r=math.nan))
+    assert not list(tmp_path.glob("nan.jsonl*"))
+    # A measurement is a finite number or None, and an archive line lists each finite one.
+    genome = ccl.pop.archive[0].record(1).genome
+    with pytest.raises(ValueError, match="a record's r is NaN"):
+        Generation.of([TaskRecord(genome, math.nan, 0.5)])
+    infinite = Generation.of([TaskRecord(genome, math.inf, 0.5)])
     with pytest.raises(ValueError, match="archive r holds a non-finite value"):
         _archive_line(0, infinite)
     # Every archived record is measured, so f holds one value per record: a generation with an
-    # unmeasured record is refused, and neither archive writer changes the file.
-    genome = unmeasurable.pop.active[1].genome
+    # unmeasured record is refused, naming it, and neither archive writer changes the file.
     unmeasured = Generation.of([TaskRecord(genome, 0.5, 0.25), TaskRecord(genome, 0.5)])
     archive = tmp_path / "ccl" / "archive.jsonl"
     before = archive.read_bytes()
     for write in (lambda: _append_archive(archive, EMPTY_ARCHIVE_DIGEST, 5, unmeasured),
-                  lambda: _start_archive(archive, {**unmeasurable.pop.archive, 5: unmeasured})):
-        with pytest.raises(ValueError, match="archive f holds a non-finite value"):
+                  lambda: _start_archive(archive, {**ccl.pop.archive, 5: unmeasured})):
+        with pytest.raises(ValueError, match="^archive record 1 has no f; every archived record "
+                                             "is measured$"):
             write()
         assert archive.read_bytes() == before
         assert not list(archive.parent.glob("*.tmp"))
@@ -536,11 +534,25 @@ def _optional(name, values):
     return {f"{name}_index": _b64(index, "<u4"), name: _b64([values[i] for i in index])}
 
 
-def _archived(active, **columns):
-    """The active line ``active`` as the archive line of epoch 0, with an archive line's
-    measurements, no ``r`` listed and each record's ``f`` 0.5, then ``columns`` set."""
-    return {**active, "kind": "archive", "epoch": 0, "r_index": "", "r": "",
-            "f": _b64([0.5] * len(active["epoch_born"])), **columns}
+def _lines(path):
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+
+
+def _first_generation(tmp_path):
+    """The meta and policy lines of a small ccl run's epoch-1 snapshot and its archive line 0
+    as the line of 8 unmeasured records, each ``f`` 0.5: generation 0's distinct init genomes,
+    stored in record order."""
+    run_dir = run_experiment(_small_config(epochs=1), run_dir=tmp_path / "generation-0").run_dir
+    meta, policy = _lines(run_dir / "snapshot_epoch00001.jsonl")
+    line, = _lines(run_dir / "archive.jsonl")
+    return meta, policy, dict(line, r_index="", r="", f=_b64([0.5] * 8))
+
+
+def _rebuilt(path):
+    """``load_snapshot(path)`` with the active generation a resume rebuilds from its archive."""
+    snap = load_snapshot(path)
+    CURRICULA[MODES[snap.config.mode]](snap.config, snap, Path(path).with_name("archive.jsonl"))
+    return snap
 
 
 def _write_jsonl(path, lines):
@@ -556,15 +568,18 @@ def _archive_digest(raw_lines):
     return digest
 
 
-def _write_archived(directory, meta, active, policy, archive):
+def _write_archived(directory, meta, policy, archive):
     """A ccl snapshot of epoch len(archive) beside an archive.jsonl holding ``archive``, whose
-    lines are JSON values or, as given, strings."""
+    lines are JSON values or, as given, strings; its meta line holds ``meta``'s batch_mean_r,
+    or none at epoch 0."""
     directory.mkdir()
     raw = [((line if isinstance(line, str) else json.dumps(line)) + "\n").encode()
            for line in archive]
     (directory / "archive.jsonl").write_bytes(b"".join(raw))
     meta = dict(meta, epoch=len(raw), archive_digest=_archive_digest(raw))
-    return _write_jsonl(directory / "snapshot.jsonl", [meta, dict(active, epoch=len(raw)), policy])
+    if not raw:
+        meta.pop("batch_mean_r")
+    return _write_jsonl(directory / "snapshot.jsonl", [meta, policy])
 
 
 def _resume_from(snapshot, out):
@@ -586,11 +601,10 @@ def test_load_snapshot_rejects_garbage(tmp_path):
     empty.write_text("", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_snapshot(empty)
-    good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
-    lines = [json.loads(line) for line in good.read_text(encoding="utf-8").splitlines()]
-    assert [line["kind"] for line in lines] == ["meta", "active", "policy"]
-    meta, active, policy = lines
+    meta, policy, archived = _first_generation(tmp_path)
+    assert [meta["kind"], policy["kind"]] == ["meta", "policy"]
     for found, edit in (("99", lambda meta: meta.update(format=99)),
+                        ("10", lambda meta: meta.update(format=10)),
                         ("9", lambda meta: meta.update(format=9, episodes_total=0)),
                         ("8", lambda meta: meta.update(format=8)),
                         ("7", lambda meta: meta.update(format=7)),
@@ -603,50 +617,50 @@ def test_load_snapshot_rejects_garbage(tmp_path):
                         ("missing", lambda meta: meta.pop("format"))):
         other = dict(meta)
         edit(other)
-        with pytest.raises(ConfigError, match=f"format {found}, expected 10"):
-            load_snapshot(_write_jsonl(tmp_path / f"format-{found}.jsonl",
-                                       [other, active, policy]))
-    n = len(active["epoch_born"])
+        with pytest.raises(ConfigError, match=f"format {found}, expected 11"):
+            load_snapshot(_write_jsonl(tmp_path / f"format-{found}.jsonl", [other, policy]))
+    n = len(archived["epoch_born"])
     vanilla_meta = dict(meta, config=dict(meta["config"],
                                           experiment=dict(meta["config"]["experiment"],
                                                           mode="vanilla")))
-    vanilla_meta.pop("archive_digest")  # a vanilla meta line holds none
+    for key in ("archive_digest", "batch_mean_r"):  # a vanilla meta line holds neither
+        vanilla_meta.pop(key)
+    active = {key: archived[key] for key in ("kind", "epoch", "genome", "genome_row",
+                                             "epoch_born", "origin")} | {"kind": "active"}
     for name, bad, match in (
-            ("ragged-policy", [meta, active, dict(policy, size=7)], "shape"),
+            ("ragged-policy", [meta, dict(policy, size=7)], "shape"),
             ("list-line", [meta, [1, 2], policy], "not a JSON object"),
-            ("null-line", [meta, active, None], "not a JSON object"),
-            ("no-generations", [meta, policy], "ccl snapshot needs"),
-            ("vanilla-with-generations", [vanilla_meta, active, policy], "vanilla snapshot needs"),
-            ("policy-first", [meta, policy, active], "ccl snapshot needs"),
-            ("no-meta", [active, policy], "format missing"),
-            ("archive-line", [meta, active, dict(active, kind="archive"), policy],
-             "ccl snapshot needs"),
-            ("ragged-columns", [meta, dict(active, epoch_born=active["epoch_born"][1:]), policy],
-             f"active epoch_born holds {n - 1} values; genome_row lists {n} records"),
-            ("ragged-origin", [meta, dict(active, origin=_b64([0] * (n + 1), "<u1")), policy],
-             f"active origin holds {n + 1} values; genome_row lists {n} records"),
-            ("later-active", [meta, dict(active, epoch=1), policy],
-             "line 2: active epoch 1, expected 0"),
-            ("no-digest", [{k: v for k, v in meta.items() if k != "archive_digest"}, active,
-                           policy], "malformed"),
-            ("bad-config", [dict(meta, config={"env": {"width": 5}}), active, policy],
-             "unknown key")):
+            ("null-line", [meta, None], "not a JSON object"),
+            ("no-policy", [meta], "lines run meta; a snapshot holds meta, policy"),
+            # No snapshot holds a generation: format 10's active line is rebuilt now.
+            ("active-line", [meta, active, policy], "lines run meta, active, policy"),
+            ("vanilla-with-generations", [vanilla_meta, active, policy], "holds meta, policy"),
+            ("archive-line", [meta, archived, policy], "lines run meta, archive, policy"),
+            ("policy-twice", [meta, policy, policy], "holds meta, policy"),
+            ("no-meta", [policy], "format missing"),
+            ("no-digest", [{k: v for k, v in meta.items() if k != "archive_digest"}, policy],
+             "line 1: missing key\\(s\\) in meta line: archive_digest"),
+            ("bad-config", [dict(meta, config={"env": {"width": 5}}), policy], "unknown key")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
-    for name, columns, match in (
-            ("float-epoch-born", {"epoch_born": [0.5] * n}, "epoch_born"),
-            ("string-epoch-born", {"epoch_born": ["0"] * n}, "epoch_born"),
-            ("bool-epoch-born", {"epoch_born": [False] * n}, "epoch_born"),
-            ("named-origin", {"origin": ["init"] * n}, "active origin must be a base64 string"),
-            ("unknown-origin", {"origin": _b64([0] * (n - 1) + [3], "<u1")},
-             rf"active origin\[{n - 1}\] is code 3, not one of 0 to 2 \(init, cross, mutate\)"),
-            ("bool-generation-epoch", {"epoch": True}, "active epoch must be an integer"),
-            ("string-generation-epoch", {"epoch": "0"}, "active epoch must be an integer")):
-        bad = [meta, dict(active, **columns), policy]
-        with pytest.raises(ConfigError, match=match):
-            load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
-    archived = _archived(active)
     for name, archive, match in (
+            ("float-epoch-born", [dict(archived, epoch_born=[0.5] * n)], "epoch_born"),
+            ("string-epoch-born", [dict(archived, epoch_born=["0"] * n)], "epoch_born"),
+            ("bool-epoch-born", [dict(archived, epoch_born=[False] * n)], "epoch_born"),
+            ("named-origin", [dict(archived, origin=["init"] * n)],
+             "archive origin must be a base64 string"),
+            ("unknown-origin", [dict(archived, origin=_b64([0] * (n - 1) + [3], "<u1"))],
+             rf"archive origin\[{n - 1}\] is code 3, not one of 0 to 2 \(init, cross, mutate\)"),
+            ("bool-generation-epoch", [dict(archived, epoch=True)],
+             "archive epoch must be an integer"),
+            ("string-generation-epoch", [dict(archived, epoch="0")],
+             "archive epoch must be an integer"),
+            ("ragged-columns", [dict(archived, epoch_born=archived["epoch_born"][1:])],
+             f"archive epoch_born holds {n - 1} values; every generation of the stored config "
+             f"holds {n} records"),
+            ("ragged-origin", [dict(archived, origin=_b64([0] * (n + 1), "<u1"))],
+             f"archive origin holds {n + 1} values; every generation of the stored config "
+             f"holds {n} records"),
             ("archive-r", [dict(archived, r=["x"] * n)], "archive r must be a base64 string"),
             ("json-f", [dict(archived, f=[None] * n)], "archive f must be a base64 string"),
             ("nan-f", [dict(archived, f=_b64([0.5] * (n - 1) + [math.nan]))],
@@ -655,69 +669,57 @@ def test_load_snapshot_rejects_garbage(tmp_path):
              r"archive r\[0\] must be finite"),
             ("repeated-epoch", [archived] * 2,
              "archive.jsonl line 2: archive epoch 0, expected 1"),
-            ("active-in-archive", [dict(active, epoch=0)],
+            ("active-in-archive", [active],
              "archive.jsonl line 1: not an archive line")):
         with pytest.raises(ConfigError, match=match):
-            load_snapshot(_write_archived(tmp_path / name, meta, active, policy, archive))
+            load_snapshot(_write_archived(tmp_path / name, meta, policy, archive))
     two = [archived, dict(archived, epoch=1)]
-    assert list(load_snapshot(_write_archived(tmp_path / "archived", meta, active, policy,
+    assert list(load_snapshot(_write_archived(tmp_path / "archived", meta, policy,
                                               two)).pop.archive) == [0, 1]
     for name, bad, match in (
-            ("fractional-epoch", [dict(meta, epoch=1.9), active, policy],
+            ("fractional-epoch", [dict(meta, epoch=1.9), policy],
              "meta epoch must be an integer"),
-            ("string-env-steps", [dict(meta, env_steps_total="8"), active, policy],
+            ("string-env-steps", [dict(meta, env_steps_total="8"), policy],
              "meta env_steps_total must be an integer"),
-            ("bool-env-steps", [dict(meta, env_steps_total=True), active, policy],
+            ("bool-env-steps", [dict(meta, env_steps_total=True), policy],
              "meta env_steps_total must be an integer"),
-            ("bool-policy-size", [meta, active, dict(policy, size=True)],
+            ("bool-policy-size", [meta, dict(policy, size=True)],
              "policy size must be an integer"),
-            ("no-policy-size", [meta, active, {k: v for k, v in policy.items() if k != "size"}],
+            ("no-policy-size", [meta, {k: v for k, v in policy.items() if k != "size"}],
              "malformed")):
         with pytest.raises(ConfigError, match=match):
             load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", bad))
-    # Active records hold no r and no f: the snapshot is taken after evolve_generation.
-    crossed = dict(active, origin=_b64([1] * n, "<u1"))
-    loaded = load_snapshot(_write_archived(tmp_path / "crossed", meta, crossed, policy, []))
-    assert [(rec.r, rec.f, rec.origin) for rec in loaded.pop.active] == [(None, None, "cross")] * n
 
 
 def test_snapshot_lines_refuse_keys_their_kind_does_not_define(tmp_path, capsys):
-    good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
-    meta, active, policy = [json.loads(line)
-                            for line in good.read_text(encoding="utf-8").splitlines()]
-    vanilla_meta = dict(meta, config=dict(meta["config"],
-                                          experiment=dict(meta["config"]["experiment"],
-                                                          mode="vanilla")))
-    archived = _archived(active)
+    meta, policy, archived = _first_generation(tmp_path)
+    vanilla_meta, _ = _lines(run_experiment(_small_config(mode="vanilla", epochs=0),
+                                            run_dir=tmp_path / "vanilla").snapshot_path)
     for name, lines, archive, message in (
-            ("meta", [dict(meta, extra=1), active, policy], [], "meta line: extra"),
-            ("meta-episodes", [dict(meta, episodes_total=0), active, policy], [],
+            ("meta", [dict(meta, extra=1), policy], [archived], "meta line: extra"),
+            ("meta-episodes", [dict(meta, episodes_total=0), policy], [archived],
              "meta line: episodes_total"),
-            ("active", [meta, dict(active, extra=1), policy], [], "active line: extra"),
-            ("policy", [meta, active, dict(policy, extra=1)], [], "policy line: extra"),
-            ("archive", [meta, active, policy], [dict(archived, extra=1)],
-             "archive line: extra"),
-            ("archive-f-index", [meta, active, policy], [dict(archived, f_index="")],
+            ("policy", [meta, dict(policy, extra=1)], [archived], "policy line: extra"),
+            ("archive", [meta, policy], [dict(archived, extra=1)], "archive line: extra"),
+            ("archive-f-index", [meta, policy], [dict(archived, f_index="")],
              "archive line: f_index"),
-            ("vanilla-digest", [vanilla_meta, policy], None, "meta line: archive_digest")):
+            ("vanilla-digest", [dict(vanilla_meta, archive_digest=EMPTY_ARCHIVE_DIGEST), policy],
+             None, "meta line: archive_digest")):
         if archive is None:
             path = _write_jsonl(tmp_path / f"{name}.jsonl", lines)
         else:
             path = _write_archived(tmp_path / name, *lines, archive)
         assert _resume_from(path, tmp_path / f"resumed-{name}") == 2, name
         assert f"unknown key(s) in {message}" in capsys.readouterr().err, name
-        if not archive:  # eval reads the snapshot's own lines and no archive
+        if not name.startswith("archive"):  # eval reads the snapshot's own lines and no archive
             assert main(["eval", "--snapshot", str(path)]) == 2, name
             assert f"unknown key(s) in {message}" in capsys.readouterr().err, name
-    vanilla_meta.pop("archive_digest")
     loaded = load_snapshot(_write_jsonl(tmp_path / "vanilla.jsonl", [vanilla_meta, policy]))
-    assert loaded.pop is None and loaded.archive_digest is None
+    assert loaded.pop is None and loaded.archive_digest is None and loaded.batch_mean_r is None
 
 
 def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_path, capsys):
-    good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
-    meta, active, policy = [json.loads(line) for line in good.read_text().splitlines()]
-    archived = _archived(active)
+    meta, policy, archived = _first_generation(tmp_path)
     n = len(archived["epoch_born"])
     genomes = _floats(archived["genome"]).reshape(n, 8)  # epoch 0: n distinct genomes
     rows = list(range(n))
@@ -749,12 +751,17 @@ def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_p
         ("r-index-out-of-range", second(**_optional("r", [None] * n + [0.5])),
          f"archive r_index {n} is out of range: the generation holds {n} records"),
         ("f-longer", second(f=_b64([0.5] * (n + 1))),
-         f"archive f holds {n + 1} values; genome_row lists {n} records"),
+         f"archive f holds {n + 1} values; every generation of the stored config holds {n} "
+         "records"),
         ("r-index-longer", second(r_index=_b64([0, 1], "<u4"), r=_b64([0.5])),
          "archive r_index holds 2 positions, archive r 1 values"),
         ("nan-r", second(**_optional("r", [0.5, math.nan] + [None] * (n - 2))),
          "archive r[1] must be finite"),
-        ("inf-f", second(f=_b64([-math.inf] * n)), "archive f[0] must be finite"))
+        ("inf-f", second(f=_b64([-math.inf] * n)), "archive f[0] must be finite"),
+        # The records delete_bad_tasks retired lead the line; a resume splits it there.
+        ("retired-after-kept", second(**_optional("r", [0.5, 0.99] + [None] * (n - 2))),
+         "archive record 1 was measured outside deletion_band (0.02, 0.98) after a kept record; "
+         "the retired records lead their generation's line"))
     # Each fault sits in the second line of a two-line archive whose digest is the snapshot's,
     # so the content checks run.
     for name, line, message in noncanonical + measured + (
@@ -764,25 +771,17 @@ def test_every_fault_in_a_snapshot_or_archive_line_names_its_file_and_line(tmp_p
             ("short-genome", second(genome=_b64(genomes.reshape(-1)[:-1])),
              f"archive genome holds {n * 8 - 1} values, not whole genomes of 2 agents"),
             ("not-json", '{"kind": "archive",', "is malformed: Expecting")):
-        path = _write_archived(tmp_path / name, meta, active, policy, [archived, line])
+        path = _write_archived(tmp_path / name, meta, policy, [archived, line])
         assert _resume_from(path, tmp_path / f"resumed-{name}") == 2, name
         err = capsys.readouterr().err
         where = f"error: {path.with_name('archive.jsonl')} line 2"
         assert err.startswith(where) and message in err, (name, err)
-    # The same faults in a snapshot's active line name the snapshot and its line 2.
-    for name, line, message in noncanonical:
-        line = {key: line[key] for key in active}  # an active line's keys
-        path = _write_jsonl(tmp_path / f"active-{name}.jsonl",
-                            [meta, dict(line, kind="active", epoch=0), policy])
-        assert main(["eval", "--snapshot", str(path)]) == 2, name
-        err = capsys.readouterr().err
-        where = f"error: snapshot {path} line 2: "
-        assert err.startswith(where) and message.replace("archive", "active") in err, (name, err)
-    meta, active, policy = [json.dumps(line) for line in (meta, active, policy)]
+        assert not (tmp_path / f"resumed-{name}").exists()
+    meta, policy = [json.dumps(line) for line in (meta, policy)]
     for name, lines, message in (
-            ("not-json", [meta, '{"kind": "active",', policy], "line 2 is malformed: Expecting"),
-            ("not-an-object", [meta, active, "[1, 2]"], "line 3: not a JSON object"),
-            ("null", [meta, "null", policy], "line 2: not a JSON object"),
+            ("not-json", [meta, '{"kind": "policy",'], "line 2 is malformed: Expecting"),
+            ("not-an-object", [meta, policy, "[1, 2]"], "line 3: not a JSON object"),
+            ("null", [meta, "null"], "line 2: not a JSON object"),
             ("empty", [], "holds no lines")):
         path = tmp_path / f"{name}.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -815,23 +814,13 @@ def test_binary_columns_round_trip_bit_for_bit(tmp_path):
         assert again.read_bytes() == path.read_bytes(), name
     assert json.loads((tmp_path / "zero.jsonl").read_text().splitlines()[-1]) == {
         "kind": "policy", "size": math.prod(shape), "index": "", "q": ""}
-    # An archived generation with no record, beside an active one of the config's size.
-    ccl = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "c").snapshot_path
-    meta, active, policy = [json.loads(line) for line in ccl.read_text().splitlines()]
-    empty = _archived(active, genome="", genome_row="", f="", epoch_born=[], origin="")
-    path = _write_archived(tmp_path / "empty", meta, active, policy, [empty])
-    loaded = load_snapshot(path)
-    assert len(loaded.pop.active) == 8 and list(loaded.pop.archive) == [0]
-    assert len(loaded.pop.archive[0]) == 0
-    write_snapshot(tmp_path / "empty" / "again.jsonl", loaded)
-    assert (tmp_path / "empty" / "again.jsonl").read_text().splitlines() == \
-        path.read_text().splitlines()
 
 
 @pytest.mark.parametrize("n_agents", [1, 4])
 def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
     data = _small_dict()
     data["env"]["n_agents"] = n_agents
+    data["evolution"]["population_size"] = 6  # every archived generation holds six records
     config = config_from_dict(data)
     rng = np.random.default_rng(n_agents)
     parent = TaskGenome(rng.random((n_agents, 4)))
@@ -840,20 +829,26 @@ def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
     negative = TaskGenome(np.where(np.arange(n_agents * 4).reshape(n_agents, 4) == 2, -0.0, 0.0))
     other = TaskGenome(rng.random((n_agents, 4)))
     generations = {
-        # Clones and a zero-step child repeat the parent's row; -0.0 and +0.0 are two rows.
-        0: [TaskRecord(parent, 0.5, 0.25, 0, "init"), TaskRecord(positive, None, -0.0, 0, "cross"),
+        # Clones and a zero-step child repeat the parent's row; -0.0 and +0.0 are two rows. A
+        # record retired by its -0.0 success rate leads the line.
+        0: [TaskRecord(twin, -0.0, 0.5, 1, "cross"), TaskRecord(parent, 0.5, 0.25, 0, "init"),
+            TaskRecord(positive, None, -0.0, 0, "cross"),
             TaskRecord(negative, None, 1.0, 0, "mutate"), TaskRecord(parent, None, 0.25, 0, "init"),
-            TaskRecord(twin, -0.0, 0.5, 1, "cross")],
+            TaskRecord(other, None, 0.125, 0, "mutate")],
         # r all null, f all set.
         1: [TaskRecord(other, None, 0.75, 1, "mutate"), TaskRecord(parent, None, 0.0, 1, "init"),
-            TaskRecord(other, None, 1e-300, 2, "cross")],
-        2: [],
+            TaskRecord(other, None, 1e-300, 2, "cross"), TaskRecord(positive, None, 0.5, 2, "cross"),
+            TaskRecord(negative, None, -0.0, 2, "mutate"), TaskRecord(parent, None, 1.0, 1, "init")],
+        # One genome for every record, each measured: two retired, then four kept.
+        2: [TaskRecord(other, rate, rate / 2, 3, "cross")
+            for rate in (0.0, 1.0, 0.5, 0.25, 0.75, 0.5)],
     }
     lines = [_archive_line(epoch, Generation.of(records)) for epoch, records in generations.items()]
     rows = [np.frombuffer(base64.b64decode(json.loads(line)["genome_row"]), "<u4").tolist()
             for line in lines]
-    assert rows == [[0, 1, 2, 0, 0], [0, 1, 0], []]
-    assert [json.loads(line)["r_index"] for line in lines] == [_b64([0, 4], "<u4"), "", ""]
+    assert rows == [[0, 0, 1, 2, 0, 3], [0, 1, 0, 2, 3, 1], [0] * 6]
+    assert [json.loads(line)["r_index"] for line in lines] == [
+        _b64([0, 1], "<u4"), "", _b64(range(6), "<u4")]
     # f holds one value per record, in record order, with no positions.
     assert [_floats(json.loads(line)["f"]).tolist() for line in lines] == [
         [rec.f for rec in records] for records in generations.values()]
@@ -863,13 +858,9 @@ def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
     for line in lines:
         digest = _chain(digest, line)
     path = tmp_path / "snapshot.jsonl"
-    # An active generation of the config's 8 records, copies with no r and no f as
-    # evolve_generation leaves them, with the rows of the archived ones.
-    active = [rec.clone() for rec in generations[0] + generations[1]]
-    write_snapshot(path, Snapshot(config, 3, 0, Population(active, epoch=3),
-                                  np.zeros(config.env.q_shape), archive_digest=digest))
+    write_snapshot(path, Snapshot(config, 3, 0, None, np.zeros(config.env.q_shape),
+                                  archive_digest=digest, batch_mean_r=0.25))
     loaded = load_snapshot(path)
-    _assert_same_records(loaded.pop.active, active)
     assert list(loaded.pop.archive) == [0, 1, 2]
     for epoch, records in generations.items():
         got = loaded.pop.archive[epoch].records()
@@ -881,10 +872,14 @@ def test_generation_lines_round_trip_byte_for_byte(tmp_path, n_agents):
         assert _archive_line(epoch, Generation.of(got)) == lines[epoch]
     # Records that share a row load as one stored genome, as clones share one in memory.
     first = loaded.pop.archive[0]
-    assert first.genome.shape == (3, n_agents, 4) and first.genome_row.tolist() == [0, 1, 2, 0, 0]
+    assert first.genome.shape == (4, n_agents, 4) and first.genome_row.tolist() == rows[0]
     again = tmp_path / "again.jsonl"
     write_snapshot(again, loaded)
     assert again.read_bytes() == path.read_bytes()
+    # The next active generation is bred from the last line's four kept records.
+    rebuilt = _rebuilt(path)
+    assert len(rebuilt.pop.active) == 6 and rebuilt.pop.epoch == 3
+    assert {rec.epoch_born for rec in rebuilt.pop.active} == {3}  # epoch 3's children, copies
 
 
 def _readme_decoder():
@@ -901,9 +896,8 @@ def test_the_readme_decoder_reads_what_load_snapshot_reads(tmp_path):
     read_generation = _readme_decoder()
     path = run_experiment(_small_config(epochs=4), run_dir=tmp_path).snapshot_path
     snap = load_snapshot(path)
-    lines = [json.loads(line) for line in (tmp_path / "archive.jsonl").read_text().splitlines()]
-    lines.append(json.loads(path.read_text().splitlines()[1]))
-    generations = [snap.pop.archive[epoch].records() for epoch in range(4)] + [snap.pop.active]
+    lines = _lines(tmp_path / "archive.jsonl")
+    generations = [snap.pop.archive[epoch].records() for epoch in range(4)]
     shared = 0
     for line, records in zip(lines, generations, strict=True):
         got = read_generation(line, 2)
@@ -919,95 +913,88 @@ def test_the_readme_decoder_reads_what_load_snapshot_reads(tmp_path):
 
 
 def test_binary_columns_refuse_every_malformed_value(tmp_path):
-    good = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
-    meta, active, policy = [json.loads(line) for line in good.read_text().splitlines()]
-    n = len(active["epoch_born"])
-    genomes = _floats(active["genome"])  # epoch 0: n distinct genomes of 2 agents
+    meta, policy, archived = _first_generation(tmp_path)
+    n = len(archived["epoch_born"])
+    genomes = _floats(archived["genome"])  # generation 0: n distinct genomes of 2 agents
 
     def listed(index, q):
         return dict(policy, index=_b64(index, "<u4"), q=_b64(q))
 
     size = math.prod(_small_config().env.q_shape)
     # A value that is no column at all, in each column: not a string, or not strict base64.
-    cases, measured = [], []  # measured: the r and f columns, which only an archive line holds
+    policies, columns = [], []  # the snapshot's policy line, and the archive line's columns
     for case, (bad, message) in enumerate((
             (True, "must be a base64 string"), (None, "must be a base64 string"),
             (1.5, "must be a base64 string"), (10**400, "must be a base64 string"),
             ([0.5] * 4, "must be a base64 string"), ([["0.0"] * 8] * n, "must be a base64 string"),
             ("0.5", "is not base64"), ("AAAA*AAA", "is not base64"),
             ("AAA", "is not base64"), ("AAAA\u00e9AAA", "is not base64"))):
-        cases += [(f"index-{case}", active, dict(policy, index=bad), f"policy index {message}"),
-                  (f"q-{case}", active, dict(policy, q=bad), f"policy q {message}")]
-        cases += [(f"{column}-{case}", dict(active, **{column: bad}), policy,
-                   f"active {column} {message}") for column in ("genome", "genome_row", "origin")]
-        measured += [(f"{column}-{case}", _archived(active, **{column: bad}),
-                      f"archive {column} {message}") for column in ("r_index", "r", "f")]
-    for name, active_line, policy_line, match in cases + [
-            ("newline", dict(active, genome=active["genome"][:4] + "\n" + active["genome"][4:]),
-             policy, "active genome is not base64"),
-            ("partial-q", active, dict(policy, index=_b64([1], "<u4"), q=_b64([1.0])[:-4] + "AA=="),
+        policies += [(f"index-{case}", dict(policy, index=bad), f"policy index {message}"),
+                     (f"q-{case}", dict(policy, q=bad), f"policy q {message}")]
+        columns += [(f"{column}-{case}", dict(archived, **{column: bad}),
+                     f"archive {column} {message}")
+                    for column in ("genome", "genome_row", "origin", "r_index", "r", "f")]
+    policies += [
+            ("partial-q", dict(policy, index=_b64([1], "<u4"), q=_b64([1.0])[:-4] + "AA=="),
              "policy q holds 7 bytes, not whole 8-byte values"),
-            ("partial-index", active, dict(policy, index=_b64([1], "<u2"), q=_b64([1.0])),
+            ("partial-index", dict(policy, index=_b64([1], "<u2"), q=_b64([1.0])),
              "policy index holds 2 bytes, not whole 4-byte values"),
-            ("partial-genome", dict(active, genome=_b64(genomes[:-1], "<f4")), policy,
-             rf"active genome holds {(n * 8 - 1) * 4} bytes, not whole 8-byte values"),
-            ("partial-genome-row", dict(active, genome_row=_b64(range(n - 1), "<u2")), policy,
-             rf"active genome_row holds {n * 2 - 2} bytes, not whole 4-byte values"),
-            ("out-of-range", active, listed([3, size], [1.0, 2.0]),
+            ("out-of-range", listed([3, size], [1.0, 2.0]),
              rf"policy index {size} is out of range: the shape \(2, 81, 5\) holds {size}"),
-            ("falling-index", active, listed([5, 3], [1.0, 2.0]),
-             "policy index does not rise strictly"),
-            ("repeated-index", active, listed([3, 3], [1.0, 2.0]),
-             "policy index does not rise strictly"),
-            ("more-positions", active, listed([1, 2], [1.0]),
+            ("falling-index", listed([5, 3], [1.0, 2.0]), "policy index does not rise strictly"),
+            ("repeated-index", listed([3, 3], [1.0, 2.0]), "policy index does not rise strictly"),
+            ("more-positions", listed([1, 2], [1.0]),
              "policy index holds 2 positions, policy q 1 values"),
-            ("more-values", active, listed([1], [1.0, 2.0]),
+            ("more-values", listed([1], [1.0, 2.0]),
              "policy index holds 1 positions, policy q 2 values"),
-            ("listed-zero", active, listed([1, 2], [1.0, 0.0]),
+            ("listed-zero", listed([1, 2], [1.0, 0.0]),
              r"policy q\[1\] is a listed 0\.0; only values other than 0\.0 are listed"),
-            ("nan-q", active, listed([1], [math.nan]), r"policy q\[0\] must be finite"),
-            ("inf-q", active, listed([1, 4], [1.0, -math.inf]), r"policy q\[1\] must be finite"),
-            ("nan-last-q", active, listed(range(size), [1.0] * (size - 1) + [math.nan]),
-             rf"policy q\[{size - 1}\] must be finite"),
-            ("inf-first-genome", dict(active, genome=_b64(np.where(np.arange(genomes.size) == 0,
-                                                                   math.inf, genomes))), policy,
-             r"active genome\[0\]\[0\] must be finite"),
-            ("nan-genome", dict(active, genome=_b64(np.where(np.arange(genomes.size) == 13,
-                                                             math.nan, genomes))), policy,
-             r"active genome\[1\]\[5\] must be finite"),
-            ("short-genome", dict(active, genome=_b64(genomes[:-1])), policy,
-             rf"active genome holds {n * 8 - 1} values, not whole genomes of 2 agents \(8 values "
-             r"each\)"),
-            ("three-agent-genomes", dict(active, genome=_b64(np.hstack(
-                [genomes.reshape(n, 8), genomes.reshape(n, 8)[:, :4]]))), policy,
-             rf"active genome holds {n * 12 // 8} rows; genome_row uses {n}"),
-            ("one-agent-genomes", dict(active, genome=_b64(genomes.reshape(n, 8)[:, :4])), policy,
-             rf"active genome_row\[{n // 2}\] is row {n // 2}; the genome column holds {n // 2}"),
-            ("ragged-genomes", dict(active, genome_row=_b64(range(n - 1), "<u4"),
-                                    epoch_born=active["epoch_born"][1:],
-                                    origin=_b64([0] * (n - 1), "<u1")), policy,
-             rf"active genome holds {n} rows; genome_row uses {n - 1}")]:
+            ("nan-q", listed([1], [math.nan]), r"policy q\[0\] must be finite"),
+            ("inf-q", listed([1, 4], [1.0, -math.inf]), r"policy q\[1\] must be finite"),
+            ("nan-last-q", listed(range(size), [1.0] * (size - 1) + [math.nan]),
+             rf"policy q\[{size - 1}\] must be finite")]
+    for name, policy_line, match in policies:
         with pytest.raises(ConfigError, match=match):
-            load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl",
-                                       [meta, active_line, policy_line]))
-        if active_line is not active:  # an archived generation's columns are checked the same way
-            measured.append((name, _archived(active_line), match.replace("active", "archive")))
-    measured += [
-        ("partial-r", _archived(active, r_index=_b64([1], "<u4"), r=_b64([0.5], "<f4")),
-         "archive r holds 4 bytes, not whole 8-byte values"),
-        ("partial-f", _archived(active, f=_b64([0.5] * (n + 1), "<f4")),
-         f"archive f holds {(n + 1) * 4} bytes, not whole 8-byte values"),
-        # f is dense: one value for each record genome_row lists.
-        *((f"{count}-f", _archived(active, f=_b64([0.5] * count)),
-           f"archive f holds {count} values; genome_row lists {n} records")
-          for count in (0, n - 1, n + 1))]
-    for name, archived, match in measured:
+            load_snapshot(_write_jsonl(tmp_path / f"{name}.jsonl", [meta, policy_line]))
+    columns += [
+            ("newline", dict(archived, genome=archived["genome"][:4] + "\n" +
+                             archived["genome"][4:]), "archive genome is not base64"),
+            ("partial-genome", dict(archived, genome=_b64(genomes[:-1], "<f4")),
+             rf"archive genome holds {(n * 8 - 1) * 4} bytes, not whole 8-byte values"),
+            ("partial-genome-row", dict(archived, genome_row=_b64(range(n - 1), "<u2")),
+             rf"archive genome_row holds {n * 2 - 2} bytes, not whole 4-byte values"),
+            ("inf-first-genome", dict(archived, genome=_b64(
+                np.where(np.arange(genomes.size) == 0, math.inf, genomes))),
+             r"archive genome\[0\]\[0\] must be finite"),
+            ("nan-genome", dict(archived, genome=_b64(
+                np.where(np.arange(genomes.size) == 13, math.nan, genomes))),
+             r"archive genome\[1\]\[5\] must be finite"),
+            ("short-genome", dict(archived, genome=_b64(genomes[:-1])),
+             rf"archive genome holds {n * 8 - 1} values, not whole genomes of 2 agents \(8 "
+             r"values each\)"),
+            ("three-agent-genomes", dict(archived, genome=_b64(np.hstack(
+                [genomes.reshape(n, 8), genomes.reshape(n, 8)[:, :4]]))),
+             rf"archive genome holds {n * 12 // 8} rows; genome_row uses {n}"),
+            ("one-agent-genomes", dict(archived, genome=_b64(genomes.reshape(n, 8)[:, :4])),
+             rf"archive genome_row\[{n // 2}\] is row {n // 2}; the genome column holds {n // 2}"),
+            # Every column holds one value for each of the config's population_size records.
+            *((f"{count}-records", _first_records(archived, count),
+               f"archive genome_row holds {count} values; every generation of the stored config "
+               f"holds {n} records") for count in (0, n - 1)),
+            ("partial-r", dict(archived, r_index=_b64([1], "<u4"), r=_b64([0.5], "<f4")),
+             "archive r holds 4 bytes, not whole 8-byte values"),
+            ("partial-f", dict(archived, f=_b64([0.5] * (n + 1), "<f4")),
+             f"archive f holds {(n + 1) * 4} bytes, not whole 8-byte values"),
+            *((f"{count}-f", dict(archived, f=_b64([0.5] * count)),
+               f"archive f holds {count} values; every generation of the stored config holds "
+               f"{n} records") for count in (0, n - 1, n + 1))]
+    for name, archived_line, match in columns:
         with pytest.raises(ConfigError, match=match):
-            load_snapshot(_write_archived(tmp_path / f"archived-{name}", meta, active, policy,
-                                          [archived]))
+            load_snapshot(_write_archived(tmp_path / f"archived-{name}", meta, policy,
+                                          [archived_line]))
     # -0.0 is not a zero on the bit pattern, so it is listed and loads as itself.
-    loaded = load_snapshot(_write_archived(tmp_path / "negative-zero", meta, active,
-                                           listed([2], [-0.0]), []))
+    loaded = load_snapshot(_write_archived(tmp_path / "negative-zero", meta,
+                                           listed([2], [-0.0]), [archived]))
     assert loaded.policy_q.reshape(-1).view("<u8")[2] == np.array(-0.0).view("<u8")
 
 
@@ -1015,8 +1002,8 @@ def test_eval_refuses_a_format_6_snapshot(tmp_path, capsys):
     # Format 6 stored every record's genome, in record order, and r, f and origin as JSON
     # lists; its policy line is format 8's.
     path = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
-    meta, active, policy = [json.loads(line) for line in path.read_text().splitlines()]
-    records = load_snapshot(path).pop.active
+    meta, policy = _lines(path)
+    records = _rebuilt(path).pop.active
     old_active = {"kind": "active", "epoch": 0,
                   "genome": _b64(np.stack([rec.genome.blocks for rec in records])),
                   "r": [rec.r for rec in records], "f": [rec.f for rec in records],
@@ -1025,8 +1012,8 @@ def test_eval_refuses_a_format_6_snapshot(tmp_path, capsys):
     old = _write_jsonl(tmp_path / "run" / "format-6.jsonl",
                        [dict(meta, format=6), old_active, policy])
     assert main(["eval", "--snapshot", str(old)]) == 2
-    assert capsys.readouterr().err == f"error: snapshot {old} line 1: format 6, expected 10\n"
-    with pytest.raises(ConfigError, match="format 6, expected 10"):
+    assert capsys.readouterr().err == f"error: snapshot {old} line 1: format 6, expected 11\n"
+    with pytest.raises(ConfigError, match="format 6, expected 11"):
         run_experiment(_small_config(epochs=2, resume_from=str(old)), run_dir=tmp_path / "run")
 
 
@@ -1119,6 +1106,49 @@ def test_resumed_runs_write_the_files_of_an_uninterrupted_run(tmp_path):
     assert _files(run_dir) == full
 
 
+def _one_agent_emptied_config():
+    """A one-agent run whose batch measures its whole population, with a deletion band that
+    only a success rate of 0.5 stays inside: epoch 1 retires every record, so evolution breeds
+    from the retired ones, and later generations keep an odd number."""
+    data = _small_dict(epochs=6, episodes_per_task=4, master_seed=3, snapshot_interval=1)
+    data["env"] = {"grid_width": 4, "n_agents": 1, "max_steps": 10}
+    data["evolution"] = {"population_size": 4, "batch_size": 4, "knn_k": 2,
+                         "deletion_band": [0.4, 0.6]}
+    return config_from_dict(data)
+
+
+@pytest.mark.parametrize("name", ["one-agent-emptied", "ccl-four-agents-fixed-mutation"])
+def test_a_resume_in_place_from_every_snapshot_writes_the_uninterrupted_files(
+        tmp_path, monkeypatch, name):
+    import coevo_curriculum.harness as harness
+
+    config = (_one_agent_emptied_config() if name == "one-agent-emptied"
+              else replace(_workload_config(name), snapshot_interval=1))
+    closed = []  # (active, retired) record counts of each generation evolve_generation closes
+    evolve = harness.evolve_generation
+
+    def counting_evolve(pop, *args):
+        closed.append((len(pop.active), len(pop.retired)))
+        return evolve(pop, *args)
+
+    monkeypatch.setattr(harness, "evolve_generation", counting_evolve)
+    full = run_experiment(config, run_dir=tmp_path / "full")
+    expected = _files(full.run_dir)
+    counts = closed[:config.epochs]
+    # Between them the two runs rebuild from an emptied generation and from odd active counts.
+    assert (0, 4) in counts if name == "one-agent-emptied" else min(counts)[1] > 0
+    assert any(active % 2 for active, _ in counts)
+    for epoch in range(config.epochs + 1):
+        # The run as it stood after the snapshot of ``epoch``: later files are rewritten.
+        run_dir = tmp_path / f"from-{epoch}"
+        shutil.copytree(full.run_dir, run_dir)
+        for later in range(epoch + 1, config.epochs + 1):
+            (run_dir / f"snapshot_epoch{later:05d}.jsonl").unlink()
+        resume_from = str(run_dir / f"snapshot_epoch{epoch:05d}.jsonl")
+        run_experiment(replace(config, resume_from=resume_from), run_dir=run_dir)
+        assert _files(run_dir) == expected, epoch
+
+
 @pytest.mark.parametrize("mode, past_snapshot", [("ccl", "_start_archive"),
                                                    ("vanilla", "_MetricsWriter")])
 def test_a_failed_set_up_leaves_a_directory_to_run_again_or_resume(tmp_path, monkeypatch, mode,
@@ -1203,12 +1233,13 @@ def test_snapshots_hold_no_archive_and_each_epoch_appends_one_line(tmp_path, mon
     archive = [json.loads(line) for line in (tmp_path / "archive.jsonl").read_text().splitlines()]
     assert [(line["kind"], line["epoch"]) for line in archive] == [
         ("archive", epoch) for epoch in range(6)]
+    rows = list(csv.DictReader((tmp_path / "metrics.csv").read_text().splitlines()))
     for epoch in range(7):
-        path = tmp_path / f"snapshot_epoch{epoch:05d}.jsonl"
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["kind"] for line in lines] == ["meta", "active", "policy"]
-        # No active record is measured, so the active line has no r or f column.
-        assert list(lines[1]) == ["kind", "epoch", "genome", "genome_row", "epoch_born", "origin"]
+        meta, policy = _lines(tmp_path / f"snapshot_epoch{epoch:05d}.jsonl")
+        assert [meta["kind"], policy["kind"]] == ["meta", "policy"]  # no generation line
+        # The batch's mean success rate that advanced the active generation: its metrics value.
+        assert meta.get("batch_mean_r") == (float(rows[epoch - 1]["batch_mean_r"]) if epoch
+                                            else None)
 
 
 def test_ccl_snapshot_loads_only_with_its_runs_archive(tmp_path, capsys):
@@ -1268,20 +1299,19 @@ def test_each_epoch_born_value_is_checked_at_the_last_index(tmp_path, capsys):
     data = _small_dict(epochs=1, snapshot_interval=1)
     data["evolution"]["population_size"] = 64
     run_dir = run_experiment(config_from_dict(data), run_dir=tmp_path / "run").run_dir
-    meta, active, policy = [json.loads(line) for line in
-                            (run_dir / "snapshot_epoch00001.jsonl").read_text().splitlines()]
+    meta, policy = _lines(run_dir / "snapshot_epoch00001.jsonl")
     archived = json.loads((run_dir / "archive.jsonl").read_text())
     last = len(archived["epoch_born"]) - 1
     assert last >= 63
     for case, bad in enumerate((True, 1.0, "3", None)):
         line = dict(archived, epoch_born=archived["epoch_born"][:-1] + [bad])
-        path = _write_archived(tmp_path / f"case-{case}", meta, active, policy, [line])
+        path = _write_archived(tmp_path / f"case-{case}", meta, policy, [line])
         assert _resume_from(path, tmp_path / f"resumed-{case}") == 2
         assert f"archive.jsonl line 1: archive epoch_born[{last}] must be an integer" in \
             capsys.readouterr().err
     # The column holds 64-bit integers.
     line = dict(archived, epoch_born=archived["epoch_born"][:-1] + [2 ** 63])
-    path = _write_archived(tmp_path / "wide", meta, active, policy, [line])
+    path = _write_archived(tmp_path / "wide", meta, policy, [line])
     assert _resume_from(path, tmp_path / "resumed-wide") == 2
     assert "archive.jsonl line 1: archive epoch_born holds an integer outside 64 bits" in \
         capsys.readouterr().err
@@ -1384,39 +1414,29 @@ def test_resume_in_place_rejects_a_file_without_its_header_row(tmp_path):
             assert {path: path.read_bytes() for path in run_dir.glob("*.csv")} == before
 
 
-def test_a_snapshot_refuses_retired_records_that_no_generation_archived(tmp_path):
-    # Retired records wait in pop.retired until evolve_generation archives them; no snapshot
-    # line holds them, so a snapshot taken in between would drop them.
-    snap = load_snapshot(run_experiment(_small_config(epochs=0), run_dir=tmp_path).snapshot_path)
-    before = sorted(path.name for path in tmp_path.iterdir())
-    snap.pop.active[0].r = 1.0
-    delete_bad_tasks(snap.pop, (0.02, 0.98))
-    assert len(snap.pop.retired) == 1
-    with pytest.raises(ValueError, match="holds 1 retired records that are not archived yet"):
-        write_snapshot(tmp_path / "snapshot_epoch00001.jsonl", snap)
-    assert sorted(path.name for path in tmp_path.iterdir()) == before
-
-
 def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch):
     import coevo_curriculum.snapshots as snapshots
 
     half = run_experiment(_small_config(epochs=2, snapshot_interval=2), run_dir=tmp_path)
     before = sorted(path.name for path in tmp_path.iterdir())
-    real_generation_line = snapshots._generation_line
+    real_archive_line = snapshots._archive_line
     calls = []
 
-    def failing_generation_line(kind, *args):
-        calls.append(kind)
-        if kind == "active":  # the first snapshot write after the resume, at epoch 4
-            raise RuntimeError("disk full")
-        return real_generation_line(kind, *args)
+    def recording_archive_line(*args):
+        calls.append("archive")
+        return real_archive_line(*args)
 
-    monkeypatch.setattr(snapshots, "_generation_line", failing_generation_line)
+    def failing_policy_line(q):  # the first snapshot write after the resume, at epoch 4
+        calls.append("policy")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(snapshots, "_archive_line", recording_archive_line)
+    monkeypatch.setattr(snapshots, "_policy_line", failing_policy_line)
     with pytest.raises(RuntimeError, match="disk full"):
         run_experiment(_small_config(epochs=4, snapshot_interval=2,
                                      resume_from=str(half.snapshot_path)), run_dir=tmp_path)
     # Generations 0-1 are encoded again and written back; append 2 and 3, then fail.
-    assert calls == ["archive"] * 4 + ["active"]
+    assert calls == ["archive"] * 4 + ["policy"]
     assert sorted(path.name for path in tmp_path.iterdir()) == before
     assert not (tmp_path / "snapshot_epoch00004.jsonl").exists()
     assert load_snapshot(half.snapshot_path).epoch == 2
@@ -1438,102 +1458,99 @@ def _column(line, key, dtype):
     return np.frombuffer(base64.b64decode(line[key], validate=True), dtype=dtype)
 
 
-def _first_records(active, count, n_agents=2):
-    """The active line ``active`` cut to its first ``count`` records, each column in the
+def _first_records(line, count, n_agents=2):
+    """The archive line ``line`` cut to its first ``count`` records, each column in the
     writer's form: the genome column keeps the rows those records use."""
-    rows = _column(active, "genome_row", "<u4")[:count]
+    rows = _column(line, "genome_row", "<u4")[:count]
     used = int(rows.max()) + 1 if count else 0
-    return dict(active, genome=_b64(_floats(active["genome"])[:used * n_agents * 4]),
-                genome_row=_b64(rows, "<u4"), epoch_born=active["epoch_born"][:count],
-                origin=_b64(_column(active, "origin", "<u1")[:count], "<u1"))
+    index = _column(line, "r_index", "<u4")
+    return dict(line, genome=_b64(_floats(line["genome"])[:used * n_agents * 4]),
+                genome_row=_b64(rows, "<u4"), r_index=_b64(index[index < count], "<u4"),
+                r=_b64(_floats(line["r"])[index < count]), f=_b64(_floats(line["f"])[:count]),
+                epoch_born=line["epoch_born"][:count],
+                origin=_b64(_column(line, "origin", "<u1")[:count], "<u1"))
 
 
 def _doctored_resume(tmp_path, edit):
-    """Exit status of a CLI resume from the epoch-2 snapshot of a small ccl run whose active
-    line ``edit`` rewrote as JSON, and the doctored snapshot's path; the resume must leave no
-    output directory."""
+    """Exit status of a CLI resume from the epoch-2 snapshot of a small ccl run whose last
+    archive line ``edit`` rewrote as JSON (the snapshot's digest follows the edit), and the
+    doctored archive's path; the resume must leave no output directory."""
     half = run_experiment(_small_config(epochs=2, snapshot_interval=2), run_dir=tmp_path / "half")
-    lines = half.snapshot_path.read_text().splitlines()
-    meta, active, policy = [json.loads(line) for line in lines]
-    assert "r_index" not in active and "f_index" not in active  # evolve_generation measures none
-    doctored = _write_jsonl(tmp_path / "half" / "doctored.jsonl", [meta, edit(active), policy])
+    first, last = _lines(half.run_dir / "archive.jsonl")
+    doctored = _write_archived(tmp_path / "doctored", *_lines(half.snapshot_path),
+                               [first, edit(last)])
     out = tmp_path / "new"
     code = main(["run", "--config", str(_write_config(tmp_path, epochs=4)),
                  "--resume", str(doctored), "--output-dir", str(out)])
     assert not out.exists()
-    return code, doctored
+    return code, doctored.with_name("archive.jsonl")
 
 
-def test_a_resume_from_an_active_line_of_another_size_exits_with_two(tmp_path, capsys):
-    # Every snapshot a run writes holds population_size (8) active records.
+def test_a_resume_from_an_archive_line_of_another_size_exits_with_two(tmp_path, capsys):
+    # Every generation a run closes holds population_size (8) records, retired ones included.
     for count in (0, 2, 6):
         code, cut = _doctored_resume(tmp_path / str(count),
-                                     lambda active: _first_records(active, count))
+                                     lambda line: _first_records(line, count))
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: snapshot {cut} line 2: active line holds {count} records; every snapshot "
-            "of the stored config holds 8\n")
+            f"error: {cut} line 2: archive genome_row holds {count} values; every generation of "
+            "the stored config holds 8 records\n")
 
 
-def _assert_listed_resume_exits_with_two(tmp_path, capsys, name, listed):
-    values = [listed.get(i) for i in range(8)]
-    code, measured = _doctored_resume(tmp_path,
-                                      lambda active: dict(active, **_optional(name, values)))
-    assert code == 2
-    # An active line has no r or f column: a listed one is a key its kind does not define.
-    assert capsys.readouterr().err == (
-        f"error: snapshot {measured} line 2: unknown key(s) in active line: {name}, {name}_index\n")
-
-
-@pytest.mark.parametrize("listed", [{2: 0.5}, dict.fromkeys(range(8), 5.0)])
-def test_a_resume_from_an_active_line_that_lists_r_exits_with_two(tmp_path, capsys, listed):
-    # A snapshot is taken after evolve_generation, whose children and copies are unmeasured.
-    _assert_listed_resume_exits_with_two(tmp_path, capsys, "r", listed)
-
-
-@pytest.mark.parametrize("listed", [{5: 0.25}, dict.fromkeys(range(8), -3.0)])
-def test_a_resume_from_an_active_line_that_lists_f_exits_with_two(tmp_path, capsys, listed):
-    # A copy carries no fitness: every active record's f is assigned in the epoch it trains.
-    _assert_listed_resume_exits_with_two(tmp_path, capsys, "f", listed)
-
-
-def test_write_snapshot_refuses_every_active_generation_the_reader_refuses(tmp_path):
-    ccl = load_snapshot(run_experiment(_small_config(epochs=2, snapshot_interval=2),
-                                       run_dir=tmp_path / "ccl").snapshot_path)
-    vanilla = load_snapshot(run_experiment(_small_config(mode="vanilla", epochs=0),
-                                           run_dir=tmp_path / "vanilla").snapshot_path)
-
-    def measured(name, value):
-        active = [rec.clone() for rec in ccl.pop.active]
-        setattr(active[3], name, value)
-        return replace(ccl, pop=replace(ccl.pop, active=active))
-
-    cases = [(replace(ccl, pop=None), "a ccl snapshot needs an active line"),
-             (replace(vanilla, pop=ccl.pop), "a vanilla snapshot holds no active line"),
-             *((replace(ccl, pop=replace(ccl.pop, active=ccl.pop.active[:count])),
-                f"active line holds {count} records; every snapshot of the stored config "
-                "holds 8") for count in (0, 2, 6)),
-             (measured("r", 0.5), "active r lists record 3"),
-             (measured("f", 0.5), "active f lists record 3")]
-    for snap, message in cases:
-        with pytest.raises(ValueError, match=message):
-            write_snapshot(tmp_path / "refused.jsonl", snap)
-        assert not list(tmp_path.glob("refused.jsonl*"))
+@pytest.mark.parametrize("mode, epochs, edit, refusal", [
+    ("ccl", 2, lambda meta: meta.pop("batch_mean_r"), "missing key(s) in meta line: batch_mean_r"),
+    ("ccl", 0, lambda meta: meta.update(batch_mean_r=0.5),
+     "unknown key(s) in meta line: batch_mean_r"),
+    ("vanilla", 2, lambda meta: meta.update(batch_mean_r=0.5),
+     "unknown key(s) in meta line: batch_mean_r"),
+    ("ccl", 2, lambda meta: meta.update(batch_mean_r=math.nan), "meta batch_mean_r must be finite"),
+    ("ccl", 2, lambda meta: meta.update(batch_mean_r=-math.inf),
+     "meta batch_mean_r must be finite"),
+    ("ccl", 2, lambda meta: meta.update(batch_mean_r=1.5),
+     "meta batch_mean_r is 1.5; a mean success rate lies in [0, 1]"),
+    ("ccl", 2, lambda meta: meta.update(batch_mean_r=-0.25),
+     "meta batch_mean_r is -0.25; a mean success rate lies in [0, 1]"),
+    ("ccl", 2, lambda meta: meta.update(batch_mean_r="0.5"), "meta batch_mean_r must be a number")],
+    ids=["missing", "at-epoch-0", "vanilla", "nan", "infinite", "above-1", "below-0", "string"])
+def test_a_resume_from_a_faulty_batch_mean_r_exits_with_two(tmp_path, capsys, mode, epochs, edit,
+                                                              refusal):
+    # A population mode stores the mean success rate that advanced its active generation,
+    # after epoch 0 only, so that a resume can breed and advance that generation again.
+    half = run_experiment(_small_config(mode=mode, epochs=epochs, snapshot_interval=2),
+                          run_dir=tmp_path / "half")
+    meta, policy = _lines(half.snapshot_path)
+    edit(meta)
+    faulty = _write_jsonl(tmp_path / "half" / "faulty.jsonl", [meta, policy])
+    out = tmp_path / "new"
+    assert main(["run", "--config", str(_write_config(tmp_path, mode=mode, epochs=4)),
+                 "--resume", str(faulty), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: snapshot {faulty} line 1: {refusal}\n"
+    assert not out.exists()
+    assert main(["eval", "--snapshot", str(faulty)]) == 2  # eval reads the meta line too
+    assert capsys.readouterr().err == f"error: snapshot {faulty} line 1: {refusal}\n"
 
 
 def test_a_format_7_snapshot_exits_with_two(tmp_path, capsys):
     # Format 7 listed the active records' f, which a copy carried over from the epoch before;
     # format 8 held the r and f columns on the active line too, each empty. Formats up to 9
-    # stored the episode total, 2 epochs of 4 tasks of 2 episodes here, in the meta line.
+    # stored the episode total, 2 epochs of 4 tasks of 2 episodes here, in the meta line, and
+    # formats up to 10 the active generation, which format 11 breeds again from the archive.
     path = run_experiment(_small_config(epochs=2, snapshot_interval=2),
                           run_dir=tmp_path / "run").snapshot_path
-    meta, active, policy = [json.loads(line) for line in path.read_text().splitlines()]
+    meta, policy = _lines(path)
+    meta.pop("batch_mean_r")
+    active = Generation.of(_rebuilt(path).pop.active)
+    active = {"kind": "active", "epoch": 2, "genome": _b64(active.genome),
+              "genome_row": _b64(active.genome_row, "<u4"),
+              "epoch_born": active.epoch_born.tolist(), "origin": _b64(active.origin, "<u1")}
     empty = {"r_index": "", "r": "", "f_index": "", "f": ""}
-    for found, old_active in ((7, {**active, **empty, **_optional("f", [0.5] * 8)}),
-                              (8, {**active, **empty}), (9, active)):
+    for found, old_meta, old_active in (
+            (7, dict(meta, episodes_total=16), {**active, **empty, **_optional("f", [0.5] * 8)}),
+            (8, dict(meta, episodes_total=16), {**active, **empty}),
+            (9, dict(meta, episodes_total=16), active), (10, meta, active)):
         old = _write_jsonl(tmp_path / "run" / f"format-{found}.jsonl",
-                           [dict(meta, format=found, episodes_total=16), old_active, policy])
-        expected = f"error: snapshot {old} line 1: format {found}, expected 10\n"
+                           [dict(old_meta, format=found), old_active, policy])
+        expected = f"error: snapshot {old} line 1: format {found}, expected 11\n"
         assert main(["eval", "--snapshot", str(old)]) == 2
         assert capsys.readouterr().err == expected
         out = tmp_path / f"new-{found}"
@@ -1848,12 +1865,11 @@ def test_cli_failures_exit_with_two(tmp_path, capsys):
     assert main(["eval", "--snapshot", str(tmp_path / "none.jsonl")]) == 2
     snapshot = run_experiment(_small_config(epochs=0), run_dir=tmp_path / "run").snapshot_path
     lines = [json.loads(line) for line in snapshot.read_text(encoding="utf-8").splitlines()]
-    nulled = _write_jsonl(tmp_path / "nulled.jsonl", lines[:1] + [None] + lines[2:])
+    nulled = _write_jsonl(tmp_path / "nulled.jsonl", lines[:1] + [None])
     assert main(["run", "--config", str(_write_config(tmp_path)), "--resume", str(nulled),
                  "--output-dir", str(tmp_path / "resumed")]) == 2
-    active = dict(lines[1], r="x")
-    unmeasurable = _write_jsonl(tmp_path / "string-r.jsonl", lines[:1] + [active] + lines[2:])
-    assert main(["run", "--config", str(_write_config(tmp_path)), "--resume", str(unmeasurable),
+    unreadable = _write_jsonl(tmp_path / "string-q.jsonl", lines[:1] + [dict(lines[1], q="x")])
+    assert main(["run", "--config", str(_write_config(tmp_path)), "--resume", str(unreadable),
                  "--output-dir", str(tmp_path / "resumed")]) == 2
     fractional = _write_jsonl(tmp_path / "fractional-epoch.jsonl",
                               [dict(lines[0], epoch=1.9)] + lines[1:])

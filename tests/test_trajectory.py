@@ -47,30 +47,30 @@ EXPECTED = {
     "vanilla-target": {
         "metrics.csv": "7fbdb08c15cbd82f21cc03ef3a866738a41f3714148e39e8b54fc67fd27dca2b",
         "snapshot_epoch00002.jsonl":
-            "0112f0fc3cfc5156b9b8a63ea15d3b5cfda89ea31da155a222773bd5a91487a1",
+            "ad371b0605830b53ed42192a236e89f2b7a671e5be6adaf3360a771dd7be3568",
     },
     "ccl-default": {
         "metrics.csv": "fe571f1259158d378eef21592669b5bad635fcd2c8eec56115243432835dbd38",
         "snapshot_epoch00012.jsonl":
-            "29be89d7a90c204f97999081579827aadb49317b6709b4ffd1057d37783bb7b2",
+            "f21cbf0be9bcc8228b1ea225ec0d600db7c51e3039c1b209eb807b047081fa3b",
         "archive.jsonl": "757b311bffbc38195aea50fe8df9133eb35ad5dee87c929bfa2d2c75a3d1190c",
     },
     "ccl-checkpoint-resume": {
         "metrics.csv": "84bd2b47be5a700798e9a703d12a8dda73a9fd3ae72804c1d1da9016b0f40421",
         "snapshot_epoch00010.jsonl":
-            "747ce999ec76c2d88b315f089541a505216fa4cc4b911cdeeb499f0bde56ad42",
+            "2c3fe5b26a7caf31b7f349f9110c450808b652015ecccfa821182f7631262377",
         "archive.jsonl": "73af3a2557a3deedf2c1a6ab8d62e8ae3757a4cb874fb3e6e6926b6acc013c6c",
     },
     "ccl-four-agents-fixed-mutation": {
         "metrics.csv": "5d822340c3871cf10725abd29a4f570a9d6d08a989f538e5a240ebe3304d4ffa",
         "snapshot_epoch00006.jsonl":
-            "afaca10c0fd48d896f7d812208004495416810b699bf36d30eedf0c3f7c7dd22",
+            "18c7df758bae224d801771c7f0bd9b501550dc3f25e16a042a78004ad1331f12",
         "archive.jsonl": "9723c5b1392ec5492d090de0276790b9ab262d762e898fb546484f74329f7f37",
     },
     "ccl-one-agent-linear-still-mutation": {
         "metrics.csv": "23edbd9c50e0bd0b0243a1583b9f24571c34abbca026858fc7633a5aa1a7ede1",
         "snapshot_epoch00008.jsonl":
-            "5a8666cbce2c76712cf8b82c4814b36e3d5b847cf144890a7b14d517c0dbdb87",
+            "ccc56de61f0e4f066651a3be9c3897d4ac8537a089a00b27aab0a2f4caf6b697",
         "archive.jsonl": "2d419f447a63c4ec3c24784e63e43c9b7443f8d8000f6ef6ec9dc50b5e5c0ac9",
     },
 }
